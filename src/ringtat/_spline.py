@@ -96,16 +96,34 @@ def _weights(xi: np.ndarray, h: float):
     return wg, wm
 
 
-def _dweights(xi: np.ndarray, h: float):
-    a = 1.0 - xi
-    one = np.ones_like(xi)
-    dwg = np.stack([-one / h, one / h], axis=-1)
-    dwm = (h / 6.0) * np.stack([1.0 - 3.0 * a**2, 3.0 * xi**2 - 1.0], axis=-1)
-    return dwg, dwm
+# numpy's float -> int64 cast, used by _locate, gives INT64_MIN for NaN,
+# +-inf and anything past the int64 range; the clip then picks cell 0
+_CAST_LIMIT = 2.0**63
+
+
+def _contract(x0, x1, y0, y1, b00, b01, b10, b11) -> float:
+    """sum_ab x_a y_b B_ab in the rounding order of
+    einsum("ka,kb,kab->k") at k = 1 (k = 2 already rounds differently)."""
+    return ((x0 * y0) * b00 + (x0 * y1) * b01) + ((x1 * y0) * b10 + (x1 * y1) * b11)
 
 
 class SplineField:
-    """Bicubic interpolant of one fixed grid function, for pointwise queries."""
+    """Bicubic interpolant of one fixed grid function, for pointwise queries.
+
+    Every query runs through one scalar kernel, ``_point``, one point at a
+    time: the ray tracer asks for a single point per Runge-Kutta stage, and
+    at that size numpy call overhead is the whole cost.  The kernel locates
+    the cell with Python floats and reads the 2x2 block of (g, mx, my, mxy)
+    with one slice of a stacked (n, n, 4) array.  Its results are bit for
+    bit those of the vectorized weights of ``_locate``/``_weights`` contracted
+    with einsum on one point, because it keeps their rounding:
+
+    * cubes go through numpy array power (on AVX-512 builds Python ``**``
+      and ``math.pow`` differ from it in the last bit for some inputs);
+    * squares are plain products, as numpy computes ``a**2``;
+    * each 2x2 contraction sums in the fixed order of ``_contract``, and the
+      four coefficient terms add left to right (g, mx, my, mxy).
+    """
 
     def __init__(self, x0: float, h: float, values: np.ndarray):
         v = np.asarray(values, dtype=float)
@@ -118,46 +136,60 @@ class SplineField:
         self.mx = spline_coeffs_1d(v, self.h, 0)
         self.my = spline_coeffs_1d(v, self.h, 1)
         self.mxy = spline_coeffs_1d(self.mx, self.h, 1)
+        self._coef = np.stack([self.g, self.mx, self.my, self.mxy], axis=-1)
 
-    def _gather(self, pts: np.ndarray):
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        ix, xi = _locate(pts[:, 0], self.x0, self.h, self.n)
-        iy, yi = _locate(pts[:, 1], self.x0, self.h, self.n)
-        IX = (ix[:, None] + _CORNER)[:, :, None]
-        IY = (iy[:, None] + _CORNER)[:, None, :]
-        blocks = tuple(arr[IX, IY] for arr in (self.g, self.mx, self.my, self.mxy))
-        return xi, yi, blocks
+    def _point(self, x: float, y: float) -> tuple[float, float, float]:
+        """Value and gradient at one point (clamped to the edge cells
+        outside the grid; NaN for non-finite input)."""
+        h, last = self.h, self.n - 2
+        tx = (x - self.x0) / h
+        ty = (y - self.x0) / h
+        i = min(int(tx), last) if 0.0 <= tx < _CAST_LIMIT else 0
+        j = min(int(ty), last) if 0.0 <= ty < _CAST_LIMIT else 0
+        xi = tx - i
+        yi = ty - j
+        ax = 1.0 - xi
+        ay = 1.0 - yi
+        ax3, xi3, ay3, yi3 = (np.array([ax, xi, ay, yi]) ** 3).tolist()
+        # the corner-value weights are (ax, xi) and (ay, yi); m* weight the
+        # second derivatives as _weights builds them, dw and dm* are the
+        # derivatives of both pairs
+        cm = h * h / 6.0
+        cd = h / 6.0
+        mx0, mx1 = cm * (ax3 - ax), cm * (xi3 - xi)
+        my0, my1 = cm * (ay3 - ay), cm * (yi3 - yi)
+        dw0, dw1 = -1.0 / h, 1.0 / h
+        dmx0, dmx1 = cd * (1.0 - 3.0 * (ax * ax)), cd * (3.0 * (xi * xi) - 1.0)
+        dmy0, dmy1 = cd * (1.0 - 3.0 * (ay * ay)), cd * (3.0 * (yi * yi) - 1.0)
+        (b00, b01), (b10, b11) = self._coef[i : i + 2, j : j + 2].tolist()
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        xi, yi, (G, MX, MY, MXY) = self._gather(pts)
-        wgx, wmx = _weights(xi, self.h)
-        wgy, wmy = _weights(yi, self.h)
-        return (
-            np.einsum("ka,kb,kab->k", wgx, wgy, G)
-            + np.einsum("ka,kb,kab->k", wmx, wgy, MX)
-            + np.einsum("ka,kb,kab->k", wgx, wmy, MY)
-            + np.einsum("ka,kb,kab->k", wmx, wmy, MXY)
-        )
-
-    def value_and_gradient(self, pts: np.ndarray):
-        xi, yi, (G, MX, MY, MXY) = self._gather(pts)
-        wgx, wmx = _weights(xi, self.h)
-        wgy, wmy = _weights(yi, self.h)
-        dgx, dmx = _dweights(xi, self.h)
-        dgy, dmy = _dweights(yi, self.h)
-
-        def combine(ax, mx_, ay, my_):
+        def combine(px0, px1, qx0, qx1, py0, py1, qy0, qy1):
+            # p: weights on g, q: weights on the second derivatives
             return (
-                np.einsum("ka,kb,kab->k", ax, ay, G)
-                + np.einsum("ka,kb,kab->k", mx_, ay, MX)
-                + np.einsum("ka,kb,kab->k", ax, my_, MY)
-                + np.einsum("ka,kb,kab->k", mx_, my_, MXY)
+                _contract(px0, px1, py0, py1, b00[0], b01[0], b10[0], b11[0])
+                + _contract(qx0, qx1, py0, py1, b00[1], b01[1], b10[1], b11[1])
+                + _contract(px0, px1, qy0, qy1, b00[2], b01[2], b10[2], b11[2])
+                + _contract(qx0, qx1, qy0, qy1, b00[3], b01[3], b10[3], b11[3])
             )
 
-        val = combine(wgx, wmx, wgy, wmy)
-        gx = combine(dgx, dmx, wgy, wmy)
-        gy = combine(wgx, wmx, dgy, dmy)
-        return val, np.stack([gx, gy], axis=-1)
+        return (
+            combine(ax, xi, mx0, mx1, ay, yi, my0, my1),
+            combine(dw0, dw1, dmx0, dmx1, ay, yi, my0, my1),
+            combine(ax, xi, mx0, mx1, dw0, dw1, dmy0, dmy1),
+        )
+
+    def _points(self, pts: np.ndarray) -> np.ndarray:
+        rows = np.asarray(pts, dtype=float).reshape(-1, 2).tolist()
+        return np.array([self._point(x, y) for x, y in rows]).reshape(-1, 3)
+
+    def value(self, pts: np.ndarray) -> np.ndarray:
+        """Interpolated values at (k, 2) points, shape (k,)."""
+        return self._points(pts)[:, 0]
+
+    def value_and_gradient(self, pts: np.ndarray):
+        """Values (k,) and gradients (k, 2) at (k, 2) points."""
+        out = self._points(pts)
+        return out[:, 0], out[:, 1:]
 
 
 class BicubicSampler:

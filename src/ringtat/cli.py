@@ -46,7 +46,7 @@ Subcommands: ``forward`` (simulate a sinogram), ``reconstruct`` (iterative
 inversion of a sinogram file), ``visibility`` (classify phantom edges),
 ``sweep`` (radius-sweep PDE residual refinement study), ``selftest``
 (built-in checks).  Exit codes: 0 success, 1 check failure, 2 usage or
-config error.
+config error, 3 solver failure (divergence, breakdown, non-finite values).
 
 Array artifacts use a fixed binary format (magic ``TATARR1``, version byte,
 dtype byte for little-endian float64, rank byte, uint64 dims, row-major
@@ -1063,6 +1063,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, FloatingPointError) as exc:
+        # a solver diverged, broke down or produced non-finite values
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spline import SplineField
-from .detector import DetectorConfig, LargeMode, SmallMode
+from .detector import DetectorConfig, SmallMode
 from .field import Covector, SpeedField
 
 _TWO_PI = 2.0 * math.pi
@@ -107,7 +107,8 @@ def trace_geodesic(
     exact flow.  Integration stops at the first sample outside the closed
     unit disc; the exit point is then refined along the last segment and the
     exterior continuation is an exact straight line.  A ray still inside the
-    disc at t_max is reported as non-escaping.
+    disc at t_max is reported as non-escaping.  The interpolant is queried
+    once per RK4 stage and once at the start, one point per query.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
@@ -276,20 +277,6 @@ def _in_arc(theta: float, arc: tuple[float, float] | None) -> bool:
         return True
     a, b = arc
     return (theta - a) % _TWO_PI < (b - a) % _TWO_PI or (b - a) >= _TWO_PI
-
-
-def coverage_time(mode: SmallMode | LargeMode) -> float:
-    """Record length after which every escaping covector has produced at
-    least one event, for unit exterior speed.
-
-    Small geometry: the slowest first event comes from the disc center,
-    whose center-ring passage happens at distance R, minus the r the
-    crossing happens early.  Large geometry: a ray exits the unit disc
-    after at most 1 and meets its detector circle r later.
-    """
-    if isinstance(mode, SmallMode):
-        return mode.R - mode.r
-    return 1.0 + mode.r
 
 
 def visibility(

@@ -1,11 +1,15 @@
 """Tests for the command line front end and artifact formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringtat
 from ringtat.cli import (
     ArrayFormatError,
     ConfigError,
@@ -322,6 +326,25 @@ class TestReconstructCommand:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "shape" in capsys.readouterr().err
+
+    def test_diverging_landweber_exits_3_with_one_line(self, tmp_path):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(BASE_CFG.replace("n = 65", "n = 49")
+                       .replace("method = cg", "method = landweber")
+                       .replace("iters = 3", "iters = 6\nstep = 1e6"))
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        src = Path(ringtat.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringtat.cli", "reconstruct", "--config", str(cfg),
+             "--data", str(tmp_path / "sinogram.tat"), "--out", str(tmp_path / "rec")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestVisibilityCommand:

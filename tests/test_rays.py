@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import ringtat.rays as rays
+from ringtat._spline import SplineField
 from ringtat.detector import DetectorConfig, LargeMode, SmallMode
 from ringtat.field import Covector, SpeedSpec, gaussian_phantom, make_grid, phantom_edges, sample_speed
 from ringtat.rays import (
@@ -12,7 +14,6 @@ from ringtat.rays import (
     DetectionEvent,
     VisibilityReport,
     canonical_image,
-    coverage_time,
     detect_events,
     mirror_point,
     trace_geodesic,
@@ -209,10 +210,51 @@ class TestMirror:
             mirror_point((1.5, 0.0), 0.0, cfg)
 
 
-class TestCoverage:
-    def test_coverage_times(self):
-        assert coverage_time(SmallMode(R=2.0, r=0.8)) == pytest.approx(1.2)
-        assert coverage_time(LargeMode(r=2.0)) == pytest.approx(3.0)
+class TestSplineQueries:
+    """The tracer asks the speed interpolant for one point per RK4 stage plus
+    one at the start, and visibility asks it nothing else: per-layer call
+    accounting rests on that closed form."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = []
+        vg = SplineField.value_and_gradient
+
+        def counting(sf, pts):
+            shapes.append(np.shape(pts))
+            return vg(sf, pts)
+
+        def value(sf, pts):
+            raise AssertionError("SplineField.value called")
+
+        monkeypatch.setattr(SplineField, "value_and_gradient", counting)
+        monkeypatch.setattr(SplineField, "value", value)
+        return shapes
+
+    @pytest.mark.parametrize("sigma,t_max", [(1, 4.0), (-1, 4.0), (1, 0.3)])
+    def test_trace_queries_one_point_per_stage(self, calls, sigma, t_max):
+        path = trace_geodesic(
+            Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), _speed(), sigma=sigma, t_max=t_max
+        )
+        assert path.escaped == (t_max > 1.0)
+        assert len(calls) == 4 * (len(path.states) - 1) + 1
+        assert set(calls) == {(1, 2)}
+
+    def test_visibility_queries_only_through_traces(self, calls, monkeypatch):
+        paths = []
+        trace = rays.trace_geodesic
+
+        def recording(*args, **kwargs):
+            paths.append(trace(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(rays, "trace_geodesic", recording)
+        wf = _random_covectors(3, np.random.default_rng(8))
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
+        visibility(wf, _speed(), cfg, time_window=(0.0, 5.0), arc=(0.0, 0.5 * math.pi))
+        assert len(paths) == 2 * len(wf)
+        assert len(calls) == sum(4 * (len(p.states) - 1) + 1 for p in paths)
+        assert set(calls) == {(1, 2)}
 
 
 class TestVisibility:

@@ -17,6 +17,58 @@ def _field(n, fun, lo=-1.0, hi=1.0):
     return SplineField(lo, ax[1] - ax[0], fun(X, Y))
 
 
+def _einsum_oracle(sf, pts):
+    """The vectorized einsum evaluation that the scalar kernel replaced.
+    Only its one-point results are the reference: at k >= 2 einsum rounds
+    differently."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    h = sf.h
+
+    def locate(q):
+        t = (q - sf.x0) / h
+        i = np.clip(np.floor(t).astype(np.int64), 0, sf.n - 2)
+        return i, t - i
+
+    def weights(t):
+        a = 1.0 - t
+        wg = np.stack([a, t], axis=-1)
+        wm = (h * h / 6.0) * np.stack([a**3 - a, t**3 - t], axis=-1)
+        return wg, wm
+
+    def dweights(t):
+        a = 1.0 - t
+        one = np.ones_like(t)
+        dwg = np.stack([-one / h, one / h], axis=-1)
+        dwm = (h / 6.0) * np.stack([1.0 - 3.0 * a**2, 3.0 * t**2 - 1.0], axis=-1)
+        return dwg, dwm
+
+    ix, xi = locate(pts[:, 0])
+    iy, yi = locate(pts[:, 1])
+    corner = np.array([0, 1])
+    IX = (ix[:, None] + corner)[:, :, None]
+    IY = (iy[:, None] + corner)[:, None, :]
+    G, MX, MY, MXY = (arr[IX, IY] for arr in (sf.g, sf.mx, sf.my, sf.mxy))
+    wgx, wmx = weights(xi)
+    wgy, wmy = weights(yi)
+    dgx, dmx = dweights(xi)
+    dgy, dmy = dweights(yi)
+
+    def combine(ax, mx_, ay, my_):
+        return (
+            np.einsum("ka,kb,kab->k", ax, ay, G)
+            + np.einsum("ka,kb,kab->k", mx_, ay, MX)
+            + np.einsum("ka,kb,kab->k", ax, my_, MY)
+            + np.einsum("ka,kb,kab->k", mx_, my_, MXY)
+        )
+
+    val = combine(wgx, wmx, wgy, wmy)
+    return val, np.stack([combine(dgx, dmx, wgy, wmy), combine(wgx, wmx, dgy, dmy)], axis=-1)
+
+
+def _bits(*arrays):
+    return np.concatenate([np.ravel(a) for a in arrays]).view(np.int64)
+
+
 class TestSplineField:
     def test_interpolates_nodes_exactly(self):
         rng = np.random.default_rng(3)
@@ -62,6 +114,53 @@ class TestSplineField:
         _, gl = sf.value_and_gradient(np.array([[1.0 - eps, 1.13]]))
         _, gr = sf.value_and_gradient(np.array([[1.0 + eps, 1.13]]))
         assert np.max(np.abs(gl - gr)) < 1e-6
+
+    def test_one_point_kernel_bitwise_equals_einsum_oracle(self):
+        rng = np.random.default_rng(20)
+        n, x0, h = 41, -3.0, 0.15
+        sf = SplineField(x0, h, 1.0 + 0.3 * rng.normal(size=(n, n)))
+        hi = x0 + (n - 1) * h
+        nodes = x0 + h * rng.integers(0, n, size=(600, 2))
+        pts = np.concatenate([
+            rng.uniform(x0, hi, size=(800, 2)),  # interior
+            nodes,  # exact node coordinates, grid corners included
+            np.nextafter(nodes, -np.inf),  # either side of a cell edge
+            np.nextafter(nodes, np.inf),
+            rng.uniform(-60.0, 60.0, size=(300, 2)),  # far outside, clamped
+            [[1e19, 0.2], [-1e19, 0.2], [0.2, 5e300], [x0 - 1e-3, hi + 1e-3]],
+        ])
+        assert len(pts) >= 2000
+        for q in pts:
+            with np.errstate(all="ignore"):  # casts and cubes out of range
+                got = sf.value_and_gradient(q[None, :])
+                want = _einsum_oracle(sf, q)
+                value = sf.value(q[None, :])
+            assert got[0].shape == (1,) and got[1].shape == (1, 2)
+            np.testing.assert_array_equal(_bits(*got), _bits(*want), err_msg=str(q))
+            np.testing.assert_array_equal(_bits(value), _bits(want[0]), err_msg=str(q))
+
+    def test_many_points_loop_over_the_one_point_kernel(self):
+        rng = np.random.default_rng(21)
+        sf = SplineField(0.0, 0.25, rng.normal(size=(12, 12)))
+        pts = rng.uniform(-0.5, 3.5, size=(30, 2))
+        v, g = sf.value_and_gradient(pts)
+        assert v.shape == (30,) and g.shape == (30, 2)
+        rows = [sf.value_and_gradient(q[None, :]) for q in pts]
+        assert np.array_equal(v, np.concatenate([r[0] for r in rows]))
+        assert np.array_equal(g, np.concatenate([r[1] for r in rows]))
+        assert np.array_equal(sf.value(pts), v)
+        empty_v, empty_g = sf.value_and_gradient(np.zeros((0, 2)))
+        assert empty_v.shape == (0,) and empty_g.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "q", [(np.inf, 0.3), (-np.inf, 0.3), (0.3, np.inf), (0.3, -np.inf), (np.nan, 0.3)]
+    )
+    def test_non_finite_query_gives_nan(self, q):
+        sf = SplineField(0.0, 0.25, np.random.default_rng(4).normal(size=(12, 12)))
+        v, g = sf.value_and_gradient(np.array([q]))
+        assert v.shape == (1,) and g.shape == (1, 2)
+        assert np.all(np.isnan(v)) and np.all(np.isnan(g))
+        assert np.isnan(sf.value(np.array([q]))[0])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
