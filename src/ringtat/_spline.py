@@ -1,12 +1,28 @@
-"""Natural bicubic spline interpolation with an exact matrix transpose.
+"""Bicubic interpolation on a uniform grid, in two forms.
 
-The measurement operator samples wave fields along curves that sweep across
-grid cells as the geometry parameters vary.  A C2 interpolant keeps the
-sampling error smooth in those parameters (piecewise-linear interpolation
-has O(h) derivative kinks at every cell edge, which pollutes grid-refinement
-studies), and since every operation here is a plain linear map with natural
-end conditions, the transpose needed by the adjoint solver is exact to
-machine precision.
+``SplineField`` is the natural bicubic spline of one fixed grid function,
+for pointwise queries: it passes through every node exactly and has a
+continuous gradient, which the ray tracer integrates.  Its coefficients are
+second derivatives from one tridiagonal solve per axis, with natural end
+conditions.
+
+``BicubicSampler`` is a fixed linear map from grid functions to weighted
+point sums, applied at every time level of the forward and adjoint wave
+sweeps.  It evaluates the local C2 cubic B-spline quasi-interpolant
+(Unser, "Splines: a perfect fit for signal and image processing", IEEE SPM
+1999): the coefficients are the samples filtered by the 3-tap stencil
+(-1, 8, -1)/6 along each axis, with identity end rows, and each point sums
+the cubic B-spline weights of its 4x4 coefficient block.  Coefficients one
+step past the grid follow the linear ghost rule c[-1] = 2c[0] - c[1] and
+c[n] = 2c[n-1] - c[n-2], so constants and linear functions are reproduced
+on every cell.  Cubic polynomials are reproduced on cells whose stencil
+stays two nodes inside, and the error on smooth fields is fourth order.
+No global solve is involved, so apply and apply_T are a few slice
+operations plus one sparse product each, and they are exact matrix
+transposes of each other.  A C2 interpolant keeps the sampling error
+smooth in the geometry parameters (piecewise-linear interpolation has O(h)
+derivative kinks at every cell edge, which pollutes grid-refinement
+studies).
 
 Conventions: grid functions are (n, n) arrays indexed [ix, iy] on a uniform
 axis starting at x0 with spacing h; query points are (k, 2) arrays.
@@ -20,23 +36,17 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 
-_CORNER = np.array([0, 1])
-
 
 @lru_cache(maxsize=32)
-def _bands(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Banded forms (solve_banded layout) of the natural-spline tridiagonal
-    system and of its transpose.  Do not mutate the cached arrays."""
+def _bands(n: int) -> np.ndarray:
+    """Banded form (solve_banded layout) of the natural-spline tridiagonal
+    system.  Do not mutate the cached array."""
     ab = np.zeros((3, n))
     ab[1] = 4.0
     ab[1, 0] = ab[1, -1] = 1.0  # end rows pin the coefficient to zero
     ab[0, 2:] = 1.0
     ab[2, :-2] = 1.0
-    abT = np.zeros((3, n))
-    abT[1] = ab[1]
-    abT[0, 1:] = ab[2, :-1]
-    abT[2, :-1] = ab[0, 1:]
-    return ab, abT
+    return ab
 
 
 def _second_diff(g: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -50,17 +60,6 @@ def _second_diff(g: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def _second_diff_T(w: np.ndarray, h: float, axis: int) -> np.ndarray:
-    s = 6.0 / (h * h)
-    wm = np.moveaxis(w, axis, 0).copy()
-    wm[0] = 0.0
-    wm[-1] = 0.0
-    out = -2.0 * wm
-    out[1:] += wm[:-1]
-    out[:-1] += wm[1:]
-    return np.moveaxis(s * out, 0, axis)
-
-
 def _solve(ab: np.ndarray, rhs: np.ndarray, axis: int) -> np.ndarray:
     r = np.moveaxis(rhs, axis, 0)
     shp = r.shape
@@ -70,34 +69,12 @@ def _solve(ab: np.ndarray, rhs: np.ndarray, axis: int) -> np.ndarray:
 
 def spline_coeffs_1d(g: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Natural-spline second derivatives along one axis (zero at both ends)."""
-    ab, _ = _bands(g.shape[axis])
-    return _solve(ab, _second_diff(g, h, axis), axis)
+    return _solve(_bands(g.shape[axis]), _second_diff(g, h, axis), axis)
 
 
-def spline_coeffs_1d_T(w: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Exact transpose of spline_coeffs_1d."""
-    _, abT = _bands(w.shape[axis])
-    return _second_diff_T(_solve(abT, w, axis), h, axis)
-
-
-def _locate(q: np.ndarray, x0: float, h: float, n: int):
-    """Cell index and local coordinate in [0, 1) for positions along one axis."""
-    t = (np.asarray(q, dtype=float) - x0) / h
-    i = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
-    return i, t - i
-
-
-def _weights(xi: np.ndarray, h: float):
-    """Per-point weights on the two cell-corner values and on the two stored
-    second derivatives; together they evaluate the cubic inside the cell."""
-    a = 1.0 - xi
-    wg = np.stack([a, xi], axis=-1)
-    wm = (h * h / 6.0) * np.stack([a**3 - a, xi**3 - xi], axis=-1)
-    return wg, wm
-
-
-# numpy's float -> int64 cast, used by _locate, gives INT64_MIN for NaN,
-# +-inf and anything past the int64 range; the clip then picks cell 0
+# _point sends NaN, +-inf and anything past the int64 range to cell 0, as
+# numpy's float -> int64 cast (INT64_MIN) followed by a clip to [0, n - 2]
+# does in the vectorized cell search
 _CAST_LIMIT = 2.0**63
 
 
@@ -115,8 +92,9 @@ class SplineField:
     at that size numpy call overhead is the whole cost.  The kernel locates
     the cell with Python floats and reads the 2x2 block of (g, mx, my, mxy)
     with one slice of a stacked (n, n, 4) array.  Its results are bit for
-    bit those of the vectorized weights of ``_locate``/``_weights`` contracted
-    with einsum on one point, because it keeps their rounding:
+    bit those of the vectorized per-cell weights (values: ``(1-t, t)``,
+    second derivatives: ``h^2/6 (a^3 - a)``) contracted with einsum on one
+    point, because it keeps their rounding:
 
     * cubes go through numpy array power (on AVX-512 builds Python ``**``
       and ``math.pow`` differ from it in the last bit for some inputs);
@@ -152,8 +130,7 @@ class SplineField:
         ay = 1.0 - yi
         ax3, xi3, ay3, yi3 = (np.array([ax, xi, ay, yi]) ** 3).tolist()
         # the corner-value weights are (ax, xi) and (ay, yi); m* weight the
-        # second derivatives as _weights builds them, dw and dm* are the
-        # derivatives of both pairs
+        # second derivatives, dw and dm* are the derivatives of both pairs
         cm = h * h / 6.0
         cd = h / 6.0
         mx0, mx1 = cm * (ax3 - ax), cm * (xi3 - xi)
@@ -192,13 +169,79 @@ class SplineField:
         return out[:, 0], out[:, 1:]
 
 
-class BicubicSampler:
-    """Fixed linear map m = A u from a grid function to weighted point sums,
-    evaluated through the bicubic interpolant, with an exact transpose.
+# [:-2], [1:-1] and [2:] along axis 0 and along axis 1
+_SHIFTS = {
+    0: (np.s_[:-2], np.s_[1:-1], np.s_[2:]),
+    1: (np.s_[:, :-2], np.s_[:, 1:-1], np.s_[:, 2:]),
+}
 
-    Each sample point contributes ``weight`` to output row ``row``; points
-    sharing a row accumulate.  apply/apply_T are exact matrix transposes of
-    each other (plain Euclidean inner products, no grid weights).
+
+def _prefilter(u: np.ndarray, axis: int) -> np.ndarray:
+    """Quasi-interpolant coefficients along one axis:
+    c[i] = (-u[i-1] + 8 u[i] - u[i+1]) / 6 inside and c = u in the end rows,
+    which is the same stencil after extrapolating u[-1] = 2u[0] - u[1]."""
+    lo, mid, hi = _SHIFTS[axis]
+    c = u.copy()
+    c[mid] = (8.0 * u[mid] - u[lo] - u[hi]) / 6.0
+    return c
+
+
+def _prefilter_T(v: np.ndarray, axis: int) -> np.ndarray:
+    """Exact transpose of _prefilter."""
+    lo, mid, hi = _SHIFTS[axis]
+    s = v[mid] / 6.0
+    out = v.copy()
+    out[mid] = 8.0 * s
+    out[lo] -= s
+    out[hi] -= s
+    return out
+
+
+# Ghost folding on the edge cells, as maps from the weights on c[i-1 .. i+2]
+# (rows) to weights on a block shifted one index inward (columns): at i = 0
+# the weight on c[-1] = 2c[0] - c[1] moves onto c[0] and c[1], and _FOLD_HI
+# mirrors it for c[n] = 2c[n-1] - c[n-2] at i = n-2
+_FOLD_LO = np.array([[2.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+_FOLD_HI = _FOLD_LO[::-1, ::-1]
+
+
+def _axis_weights(q: np.ndarray, x0: float, h: float, n: int):
+    """First coefficient index (k,) and weights (k, 4) on coefficients
+    start .. start+3 for positions q along one axis.
+
+    The cell index is clamped to [0, n-2] (points outside the grid use the
+    edge cell's cubic), and the ghost coefficients are folded into the edge
+    cells.  Needs n >= 4.
+    """
+    t = (q - x0) / h
+    i = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
+    s = t - i
+    r = 1.0 - s
+    # uniform cubic B-spline weights on coefficients i-1 .. i+2
+    w = np.stack([
+        r * r * r,
+        3.0 * s * s * s - 6.0 * s * s + 4.0,
+        3.0 * r * r * r - 6.0 * r * r + 4.0,
+        s * s * s,
+    ], axis=-1) / 6.0
+    lo = i == 0
+    hi = i == n - 2
+    w[lo] = w[lo] @ _FOLD_LO
+    w[hi] = w[hi] @ _FOLD_HI
+    return np.clip(i - 1, 0, n - 4).astype(np.int32), w
+
+
+class BicubicSampler:
+    """Fixed linear map m = W Q u from a grid function to weighted point
+    sums through the cubic B-spline quasi-interpolant, with an exact
+    transpose.
+
+    ``Q`` is the separable prefilter (``_prefilter`` along both axes) and
+    ``W`` one CSR matrix holding each point's 4x4 block of B-spline weights
+    times its ``weight``, summed into output row ``row`` (points sharing a
+    row accumulate).  apply/apply_T are exact matrix transposes of each
+    other (plain Euclidean inner products, no grid weights).
     """
 
     def __init__(
@@ -217,49 +260,37 @@ class BicubicSampler:
         weights = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
         if rows.shape != (k,) or weights.shape != (k,):
             raise ValueError("rows and weights must be 1-d with one entry per point")
+        if n < 4:
+            raise ValueError("the sampler needs n >= 4 grid points per axis")
         self.x0 = float(x0)
         self.h = float(h)
         self.n = int(n)
         self.n_rows = int(rows.max()) + 1 if n_rows is None else int(n_rows)
+        if k and (rows.min() < 0 or rows.max() >= self.n_rows):
+            raise ValueError(f"rows must lie in [0, {self.n_rows})")
 
-        ix, xi = _locate(pts[:, 0], self.x0, self.h, self.n)
-        iy, yi = _locate(pts[:, 1], self.x0, self.h, self.n)
-        wgx, wmx = _weights(xi, self.h)
-        wgy, wmy = _weights(yi, self.h)
-        cols = (ix[:, None, None] + _CORNER[None, :, None]) * n + (
-            iy[:, None, None] + _CORNER[None, None, :]
+        # CSR straight from the points grouped by row (stable, so each row
+        # keeps its point order and equal rows of two samplers sum alike),
+        # 16 entries per point, then duplicates summed in place: no COO or
+        # transpose copies, so the transient memory is about W itself
+        order = np.argsort(rows, kind="stable")
+        jx, wx = _axis_weights(pts[order, 0], self.x0, self.h, self.n)
+        jy, wy = _axis_weights(pts[order, 1], self.x0, self.h, self.n)
+        wx *= weights[order, None]
+        offsets = np.arange(4, dtype=np.int32)
+        ix = (jx[:, None] + offsets) * self.n
+        cols = ix[:, :, None] + (jy[:, None] + offsets)[:, None, :]
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
+        np.cumsum(16 * np.bincount(rows, minlength=self.n_rows), out=indptr[1:])
+        self._w = csr_matrix(
+            ((wx[:, :, None] * wy[:, None, :]).ravel(), cols.ravel(), indptr),
+            shape=(self.n_rows, self.n * self.n),
         )
-        rr = np.broadcast_to(rows[:, None, None], cols.shape)
-        w = weights[:, None, None]
-
-        def mat(wx, wy):
-            vals = w * wx[:, :, None] * wy[:, None, :]
-            return csr_matrix(
-                (vals.ravel(), (rr.ravel(), cols.ravel())),
-                shape=(self.n_rows, n * n),
-            )
-
-        self._e00 = mat(wgx, wgy)
-        self._e10 = mat(wmx, wgy)
-        self._e01 = mat(wgx, wmy)
-        self._e11 = mat(wmx, wmy)
+        self._w.sum_duplicates()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        mx = spline_coeffs_1d(u, self.h, 0)
-        my = spline_coeffs_1d(u, self.h, 1)
-        mxy = spline_coeffs_1d(mx, self.h, 1)
-        return (
-            self._e00 @ u.ravel()
-            + self._e10 @ mx.ravel()
-            + self._e01 @ my.ravel()
-            + self._e11 @ mxy.ravel()
-        )
+        return self._w @ _prefilter(_prefilter(u, 0), 1).ravel()
 
     def apply_T(self, m: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = (self._e00.T @ m).reshape(n, n).copy()
-        out += spline_coeffs_1d_T((self._e10.T @ m).reshape(n, n), self.h, 0)
-        out += spline_coeffs_1d_T((self._e01.T @ m).reshape(n, n), self.h, 1)
-        cross = spline_coeffs_1d_T((self._e11.T @ m).reshape(n, n), self.h, 1)
-        out += spline_coeffs_1d_T(cross, self.h, 0)
-        return out
+        v = (self._w.T @ m).reshape(self.n, self.n)
+        return _prefilter_T(_prefilter_T(v, 1), 0)

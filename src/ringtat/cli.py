@@ -45,8 +45,10 @@ module constructor, so module invariants are re-validated at load time.
 Subcommands: ``forward`` (simulate a sinogram), ``reconstruct`` (iterative
 inversion of a sinogram file), ``visibility`` (classify phantom edges),
 ``sweep`` (radius-sweep PDE residual refinement study), ``selftest``
-(built-in checks).  Exit codes: 0 success, 1 check failure, 2 usage or
-config error, 3 solver failure (divergence, breakdown, non-finite values).
+(built-in checks).  Exit codes: 0 success, 1 check failure, 2 usage,
+config or input-file error (a sinogram with a NaN or infinite entry is
+rejected before any solve), 3 solver failure (divergence, breakdown,
+non-finite values).
 
 Array artifacts use a fixed binary format (magic ``TATARR1``, version byte,
 dtype byte for little-endian float64, rank byte, uint64 dims, row-major
@@ -582,6 +584,13 @@ def cmd_reconstruct(args) -> int:
     speed, phantom = _sample(cfg)
 
     data, sidecar = read_array(args.data)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ArrayFormatError(
+            f"{args.data}: non-finite value {data[idx]} at index {idx}; "
+            "reconstruct needs finite data"
+        )
     expect = _detector_meta(cfg, speed)
     got = sidecar.get("detector")
     if got is not None:

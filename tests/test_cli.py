@@ -53,6 +53,18 @@ seed = 3
 """
 
 
+SMALL_CFG = BASE_CFG.replace("n = 65", "n = 49")
+
+
+def _run_cli(*argv):
+    """Run ``python -m ringtat.cli`` in a fresh process on this source tree."""
+    src = Path(ringtat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-m", "ringtat.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One forward solve shared by the command tests."""
@@ -257,6 +269,18 @@ class TestForwardCommand:
         clean = workspace["sino"].read_bytes()
         assert a != clean
 
+    def test_bytes_independent_of_thread_count(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = _run_cli("--threads", threads, "forward", "--config", str(cfg),
+                            "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "sinogram.tat").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_config_exits_2(self, capsys):
         rc = main(["forward", "--config", "/definitely/not/here.cfg"])
         assert rc == 2
@@ -329,22 +353,34 @@ class TestReconstructCommand:
 
     def test_diverging_landweber_exits_3_with_one_line(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(BASE_CFG.replace("n = 65", "n = 49")
-                       .replace("method = cg", "method = landweber")
+        cfg.write_text(SMALL_CFG.replace("method = cg", "method = landweber")
                        .replace("iters = 3", "iters = 6\nstep = 1e6"))
         assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        src = Path(ringtat.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringtat.cli", "reconstruct", "--config", str(cfg),
-             "--data", str(tmp_path / "sinogram.tat"), "--out", str(tmp_path / "rec")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = _run_cli("reconstruct", "--config", str(cfg),
+                        "--data", str(tmp_path / "sinogram.tat"), "--out", str(tmp_path / "rec"))
         assert proc.returncode == 3
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_exits_2_before_solving(self, tmp_path, bad):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        sino, meta = read_array(tmp_path / "sinogram.tat")
+        sino[7, 3] = bad
+        sino[9, 0] = bad
+        poisoned = tmp_path / "poisoned.tat"
+        write_array(poisoned, sino, meta)
+        proc = _run_cli("reconstruct", "--config", str(cfg), "--data", str(poisoned),
+                        "--out", str(tmp_path / "rec"))
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(poisoned) in lines[0] and "(7, 3)" in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "rec" / "estimate.tat").exists()
 
 
 class TestVisibilityCommand:

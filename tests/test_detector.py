@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringtat.detector import (
     DetectorConfig,
@@ -22,7 +24,8 @@ from ringtat.detector import (
     theta_grid,
 )
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from ringtat.wave import pml_profile
+from ringtat.recon import time_cutoff_chi
+from ringtat.wave import choose_time_steps, pml_profile
 
 
 def _speed(grid, kind="sinusoidal"):
@@ -293,6 +296,45 @@ class TestAdjoint:
         rhs = float(np.sum(f * adjoint_operator(g, speed, cfg, pml=pml)))
         denom = np.linalg.norm(sino.data) * np.linalg.norm(g)
         assert abs(lhs - rhs) / denom <= 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        large=st.booleans(),
+        radius=st.floats(0.0, 1.0),
+        arc=st.one_of(st.none(), st.tuples(st.floats(-math.pi, math.pi),
+                                           st.floats(0.3, 2 * math.pi))),
+        n_theta=st.integers(1, 6),
+        n_alpha=st.integers(64, 160),
+        extra_levels=st.integers(0, 12),
+        plateau=st.one_of(st.none(), st.floats(0.2, 0.8)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_adjoint_identity_property(self, large, radius, arc, n_theta, n_alpha,
+                                       extra_levels, plateau, seed):
+        """<chi forward f, g> equals <f, adjoint(chi g)> over random modes,
+        apertures, angular sampling, record lattices and cutoff weights."""
+        grid = make_grid(L=3.9, n=49, pml_width=0.7)
+        speed = _speed(grid)
+        pml = pml_profile(grid)
+        if large:
+            mode = LargeMode(r=2.0 + 0.15 * radius)
+        else:
+            mode = SmallMode(R=2.0, r=0.6 + 0.4 * radius)
+        T = 0.6
+        nt = choose_time_steps(speed, T, safety=0.9)[0] + extra_levels
+        aperture = None if arc is None else (arc[0], arc[0] + arc[1])
+        cfg = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=n_alpha, T=T, nt=nt,
+                             aperture=aperture)
+        chi = np.ones((nt, 1))
+        if plateau is not None:
+            chi = time_cutoff_chi(plateau * T, T, nt, T / (nt - 1)).weights[:, None]
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((49, 49))
+        g = rng.standard_normal((nt, n_theta))
+        sino = chi * forward_operator(f, speed, cfg, pml=pml).data
+        lhs = float(np.sum(sino * g))
+        rhs = float(np.sum(f * adjoint_operator(chi * g, speed, cfg, pml=pml)))
+        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(sino) * np.linalg.norm(g)
 
     def test_shape_mismatch(self):
         grid = make_grid(L=3.6, n=64, pml_width=0.7)

@@ -1,14 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringtat._spline import (
-    BicubicSampler,
-    SplineField,
-    spline_coeffs_1d,
-    spline_coeffs_1d_T,
-)
+from ringtat._spline import BicubicSampler, SplineField, spline_coeffs_1d
 
 
 def _field(n, fun, lo=-1.0, hi=1.0):
@@ -63,6 +60,52 @@ def _einsum_oracle(sf, pts):
 
     val = combine(wgx, wmx, wgy, wmy)
     return val, np.stack([combine(dgx, dmx, wgy, wmy), combine(wgx, wmx, dgy, dmy)], axis=-1)
+
+
+def _mesh(n, x0, h):
+    ax = x0 + h * np.arange(n)
+    return np.meshgrid(ax, ax, indexing="ij")
+
+
+def _quasi_interpolant_oracle(x0, h, g, pts):
+    """Point-by-point cubic B-spline quasi-interpolant: prefilter
+    (-1, 8, -1)/6 with identity end rows along each axis, then the 4x4
+    B-spline sum over coefficients i-1 .. i+2 of the clamped cell, with
+    ghost coefficients c[-1] = 2c[0] - c[1] and c[n] = 2c[n-1] - c[n-2]."""
+    n = g.shape[0]
+
+    def prefilter(v):
+        c = v.copy()
+        for i in range(1, n - 1):
+            c[i] = (-v[i - 1] + 8.0 * v[i] - v[i + 1]) / 6.0
+        return c
+
+    c = prefilter(prefilter(g).T).T
+
+    def coef(i, j):
+        if i == -1:
+            return 2.0 * coef(0, j) - coef(1, j)
+        if i == n:
+            return 2.0 * coef(n - 1, j) - coef(n - 2, j)
+        if j == -1:
+            return 2.0 * coef(i, 0) - coef(i, 1)
+        if j == n:
+            return 2.0 * coef(i, n - 1) - coef(i, n - 2)
+        return c[i, j]
+
+    def basis(t):
+        return [(1 - t) ** 3 / 6, (3 * t**3 - 6 * t**2 + 4) / 6,
+                (-3 * t**3 + 3 * t**2 + 3 * t + 1) / 6, t**3 / 6]
+
+    out = []
+    for x, y in pts:
+        tx, ty = (x - x0) / h, (y - x0) / h
+        i = min(max(math.floor(tx), 0), n - 2)
+        j = min(max(math.floor(ty), 0), n - 2)
+        bx, by = basis(tx - i), basis(ty - j)
+        out.append(sum(bx[a] * by[b] * coef(i - 1 + a, j - 1 + b)
+                       for a in range(4) for b in range(4)))
+    return np.array(out)
 
 
 def _bits(*arrays):
@@ -168,18 +211,6 @@ class TestSplineField:
 
 
 class TestCoeffTranspose:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(5, 40), st.integers(0, 1), st.integers(0, 2**31 - 1))
-    def test_exact_transpose(self, n, axis, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=(n, n))
-        h = 0.173
-        lhs = np.sum(spline_coeffs_1d(a, h, axis) * b)
-        rhs = np.sum(a * spline_coeffs_1d_T(b, h, axis))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) / scale < 1e-12
-
     def test_natural_end_conditions(self):
         rng = np.random.default_rng(2)
         m = spline_coeffs_1d(rng.normal(size=(20, 20)), 0.1, 0)
@@ -204,13 +235,65 @@ class TestBicubicSampler:
         rhs = np.sum(u * samp.apply_T(m))
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-12
 
-    def test_matches_pointwise_evaluation(self):
+    def test_matches_quasi_interpolant_oracle(self):
         rng = np.random.default_rng(9)
         g = rng.normal(size=(24, 24))
-        pts = rng.uniform(-1.0, 1.2, size=(15, 2))
-        samp = BicubicSampler(-1.1, 0.1, 24, pts, rows=np.arange(15), n_rows=15)
-        sf = SplineField(-1.1, 0.1, g)
-        assert np.allclose(samp.apply(g), sf.value(pts), rtol=0, atol=1e-13)
+        pts = np.concatenate([
+            rng.uniform(-1.0, 1.2, size=(15, 2)),
+            # edge and corner cells on both sides, and clamped points just outside
+            [[-1.07, 0.3], [0.3, -1.02], [1.17, 0.1], [0.1, 1.19], [-1.05, -1.08],
+             [1.15, 1.16], [-1.08, 1.13], [-1.13, 0.4], [1.23, -1.14]],
+        ])
+        k = len(pts)
+        samp = BicubicSampler(-1.1, 0.1, 24, pts, rows=np.arange(k), n_rows=k)
+        want = _quasi_interpolant_oracle(-1.1, 0.1, g, pts)
+        np.testing.assert_allclose(samp.apply(g), want, rtol=0, atol=1e-13)
+
+    def test_reproduces_cubics_at_interior_points(self):
+        # cells 2 .. n-4: the 4x4 coefficient block and its prefilter stencil
+        # stay inside the grid
+        n, x0, h = 24, -1.1, 0.1
+        X, Y = _mesh(n, x0, h)
+
+        def cubic(x, y):
+            return 0.3 - x + 2 * y + x * x * y - 0.7 * y**3 + 0.4 * x**3 + 0.2 * (x * y) ** 3
+
+        pts = np.random.default_rng(12).uniform(x0 + 2 * h, x0 + (n - 3) * h, size=(200, 2))
+        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(200), n_rows=200)
+        err = np.max(np.abs(samp.apply(cubic(X, Y)) - cubic(pts[:, 0], pts[:, 1])))
+        assert err <= 1e-12
+
+    def test_reproduces_linear_functions_on_edge_cells(self):
+        n, x0, h = 12, 0.0, 0.25
+        X, Y = _mesh(n, x0, h)
+        lin = lambda x, y: 0.7 - 1.3 * x + 0.4 * y
+        rng = np.random.default_rng(13)
+        hi = x0 + (n - 1) * h
+        lo_cell = rng.uniform(x0, x0 + h, size=40)
+        hi_cell = rng.uniform(hi - h, hi, size=40)
+        mid = rng.uniform(x0, hi, size=40)
+        pts = np.concatenate([
+            np.stack([lo_cell, mid], -1), np.stack([hi_cell, mid], -1),
+            np.stack([mid, lo_cell], -1), np.stack([mid, hi_cell], -1),
+            np.stack([lo_cell, hi_cell], -1), np.stack([hi_cell, lo_cell], -1),
+            np.stack([lo_cell, lo_cell[::-1]], -1), np.stack([hi_cell, hi_cell[::-1]], -1),
+        ])
+        k = len(pts)
+        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(k), n_rows=k)
+        err = np.max(np.abs(samp.apply(lin(X, Y)) - lin(pts[:, 0], pts[:, 1])))
+        assert err <= 1e-13
+
+    def test_fourth_order_convergence(self):
+        fun = lambda x, y: np.sin(2 * x) * np.cos(3 * y)
+        pts = np.random.default_rng(7).uniform(-0.6, 0.6, size=(40, 2))
+        exact = fun(pts[:, 0], pts[:, 1])
+        errs = []
+        for n in (65, 129):
+            h = 2.0 / (n - 1)
+            samp = BicubicSampler(-1.0, h, n, pts, rows=np.arange(40), n_rows=40)
+            errs.append(np.max(np.abs(samp.apply(fun(*_mesh(n, -1.0, h))) - exact)))
+        assert errs[0] / errs[1] > 12.0
+        assert errs[1] < 3e-7
 
     def test_row_accumulation_with_weights(self):
         g = np.ones((8, 8))
@@ -224,3 +307,7 @@ class TestBicubicSampler:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BicubicSampler(0.0, 0.1, 8, np.zeros((4, 2)), rows=np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="rows"):
+            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, 1, 2]), n_rows=2)
+        with pytest.raises(ValueError, match="rows"):
+            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, -1, 1]))
