@@ -19,6 +19,7 @@ shrink at second order under simultaneous lattice refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,6 +240,16 @@ def _build_sampler(grid, centers_radius: float | np.ndarray, circle_radius: floa
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _detector_sampler(grid, config: DetectorConfig) -> BicubicSampler:
+    """The forward map's sampler, built once and shared by every
+    forward_operator/adjoint_operator call on the same (grid, config);
+    both are frozen, so equal values give the same (read-only) sampler.
+    The sweeps build their own, uncached."""
+    mode = config.mode
+    return _build_sampler(grid, mode.center_radius, mode.r, theta_grid(config), config.n_alpha)
+
+
 def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:
     if config.nt is None:
         return choose_time_steps(speed, config.T, safety=0.5)
@@ -265,12 +276,10 @@ def forward_operator(
     f, speed: SpeedField, config: DetectorConfig, pml: PmlProfile | None = None
 ) -> Sinogram:
     """The measurement map: one wave solve, every detector read at every level."""
-    thetas = theta_grid(config)
-    mode = config.mode
-    sampler = _build_sampler(speed.grid, mode.center_radius, mode.r, thetas, config.n_alpha)
+    sampler = _detector_sampler(speed.grid, config)
     nt, dt = _time_lattice(speed, config)
     data = _record_forward(f, speed, sampler, nt, dt, pml)
-    return Sinogram(data=data, dt=dt, thetas=thetas, config=config)
+    return Sinogram(data=data, dt=dt, thetas=theta_grid(config), config=config)
 
 
 def adjoint_operator(
@@ -286,13 +295,11 @@ def adjoint_operator(
     reverse order; with forward_operator it passes the adjoint identity at
     machine precision (plain Euclidean inner products on both sides).
     """
-    thetas = theta_grid(config)
-    mode = config.mode
-    sampler = _build_sampler(speed.grid, mode.center_radius, mode.r, thetas, config.n_alpha)
+    sampler = _detector_sampler(speed.grid, config)
     nt, dt = _time_lattice(speed, config)
     data = np.asarray(data, dtype=float)
-    if data.shape != (nt, thetas.size):
-        raise ValueError(f"data shape {data.shape} does not match lattice {(nt, thetas.size)}")
+    if data.shape != (nt, sampler.n_rows):
+        raise ValueError(f"data shape {data.shape} does not match lattice {(nt, sampler.n_rows)}")
     solver = WaveSolver(speed, dt, pml)
     w = solver.zero_state()
     for k in range(nt - 1, -1, -1):

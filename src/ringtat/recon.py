@@ -90,7 +90,17 @@ def _as_data(s, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
     expected = (nt, theta_grid(config).size)
     if data.shape != expected:
         raise ValueError(f"data shape {data.shape} does not match lattice {expected}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise FloatingPointError(f"non-finite data value {data[idx]} at index {idx}")
     return data
+
+
+def _require_finite(value: float, what: str, k: int) -> float:
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{what} became non-finite ({value}) at iteration {k}")
+    return value
 
 
 def _chi_column(cutoff: TimeCutoff | None, nt: int) -> np.ndarray:
@@ -190,6 +200,8 @@ def landweber(
     three consecutive increases abort with a diagnostic since they mean the
     step is too long for the operator at hand.  With a roughness penalty the
     history tracks the full objective, the quantity descent actually lowers.
+    Non-finite data (checked before any wave solve) or a non-finite misfit
+    raise FloatingPointError.
     """
     grid = speed.grid
     data = _as_data(s, speed, config)
@@ -197,7 +209,7 @@ def landweber(
     chi_w = _chi_column(cutoff, nt)
     mask = _support_mask(grid)
 
-    history = [_misfit(chi_w, data)]
+    history = [_require_finite(_misfit(chi_w, data), "misfit", 0)]
     if history[0] == 0.0:
         zero = Phantom(grid=grid, f=np.zeros((grid.n, grid.n)))
         return ReconResult(zero, np.array(history), step if step is not None else 0.0, 0)
@@ -225,7 +237,7 @@ def landweber(
         f = f + step * g
         f[~mask] = 0.0
         resid = data - forward_operator(f, speed, config, pml=pml).data
-        history.append(objective(f, resid))
+        history.append(_require_finite(objective(f, resid), "misfit", k + 1))
         done = k + 1
         if history[-1] > history[-2]:
             rises += 1
@@ -262,7 +274,8 @@ def cg_normal(
     Minimizes the same objective as ``landweber`` over the unit-disc
     subspace; each iteration costs one forward and one adjoint solve.  The
     misfit is recovered algebraically from tracked inner products, so the
-    history costs no extra wave solves.
+    history costs no extra wave solves.  Non-finite data (checked before any
+    wave solve), misfit or curvature raise FloatingPointError.
     """
     grid = speed.grid
     data = _as_data(s, speed, config)
@@ -270,7 +283,7 @@ def cg_normal(
     chi_w = _chi_column(cutoff, nt)
     mask = _support_mask(grid)
 
-    c0 = float(np.sum(chi_w * data**2))
+    c0 = _require_finite(float(np.sum(chi_w * data**2)), "misfit", 0)
     history = [float(np.sqrt(c0))]
     zero = np.zeros((grid.n, grid.n))
     if c0 == 0.0:
@@ -285,15 +298,15 @@ def cg_normal(
     done = 0
     for k in range(iters):
         np_ = _normal_apply(p, speed, config, pml, chi_w, mask, tikhonov=tikhonov)
-        curv = _inner(p, np_)
-        if curv <= 1e-30 * _inner(p, p):
+        curv = _require_finite(_inner(p, np_), "curvature", k + 1)
+        if not curv > 1e-30 * _inner(p, p):
             raise RuntimeError("curvature vanished along the search direction")
         alpha = rs / curv
         x = x + alpha * p
         r = r - alpha * np_
         # misfit^2 = c0 - <b,x> - <x,r> on the exact quadratic; rounding can
         # push it a hair below zero near convergence
-        m2 = c0 - _inner(b, x) - _inner(x, r)
+        m2 = _require_finite(c0 - _inner(b, x) - _inner(x, r), "misfit", k + 1)
         history.append(float(np.sqrt(max(m2, 0.0))))
         done = k + 1
         if history[-1] <= tol * history[0]:

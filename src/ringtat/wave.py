@@ -10,6 +10,13 @@ the field and has a hand-written exact transpose, with plain Euclidean
 inner products (no h^2 or dt weights).  Downstream modules compose these
 into an exact discrete adjoint of the full measurement map.
 
+WaveSolver folds the scheme's per-cell coefficients (damping, speed, dt,
+h and the semi-implicit denominator) once, so one step and its transpose
+are a few contiguous multiply-adds and shifted sums over the flat field,
+with no per-step division.  The transpose reads the same folded arrays,
+so it stays exact; the folding reassociates floating-point arithmetic,
+so fields equal the unfolded update to rounding, not bit for bit.
+
 State convention: u_curr is the field at the current level, u_prev one
 level back, phi/psi the split-field layer memory.  Since u_t(0) = 0 makes
 the solution even in time, the initial state uses u(-dt) = u(+dt).
@@ -18,7 +25,7 @@ the solution even in time, the initial state uses u(-dt) = u(+dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +44,43 @@ def laplacian(u: np.ndarray, h: float) -> np.ndarray:
     return out / (h * h)
 
 
-def ddx(u: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Centered first difference with zero padding; antisymmetric as a matrix."""
-    out = np.zeros_like(u)
-    um = np.moveaxis(u, axis, 0)
-    om = np.moveaxis(out, axis, 0)
-    om[:-1] += um[1:]
-    om[1:] -= um[:-1]
-    out /= 2.0 * h
+def _flat(a) -> np.ndarray:
+    """C-order flat view of a float field (a copy only when it must be)."""
+    return np.asarray(a, dtype=float).reshape(-1)
+
+
+# Stencils on the flat C-order view of an (n, n) field: axis-0 neighbours
+# sit at +-n, axis-1 neighbours at +-1.  A flat +-1 shift wraps columns 0
+# and n-1 onto the neighbouring rows, so those two columns are recomputed.
+
+
+def _neighbour_sum(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
+    """out = N(u), the zero-padded 4-neighbour sum; symmetric as a matrix."""
+    np.add(u[:-2], u[2:], out=out[1:-1])
+    o, v = out.reshape(n, n), u.reshape(n, n)
+    o[:, 0] = v[:, 1]
+    o[:, -1] = v[:, -2]
+    out[n:] += u[:-n]
+    out[:-n] += u[n:]
+    return out
+
+
+def _diff0(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
+    """out = Dx u, the unscaled centred difference along axis 0 with zero
+    padding; antisymmetric as a matrix."""
+    np.subtract(u[2 * n:], u[: -2 * n], out=out[n:-n])
+    out[:n] = u[n : 2 * n]
+    np.negative(u[-2 * n : -n], out=out[-n:])
+    return out
+
+
+def _diff1(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
+    """out = Dy u, the unscaled centred difference along axis 1 with zero
+    padding; antisymmetric as a matrix."""
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    o, v = out.reshape(n, n), u.reshape(n, n)
+    o[:, 0] = v[:, 1]
+    np.negative(v[:, -2], out=o[:, -1])
     return out
 
 
@@ -170,7 +206,29 @@ class WaveSolver:
 
     ``step`` advances a WaveState one level; ``step_T`` applies the exact
     matrix transpose of that map.  States are treated as immutable: returned
-    states may share arrays with their input.
+    states may share arrays with their input, and inputs are never written.
+
+    The scheme's per-cell coefficients are folded once here, so a step is a
+    few contiguous multiply-adds over the flat C-order field:
+
+        u+   = A0 u - Q u- + K1 N(u) + K2 (Dx phi + Dy psi)
+        phi+ = a_phi phi + B_phi Dx u,    psi+ = a_psi psi + B_psi Dy u
+
+    with K = dt^2 c^2 / den, K1 = K / h^2, K2 = K / (2h),
+    A0 = (2 - dt^2 sx sy) / den - 4 K1, Q = (1 - dt (sx + sy) / 2) / den,
+    den = 1 + dt (sx + sy) / 2, a_phi = 1 - dt sx, B_phi = dt (sy - sx) / (2h)
+    and a_psi, B_psi the same with sx and sy swapped.  N is the zero-padded
+    4-neighbour sum (symmetric) and Dx, Dy the unscaled zero-padded centred
+    differences along axes 0 and 1 (antisymmetric), so ``step_T`` reads its
+    transpose off the same arrays; on a state (U, V, F, G) it returns
+
+        u_curr = A0 U + N(K1 U) + V - Dx(B_phi F) - Dy(B_psi G),  u_prev = -Q U
+        phi    = a_phi F - Dx(K2 U),    psi = a_psi G - Dy(K2 U)
+
+    Without a band den = 1, sx = sy = 0 and the phi/psi terms drop out.
+    Folding reassociates the arithmetic of the unfolded update
+    ``(coef_u u - coef_v u- + dt^2 c^2 (Lap u + ...)) / den``, so fields
+    agree with it to rounding (about 2e-16 relative per step), not bitwise.
     """
 
     def __init__(self, speed: SpeedField, dt: float, pml: PmlProfile | None = None):
@@ -188,12 +246,31 @@ class WaveSolver:
         self.h = grid.h
         self.c2 = speed.c**2
         self.pml = pml
+        n, h = grid.n, grid.h
+
+        def flat(a):
+            return np.ascontiguousarray(np.broadcast_to(a, (n, n))).reshape(-1)
+
         if pml is not None:
-            self.sx = pml.sx[:, None]
-            self.sy = pml.sy[None, :]
-            self._den = 1.0 + 0.5 * dt * (self.sx + self.sy)
-            self._coef_u = 2.0 - dt**2 * self.sx * self.sy
-            self._coef_v = 1.0 - 0.5 * dt * (self.sx + self.sy)
+            sx, sy = pml.sx[:, None], pml.sy[None, :]
+            den = 1.0 + 0.5 * dt * (sx + sy)
+            coef_u = 2.0 - dt**2 * sx * sy
+            q = flat((1.0 - 0.5 * dt * (sx + sy)) / den)
+        else:
+            den, coef_u, q = 1.0, 2.0, 1.0
+        k = dt**2 * self.c2 / den
+        k1 = k / (h * h)
+        self._k1 = flat(k1)
+        self._a0 = flat(coef_u / den - 4.0 * k1)
+        self._q, self._neg_q = q, -q
+        if pml is not None:
+            self._k2 = flat(k / (2.0 * h))
+            self._a_phi = flat(1.0 - dt * sx)
+            self._b_phi = flat(dt * (sy - sx) / (2.0 * h))
+            self._a_psi = flat(1.0 - dt * sy)
+            self._b_psi = flat(dt * (sx - sy) / (2.0 * h))
+        self._t = np.empty(n * n)
+        self._t2 = np.empty(n * n)
 
     def zero_state(self) -> WaveState:
         z = np.zeros_like(self.c2)
@@ -212,39 +289,47 @@ class WaveSolver:
 
     # -- one time level and its transpose -----------------------------------
 
-    def step(self, s: WaveState, source: np.ndarray | None = None) -> WaveState:
-        dt, h = self.dt, self.h
-        flux = laplacian(s.u_curr, h)
-        if source is not None:
-            body = self.c2 * flux + source
-        else:
-            body = self.c2 * flux
-        if self.pml is not None:
-            body = body + self.c2 * (ddx(s.phi, h, 0) + ddx(s.psi, h, 1))
-            u_new = (self._coef_u * s.u_curr - self._coef_v * s.u_prev + dt**2 * body) / self._den
-            phi_new = (1.0 - dt * self.sx) * s.phi + dt * (self.sy - self.sx) * ddx(s.u_curr, h, 0)
-            psi_new = (1.0 - dt * self.sy) * s.psi + dt * (self.sx - self.sy) * ddx(s.u_curr, h, 1)
-        else:
-            u_new = 2.0 * s.u_curr - s.u_prev + dt**2 * body
-            phi_new, psi_new = s.phi, s.psi
-        return WaveState(u_new, s.u_curr, phi_new, psi_new, s.t + dt, dt)
+    def step(self, s: WaveState) -> WaveState:
+        n, dt, t = self.grid.n, self.dt, self._t
+        u, v = _flat(s.u_curr), _flat(s.u_prev)
+        out = np.multiply(self._a0, u)
+        out -= np.multiply(self._q, v, out=t)
+        out += np.multiply(self._k1, _neighbour_sum(u, t, n), out=t)
+        if self.pml is None:
+            return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi, s.t + dt, dt)
+        phi, psi = _flat(s.phi), _flat(s.psi)
+        flux = _diff0(phi, t, n)
+        flux += _diff1(psi, self._t2, n)
+        out += np.multiply(self._k2, flux, out=t)
+        phi_new = np.multiply(self._a_phi, phi)
+        phi_new += np.multiply(self._b_phi, _diff0(u, t, n), out=t)
+        psi_new = np.multiply(self._a_psi, psi)
+        psi_new += np.multiply(self._b_psi, _diff1(u, t, n), out=t)
+        return WaveState(
+            out.reshape(n, n), s.u_curr, phi_new.reshape(n, n), psi_new.reshape(n, n),
+            s.t + dt, dt,
+        )
 
     def step_T(self, s: WaveState) -> WaveState:
-        dt, h = self.dt, self.h
-        if self.pml is not None:
-            w = s.u_curr / self._den
-            c2w = self.c2 * w
-            a = self._coef_u * w + dt**2 * laplacian(c2w, h) + s.u_prev
-            a = a - dt * ddx((self.sy - self.sx) * s.phi, h, 0)
-            a = a - dt * ddx((self.sx - self.sy) * s.psi, h, 1)
-            b = -self._coef_v * w
-            g = -(dt**2) * ddx(c2w, h, 0) + (1.0 - dt * self.sx) * s.phi
-            q = -(dt**2) * ddx(c2w, h, 1) + (1.0 - dt * self.sy) * s.psi
-        else:
-            a = 2.0 * s.u_curr + dt**2 * laplacian(self.c2 * s.u_curr, h) + s.u_prev
-            b = -s.u_curr
-            g, q = s.phi, s.psi
-        return WaveState(a, b, g, q, s.t - dt, dt)
+        n, dt, t, t2 = self.grid.n, self.dt, self._t, self._t2
+        U, V = _flat(s.u_curr), _flat(s.u_prev)
+        a = np.multiply(self._a0, U)
+        a += _neighbour_sum(np.multiply(self._k1, U, out=t2), t, n)
+        a += V
+        b = np.multiply(self._neg_q, U)
+        if self.pml is None:
+            return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi, s.t - dt, dt)
+        F, G = _flat(s.phi), _flat(s.psi)
+        a -= _diff0(np.multiply(self._b_phi, F, out=t2), t, n)
+        a -= _diff1(np.multiply(self._b_psi, G, out=t2), t, n)
+        ku = np.multiply(self._k2, U, out=t2)
+        g = np.multiply(self._a_phi, F)
+        g -= _diff0(ku, t, n)
+        q = np.multiply(self._a_psi, G)
+        q -= _diff1(ku, t, n)
+        return WaveState(
+            a.reshape(n, n), b.reshape(n, n), g.reshape(n, n), q.reshape(n, n), s.t - dt, dt
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +343,6 @@ def _as_array(f) -> np.ndarray:
 def init_state(f, speed: SpeedField, dt: float, pml: PmlProfile | None = None) -> WaveState:
     """Initial leapfrog state for pressure f released from rest."""
     return WaveSolver(speed, dt, pml).init_state(_as_array(f))
-
-
-def step(state: WaveState, speed: SpeedField, pml: PmlProfile | None = None) -> WaveState:
-    """Advance one level (convenience wrapper; loops should use WaveSolver)."""
-    return WaveSolver(speed, state.dt, pml).step(state)
 
 
 def energy(state: WaveState, speed: SpeedField) -> float:
@@ -321,57 +401,3 @@ def solve_forward(
             probe(s.t, s.u_curr)
     _check_finite(s, nt - 1)
     return s
-
-
-def solve_with_sources(
-    sources,
-    speed: SpeedField,
-    dt: float,
-    pml: PmlProfile | None = None,
-    probe=None,
-) -> WaveState:
-    """Drive u_tt = c^2 Lap u + s from zero initial data.
-
-    ``sources`` is a sequence of (n, n) arrays (or None for quiet steps),
-    one per time step: entry k acts while advancing from level k to k+1, so
-    len(sources) steps are taken.  ``probe(t, u)`` is invoked at every
-    level including t = 0.
-    """
-    solver = WaveSolver(speed, dt, pml)
-    s = solver.zero_state()
-    if probe is not None:
-        probe(0.0, s.u_curr)
-    n = speed.grid.n
-    for k, src in enumerate(sources):
-        if src is not None:
-            src = np.asarray(src, dtype=float)
-            if src.shape != (n, n):
-                raise ValueError(f"source at step {k} has shape {src.shape}, expected {(n, n)}")
-        s = solver.step(s, source=src)
-        if (k + 1) % _NAN_CHECK_EVERY == 0:
-            _check_finite(s, k + 1)
-        if probe is not None:
-            probe(s.t, s.u_curr)
-    _check_finite(s, len(sources))
-    return s
-
-
-def snapshots(
-    speed: SpeedField,
-    f,
-    dt: float,
-    nt: int,
-    every: int = 1,
-    pml: PmlProfile | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """March nt levels and collect u at levels 0, every, 2*every, ..."""
-    solver = WaveSolver(speed, dt, pml)
-    s = solver.init_state(_as_array(f))
-    times = [0.0]
-    fields = [s.u_curr.copy()]
-    for k in range(1, nt):
-        s = solver.step(s)
-        if k % every == 0:
-            times.append(s.t)
-            fields.append(s.u_curr.copy())
-    return np.array(times), fields

@@ -216,3 +216,105 @@ class TestConjugateGradients:
         chi = time_cutoff_chi(T=1.0, T1=1.5, nt=17, dt=0.1)
         with pytest.raises(ValueError, match="weights"):
             cg_normal(sino, speed, cfg, pml=pml, iters=2, cutoff=chi)
+
+
+def _tiny_problem():
+    grid = make_grid(L=3.4, n=32, pml_width=0.3)
+    speed = _speed(grid)
+    pml = pml_profile(grid)
+    cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
+    truth = gaussian_phantom(grid, center=(0.1, 0.2), sigma=0.15)
+    return speed, pml, cfg, forward_operator(truth, speed, cfg, pml=pml)
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", [cg_normal, landweber])
+    def test_rejects_non_finite_data_before_any_solve(self, monkeypatch, method, bad):
+        import ringtat.recon as recon
+
+        speed, pml, cfg, sino = _tiny_problem()
+        data = sino.data.copy()
+        data[5, 3] = bad
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a wave solve ran on non-finite data")
+
+        monkeypatch.setattr(recon, "forward_operator", no_solve)
+        monkeypatch.setattr(recon, "adjoint_operator", no_solve)
+        with pytest.raises(FloatingPointError, match=r"\(5, 3\)"):
+            method(data, speed, cfg, pml=pml, iters=2)
+
+    def test_cg_non_finite_curvature(self, monkeypatch):
+        import ringtat.recon as recon
+
+        speed, pml, cfg, sino = _tiny_problem()
+        monkeypatch.setattr(recon, "_normal_apply", lambda p, *a, **k: np.full_like(p, np.nan))
+        with pytest.raises(FloatingPointError, match="curvature"):
+            cg_normal(sino, speed, cfg, pml=pml, iters=2)
+
+    def test_landweber_non_finite_misfit(self):
+        # a step this long overflows the residual in the first iteration,
+        # long before three rises in a row could abort the loop
+        speed, pml, cfg, sino = _tiny_problem()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="misfit"):
+                landweber(sino, speed, cfg, pml=pml, iters=5, step=1e300)
+
+
+class TestWorkCounts:
+    """Deterministic work counters, no timings."""
+
+    def test_cg_makes_2k_plus_1_wave_solves(self, monkeypatch):
+        import ringtat.recon as recon
+
+        speed, pml, cfg, sino = _tiny_problem()
+        counts = {"forward_operator": 0, "adjoint_operator": 0}
+        _count_calls(monkeypatch, recon, "forward_operator", counts)
+        _count_calls(monkeypatch, recon, "adjoint_operator", counts)
+        k = 3
+        res = cg_normal(sino, speed, cfg, pml=pml, iters=k, tol=0.0)
+        assert res.iterations == k
+        assert counts == {"forward_operator": k, "adjoint_operator": k + 1}
+
+    @pytest.mark.parametrize("band", [False, True])
+    def test_one_step_per_level(self, monkeypatch, band):
+        from ringtat.wave import WaveSolver
+
+        speed, pml, cfg, sino = _tiny_problem()
+        pml = pml if band else None
+        nt = sino.data.shape[0]
+        counts = {"step": 0, "step_T": 0}
+        _count_calls(monkeypatch, WaveSolver, "step", counts)
+        _count_calls(monkeypatch, WaveSolver, "step_T", counts)
+        forward_operator(np.zeros((32, 32)), speed, cfg, pml=pml)
+        assert counts == {"step": nt - 1, "step_T": 0}
+        adjoint_operator(sino.data, speed, cfg, pml=pml)
+        assert counts == {"step": nt - 1, "step_T": nt - 1}
+
+    def test_one_sampler_per_grid_and_config(self, monkeypatch):
+        import ringtat.detector as detector
+
+        speed, pml, cfg, sino = _tiny_problem()
+        detector._detector_sampler.cache_clear()
+        counts = {"BicubicSampler": 0}
+        _count_calls(monkeypatch, detector, "BicubicSampler", counts)
+        same = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
+        for c in (cfg, same):
+            forward_operator(np.zeros((32, 32)), speed, c, pml=pml)
+            adjoint_operator(sino.data, speed, c, pml=pml)
+        cg_normal(sino, speed, cfg, pml=pml, iters=2)
+        assert counts["BicubicSampler"] == 1
+        other = DetectorConfig(mode=LargeMode(r=2.0), n_theta=9, n_alpha=64, T=2.0)
+        forward_operator(np.zeros((32, 32)), speed, other, pml=pml)
+        assert counts["BicubicSampler"] == 2

@@ -17,8 +17,6 @@ from ringtat.wave import (
     laplacian,
     pml_profile,
     solve_forward,
-    solve_with_sources,
-    step,
 )
 
 
@@ -110,8 +108,8 @@ class TestInitialState:
 class TestStepping:
     def test_zero_state_stays_zero(self):
         _, sp = _setup()
-        s = init_state(np.zeros((64, 64)), sp, 0.01)
-        s = step(s, sp)
+        solver = WaveSolver(sp, 0.01)
+        s = solver.step(solver.init_state(np.zeros((64, 64))))
         assert not np.any(s.u_curr)
 
     def test_two_steps_match_closed_form(self):
@@ -193,6 +191,110 @@ class TestEnergy:
             s = solver.step(s)
             worst = max(worst, abs(energy(s, sp) - e0))
         assert worst / e0 < 1e-12
+
+
+def _ddx_oracle(u, h, axis):
+    out = np.zeros_like(u)
+    um = np.moveaxis(u, axis, 0)
+    om = np.moveaxis(out, axis, 0)
+    om[:-1] += um[1:]
+    om[1:] -= um[:-1]
+    out /= 2.0 * h
+    return out
+
+
+def _step_oracle(sp, dt, pml, s):
+    """The unfolded update: (coef_u u - coef_v u- + dt^2 body) / den."""
+    h, c2 = sp.grid.h, sp.c**2
+    body = c2 * laplacian(s.u_curr, h)
+    if pml is None:
+        u_new = 2.0 * s.u_curr - s.u_prev + dt**2 * body
+        return WaveState(u_new, s.u_curr, s.phi, s.psi, s.t + dt, dt)
+    sx, sy = pml.sx[:, None], pml.sy[None, :]
+    den = 1.0 + 0.5 * dt * (sx + sy)
+    coef_u = 2.0 - dt**2 * sx * sy
+    coef_v = 1.0 - 0.5 * dt * (sx + sy)
+    body = body + c2 * (_ddx_oracle(s.phi, h, 0) + _ddx_oracle(s.psi, h, 1))
+    u_new = (coef_u * s.u_curr - coef_v * s.u_prev + dt**2 * body) / den
+    phi_new = (1.0 - dt * sx) * s.phi + dt * (sy - sx) * _ddx_oracle(s.u_curr, h, 0)
+    psi_new = (1.0 - dt * sy) * s.psi + dt * (sx - sy) * _ddx_oracle(s.u_curr, h, 1)
+    return WaveState(u_new, s.u_curr, phi_new, psi_new, s.t + dt, dt)
+
+
+def _step_T_oracle(sp, dt, pml, s):
+    """The unfolded transpose, term by term."""
+    h, c2 = sp.grid.h, sp.c**2
+    if pml is None:
+        a = 2.0 * s.u_curr + dt**2 * laplacian(c2 * s.u_curr, h) + s.u_prev
+        return WaveState(a, -s.u_curr, s.phi, s.psi, s.t - dt, dt)
+    sx, sy = pml.sx[:, None], pml.sy[None, :]
+    den = 1.0 + 0.5 * dt * (sx + sy)
+    coef_u = 2.0 - dt**2 * sx * sy
+    coef_v = 1.0 - 0.5 * dt * (sx + sy)
+    w = s.u_curr / den
+    c2w = c2 * w
+    a = coef_u * w + dt**2 * laplacian(c2w, h) + s.u_prev
+    a = a - dt * _ddx_oracle((sy - sx) * s.phi, h, 0)
+    a = a - dt * _ddx_oracle((sx - sy) * s.psi, h, 1)
+    b = -coef_v * w
+    g = -(dt**2) * _ddx_oracle(c2w, h, 0) + (1.0 - dt * sx) * s.phi
+    q = -(dt**2) * _ddx_oracle(c2w, h, 1) + (1.0 - dt * sy) * s.psi
+    return WaveState(a, b, g, q, s.t - dt, dt)
+
+
+def _kernel_case(n, band):
+    g = make_grid(L=1.6, n=n, pml_width=0.5 if band else 0.0)
+    sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+    pml = pml_profile(g) if band else None
+    solver = WaveSolver(sp, 0.5 * cfl_limit(sp), pml)
+    rng = np.random.default_rng(0)
+    s = WaveState(*(rng.normal(size=(n, n)) for _ in range(4)), 0.3, solver.dt)
+    return sp, pml, solver, s
+
+
+def _fields(s):
+    return (s.u_curr, s.u_prev, s.phi, s.psi)
+
+
+class TestFoldedKernel:
+    """step/step_T against the unfolded formulas they were folded from."""
+
+    @pytest.mark.parametrize("band", [False, True])
+    @pytest.mark.parametrize("n", [32, 49])
+    @pytest.mark.parametrize("which", ["step", "step_T"])
+    def test_matches_unfolded_oracle(self, which, n, band):
+        sp, pml, solver, s = _kernel_case(n, band)
+        oracle = _step_oracle if which == "step" else _step_T_oracle
+        got = getattr(solver, which)(s)
+        want = oracle(sp, solver.dt, pml, s)
+        for a, b in zip(_fields(got), _fields(want)):
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+        assert got.t == want.t and got.dt == want.dt
+
+    @pytest.mark.parametrize("band", [False, True])
+    @pytest.mark.parametrize("which", ["step", "step_T"])
+    def test_inputs_unchanged(self, which, band):
+        _, _, solver, s = _kernel_case(32, band)
+        before = [x.copy() for x in _fields(s)]
+        getattr(solver, which)(s)
+        getattr(solver, which)(s)
+        for x, y in zip(_fields(s), before):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("band", [False, True])
+    @pytest.mark.parametrize("which", ["step", "step_T"])
+    def test_memory_layout_does_not_matter(self, which, band):
+        _, _, solver, s = _kernel_case(49, band)
+        ref = getattr(solver, which)(s)
+        fortran = WaveState(*(np.asfortranarray(x) for x in _fields(s)), s.t, s.dt)
+        big = [np.zeros((2 * 49, 3 * 49)) for _ in range(4)]
+        for b, x in zip(big, _fields(s)):
+            b[::2, ::3] = x
+        strided = WaveState(*(b[::2, ::3] for b in big), s.t, s.dt)
+        for other in (fortran, strided):
+            got = getattr(solver, which)(other)
+            for a, b in zip(_fields(got), _fields(ref)):
+                assert np.array_equal(a, b)
 
 
 class TestAdjointness:
@@ -280,36 +382,7 @@ class TestSolveForward:
             s = solver.step(s)
         assert interior_energy(s) / e0 < 1e-3
 
-
-class TestSolveWithSources:
-    def test_zero_sources_zero_field(self):
-        _, sp = _setup()
-        s = solve_with_sources([None] * 20, sp, 0.01)
-        assert not np.any(s.u_curr)
-        assert s.t == pytest.approx(0.2)
-
-    def test_shape_mismatch(self):
-        _, sp = _setup()
-        with pytest.raises(ValueError, match="shape"):
-            solve_with_sources([np.zeros((3, 3))], sp, 0.01)
-
-    def test_expanding_front(self):
-        g = make_grid(L=1.5, n=151)
-        sp = sample_speed(SpeedSpec(kind="constant"), g)
-        nt, dt = choose_time_steps(sp, 0.5, 0.5)
-        src = np.zeros((151, 151))
-        src[75, 75] = 1.0
-        sources = [src] + [None] * (nt - 2)
-        s = solve_with_sources(sources, sp, dt)
-        rho = g.radius()
-        inside = np.abs(s.u_curr[rho < 0.45]).max()
-        outside = np.abs(s.u_curr[rho > 0.55 + 3 * g.h]).max()
-        assert inside > 0
-        # a grid delta has Nyquist content, so allow a small dispersive tail
-        assert outside < 1e-3 * inside
-
     def test_nan_guard(self):
         _, sp = _setup()
-        bad = np.full((64, 64), np.nan)
         with pytest.raises(FloatingPointError):
-            solve_with_sources([bad] + [None] * 5, sp, 0.01)
+            solve_forward(np.full((64, 64), np.nan), sp, 0.05)
