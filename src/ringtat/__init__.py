@@ -7,6 +7,7 @@ Subpackages by responsibility:
 * detector   circle-averaged measurement operator and its exact transpose
 * recon      iterative inversion (Landweber, conjugate gradient)
 * rays       geodesic tracing, detection events, visibility and masking
+* selftest   built-in numerical checks, shared by the CLI and the tests
 * cli        command-line front end
 """
 

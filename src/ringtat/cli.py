@@ -44,9 +44,11 @@ module constructor, so module invariants are re-validated at load time.
 
 Subcommands: ``forward`` (simulate a sinogram), ``reconstruct`` (iterative
 inversion of a sinogram file), ``visibility`` (classify phantom edges),
-``sweep`` (radius-sweep PDE residual refinement study), ``selftest``
-(built-in checks).  Exit codes: 0 success, 1 check failure, 2 usage,
-config or input-file error (a sinogram with a NaN or infinite entry is
+``sweep`` (``detector.residual_refinement_study`` on the ``[sweep]``
+lattice), ``selftest`` (the check registry of ``ringtat.selftest``).  This
+module only parses, dispatches and does artifact IO.  Exit codes: 0
+success, 1 check failure, 2 usage, config or input-file error (a malformed
+array file or sidecar, or a sinogram with a NaN or infinite entry, is
 rejected before any solve), 3 solver failure (divergence, breakdown,
 non-finite values).
 
@@ -69,7 +71,7 @@ import json
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -139,12 +141,20 @@ def read_array(path):
         raise ArrayFormatError(
             f"{path}: expected {expected} bytes for dims {list(dims)}, got {len(raw)}"
         )
-    arr = np.frombuffer(raw[_HEADER_FIXED + 8 * rank :], dtype="<f8").reshape(dims).copy()
+    try:
+        arr = np.frombuffer(raw[_HEADER_FIXED + 8 * rank :], dtype="<f8").reshape(dims).copy()
+    except (ValueError, OverflowError) as exc:  # rank or a dim numpy cannot hold
+        raise ArrayFormatError(f"{path}: unsupported dims {list(dims)}: {exc}") from exc
     sidecar_path = Path(str(path) + ".json")
     sidecar: dict = {}
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
-        if "dims" in sidecar and list(sidecar["dims"]) != list(dims):
+        try:
+            sidecar = json.loads(sidecar_path.read_bytes())
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+            raise ArrayFormatError(f"{sidecar_path}: not a JSON sidecar: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise ArrayFormatError(f"{sidecar_path}: sidecar must hold a JSON object")
+        if "dims" in sidecar and sidecar["dims"] != list(dims):
             raise ArrayFormatError(
                 f"{path}: sidecar dims {sidecar['dims']} do not match header dims {list(dims)}"
             )
@@ -212,25 +222,24 @@ _KNOWN_KEYS = {
     "grid": {"l", "n", "pml_width"},
     "speed": {"kind", "c0", "amp", "kx", "ky", "sigma", "eta_radius", "eta_taper"},
     "phantom": None,  # gaussian.* / disc.* / margin, checked separately
-    "detector": {"mode", "r", "n_theta", "n_alpha"},
+    "detector": {"mode", "center_radius", "r", "n_theta", "n_alpha"},  # center_radius: small
     "time": {"t", "t1", "nt"},
     "aperture": {"arc", "window"},
     "recon": {"method", "iters", "step", "tol", "tikhonov"},
     "run": {"seed", "out_dir"},
     "noise": {"sigma_rel"},
     "visibility": {"threshold", "stride", "max_count"},
-    "sweep": {"levels", "base_radius", "delta_r", "base_n", "base_nt", "base_n_theta",
-              "duration", "window"},
 }
 
 
 def _check_keys(sections: dict[str, dict[str, str]]) -> None:
+    from .detector import SweepSettings
+
+    known = {**_KNOWN_KEYS, "sweep": {f.name for f in fields(SweepSettings)}}
     for name, body in sections.items():
-        if name == "detector":
-            continue  # mode-dependent, validated in the builder
-        if name not in _KNOWN_KEYS:
+        if name not in known:
             raise ConfigError(f"unknown section [{name}]")
-        allowed = _KNOWN_KEYS[name]
+        allowed = known[name]
         if allowed is None:
             continue
         for key in body:
@@ -250,10 +259,7 @@ def _get(body: dict[str, str], key: str, conv, default=None, section: str = ""):
 def _require(body: dict[str, str], key: str, conv, section: str):
     if key not in body:
         raise ConfigError(f"[{section}] is missing required key '{key}'")
-    try:
-        return conv(body[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return _get(body, key, conv, section=section)
 
 
 def _floats(value: str) -> list[float]:
@@ -261,16 +267,18 @@ def _floats(value: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    levels: int = 2
-    base_radius: float = 2.1
-    delta_r: float = 0.1
-    base_n: int = 129
-    base_nt: int = 203
-    base_n_theta: int = 40
-    duration: float = 3.0
-    window: tuple[float, float] = (1.2, 2.8)
+def _angle_pair(value: str) -> tuple[float, float]:
+    vals = _floats(value)
+    if len(vals) != 2:
+        raise ValueError("expected two angles")
+    return vals[0], vals[1]
+
+
+def _time_pair(value: str) -> tuple[float, float]:
+    vals = _floats(value)
+    if len(vals) != 2 or not vals[1] > vals[0]:
+        raise ValueError("expected an increasing time pair")
+    return vals[0], vals[1]
 
 
 @dataclass(frozen=True)
@@ -295,11 +303,11 @@ class ExperimentConfig:
     vis_threshold: float
     vis_stride: int
     vis_max_count: int
-    sweep: SweepSettings
+    sweep: object  # detector.SweepSettings
 
 
 def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
-    from .detector import DetectorConfig, LargeMode, SmallMode
+    from .detector import DetectorConfig, LargeMode, SmallMode, SweepSettings
     from .field import (
         DiscComponent,
         GaussianComponent,
@@ -315,9 +323,6 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
             raise ConfigError(f"config is missing the [{required}] section")
 
     g = sections["grid"]
-    for key in g:
-        if key not in _KNOWN_KEYS["grid"]:
-            raise ConfigError(f"unknown key '{key}' in [grid]")
     grid = make_grid(
         L=_require(g, "l", float, "grid"),
         n=_require(g, "n", int, "grid"),
@@ -325,38 +330,31 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     )
 
     sp = sections.get("speed", {})
-    kwargs = {}
-    for key, conv in (("kind", str), ("c0", float), ("amp", float), ("kx", float),
-                      ("ky", float), ("sigma", float), ("eta_radius", float),
-                      ("eta_taper", float)):
-        if key in sp:
-            kwargs[key] = conv(sp[key])
-    speed_spec = SpeedSpec(**kwargs)
+    speed_spec = SpeedSpec(**{key: _get(sp, key, str if key == "kind" else float, section="speed")
+                              for key in sp})
 
     ph = sections.get("phantom", {})
     components = []
-    for key, value in ph.items():
+    for key in ph:
         base = key.split(".", 1)[0]
-        vals = _floats(value)
+        if base not in ("gaussian", "disc"):
+            raise ConfigError(f"unknown key '{key}' in [phantom]")
+        vals = _get(ph, key, _floats, section="phantom")
         if base == "gaussian":
             if len(vals) not in (3, 4):
                 raise ConfigError(f"[phantom] {key}: expected 'cx cy sigma [amp]'")
             components.append(GaussianComponent(center=(vals[0], vals[1]), sigma=vals[2],
                                                 amp=vals[3] if len(vals) == 4 else 1.0))
-        elif base == "disc":
+        else:
             if len(vals) not in (4, 5):
                 raise ConfigError(f"[phantom] {key}: expected 'cx cy radius taper [amp]'")
             components.append(DiscComponent(center=(vals[0], vals[1]), radius=vals[2],
                                             taper=vals[3], amp=vals[4] if len(vals) == 5 else 1.0))
-        else:
-            raise ConfigError(f"unknown key '{key}' in [phantom]")
     phantom_spec = PhantomSpec(components)
 
     det = sections["detector"]
     mode_name = _require(det, "mode", str, "detector").lower()
-    det_keys = {"mode", "r", "n_theta", "n_alpha"}
     if mode_name == "small":
-        det_keys.add("center_radius")
         mode = SmallMode(R=_require(det, "center_radius", float, "detector"),
                          r=_require(det, "r", float, "detector"))
     elif mode_name == "large":
@@ -366,9 +364,6 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         mode = LargeMode(r=_require(det, "r", float, "detector"))
     else:
         raise ConfigError(f"[detector] mode must be 'small' or 'large', got '{mode_name}'")
-    for key in det:
-        if key not in det_keys:
-            raise ConfigError(f"unknown key '{key}' in [detector]")
 
     tm = sections.get("time", {})
     plateau = _get(tm, "t", float, 5.0, "time")
@@ -379,26 +374,13 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     record_T = cutoff_end if cutoff_end is not None else plateau
 
     ap = sections.get("aperture", {})
-    arc = None
-    if "arc" in ap:
-        vals = _floats(ap["arc"])
-        if len(vals) != 2:
-            raise ConfigError("[aperture] arc: expected two angles")
-        arc = (vals[0], vals[1])
-    window = None
-    if "window" in ap:
-        vals = _floats(ap["window"])
-        if len(vals) != 2 or vals[1] <= vals[0]:
-            raise ConfigError("[aperture] window: expected an increasing time pair")
-        window = (vals[0], vals[1])
-
     detector = DetectorConfig(
         mode=mode,
         n_theta=_get(det, "n_theta", int, 180, "detector"),
         n_alpha=_get(det, "n_alpha", int, 256, "detector"),
         T=record_T,
         nt=nt,
-        aperture=arc,
+        aperture=_get(ap, "arc", _angle_pair, section="aperture"),
     )
 
     rc = sections.get("recon", {})
@@ -410,22 +392,11 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     nz = sections.get("noise", {})
     vis = sections.get("visibility", {})
     sw = sections.get("sweep", {})
-    sweep_window = (1.2, 2.8)
-    if "window" in sw:
-        vals = _floats(sw["window"])
-        if len(vals) != 2 or vals[1] <= vals[0]:
-            raise ConfigError("[sweep] window: expected an increasing time pair")
-        sweep_window = (vals[0], vals[1])
-    sweep = SweepSettings(
-        levels=_get(sw, "levels", int, 2, "sweep"),
-        base_radius=_get(sw, "base_radius", float, 2.1, "sweep"),
-        delta_r=_get(sw, "delta_r", float, 0.1, "sweep"),
-        base_n=_get(sw, "base_n", int, 129, "sweep"),
-        base_nt=_get(sw, "base_nt", int, 203, "sweep"),
-        base_n_theta=_get(sw, "base_n_theta", int, 40, "sweep"),
-        duration=_get(sw, "duration", float, 3.0, "sweep"),
-        window=sweep_window,
-    )
+    sweep = SweepSettings(**{
+        f.name: _get(sw, f.name, _time_pair if f.name == "window" else type(f.default),
+                     section="sweep")
+        for f in fields(SweepSettings) if f.name in sw
+    })
 
     cfg = ExperimentConfig(
         grid=grid,
@@ -434,7 +405,7 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         detector=detector,
         plateau=plateau,
         cutoff_end=cutoff_end,
-        window=window,
+        window=_get(ap, "window", _time_pair, section="aperture"),
         method=method,
         iters=_get(rc, "iters", int, 15, "recon"),
         step=_get(rc, "step", float, None, "recon"),
@@ -594,6 +565,8 @@ def cmd_reconstruct(args) -> int:
     expect = _detector_meta(cfg, speed)
     got = sidecar.get("detector")
     if got is not None:
+        if not isinstance(got, dict):
+            raise ArrayFormatError(f"{args.data}: sidecar 'detector' is not a JSON object")
         problems = _geometry_mismatches(expect, got)
         if problems:
             detail = "; ".join(problems)
@@ -723,132 +696,33 @@ def cmd_visibility(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# radius-sweep refinement study
-
-
-def residual_refinement_study(
-    mode_kind: str,
-    levels: int = 3,
-    base_radius: float = 2.1,
-    delta_r: float = 0.1,
-    base_n: int = 129,
-    base_nt: int = 203,
-    base_n_theta: int = 40,
-    n_alpha: int = 256,
-    duration: float = 3.0,
-    window: tuple[float, float] = (1.2, 2.8),
-    small_r: float = 0.8,
-    L: float = 3.9,
-    pml_width: float = 0.5,
-    speed_spec=None,
-    phantom_center: tuple[float, float] = (0.25, -0.15),
-    phantom_sigma: float = 0.15,
-    include_wrong_stencil: bool = False,
-) -> dict:
-    """RMS of the radius-sweep PDE residual under simultaneous refinement.
-
-    Level ``l`` doubles the space, time, angle and radius resolution of the
-    base lattice.  The residual of the matching second-order identity must
-    shrink by about 4 per level; with ``include_wrong_stencil`` (large mode
-    only) the small-geometry stencil is also evaluated on the same data,
-    where it has no reason to decay.
-    """
-    import numpy as np
-
-    from .detector import (
-        DetectorConfig,
-        LargeMode,
-        SmallMode,
-        cylinder_residual_large,
-        cylinder_residual_small,
-        sweep_large_radius,
-        sweep_small_radius,
-    )
-    from .field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
-    from .wave import pml_profile
-
-    if mode_kind not in ("small", "large"):
-        raise ValueError("mode_kind must be 'small' or 'large'")
-    if speed_spec is None:
-        speed_spec = SpeedSpec()
-    hs, rms, rms_wrong = [], [], []
-    for level in range(levels):
-        scale = 2**level
-        grid = make_grid(L=L, n=(base_n - 1) * scale + 1, pml_width=pml_width)
-        speed = sample_speed(speed_spec, grid)
-        phantom = gaussian_phantom(grid, center=phantom_center, sigma=phantom_sigma)
-        nt = (base_nt - 1) * scale + 1
-        dr = delta_r / scale
-        radii = [base_radius - dr, base_radius, base_radius + dr]
-        pml = pml_profile(grid)
-        if mode_kind == "small":
-            config = DetectorConfig(mode=SmallMode(R=base_radius, r=small_r),
-                                    n_theta=base_n_theta * scale, n_alpha=n_alpha,
-                                    T=duration, nt=nt)
-            sweep = sweep_small_radius(phantom.f, speed, config, radii, pml=pml)
-            resid = cylinder_residual_small(sweep)
-        else:
-            config = DetectorConfig(mode=LargeMode(r=base_radius),
-                                    n_theta=base_n_theta * scale, n_alpha=n_alpha,
-                                    T=duration, nt=nt)
-            sweep = sweep_large_radius(phantom.f, speed, config, radii, pml=pml)
-            resid = cylinder_residual_large(sweep)
-        times = sweep.dt * np.arange(1, nt - 1)
-        sel = (times >= window[0]) & (times <= window[1])
-        hs.append(grid.h)
-        rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))
-        if include_wrong_stencil:
-            if mode_kind != "large":
-                raise ValueError("the wrong-stencil control needs a large-mode sweep")
-            wrong = cylinder_residual_small(sweep)
-            rms_wrong.append(float(np.sqrt(np.mean(wrong[sel] ** 2))))
-    out = {
-        "h": hs,
-        "rms": rms,
-        "ratios": [rms[i] / rms[i + 1] for i in range(len(rms) - 1)],
-    }
-    if include_wrong_stencil:
-        out["rms_wrong"] = rms_wrong
-        out["ratios_wrong"] = [rms_wrong[i] / rms_wrong[i + 1]
-                               for i in range(len(rms_wrong) - 1)]
-    return out
+# sweep
 
 
 def cmd_sweep(args) -> int:
-    from .detector import SmallMode
+    from .detector import SmallMode, residual_refinement_study
 
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
-    sw = cfg.sweep
     mode = cfg.detector.mode
     is_small = isinstance(mode, SmallMode)
     study = residual_refinement_study(
         "small" if is_small else "large",
-        levels=sw.levels,
-        base_radius=sw.base_radius,
-        delta_r=sw.delta_r,
-        base_n=sw.base_n,
-        base_nt=sw.base_nt,
-        base_n_theta=sw.base_n_theta,
+        cfg.sweep,
         n_alpha=cfg.detector.n_alpha,
-        duration=sw.duration,
-        window=sw.window,
         small_r=mode.r if is_small else 0.8,
         L=cfg.grid.L,
         pml_width=cfg.grid.pml_width,
         speed_spec=cfg.speed_spec,
-        include_wrong_stencil=not is_small,
     )
     path = out / "sweep.csv"
+    wrong = study.get("rms_wrong")  # large mode only
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        cols = ["level", "h", "rms"] + (["rms_wrong_stencil"] if "rms_wrong" in study else [])
-        w.writerow(cols)
+        w.writerow(["level", "h", "rms"] + (["rms_wrong_stencil"] if wrong is not None else []))
         for i, (h, r) in enumerate(zip(study["h"], study["rms"])):
-            row = [i, f"{h:.17g}", f"{r:.17g}"]
-            if "rms_wrong" in study:
-                row.append(f"{study['rms_wrong'][i]:.17g}")
-            w.writerow(row)
+            w.writerow([i, f"{h:.17g}", f"{r:.17g}"]
+                       + ([f"{wrong[i]:.17g}"] if wrong is not None else []))
     print(f"wrote {path}")
     for i, ratio in enumerate(study["ratios"]):
         print(f"refinement {i}->{i + 1}: residual ratio {ratio:.3f}")
@@ -861,152 +735,16 @@ def cmd_sweep(args) -> int:
 # selftest
 
 
-def _selftest_adjoint(mode_kind: str, break_adjoint: bool = False):
-    import numpy as np
-
-    from .detector import DetectorConfig, LargeMode, SmallMode, _time_lattice, \
-        adjoint_operator, forward_operator
-    from .field import SpeedSpec, make_grid, sample_speed
-
-    if mode_kind == "small":
-        grid = make_grid(L=3.6, n=48, pml_width=0.7)
-        mode = SmallMode(R=2.0, r=0.8)
-    else:
-        grid = make_grid(L=3.8, n=48, pml_width=0.7)
-        mode = LargeMode(r=2.0)
-    speed = sample_speed(SpeedSpec(), grid)
-    config = DetectorConfig(mode=mode, n_theta=12, n_alpha=64, T=0.8)
-    nt, _ = _time_lattice(speed, config)
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal((grid.n, grid.n))
-    g = rng.standard_normal((nt, config.n_theta))
-    Mf = forward_operator(f, speed, config).data
-    if break_adjoint:
-        Mf = Mf + 1e-6 * max(float(np.abs(Mf).max()), 1.0)
-    Mtg = adjoint_operator(g, speed, config)
-    lhs = float(np.sum(Mf * g))
-    rhs = float(np.sum(f * Mtg))
-    denom = float(np.sqrt(np.sum(Mf**2)) * np.sqrt(np.sum(g**2)))
-    rel = abs(lhs - rhs) / denom
-    return rel <= 1e-10, f"rel={rel:.3e} bound=1e-10"
-
-
-def _selftest_ray_straight():
-    from .field import Covector, SpeedSpec, make_grid, sample_speed
-    from .rays import trace_geodesic
-
-    grid = make_grid(L=3.0, n=65)
-    speed = sample_speed(SpeedSpec(kind="constant"), grid)
-    path = trace_geodesic(Covector(y=(0.0, 0.0), xi=(1.0, 0.0)), speed, t_max=4.0)
-    worst = max(abs(s.x[1]) + abs(s.x[0] - s.t) for s in path.states)
-    end = path.exterior_point(4.0)
-    worst = max(worst, abs(end[0] - 4.0) + abs(end[1]))
-    return worst <= 1e-8, f"deviation={worst:.3e} bound=1e-8"
-
-
-def _selftest_ray_hamiltonian():
-    import math as m
-
-    from .field import Covector, SpeedSpec, make_grid, sample_speed
-    from .rays import _speed_spline, trace_geodesic
-
-    grid = make_grid(L=3.0, n=161)
-    speed = sample_speed(SpeedSpec(), grid)
-    spline = _speed_spline(speed)
-    path = trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), speed, t_max=4.0)
-    worst = 0.0
-    for s in path.states:
-        if m.hypot(*s.x) < 1.0:
-            c = float(spline.value(s.x[None, :])[0])
-            worst = max(worst, abs(c * m.hypot(*s.p) - 1.0))
-    return worst <= 1e-6, f"drift={worst:.3e} bound=1e-6"
-
-
-def _selftest_energy(steps: int):
-    from .field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
-    from .wave import WaveSolver, cfl_limit, energy
-
-    grid = make_grid(L=1.5, n=129)
-    speed = sample_speed(SpeedSpec(kind="constant"), grid)
-    phantom = gaussian_phantom(grid, sigma=0.15)
-    solver = WaveSolver(speed, 0.5 * cfl_limit(speed))
-    state = solver.init_state(phantom.f)
-    e0 = energy(state, speed)
-    worst = 0.0
-    for _ in range(steps):
-        state = solver.step(state)
-        worst = max(worst, abs(energy(state, speed) - e0) / e0)
-    return worst <= 1e-3, f"drift={worst:.3e} over {steps} steps, bound=1e-3"
-
-
-def _selftest_pml_reflection():
-    import numpy as np
-
-    from .field import SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
-    from .wave import WaveState, choose_time_steps, energy, init_state, pml_profile, \
-        solve_forward
-
-    # matched lattices: the absorbing domain is the middle of the big closed one
-    grid_a = make_grid(L=1.6, n=161, pml_width=0.5)
-    grid_c = make_grid(L=3.2, n=321)
-    speed_a = sample_speed(SpeedSpec(kind="constant"), grid_a)
-    speed_c = sample_speed(SpeedSpec(kind="constant"), grid_c)
-    f_a = gaussian_phantom(grid_a, sigma=0.1).f
-    f_c = gaussian_phantom(grid_c, sigma=0.1).f
-    T = 1.6
-    nt, dt = choose_time_steps(speed_c, T)
-    ref = solve_forward(f_c, speed_c, T, dt=dt, nt=nt)
-    absorbed = solve_forward(f_a, speed_a, T, pml=pml_profile(grid_a), dt=dt, nt=nt)
-    lo = (grid_c.n - grid_a.n) // 2
-    sl = slice(lo, lo + grid_a.n)
-    du = absorbed.u_curr - ref.u_curr[sl, sl]
-    dp = absorbed.u_prev - ref.u_prev[sl, sl]
-    w = transition((grid_a.radius() - 0.9) / 0.1)  # 1 inside B_0.9, 0 past B_1
-    z = np.zeros_like(du)
-    diff_state = WaveState(du * w, dp * w, z, z.copy(), absorbed.t, dt)
-    e_diff = energy(diff_state, speed_a)
-    e0 = energy(init_state(f_a, speed_a, dt), speed_a)
-    ratio = e_diff / e0
-    return ratio <= 1e-3, f"reflected energy ratio={ratio:.3e} bound=1e-3"
-
-
-def _selftest_residual(mode_kind: str):
-    study = residual_refinement_study(mode_kind, levels=3)
-    ok = all(3.2 <= r <= 4.8 for r in study["ratios"])
-    detail = "ratios=" + ",".join(f"{r:.2f}" for r in study["ratios"]) + " want [3.2,4.8]"
-    return ok, detail
-
-
-def _selftest_residual_discrimination():
-    study = residual_refinement_study("large", levels=3, include_wrong_stencil=True)
-    ok = all(r < 3.2 for r in study["ratios_wrong"])
-    detail = ("wrong-stencil ratios="
-              + ",".join(f"{r:.2f}" for r in study["ratios_wrong"]) + " want < 3.2")
-    return ok, detail
-
-
 def cmd_selftest(args) -> int:
-    checks = [
-        ("adjoint_small", lambda: _selftest_adjoint("small", args.break_adjoint)),
-        ("adjoint_large", lambda: _selftest_adjoint("large")),
-        ("ray_straight_line", _selftest_ray_straight),
-        ("ray_hamiltonian", _selftest_ray_hamiltonian),
-        ("energy_conservation", lambda: _selftest_energy(1000 if args.level == "full" else 300)),
-        ("pml_reflection", _selftest_pml_reflection),
-    ]
-    if args.level == "full":
-        checks += [
-            ("residual_convergence_small", lambda: _selftest_residual("small")),
-            ("residual_convergence_large", lambda: _selftest_residual("large")),
-            ("residual_discrimination", _selftest_residual_discrimination),
-        ]
-    failures = 0
-    for name, fn in checks:
-        ok, detail = fn()
+    from .selftest import run_checks
+
+    passed = failed = 0
+    for name, ok, detail in run_checks(args.level, args.break_adjoint):
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 1 if failures else 0
+        passed += ok
+        failed += not ok
+    print(f"{passed}/{passed + failed} checks passed")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

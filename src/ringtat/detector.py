@@ -14,7 +14,8 @@ identity holds to machine precision.
 The sweep data families satisfy cylinder wave equations in the sweep
 variable; the residual operations evaluate those equations with centered
 differences and serve as the package's physics self-check: residuals must
-shrink at second order under simultaneous lattice refinement.
+shrink at second order under simultaneous lattice refinement, which
+``residual_refinement_study`` measures.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spline import BicubicSampler
-from .field import Phantom, SpeedField
-from .wave import WaveSolver, PmlProfile, choose_time_steps, _check_finite
+from .field import SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
+from .wave import WaveSolver, PmlProfile, choose_time_steps, pml_profile, _check_finite
 
 _TWO_PI = 2.0 * math.pi
 
@@ -261,7 +262,7 @@ def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float
 def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int, dt: float,
                     pml: PmlProfile | None) -> np.ndarray:
     solver = WaveSolver(speed, dt, pml)
-    s = solver.init_state(f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float))
+    s = solver.init_state(f)
     out = np.empty((nt, sampler.n_rows))
     out[0] = sampler.apply(s.u_curr)
     for k in range(1, nt):
@@ -409,3 +410,83 @@ def cylinder_residual_large(sweep: RadiusSweep) -> np.ndarray:
     P_tt - P_rr - P_r / r at interior lattice points (no angular term)."""
     P_tt, P_rr, P_r, rho = _sweep_stencil_parts(sweep)
     return P_tt - P_rr - P_r / rho
+
+
+# ---------------------------------------------------------------------------
+# radius-sweep refinement study
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    """Lattice of the refinement study: the ``[sweep]`` config section.
+
+    Level 0 is the base lattice (``base_n`` nodes per axis, ``base_nt``
+    time levels over ``duration``, ``base_n_theta`` angles, radii
+    ``base_radius`` and ``base_radius +- delta_r``); each further level
+    halves every spacing.  Residuals are averaged over the time ``window``.
+    """
+
+    levels: int = 2
+    base_radius: float = 2.1
+    delta_r: float = 0.1
+    base_n: int = 129
+    base_nt: int = 203
+    base_n_theta: int = 40
+    duration: float = 3.0
+    window: tuple[float, float] = (1.2, 2.8)
+
+
+def residual_refinement_study(
+    mode_kind: str,
+    settings: SweepSettings = SweepSettings(),
+    n_alpha: int = 256,
+    small_r: float = 0.8,
+    L: float = 3.9,
+    pml_width: float = 0.5,
+    speed_spec: SpeedSpec | None = None,
+) -> dict:
+    """RMS of the radius-sweep PDE residual under simultaneous refinement.
+
+    Level ``l`` doubles the space, time, angle and radius resolution of the
+    base lattice ``l`` times.  The residual of the matching second-order
+    identity must shrink by about 4 per level.  A large-mode study also
+    evaluates the small-geometry stencil on the same data (``rms_wrong``,
+    ``ratios_wrong``), where it has no reason to decay.
+    """
+    s = settings
+    if mode_kind == "small":
+        mode, record, residual = (SmallMode(R=s.base_radius, r=small_r),
+                                  sweep_small_radius, cylinder_residual_small)
+    elif mode_kind == "large":
+        mode, record, residual = (LargeMode(r=s.base_radius),
+                                  sweep_large_radius, cylinder_residual_large)
+    else:
+        raise ValueError("mode_kind must be 'small' or 'large'")
+    if speed_spec is None:
+        speed_spec = SpeedSpec()
+    hs, rms, rms_wrong = [], [], []
+    for level in range(s.levels):
+        scale = 2**level
+        grid = make_grid(L=L, n=(s.base_n - 1) * scale + 1, pml_width=pml_width)
+        speed = sample_speed(speed_spec, grid)
+        phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
+        nt = (s.base_nt - 1) * scale + 1
+        dr = s.delta_r / scale
+        radii = [s.base_radius - dr, s.base_radius, s.base_radius + dr]
+        config = DetectorConfig(mode=mode, n_theta=s.base_n_theta * scale, n_alpha=n_alpha,
+                                T=s.duration, nt=nt)
+        sweep = record(phantom.f, speed, config, radii, pml=pml_profile(grid))
+        resid = residual(sweep)
+        times = sweep.dt * np.arange(1, nt - 1)
+        sel = (times >= s.window[0]) & (times <= s.window[1])
+        hs.append(grid.h)
+        rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))
+        if mode_kind == "large":
+            wrong = cylinder_residual_small(sweep)
+            rms_wrong.append(float(np.sqrt(np.mean(wrong[sel] ** 2))))
+    out = {"h": hs, "rms": rms, "ratios": [rms[i] / rms[i + 1] for i in range(len(rms) - 1)]}
+    if mode_kind == "large":
+        out["rms_wrong"] = rms_wrong
+        out["ratios_wrong"] = [rms_wrong[i] / rms_wrong[i + 1]
+                               for i in range(len(rms_wrong) - 1)]
+    return out

@@ -30,12 +30,13 @@ class Grid2D:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError(f"grid too coarse: n={self.n} < 16")
-        if self.L <= 1.0:
+        # comparisons with NaN are false, so NaN fails both checks
+        if not (1.0 < self.L < np.inf):
             raise ValueError(
-                f"domain too small: L={self.L} must exceed 1 (unit disc must be "
-                "strictly interior)"
+                f"domain half width L={self.L} must be finite and exceed 1 (unit disc "
+                "must be strictly interior)"
             )
-        if self.pml_width < 0 or self.pml_width >= self.L - 1.0:
+        if not (0.0 <= self.pml_width < self.L - 1.0):
             raise ValueError("pml_width must be >= 0 and leave the unit disc clear")
 
     @property
@@ -59,11 +60,6 @@ class Grid2D:
     def interior_half_width(self) -> float:
         """Half width of the region not covered by the absorbing bands."""
         return self.L - self.pml_width
-
-    def contains_circle(self, center: np.ndarray, radius: float) -> bool:
-        """True if the circle stays inside the non-absorbing interior."""
-        reach = np.max(np.abs(center)) + radius
-        return bool(reach <= self.interior_half_width + 1e-12)
 
 
 def make_grid(L: float, n: int, pml_width: float = 0.0) -> Grid2D:

@@ -186,12 +186,6 @@ class WaveState:
     t: float
     dt: float
 
-    def copy(self) -> "WaveState":
-        return WaveState(
-            self.u_curr.copy(), self.u_prev.copy(), self.phi.copy(), self.psi.copy(),
-            self.t, self.dt,
-        )
-
     def dot(self, other: "WaveState") -> float:
         return float(
             np.sum(self.u_curr * other.u_curr)
@@ -278,8 +272,10 @@ class WaveSolver:
 
     # -- initial data embedding and its transpose --------------------------
 
-    def init_state(self, f: np.ndarray) -> WaveState:
-        f = np.asarray(f, dtype=float)
+    def init_state(self, f) -> WaveState:
+        """Leapfrog state for pressure ``f`` (an array or a Phantom) released
+        from rest."""
+        f = f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
         v = f + 0.5 * self.dt**2 * self.c2 * laplacian(f, self.h)
         z = np.zeros_like(f)
         return WaveState(f.copy(), v, z, z.copy(), 0.0, self.dt)
@@ -336,15 +332,6 @@ class WaveSolver:
 # module-level operations
 
 
-def _as_array(f) -> np.ndarray:
-    return f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
-
-
-def init_state(f, speed: SpeedField, dt: float, pml: PmlProfile | None = None) -> WaveState:
-    """Initial leapfrog state for pressure f released from rest."""
-    return WaveSolver(speed, dt, pml).init_state(_as_array(f))
-
-
 def energy(state: WaveState, speed: SpeedField) -> float:
     """Discrete wave energy of the leapfrog level pair.
 
@@ -390,7 +377,7 @@ def solve_forward(
     if dt is None or nt is None:
         nt, dt = choose_time_steps(speed, duration, cfl_safety)
     solver = WaveSolver(speed, dt, pml)
-    s = solver.init_state(_as_array(f))
+    s = solver.init_state(f)
     if probe is not None:
         probe(0.0, s.u_curr)
     for k in range(1, nt):

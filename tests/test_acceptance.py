@@ -14,18 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from ringtat.cli import (
-    _selftest_energy,
-    _selftest_pml_reflection,
-    residual_refinement_study,
-)
 from ringtat.detector import (
     DetectorConfig,
     LargeMode,
     SmallMode,
-    _time_lattice,
-    adjoint_operator,
     forward_operator,
+    residual_refinement_study,
 )
 from ringtat.field import (
     Covector,
@@ -40,6 +34,18 @@ from ringtat.field import (
 )
 from ringtat.rays import detect_events, trace_geodesic, visibility, _speed_spline
 from ringtat.recon import assemble_forward_matrix, cg_normal, landweber
+from ringtat.selftest import (
+    RATIO_RANGE,
+    STUDY,
+    WRONG_STENCIL_BELOW,
+    adjoint_identity,
+    energy_conservation,
+    pml_reflection,
+    ray_hamiltonian,
+    ray_straight_line,
+    residual_convergence,
+    residual_discrimination,
+)
 from ringtat.wave import choose_time_steps, pml_profile, solve_forward
 
 
@@ -50,44 +56,31 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_adjoint_identity():
     t0 = time.monotonic()
-    worst = 0.0
-    for mode, L in ((SmallMode(R=2.0, r=0.8), 3.6), (LargeMode(r=2.0), 3.8)):
-        grid = make_grid(L=L, n=64, pml_width=0.7)
-        speed = sample_speed(SpeedSpec(), grid)
-        config = DetectorConfig(mode=mode, n_theta=16, n_alpha=64, T=0.8)
-        nt, _ = _time_lattice(speed, config)
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            f = rng.standard_normal((64, 64))
-            g = rng.standard_normal((nt, config.n_theta))
-            Mf = forward_operator(f, speed, config).data
-            Mtg = adjoint_operator(g, speed, config)
-            rel = abs(float(np.sum(Mf * g)) - float(np.sum(f * Mtg)))
-            rel /= float(np.sqrt(np.sum(Mf**2)) * np.sqrt(np.sum(g**2)))
-            worst = max(worst, rel)
+    ok, detail = adjoint_identity("small", "large", n=64, n_theta=16, seeds=range(5))
     elapsed = time.monotonic() - t0
-    ok = worst <= 1e-10 and elapsed <= 60.0
-    _line(1, ok, f"adjoint identity worst rel {worst:.3e} (bound 1e-10) over "
-                 f"5 seeded pairs x 2 modes, 64^2 grid, {elapsed:.1f}s (budget 60s)")
+    _line(1, ok and elapsed <= 60.0,
+          f"adjoint identity worst {detail} over 5 seeded pairs x 2 modes, 64^2 grid, "
+          f"{elapsed:.1f}s (budget 60s)")
 
 
 def test_criterion_02_center_radius_sweep_refinement():
-    study = residual_refinement_study("small", levels=3)
+    study = residual_refinement_study("small", STUDY)
     ratios = study["ratios"]
-    ok = len(ratios) == 2 and all(3.2 <= r <= 4.8 for r in ratios)
+    ok = len(ratios) == 2 and residual_convergence(study)[0]
+    lo, hi = RATIO_RANGE
     _line(2, ok, "small-geometry sweep residual ratios "
-                 + ", ".join(f"{r:.3f}" for r in ratios) + " per halving (want [3.2, 4.8])")
+                 + ", ".join(f"{r:.3f}" for r in ratios) + f" per halving (want [{lo}, {hi}])")
 
 
 def test_criterion_03_detector_radius_sweep_and_discrimination():
-    study = residual_refinement_study("large", levels=3, include_wrong_stencil=True)
+    study = residual_refinement_study("large", STUDY)
     ratios = study["ratios"]
     wrong = study["ratios_wrong"]
-    ok = (len(ratios) == 2 and all(3.2 <= r <= 4.8 for r in ratios)
-          and all(r < 3.2 for r in wrong))
+    ok = len(ratios) == 2 and residual_convergence(study)[0] and residual_discrimination(study)[0]
+    lo, hi = RATIO_RANGE
     _line(3, ok, "large-geometry ratios " + ", ".join(f"{r:.3f}" for r in ratios)
-                 + " (want [3.2, 4.8]); angular-term stencil on the same data: "
-                 + ", ".join(f"{r:.3f}" for r in wrong) + " (must stay < 3.2)")
+                 + f" (want [{lo}, {hi}]); angular-term stencil on the same data: "
+                 + ", ".join(f"{r:.3f}" for r in wrong) + f" (must stay < {WRONG_STENCIL_BELOW})")
 
 
 def test_criterion_04_full_data_reconstruction():
@@ -196,24 +189,8 @@ def test_criterion_06_canonical_relation_structure():
 
 
 def test_criterion_07_ray_integrator():
-    # straight line at unit speed over length 4
-    grid_c = make_grid(L=3.0, n=65)
-    const = sample_speed(SpeedSpec(kind="constant"), grid_c)
-    path = trace_geodesic(Covector(y=(0.0, 0.0), xi=(1.0, 0.0)), const, t_max=4.0)
-    straight = max(abs(s.x[1]) + abs(s.x[0] - s.t) for s in path.states)
-    end = path.exterior_point(4.0)
-    straight = max(straight, abs(end[0] - 4.0) + abs(end[1]))
-
-    # metric-speed conservation along a variable-speed ray
-    grid_v = make_grid(L=3.0, n=161)
-    varspeed = sample_speed(SpeedSpec(), grid_v)
-    spline = _speed_spline(varspeed)
-    ham = trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), varspeed, t_max=4.0)
-    drift = 0.0
-    for s in ham.states:
-        if math.hypot(*s.x) < 1.0:
-            c = float(spline.value(s.x[None, :])[0])
-            drift = max(drift, abs(c * math.hypot(*s.p) - 1.0))
+    straight_ok, straight = ray_straight_line()
+    drift_ok, drift = ray_hamiltonian()
 
     # endpoint error drops ~16x per halving while truncation dominates
     grid_f = make_grid(L=3.0, n=321)
@@ -240,9 +217,8 @@ def test_criterion_07_ray_integrator():
         return tot / len(cvs)
 
     factor = mean_err(0.04) / mean_err(0.02)
-    ok = straight <= 1e-8 and drift <= 1e-6 and factor >= 12.0
-    _line(7, ok, f"straight-line deviation {straight:.2e} (bound 1e-8); "
-                 f"metric-speed drift {drift:.2e} (bound 1e-6); endpoint error "
+    ok = straight_ok and drift_ok and factor >= 12.0
+    _line(7, ok, f"straight-line {straight}; metric-speed {drift}; endpoint error "
                  f"factor {factor:.1f} per half-step (want >= 12)")
 
 
@@ -258,8 +234,8 @@ def test_criterion_08_wave_solver_physics():
     outside = grid.radius() > 1.0 + T * float(speed.c.max()) + 3 * grid.h
     mass = float(np.sqrt(np.sum(u[outside] ** 2)) / np.sqrt(np.sum(u**2)))
 
-    energy_ok, energy_detail = _selftest_energy(1000)
-    pml_ok, pml_detail = _selftest_pml_reflection()
+    energy_ok, energy_detail = energy_conservation(1000)
+    pml_ok, pml_detail = pml_reflection()
     ok = mass <= 1e-8 and energy_ok and pml_ok
     _line(8, ok, f"support leak {mass:.2e} (bound 1e-8); energy {energy_detail}; "
                  f"pml {pml_detail}")

@@ -1,15 +1,20 @@
 """Tests for the command line front end and artifact formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringtat
+from ringtat import selftest
 from ringtat.cli import (
     ArrayFormatError,
     ConfigError,
@@ -21,7 +26,7 @@ from ringtat.cli import (
     write_array,
     write_pgm,
 )
-from ringtat.detector import LargeMode, SmallMode
+from ringtat.detector import LargeMode, SmallMode, SweepSettings
 
 BASE_CFG = """
 [grid]
@@ -77,6 +82,41 @@ def workspace(tmp_path_factory):
     return {"root": root, "cfg": cfg, "out": out, "sino": out / "sinogram.tat"}
 
 
+@st.composite
+def _array_files(draw):
+    """Array files near the format: a valid header and payload, with any
+    field (version, dtype, rank, dims, payload length) possibly wrong.
+    Payloads stay below 65 x 65 doubles."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=48))
+    dims = draw(st.one_of(
+        st.lists(st.integers(0, 65), max_size=3),
+        st.lists(st.sampled_from([0, 1, 2**64 - 1]), max_size=70),
+    ))
+    rank = draw(st.one_of(st.just(len(dims)), st.integers(0, 255)))
+    count = math.prod(dims) if dims else 1
+    size = 8 * count if count <= 65 * 65 else 0
+    size = max(0, size + draw(st.sampled_from([0, 0, 0, -1, 1, -8, 8])))
+    head = (b"TATARR1" + bytes([draw(st.sampled_from([1, 1, 1, 0, 2])),
+                                draw(st.sampled_from([1, 1, 1, 0, 9])), rank % 256])
+            + b"".join(d.to_bytes(8, "little") for d in dims))
+    return head + bytes(size)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=5), kids,
+                                                              max_size=3),
+    max_leaves=8,
+)
+_SIDECARS = st.one_of(
+    st.none(),
+    st.binary(max_size=48),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    _JSON.map(lambda v: json.dumps({"dims": v}).encode()),
+)
+
+
 class TestArrayFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -116,6 +156,29 @@ class TestArrayFile:
         with pytest.raises(ArrayFormatError, match="sidecar dims"):
             read_array(p)
 
+    @pytest.mark.parametrize("sidecar", [b"[1, 2]", b'{"dims": 5', b'{"role": "\xff"}',
+                                         b'{"dims": null}',
+                                         pytest.param(b"[" * 100_000, id="deep-nesting")])
+    def test_malformed_sidecar_names_it(self, tmp_path, sidecar):
+        p = tmp_path / "a.tat"
+        write_array(p, np.zeros((4, 4)))
+        Path(str(p) + ".json").write_bytes(sidecar)
+        with pytest.raises(ArrayFormatError, match=r"a\.tat"):
+            read_array(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_array_files(), sidecar=_SIDECARS)
+    def test_fuzz_raises_only_format_errors(self, raw, sidecar):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "a.tat"
+            p.write_bytes(raw)
+            if sidecar is not None:
+                Path(str(p) + ".json").write_bytes(sidecar)
+            try:
+                read_array(p)
+            except ArrayFormatError:
+                pass
+
 
 class TestPgm:
     def test_header_payload_and_scale(self, tmp_path):
@@ -154,6 +217,14 @@ class TestConfigGrammar:
     def test_junk_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("[a]\nwhat is this\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="[]=#.\n\r\t abkl019", max_size=60)))
+    def test_fuzz_raises_only_config_errors(self, text):
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            pass
 
 
 def _cfg_dict(**edits):
@@ -228,6 +299,55 @@ class TestBuildExperiment:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config not found"):
             load_experiment(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"speed.c0": "abc"}, r"^\[speed\] c0: could not convert"),
+        ({"phantom.gaussian.1": "0.2 x 0.18"}, r"^\[phantom\] gaussian\.1: could not convert"),
+        ({"aperture.arc": "a 0"}, r"^\[aperture\] arc: could not convert"),
+        ({"aperture.window": "0 nan"}, r"^\[aperture\] window: expected an increasing"),
+        ({"sweep.window": "abc"}, r"^\[sweep\] window: could not convert"),
+    ])
+    def test_bad_values_name_their_key(self, edit, message):
+        with pytest.raises(ConfigError, match=message):
+            build_experiment(_cfg_dict(**edit))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_rejected_at_load(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            build_experiment(_cfg_dict(**{"grid.l": value}))
+        with pytest.raises(ValueError, match="pml_width"):
+            build_experiment(_cfg_dict(**{"grid.pml_width": value}))
+
+    def test_sweep_settings(self):
+        assert build_experiment(_cfg_dict()).sweep == SweepSettings()
+        cfg = build_experiment(_cfg_dict(**{"sweep.levels": "3", "sweep.window": "1 2"}))
+        assert cfg.sweep == SweepSettings(levels=3, window=(1.0, 2.0))
+        with pytest.raises(ConfigError, match=r"unknown key 'include_wrong_stencil' in \[sweep\]"):
+            build_experiment(_cfg_dict(**{"sweep.include_wrong_stencil": "1"}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), key=st.sampled_from([
+        "grid.l", "grid.n", "grid.pml_width", "speed.kind", "speed.c0", "speed.amp",
+        "phantom.gaussian.1", "phantom.disc.2", "detector.mode", "detector.r",
+        "detector.center_radius", "detector.n_theta", "detector.n_alpha", "time.t",
+        "time.t1", "time.nt", "aperture.arc", "aperture.window", "recon.method",
+        "recon.iters", "noise.sigma_rel", "sweep.levels", "sweep.window", "sweep.base_n",
+    ]))
+    def test_fuzz_values_raise_only_value_errors(self, data, key):
+        # grid sizes stay at n <= 65: the phantom is sampled at load time
+        if key == "grid.n":
+            value = str(data.draw(st.integers(-5, 65)))
+        else:
+            value = data.draw(st.one_of(
+                st.text(max_size=12),
+                st.floats().map(repr),
+                st.integers(-5, 300).map(str),
+                st.lists(st.floats(-2, 6).map(repr), max_size=5).map(" ".join),
+            ))
+        try:
+            build_experiment(_cfg_dict(**{key: value}))
+        except ValueError:  # ConfigError or a module invariant: exit 2 in the CLI
+            pass
 
 
 class TestForwardCommand:
@@ -383,6 +503,21 @@ class TestReconstructCommand:
         assert not (tmp_path / "rec" / "estimate.tat").exists()
 
 
+    @pytest.mark.parametrize("sidecar", [b"[1, 2]", b"{not json", b'{"role": "\xff"}',
+                                         b'{"detector": 5}'])
+    def test_malformed_sidecar_exits_2_with_one_line(self, workspace, tmp_path, sidecar):
+        data = tmp_path / "sino.tat"
+        data.write_bytes(workspace["sino"].read_bytes())
+        Path(str(data) + ".json").write_bytes(sidecar)
+        proc = _run_cli("reconstruct", "--config", str(workspace["cfg"]), "--data", str(data),
+                        "--out", str(tmp_path / "rec"))
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(data) in lines[0]
+        assert "Traceback" not in proc.stderr
+
+
 class TestVisibilityCommand:
     def test_full_aperture_report(self, workspace, tmp_path):
         rc = main(["visibility", "--config", str(workspace["cfg"]), "--out", str(tmp_path)])
@@ -446,3 +581,27 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL adjoint_small" in out
+
+    def test_registry(self):
+        names = [name for name, _, _ in selftest.CHECKS]
+        assert len(set(names)) == len(names)
+        assert [name for name, level, _ in selftest.CHECKS if level == "quick"] == [
+            "adjoint_small", "adjoint_large", "ray_straight_line", "ray_hamiltonian",
+            "energy_conservation", "pml_reflection"]
+        assert {level for _, level, _ in selftest.CHECKS} == {"quick", "full"}
+
+    def test_full_level_runs_each_study_once(self, monkeypatch, capsys):
+        calls = []
+
+        def study(mode_kind, settings):
+            calls.append((mode_kind, settings))
+            out = {"ratios": [4.0, 4.0]}
+            if mode_kind == "large":
+                out["ratios_wrong"] = [1.0, 1.0]
+            return out
+
+        monkeypatch.setattr(selftest, "residual_refinement_study", study)
+        assert main(["selftest", "--level", "full"]) == 0
+        assert calls == [("small", SweepSettings(levels=3)), ("large", SweepSettings(levels=3))]
+        out = capsys.readouterr().out
+        assert "PASS residual_discrimination" in out and "9/9 checks passed" in out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,10 +37,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(L=1.5, n=64, pml_width=0.6)
 
-    def test_contains_circle(self):
-        g = make_grid(L=4.0, n=129, pml_width=0.5)
-        assert g.contains_circle(np.array([2.0, 0.0]), 0.8)
-        assert not g.contains_circle(np.array([3.0, 0.0]), 0.8)
+    @pytest.mark.parametrize("L, pml_width", [(math.nan, 0.5), (math.inf, 0.5), (3.6, math.nan)])
+    def test_rejects_non_finite(self, L, pml_width):
+        with pytest.raises(ValueError):
+            make_grid(L=L, n=64, pml_width=pml_width)
 
 
 class TestTransition:

@@ -13,7 +13,6 @@ from ringtat.wave import (
     choose_time_steps,
     default_sigma_max,
     energy,
-    init_state,
     laplacian,
     pml_profile,
     solve_forward,
@@ -86,7 +85,7 @@ class TestPmlProfile:
 class TestInitialState:
     def test_zero_phantom_gives_zero_state(self):
         _, sp = _setup()
-        s = init_state(np.zeros((64, 64)), sp, 0.01)
+        s = WaveSolver(sp, 0.01).init_state(np.zeros((64, 64)))
         assert not np.any(s.u_curr) and not np.any(s.u_prev)
 
     def test_centered_initial_velocity_is_exactly_zero(self):
@@ -101,7 +100,7 @@ class TestInitialState:
     def test_accepts_phantom_objects(self):
         g, sp = _setup(n=101)
         p = gaussian_phantom(g, sigma=0.15)
-        s = init_state(p, sp, 0.4 * cfl_limit(sp))
+        s = WaveSolver(sp, 0.4 * cfl_limit(sp)).init_state(p)
         assert np.array_equal(s.u_curr, p.f)
 
 
@@ -167,13 +166,13 @@ class TestStepping:
 class TestEnergy:
     def test_zero_state(self):
         _, sp = _setup()
-        s = init_state(np.zeros((64, 64)), sp, 0.01)
+        s = WaveSolver(sp, 0.01).init_state(np.zeros((64, 64)))
         assert energy(s, sp) == 0.0
 
     def test_initial_energy_is_gradient_energy(self):
         g, sp = _setup(n=101)
         f = gaussian_phantom(g, sigma=0.15).f
-        s = init_state(f, sp, 0.3 * cfl_limit(sp))
+        s = WaveSolver(sp, 0.3 * cfl_limit(sp)).init_state(f)
         gx = np.diff(f, axis=0) / g.h
         gy = np.diff(f, axis=1) / g.h
         ref = 0.5 * g.h**2 * (np.sum(gx**2) + np.sum(gy**2))
