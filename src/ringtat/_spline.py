@@ -17,8 +17,9 @@ step past the grid follow the linear ghost rule c[-1] = 2c[0] - c[1] and
 c[n] = 2c[n-1] - c[n-2], so constants and linear functions are reproduced
 on every cell.  Cubic polynomials are reproduced on cells whose stencil
 stays two nodes inside, and the error on smooth fields is fourth order.
-No global solve is involved, so apply and apply_T are a few slice
-operations plus one sparse product each, and they are exact matrix
+No global solve is involved, and the whole map is fixed: the prefilter is
+folded into the weight matrix once, at build time, so apply and apply_T are
+one sparse product each with the same matrix and are exact matrix
 transposes of each other.  A C2 interpolant keeps the sampling error
 smooth in the geometry parameters (piecewise-linear interpolation has O(h)
 derivative kinks at every cell edge, which pollutes grid-refinement
@@ -169,32 +170,24 @@ class SplineField:
         return out[:, 0], out[:, 1:]
 
 
-# [:-2], [1:-1] and [2:] along axis 0 and along axis 1
-_SHIFTS = {
-    0: (np.s_[:-2], np.s_[1:-1], np.s_[2:]),
-    1: (np.s_[:, :-2], np.s_[:, 1:-1], np.s_[:, 2:]),
-}
+def _prefilter(n: int) -> csr_matrix:
+    """Q x Q, the quasi-interpolant prefilter along both axes, as one
+    (n^2, n^2) CSR matrix on C-order flat indices.
 
-
-def _prefilter(u: np.ndarray, axis: int) -> np.ndarray:
-    """Quasi-interpolant coefficients along one axis:
-    c[i] = (-u[i-1] + 8 u[i] - u[i+1]) / 6 inside and c = u in the end rows,
-    which is the same stencil after extrapolating u[-1] = 2u[0] - u[1]."""
-    lo, mid, hi = _SHIFTS[axis]
-    c = u.copy()
-    c[mid] = (8.0 * u[mid] - u[lo] - u[hi]) / 6.0
-    return c
-
-
-def _prefilter_T(v: np.ndarray, axis: int) -> np.ndarray:
-    """Exact transpose of _prefilter."""
-    lo, mid, hi = _SHIFTS[axis]
-    s = v[mid] / 6.0
-    out = v.copy()
-    out[mid] = 8.0 * s
-    out[lo] -= s
-    out[hi] -= s
-    return out
+    Along one axis c[i] = (-u[i-1] + 8 u[i] - u[i+1]) / 6 inside and c = u in
+    the end rows (the same stencil after extrapolating u[-1] = 2u[0] - u[1]).
+    Built directly, 9 entries per row, because scipy's kron goes through COO
+    arrays that would set the build's peak memory; end rows pad their three
+    slots with zero weights on clipped, repeated columns.
+    """
+    cols = np.clip(np.arange(n, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32),
+                   0, n - 1)
+    vals = np.tile(np.array([-1.0, 8.0, -1.0]) / 6.0, (n, 1))
+    vals[[0, -1]] = 0.0, 1.0, 0.0
+    data = (vals[:, None, :, None] * vals[None, :, None, :]).ravel()
+    indices = (cols[:, None, :, None] * n + cols[None, :, None, :]).ravel()
+    indptr = np.arange(0, 9 * n * n + 1, 9, dtype=np.int32)
+    return csr_matrix((data, indices, indptr), shape=(n * n, n * n))
 
 
 # Ghost folding on the edge cells, as maps from the weights on c[i-1 .. i+2]
@@ -232,16 +225,44 @@ def _axis_weights(q: np.ndarray, x0: float, h: float, n: int):
     return np.clip(i - 1, 0, n - 4).astype(np.int32), w
 
 
+def _point_weights(pts, rows, weights, x0: float, h: float, n: int, n_rows: int) -> csr_matrix:
+    """W: each point's 4x4 block of B-spline weights on the coefficients,
+    times its weight, summed into output row ``rows``.
+
+    CSR straight from the points grouped by row (stable, so each row keeps
+    its point order and equal rows of two samplers sum alike), 16 entries
+    per point, then duplicates summed in place: no COO or transpose copies,
+    so the transient memory is about W itself.
+    """
+    order = np.argsort(rows, kind="stable")
+    jx, wx = _axis_weights(pts[order, 0], x0, h, n)
+    jy, wy = _axis_weights(pts[order, 1], x0, h, n)
+    wx *= weights[order, None]
+    offsets = np.arange(4, dtype=np.int32)
+    ix = (jx[:, None] + offsets) * n
+    cols = ix[:, :, None] + (jy[:, None] + offsets)[:, None, :]
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(16 * np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    w = csr_matrix(
+        ((wx[:, :, None] * wy[:, None, :]).ravel(), cols.ravel(), indptr),
+        shape=(n_rows, n * n),
+    )
+    w.sum_duplicates()
+    return w
+
+
 class BicubicSampler:
-    """Fixed linear map m = W Q u from a grid function to weighted point
-    sums through the cubic B-spline quasi-interpolant, with an exact
+    """Fixed linear map m = W (Q x Q) u from a grid function to weighted
+    point sums through the cubic B-spline quasi-interpolant, with an exact
     transpose.
 
-    ``Q`` is the separable prefilter (``_prefilter`` along both axes) and
-    ``W`` one CSR matrix holding each point's 4x4 block of B-spline weights
-    times its ``weight``, summed into output row ``row`` (points sharing a
-    row accumulate).  apply/apply_T are exact matrix transposes of each
-    other (plain Euclidean inner products, no grid weights).
+    ``Q`` is the prefilter along one axis (``_prefilter`` builds ``Q x Q``)
+    and ``W`` holds each point's 4x4 block of B-spline weights times its ``weight``, summed
+    into output row ``row`` (points sharing a row accumulate).  The sampler
+    stores only the product ``W (Q x Q)``, one CSR matrix formed once in the
+    constructor, so apply is one product with it and apply_T one product
+    with its transpose view (plain Euclidean inner products, no grid
+    weights).
     """
 
     def __init__(
@@ -269,28 +290,14 @@ class BicubicSampler:
         if k and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise ValueError(f"rows must lie in [0, {self.n_rows})")
 
-        # CSR straight from the points grouped by row (stable, so each row
-        # keeps its point order and equal rows of two samplers sum alike),
-        # 16 entries per point, then duplicates summed in place: no COO or
-        # transpose copies, so the transient memory is about W itself
-        order = np.argsort(rows, kind="stable")
-        jx, wx = _axis_weights(pts[order, 0], self.x0, self.h, self.n)
-        jy, wy = _axis_weights(pts[order, 1], self.x0, self.h, self.n)
-        wx *= weights[order, None]
-        offsets = np.arange(4, dtype=np.int32)
-        ix = (jx[:, None] + offsets) * self.n
-        cols = ix[:, :, None] + (jy[:, None] + offsets)[:, None, :]
-        indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
-        np.cumsum(16 * np.bincount(rows, minlength=self.n_rows), out=indptr[1:])
-        self._w = csr_matrix(
-            ((wx[:, :, None] * wy[:, None, :]).ravel(), cols.ravel(), indptr),
-            shape=(self.n_rows, self.n * self.n),
-        )
-        self._w.sum_duplicates()
+        # W is built in a helper so that its transient arrays are freed
+        # before the product; a sparse product has no duplicate entries
+        w = _point_weights(pts, rows, weights, self.x0, self.h, self.n, self.n_rows)
+        self._w = w @ _prefilter(self.n)
+        self._w.sort_indices()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self._w @ _prefilter(_prefilter(u, 0), 1).ravel()
+        return self._w @ u.ravel()
 
     def apply_T(self, m: np.ndarray) -> np.ndarray:
-        v = (self._w.T @ m).reshape(self.n, self.n)
-        return _prefilter_T(_prefilter_T(v, 1), 0)
+        return (self._w.T @ m).reshape(self.n, self.n)

@@ -49,8 +49,10 @@ lattice), ``selftest`` (the check registry of ``ringtat.selftest``).  This
 module only parses, dispatches and does artifact IO.  Exit codes: 0
 success, 1 check failure, 2 usage, config or input-file error (a malformed
 array file or sidecar, or a sinogram with a NaN or infinite entry, is
-rejected before any solve), 3 solver failure (divergence, breakdown,
-non-finite values).
+rejected before any solve; so is a path that names a directory where a file
+belongs, as ``--data`` may, or a file where a directory belongs, as
+``--out`` may), 3 solver failure (divergence, breakdown, non-finite
+values).
 
 Array artifacts use a fixed binary format (magic ``TATARR1``, version byte,
 dtype byte for little-endian float64, rank byte, uint64 dims, row-major
@@ -343,13 +345,15 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         if base == "gaussian":
             if len(vals) not in (3, 4):
                 raise ConfigError(f"[phantom] {key}: expected 'cx cy sigma [amp]'")
-            components.append(GaussianComponent(center=(vals[0], vals[1]), sigma=vals[2],
-                                                amp=vals[3] if len(vals) == 4 else 1.0))
+            kind = GaussianComponent
         else:
             if len(vals) not in (4, 5):
                 raise ConfigError(f"[phantom] {key}: expected 'cx cy radius taper [amp]'")
-            components.append(DiscComponent(center=(vals[0], vals[1]), radius=vals[2],
-                                            taper=vals[3], amp=vals[4] if len(vals) == 5 else 1.0))
+            kind = DiscComponent
+        try:
+            components.append(kind((vals[0], vals[1]), *vals[2:]))
+        except ValueError as exc:
+            raise ConfigError(f"[phantom] {key}: {exc}") from exc
     phantom_spec = PhantomSpec(components)
 
     det = sections["detector"]
@@ -804,8 +808,9 @@ def main(argv=None) -> int:
     except (ConfigError, ArrayFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        # a missing path, or a file where a directory belongs (or the reverse)
+        print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

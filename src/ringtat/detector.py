@@ -145,28 +145,6 @@ def _require_clear_of_band(points: np.ndarray, grid) -> None:
         )
 
 
-def ring_average(u, config: DetectorConfig, theta: float, grid=None) -> float:
-    """Discrete circular mean of a field over one detector circle.
-
-    ``u`` is either a callable u(x, y) evaluated exactly at the quadrature
-    nodes, or an (n, n) grid array interpolated bicubically (then ``grid``
-    is required).  Uniform nodes on a periodic smooth integrand make this
-    the trapezoid rule, so the quadrature error decays faster than any
-    power of 1/n_alpha for callable fields.
-    """
-    pts = detector_points(config, theta)
-    if callable(u):
-        vals = u(pts[:, 0], pts[:, 1])
-        return float(np.mean(vals))
-    if grid is None:
-        raise ValueError("grid is required to average a sampled field")
-    _require_clear_of_band(pts, grid)
-    from ._spline import SplineField
-
-    sf = SplineField(-grid.L, grid.h, np.asarray(u, dtype=float))
-    return float(np.mean(sf.value(pts)))
-
-
 # ---------------------------------------------------------------------------
 # data containers
 
@@ -270,6 +248,11 @@ def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int, dt: 
         if k % 100 == 0:
             _check_finite(s, k)
         out[k] = sampler.apply(s.u_curr)
+    # the periodic check above never runs on records of 100 levels or fewer
+    bad = ~np.isfinite(out)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * dt:g})")
     return out
 
 

@@ -142,10 +142,6 @@ class SpeedField:
     def max_c(self) -> float:
         return float(np.max(self.c))
 
-    @property
-    def min_c(self) -> float:
-        return float(np.min(self.c))
-
 
 # permissive bound used only to reject wildly rough fields
 _SPEED_LAPLACIAN_BOUND = 1.0e3
@@ -192,6 +188,14 @@ def sample_speed(spec: SpeedSpec, grid: Grid2D) -> SpeedField:
 # phantoms
 
 
+def _require_finite(**values) -> None:
+    """Reject NaN and +-inf: a NaN passes every later comparison and would
+    reach the solver."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} = {value} must be finite")
+
+
 @dataclass(frozen=True)
 class GaussianComponent:
     """Gaussian bump, smoothly truncated so the support is exactly 4*sigma."""
@@ -199,6 +203,11 @@ class GaussianComponent:
     center: tuple[float, float]
     sigma: float
     amp: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(center=self.center, sigma=self.sigma, amp=self.amp)
+        if not self.sigma > 0:
+            raise ValueError("gaussian sigma must be positive")
 
     @property
     def support_radius(self) -> float:
@@ -213,6 +222,12 @@ class DiscComponent:
     radius: float
     taper: float
     amp: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(center=self.center, radius=self.radius, taper=self.taper,
+                        amp=self.amp)
+        if not self.taper > 0:
+            raise ValueError("disc taper must be positive")
 
     @property
     def support_radius(self) -> float:
@@ -272,10 +287,6 @@ def make_phantom(
                 f"phantom component reaches |x| = {reach:g} > {1 - margin:g}; "
                 "support must stay strictly inside the unit disc"
             )
-        if isinstance(comp, DiscComponent) and comp.taper <= 0:
-            raise ValueError("disc taper must be positive")
-        if isinstance(comp, GaussianComponent) and comp.sigma <= 0:
-            raise ValueError("gaussian sigma must be positive")
         f += _component_values(comp, X, Y)
     return Phantom(grid=grid, f=f, support_margin=margin)
 
@@ -289,21 +300,6 @@ def gaussian_phantom(
 ) -> Phantom:
     return make_phantom(
         PhantomSpec([GaussianComponent(center=center, sigma=sigma, amp=amp)]),
-        grid,
-        margin=margin,
-    )
-
-
-def disc_phantom(
-    grid: Grid2D,
-    center: tuple[float, float] = (0.0, 0.0),
-    radius: float = 0.3,
-    taper: float = 0.1,
-    amp: float = 1.0,
-    margin: float = DEFAULT_SUPPORT_MARGIN,
-) -> Phantom:
-    return make_phantom(
-        PhantomSpec([DiscComponent(center=center, radius=radius, taper=taper, amp=amp)]),
         grid,
         margin=margin,
     )

@@ -70,6 +70,15 @@ def _run_cli(*argv):
                           capture_output=True, text=True, env=env, timeout=300)
 
 
+def _one_error_line(proc, code):
+    """The process exited with ``code`` after one ``error:`` line; returns it."""
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One forward solve shared by the command tests."""
@@ -401,6 +410,38 @@ class TestForwardCommand:
             outs.append((out / "sinogram.tat").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("line", ["disc.1 = 0 0 nan 0.1", "gaussian.1 = 0.2 inf 0.18",
+                                      "gaussian.1 = 0.2 -0.1 0.18 nan"])
+    def test_non_finite_phantom_exits_2_naming_the_key(self, tmp_path, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("gaussian.1 = 0.2 -0.1 0.18", line)
+                       .replace("t = 4.0", "t = 2.0"))
+        proc = _run_cli("forward", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        err = _one_error_line(proc, 2)
+        assert f"[phantom] {line.split()[0]}:" in err and "finite" in err
+        assert not (tmp_path / "out" / "sinogram.tat").exists()
+
+    def test_overflowing_short_record_exits_3(self, tmp_path):
+        # finite at load, but the field overflows within the first 100 levels,
+        # before the solver's periodic finiteness check would run
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("gaussian.1 = 0.2 -0.1 0.18", "gaussian.1 = 0 0 0.1 1e308")
+                       .replace("t = 4.0", "t = 2.0"))
+        proc = _run_cli("forward", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        # numpy's overflow warnings come first; the error is the last line
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("error: recorded data not finite")
+        assert not (tmp_path / "out" / "sinogram.tat").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = _run_cli("forward", "--config", str(cfg), "--out", str(taken))
+        assert str(taken) in _one_error_line(proc, 2)
+
     def test_missing_config_exits_2(self, capsys):
         rc = main(["forward", "--config", "/definitely/not/here.cfg"])
         assert rc == 2
@@ -502,6 +543,11 @@ class TestReconstructCommand:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "rec" / "estimate.tat").exists()
 
+
+    def test_data_naming_a_directory_exits_2(self, workspace, tmp_path):
+        proc = _run_cli("reconstruct", "--config", str(workspace["cfg"]), "--data", str(tmp_path),
+                        "--out", str(tmp_path / "rec"))
+        assert str(tmp_path) in _one_error_line(proc, 2)
 
     @pytest.mark.parametrize("sidecar", [b"[1, 2]", b"{not json", b'{"role": "\xff"}',
                                          b'{"detector": 5}'])

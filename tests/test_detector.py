@@ -18,7 +18,6 @@ from ringtat.detector import (
     cylinder_residual_small,
     detector_points,
     forward_operator,
-    ring_average,
     sweep_large_radius,
     sweep_small_radius,
     theta_grid,
@@ -108,38 +107,31 @@ class TestDetectorPoints:
 
 
 class TestRingAverage:
+    """The circle mean behind every reading: the uniform quadrature nodes of
+    ``detector_points`` and, on a sampled field, the first record level of
+    the forward map."""
+
     def test_constant_field(self):
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=64)
-        assert ring_average(lambda x, y: np.ones_like(x), cfg, 1.3) == 1.0
+        grid = make_grid(L=3.2, n=65)
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=5, n_alpha=64, T=0.02, nt=2)
+        first = forward_operator(np.ones((65, 65)), _speed(grid), cfg).data[0]
+        np.testing.assert_allclose(first, 1.0, rtol=0, atol=1e-14)
 
     def test_first_coordinate(self):
         # mean of x over a circle centered at (2, 0) is the center abscissa,
         # and the uniform cosine sum vanishes exactly in floating point too
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=128)
-        avg = ring_average(lambda x, y: x, cfg, 0.0)
+        avg = np.mean(detector_points(cfg, 0.0)[:, 0])
         assert abs(avg - 2.0) < 1e-13
 
     def test_quadrature_spectral_accuracy(self):
         """Trapezoid on a periodic smooth integrand: refining n_alpha four-fold
         moves the answer by less than 1e-10."""
-        def u(x, y):
-            return np.exp(-((x - 1.6) ** 2 + y**2))
+        def mean(n_alpha):
+            pts = detector_points(DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=n_alpha), 0.7)
+            return np.mean(np.exp(-((pts[:, 0] - 1.6) ** 2 + pts[:, 1] ** 2)))
 
-        mode = SmallMode(R=2.0, r=0.8)
-        coarse = ring_average(u, DetectorConfig(mode=mode, n_alpha=64), 0.7)
-        fine = ring_average(u, DetectorConfig(mode=mode, n_alpha=256), 0.7)
-        assert abs(coarse - fine) <= 1e-10
-
-    def test_sampled_field_requires_grid(self):
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8))
-        with pytest.raises(ValueError, match="grid"):
-            ring_average(np.zeros((33, 33)), cfg, 0.0)
-
-    def test_rejects_detector_in_absorbing_band(self):
-        grid = make_grid(L=3.0, n=97, pml_width=0.5)  # interior half width 2.5 < reach 2.8
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8))
-        with pytest.raises(ValueError, match="band"):
-            ring_average(np.zeros((97, 97)), cfg, 0.0, grid=grid)
+        assert abs(mean(64) - mean(256)) <= 1e-10
 
     def test_sampled_matches_callable(self):
         grid = make_grid(L=3.2, n=161)
@@ -148,10 +140,10 @@ class TestRingAverage:
         def u(x, y):
             return np.sin(0.9 * x) * np.cos(0.7 * y)
 
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=128)
-        exact = ring_average(u, cfg, 1.1)
-        interp = ring_average(u(X, Y), cfg, 1.1, grid=grid)
-        assert abs(exact - interp) < 1e-6
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=7, n_alpha=128, T=0.02, nt=2)
+        exact = [np.mean(u(*detector_points(cfg, th).T)) for th in theta_grid(cfg)]
+        sampled = forward_operator(u(X, Y), _speed(grid), cfg).data[0]
+        np.testing.assert_allclose(sampled, exact, rtol=0, atol=1e-6)
 
 
 class TestForwardOperator:

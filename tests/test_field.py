@@ -12,7 +12,6 @@ from ringtat.field import (
     Phantom,
     PhantomSpec,
     SpeedSpec,
-    disc_phantom,
     gaussian_phantom,
     make_grid,
     make_phantom,
@@ -21,6 +20,10 @@ from ringtat.field import (
     smooth_cutoff_eta,
     transition,
 )
+
+
+def _disc(grid, center=(0.0, 0.0), radius=0.3, taper=0.1, amp=1.0):
+    return make_phantom(PhantomSpec([DiscComponent(center, radius, taper, amp)]), grid)
 
 
 class TestGrid:
@@ -112,7 +115,7 @@ class TestSpeed:
         g = make_grid(L=2.0, n=101)
         sf = sample_speed(SpeedSpec(kind="radial_bump", amp=0.2), g)
         assert sf.max_c == pytest.approx(1.2, abs=1e-6)
-        assert sf.min_c >= 1.0
+        assert sf.c.min() >= 1.0
 
     def test_unknown_kind(self):
         g = make_grid(L=2.0, n=64)
@@ -122,7 +125,7 @@ class TestSpeed:
     def test_bounds(self):
         g = make_grid(L=2.0, n=129)
         sf = sample_speed(SpeedSpec(kind="sinusoidal"), g)
-        assert 0.7 - 1e-12 <= sf.min_c and sf.max_c <= 1.3 + 1e-12
+        assert 0.7 - 1e-12 <= sf.c.min() and sf.max_c <= 1.3 + 1e-12
 
 
 class TestPhantom:
@@ -144,7 +147,7 @@ class TestPhantom:
 
     def test_disc_plateau(self):
         g = make_grid(L=2.0, n=201)
-        p = disc_phantom(g, center=(0.1, 0.0), radius=0.3, taper=0.1, amp=2.0)
+        p = _disc(g, center=(0.1, 0.0), radius=0.3, taper=0.1, amp=2.0)
         X, Y = g.mesh()
         rho = np.hypot(X - 0.1, Y)
         assert np.all(p.f[rho <= 0.3] == 2.0)
@@ -153,16 +156,16 @@ class TestPhantom:
     def test_support_violation_rejected(self):
         g = make_grid(L=2.0, n=101)
         with pytest.raises(ValueError, match="support"):
-            disc_phantom(g, center=(0.5, 0.0), radius=0.4, taper=0.1)
+            _disc(g, center=(0.5, 0.0), radius=0.4, taper=0.1)
         with pytest.raises(ValueError, match="support"):
             gaussian_phantom(g, center=(0.8, 0.0), sigma=0.05)
 
     def test_support_margin_boundary(self):
         g = make_grid(L=2.0, n=101)
         # reach = 0.5 + 0.45 = 0.95 = 1 - margin: allowed
-        disc_phantom(g, center=(0.5, 0.0), radius=0.35, taper=0.1)
+        _disc(g, center=(0.5, 0.0), radius=0.35, taper=0.1)
         with pytest.raises(ValueError):
-            disc_phantom(g, center=(0.51, 0.0), radius=0.35, taper=0.1)
+            _disc(g, center=(0.51, 0.0), radius=0.35, taper=0.1)
 
     def test_multi_component_sum(self):
         g = make_grid(L=2.0, n=161)
@@ -174,8 +177,27 @@ class TestPhantom:
         )
         p = make_phantom(spec, g)
         p1 = gaussian_phantom(g, center=(0.3, 0.0), sigma=0.08)
-        p2 = disc_phantom(g, center=(-0.3, 0.1), radius=0.2, taper=0.08, amp=0.5)
+        p2 = _disc(g, center=(-0.3, 0.1), radius=0.2, taper=0.08, amp=0.5)
         assert np.allclose(p.f, p1.f + p2.f, atol=0)
+
+    @pytest.mark.parametrize("kind,args", [
+        (GaussianComponent, ((0.0, math.nan), 0.1)),
+        (GaussianComponent, ((0.0, 0.0), math.nan)),
+        (GaussianComponent, ((0.0, 0.0), 0.1, math.inf)),
+        (DiscComponent, ((math.inf, 0.0), 0.3, 0.1)),
+        (DiscComponent, ((0.0, 0.0), math.nan, 0.1)),
+        (DiscComponent, ((0.0, 0.0), 0.3, math.nan)),
+        (DiscComponent, ((0.0, 0.0), 0.3, 0.1, -math.inf)),
+    ])
+    def test_rejects_non_finite_parameters(self, kind, args):
+        with pytest.raises(ValueError, match="finite"):
+            kind(*args)
+
+    def test_rejects_non_positive_widths(self):
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianComponent((0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="taper"):
+            DiscComponent((0.0, 0.0), 0.3, -0.1)
 
     def test_empty_spec_is_zero_phantom(self):
         g = make_grid(L=2.0, n=64)
@@ -214,7 +236,7 @@ class TestCovector:
 
     def test_edges_come_in_opposite_pairs(self):
         g = make_grid(L=1.5, n=161)
-        p = disc_phantom(g, center=(0.2, 0.1), radius=0.25, taper=0.1)
+        p = _disc(g, center=(0.2, 0.1), radius=0.25, taper=0.1)
         cvs = phantom_edges(p, threshold=0.9, max_count=20)
         assert cvs and len(cvs) % 2 == 0
         for a, b in zip(cvs[0::2], cvs[1::2]):
@@ -224,7 +246,7 @@ class TestCovector:
 
     def test_edges_point_radially_for_disc(self):
         g = make_grid(L=1.5, n=201)
-        p = disc_phantom(g, center=(0.0, 0.0), radius=0.3, taper=0.1)
+        p = _disc(g, center=(0.0, 0.0), radius=0.3, taper=0.1)
         cvs = phantom_edges(p, threshold=0.95, max_count=16)
         for cv in cvs[0::2]:
             y = cv.y_arr
@@ -234,12 +256,12 @@ class TestCovector:
 
     def test_flat_phantom_has_no_edges(self):
         g = make_grid(L=1.5, n=64)
-        p = disc_phantom(g, radius=0.2, taper=0.1, amp=0.0)
+        p = _disc(g, radius=0.2, taper=0.1, amp=0.0)
         assert phantom_edges(p) == []
 
     def test_sign_flip_gives_same_covector_set(self):
         g = make_grid(L=1.5, n=101)
-        p = disc_phantom(g, center=(0.15, -0.1), radius=0.25, taper=0.1)
+        p = _disc(g, center=(0.15, -0.1), radius=0.25, taper=0.1)
         neg = Phantom(grid=g, f=-p.f, support_margin=p.support_margin)
         set_pos = {(c.y, c.xi) for c in phantom_edges(p, threshold=0.8)}
         set_neg = {(c.y, c.xi) for c in phantom_edges(neg, threshold=0.8)}

@@ -235,6 +235,52 @@ class TestBicubicSampler:
         rhs = np.sum(u * samp.apply_T(m))
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-12
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_apply_transpose_pair_smallest_grid(self, seed):
+        # n = 4: every cell is an edge cell, so both ghost folds and both
+        # identity end rows of the prefilter meet in one 4x4 block
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.3, 1.3, size=(60, 2))
+        rows = rng.integers(0, 5, size=60)
+        samp = BicubicSampler(0.0, 1.0 / 3.0, 4, pts, rows=rows, weights=rng.normal(size=60),
+                              n_rows=5)
+        u = rng.normal(size=(4, 4))
+        m = rng.normal(size=5)
+        lhs = np.dot(samp.apply(u), m)
+        rhs = np.sum(u * samp.apply_T(m))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(samp.apply(u)) * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_apply_T_is_the_transpose_of_apply(self, n):
+        rng = np.random.default_rng(n)
+        h = 1.0 / (n - 1)
+        pts = rng.uniform(-0.2, 1.2, size=(50, 2))
+        samp = BicubicSampler(0.0, h, n, pts, rows=np.arange(50) % 7, weights=rng.normal(size=50),
+                              n_rows=7)
+        dense = np.stack([samp.apply(e.reshape(n, n)) for e in np.eye(n * n)], axis=-1)
+        for r, e in enumerate(np.eye(7)):
+            np.testing.assert_array_equal(samp.apply_T(e).ravel(), dense[r])
+        m = rng.normal(size=7)
+        err = np.max(np.abs(samp.apply_T(m).ravel() - dense.T @ m))
+        assert err <= 1e-15 * np.max(np.abs(dense.T) @ np.abs(m))
+
+    def test_no_prefilter_per_call(self, monkeypatch):
+        import ringtat._spline as spline
+
+        rng = np.random.default_rng(4)
+        samp = self._random_sampler(rng)
+        u = rng.normal(size=(24, 24))
+        m = rng.normal(size=17)
+        want = samp.apply(u), samp.apply_T(m)
+
+        def refuse(*args):
+            raise AssertionError("the prefilter ran after construction")
+
+        monkeypatch.setattr(spline, "_prefilter", refuse)
+        np.testing.assert_array_equal(samp.apply(u), want[0])
+        np.testing.assert_array_equal(samp.apply_T(m), want[1])
+
     def test_matches_quasi_interpolant_oracle(self):
         rng = np.random.default_rng(9)
         g = rng.normal(size=(24, 24))
