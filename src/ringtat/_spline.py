@@ -79,12 +79,6 @@ def spline_coeffs_1d(g: np.ndarray, h: float, axis: int) -> np.ndarray:
 _CAST_LIMIT = 2.0**63
 
 
-def _contract(x0, x1, y0, y1, b00, b01, b10, b11) -> float:
-    """sum_ab x_a y_b B_ab in the rounding order of
-    einsum("ka,kb,kab->k") at k = 1 (k = 2 already rounds differently)."""
-    return ((x0 * y0) * b00 + (x0 * y1) * b01) + ((x1 * y0) * b10 + (x1 * y1) * b11)
-
-
 class SplineField:
     """Bicubic interpolant of one fixed grid function, for pointwise queries.
 
@@ -100,8 +94,13 @@ class SplineField:
     * cubes go through numpy array power (on AVX-512 builds Python ``**``
       and ``math.pow`` differ from it in the last bit for some inputs);
     * squares are plain products, as numpy computes ``a**2``;
-    * each 2x2 contraction sums in the fixed order of ``_contract``, and the
-      four coefficient terms add left to right (g, mx, my, mxy).
+    * each 2x2 contraction sum_ab u_a v_b B_ab rounds as einsum
+      ("ka,kb,kab->k") does at k = 1, ((00 + 01) + (10 + 11)) with each
+      term (u_a v_b) B_ab, and the four coefficient terms add left to right
+      (g, mx, my, mxy).  The kernel writes all twelve sums out inline.
+
+    A query of exactly one point calls the kernel directly; more points run
+    it in a loop.
     """
 
     def __init__(self, x0: float, h: float, values: np.ndarray):
@@ -139,22 +138,38 @@ class SplineField:
         dw0, dw1 = -1.0 / h, 1.0 / h
         dmx0, dmx1 = cd * (1.0 - 3.0 * (ax * ax)), cd * (3.0 * (xi * xi) - 1.0)
         dmy0, dmy1 = cd * (1.0 - 3.0 * (ay * ay)), cd * (3.0 * (yi * yi) - 1.0)
-        (b00, b01), (b10, b11) = self._coef[i : i + 2, j : j + 2].tolist()
-
-        def combine(px0, px1, qx0, qx1, py0, py1, qy0, qy1):
-            # p: weights on g, q: weights on the second derivatives
-            return (
-                _contract(px0, px1, py0, py1, b00[0], b01[0], b10[0], b11[0])
-                + _contract(qx0, qx1, py0, py1, b00[1], b01[1], b10[1], b11[1])
-                + _contract(px0, px1, qy0, qy1, b00[2], b01[2], b10[2], b11[2])
-                + _contract(qx0, qx1, qy0, qy1, b00[3], b01[3], b10[3], b11[3])
-            )
-
-        return (
-            combine(ax, xi, mx0, mx1, ay, yi, my0, my1),
-            combine(dw0, dw1, dmx0, dmx1, ay, yi, my0, my1),
-            combine(ax, xi, mx0, mx1, dw0, dw1, dmy0, dmy1),
+        # corner ab is node (i + a, j + b), holding g and its second
+        # derivatives sx = mx, sy = my and sxy = mxy
+        lo, hi = self._coef[i : i + 2, j : j + 2].tolist()
+        (g00, sx00, sy00, sxy00), (g01, sx01, sy01, sxy01) = lo
+        (g10, sx10, sy10, sxy10), (g11, sx11, sy11, sxy11) = hi
+        # keep the bracketing: it is einsum's rounding order (class docstring)
+        value = (
+            (((ax * ay) * g00 + (ax * yi) * g01) + ((xi * ay) * g10 + (xi * yi) * g11))
+            + (((mx0 * ay) * sx00 + (mx0 * yi) * sx01) + ((mx1 * ay) * sx10 + (mx1 * yi) * sx11))
+            + (((ax * my0) * sy00 + (ax * my1) * sy01) + ((xi * my0) * sy10 + (xi * my1) * sy11))
+            + (((mx0 * my0) * sxy00 + (mx0 * my1) * sxy01)
+               + ((mx1 * my0) * sxy10 + (mx1 * my1) * sxy11))
         )
+        grad_x = (
+            (((dw0 * ay) * g00 + (dw0 * yi) * g01) + ((dw1 * ay) * g10 + (dw1 * yi) * g11))
+            + (((dmx0 * ay) * sx00 + (dmx0 * yi) * sx01)
+               + ((dmx1 * ay) * sx10 + (dmx1 * yi) * sx11))
+            + (((dw0 * my0) * sy00 + (dw0 * my1) * sy01)
+               + ((dw1 * my0) * sy10 + (dw1 * my1) * sy11))
+            + (((dmx0 * my0) * sxy00 + (dmx0 * my1) * sxy01)
+               + ((dmx1 * my0) * sxy10 + (dmx1 * my1) * sxy11))
+        )
+        grad_y = (
+            (((ax * dw0) * g00 + (ax * dw1) * g01) + ((xi * dw0) * g10 + (xi * dw1) * g11))
+            + (((mx0 * dw0) * sx00 + (mx0 * dw1) * sx01)
+               + ((mx1 * dw0) * sx10 + (mx1 * dw1) * sx11))
+            + (((ax * dmy0) * sy00 + (ax * dmy1) * sy01)
+               + ((xi * dmy0) * sy10 + (xi * dmy1) * sy11))
+            + (((mx0 * dmy0) * sxy00 + (mx0 * dmy1) * sxy01)
+               + ((mx1 * dmy0) * sxy10 + (mx1 * dmy1) * sxy11))
+        )
+        return value, grad_x, grad_y
 
     def _points(self, pts: np.ndarray) -> np.ndarray:
         rows = np.asarray(pts, dtype=float).reshape(-1, 2).tolist()
@@ -166,6 +181,11 @@ class SplineField:
 
     def value_and_gradient(self, pts: np.ndarray):
         """Values (k,) and gradients (k, 2) at (k, 2) points."""
+        if len(pts) == 1:
+            # the ray tracer's query: one point, no array round trip
+            (x, y), = pts
+            v, gx, gy = self._point(float(x), float(y))
+            return np.array([v]), np.array([[gx, gy]])
         out = self._points(pts)
         return out[:, 0], out[:, 1:]
 
@@ -295,9 +315,12 @@ class BicubicSampler:
         w = _point_weights(pts, rows, weights, self.x0, self.h, self.n, self.n_rows)
         self._w = w @ _prefilter(self.n)
         self._w.sort_indices()
+        # the CSC transpose view shares the CSR arrays; held so that apply_T
+        # does not build and check a new view per call
+        self._w_T = self._w.T
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self._w @ u.ravel()
 
     def apply_T(self, m: np.ndarray) -> np.ndarray:
-        return (self._w.T @ m).reshape(self.n, self.n)
+        return (self._w_T @ m).reshape(self.n, self.n)

@@ -555,7 +555,6 @@ def cmd_reconstruct(args) -> int:
     from .recon import cg_normal, landweber, time_cutoff_chi
 
     cfg = load_experiment(args.config)
-    out = _out_dir(cfg, args)
     speed, phantom = _sample(cfg)
 
     data, sidecar = read_array(args.data)
@@ -583,6 +582,8 @@ def cmd_reconstruct(args) -> int:
             f"sinogram {args.data} has shape {data.shape}, "
             f"config {args.config} implies {(nt, cfg.detector.n_theta)}"
         )
+    # only valid input gets an output directory
+    out = _out_dir(cfg, args)
 
     cutoff = None
     if cfg.cutoff_end is not None:

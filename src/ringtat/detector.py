@@ -240,14 +240,17 @@ def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float
 def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int, dt: float,
                     pml: PmlProfile | None) -> np.ndarray:
     solver = WaveSolver(speed, dt, pml)
-    s = solver.init_state(f)
     out = np.empty((nt, sampler.n_rows))
-    out[0] = sampler.apply(s.u_curr)
-    for k in range(1, nt):
-        s = solver.step(s)
-        if k % 100 == 0:
-            _check_finite(s, k)
-        out[k] = sampler.apply(s.u_curr)
+    # an overflowing field is reported once, by the checks below, instead
+    # of by a numpy warning per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = solver.init_state(f)
+        out[0] = sampler.apply(s.u_curr)
+        for k in range(1, nt):
+            s = solver.step(s)
+            if k % 100 == 0:
+                _check_finite(s, k)
+            out[k] = sampler.apply(s.u_curr)
     # the periodic check above never runs on records of 100 levels or fewer
     bad = ~np.isfinite(out)
     if bad.any():

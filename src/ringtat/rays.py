@@ -109,36 +109,58 @@ def trace_geodesic(
     exterior continuation is an exact straight line.  A ray still inside the
     disc at t_max is reported as non-escaping.  The interpolant is queried
     once per RK4 stage and once at the start, one point per query.
+
+    The state is four Python floats: on 2-vectors numpy call overhead is the
+    whole cost of a stage.  Each vector expression is written per component
+    in numpy's evaluation order, so the states are bit for bit those of the
+    same loop on 2-arrays.  The two squared norms stay ``np.dot`` on a
+    2-array: numpy rounds that dot like ``fma(p1, p1, p0*p0)``, which
+    ``p0*p0 + p1*p1`` does not reproduce.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
     if t_max <= 0 or h_ray <= 0:
         raise ValueError("t_max and h_ray must be positive")
     sp = _speed_spline(speed) if _spline is None else _spline
+    query = sp.value_and_gradient
 
-    def deriv(x, p):
-        c, grad = sp.value_and_gradient(x[None, :])
+    def deriv(x0, x1, p0, p1):
+        c, grad = query(((x0, x1),))
         c = float(c[0])
-        dx = (c * c) * p
-        dp = -c * float(np.dot(p, p)) * grad[0]
-        return dx, dp
+        (g0, g1), = grad.tolist()
+        pp = np.array((p0, p1))
+        cc = c * c
+        s = -c * float(np.dot(pp, pp))
+        return cc * p0, cc * p1, s * g0, s * g1
 
-    x = start.y_arr.copy()
-    c0, _ = sp.value_and_gradient(x[None, :])
+    x = start.y_arr
+    x0, x1 = x.tolist()
+    c0, _ = query(((x0, x1),))
     c0 = float(c0[0])
-    p = sigma * start.xi_arr / c0
+    xi0, xi1 = start.xi_arr.tolist()
+    p0, p1 = sigma * xi0 / c0, sigma * xi1 / c0
     t = 0.0
-    states = [RayState(x=x.copy(), p=p.copy(), t=t)]
+    states = [RayState(x=x, p=np.array((p0, p1)), t=t)]
+    half = 0.5 * h_ray
+    sixth = h_ray / 6.0
     n_steps = int(math.ceil(t_max / h_ray))
     for _ in range(n_steps):
-        k1x, k1p = deriv(x, p)
-        k2x, k2p = deriv(x + 0.5 * h_ray * k1x, p + 0.5 * h_ray * k1p)
-        k3x, k3p = deriv(x + 0.5 * h_ray * k2x, p + 0.5 * h_ray * k2p)
-        k4x, k4p = deriv(x + h_ray * k3x, p + h_ray * k3p)
-        x_new = x + (h_ray / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p_new = p + (h_ray / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        # the four stages a .. d: (ax0, ax1) is a slope of x, (ap0, ap1) of p
+        ax0, ax1, ap0, ap1 = deriv(x0, x1, p0, p1)
+        bx0, bx1, bp0, bp1 = deriv(
+            x0 + half * ax0, x1 + half * ax1, p0 + half * ap0, p1 + half * ap1)
+        cx0, cx1, cp0, cp1 = deriv(
+            x0 + half * bx0, x1 + half * bx1, p0 + half * bp0, p1 + half * bp1)
+        dx0, dx1, dp0, dp1 = deriv(
+            x0 + h_ray * cx0, x1 + h_ray * cx1, p0 + h_ray * cp0, p1 + h_ray * cp1)
+        x0 = x0 + sixth * (ax0 + 2.0 * bx0 + 2.0 * cx0 + dx0)
+        x1 = x1 + sixth * (ax1 + 2.0 * bx1 + 2.0 * cx1 + dx1)
+        p0 = p0 + sixth * (ap0 + 2.0 * bp0 + 2.0 * cp0 + dp0)
+        p1 = p1 + sixth * (ap1 + 2.0 * bp1 + 2.0 * cp1 + dp1)
+        x_new = np.array((x0, x1))
+        p_new = np.array((p0, p1))
         t_new = t + h_ray
-        states.append(RayState(x=x_new.copy(), p=p_new.copy(), t=t_new))
+        states.append(RayState(x=x_new, p=p_new, t=t_new))
         if float(np.dot(x_new, x_new)) >= 1.0:
             # refine the unit-circle crossing on the segment [x, x_new];
             # the segment is straight to integrator accuracy
@@ -156,7 +178,7 @@ def trace_geodesic(
                 covector=start, sigma=sigma, c_start=c0, states=states,
                 escaped=True, x_exit=x_exit, t_exit=t + s * h_ray, v_exit=v,
             )
-        x, p, t = x_new, p_new, t_new
+        x, t = x_new, t_new
     return RayPath(covector=start, sigma=sigma, c_start=c0, states=states, escaped=False)
 
 

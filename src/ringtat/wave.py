@@ -377,14 +377,17 @@ def solve_forward(
     if dt is None or nt is None:
         nt, dt = choose_time_steps(speed, duration, cfl_safety)
     solver = WaveSolver(speed, dt, pml)
-    s = solver.init_state(f)
-    if probe is not None:
-        probe(0.0, s.u_curr)
-    for k in range(1, nt):
-        s = solver.step(s)
-        if k % _NAN_CHECK_EVERY == 0:
-            _check_finite(s, k)
+    # an overflowing field is reported once, by _check_finite, instead of by
+    # a numpy warning per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = solver.init_state(f)
         if probe is not None:
-            probe(s.t, s.u_curr)
+            probe(0.0, s.u_curr)
+        for k in range(1, nt):
+            s = solver.step(s)
+            if k % _NAN_CHECK_EVERY == 0:
+                _check_finite(s, k)
+            if probe is not None:
+                probe(s.t, s.u_curr)
     _check_finite(s, nt - 1)
     return s

@@ -39,7 +39,80 @@ def _random_covectors(count, rng, max_radius=0.9):
     return out
 
 
+def _vector_oracle(start, sp, sigma, t_max, h_ray):
+    """The RK4 loop on 2-arrays that the float-state tracer replaced, with
+    the spline read through its multi-point path: states
+    [(x, p, t)], c_start and (escaped, x_exit, t_exit, v_exit)."""
+
+    def deriv(x, p):
+        out = sp._points(x[None, :])
+        c = float(out[0, 0])
+        dx = (c * c) * p
+        dp = -c * float(np.dot(p, p)) * out[0, 1:]
+        return dx, dp
+
+    x = start.y_arr.copy()
+    c0 = float(sp._points(x[None, :])[0, 0])
+    p = sigma * start.xi_arr / c0
+    t = 0.0
+    states = [(x.copy(), p.copy(), t)]
+    for _ in range(int(math.ceil(t_max / h_ray))):
+        k1x, k1p = deriv(x, p)
+        k2x, k2p = deriv(x + 0.5 * h_ray * k1x, p + 0.5 * h_ray * k1p)
+        k3x, k3p = deriv(x + 0.5 * h_ray * k2x, p + 0.5 * h_ray * k2p)
+        k4x, k4p = deriv(x + h_ray * k3x, p + h_ray * k3p)
+        x_new = x + (h_ray / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p_new = p + (h_ray / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        t_new = t + h_ray
+        states.append((x_new.copy(), p_new.copy(), t_new))
+        if float(np.dot(x_new, x_new)) >= 1.0:
+            d = x_new - x
+            a = float(np.dot(d, d))
+            b = float(np.dot(x, d))
+            cc = float(np.dot(x, x)) - 1.0
+            s = (-b + math.sqrt(max(b * b - a * cc, 0.0))) / a if a > 0 else 1.0
+            x_exit = x + s * d
+            nrm = float(np.hypot(x_exit[0], x_exit[1]))
+            if nrm > 0:
+                x_exit = x_exit / nrm
+            v = p_new / float(np.hypot(p_new[0], p_new[1]))
+            return states, c0, (True, x_exit, t + s * h_ray, v)
+        x, p, t = x_new, p_new, t_new
+    return states, c0, (False, None, None, None)
+
+
+def _bits(*values):
+    return np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in values]).view(np.int64)
+
+
 class TestTrace:
+    def _assert_matches_oracle(self, cv, speed, sigma, t_max):
+        sp = _speed_spline(speed)
+        path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max, _spline=sp)
+        states, c0, (escaped, x_exit, t_exit, v_exit) = _vector_oracle(
+            cv, sp, sigma, t_max, rays.DEFAULT_RAY_STEP)
+        assert path.escaped == escaped and len(path.states) == len(states)
+        got = np.concatenate([_bits(s.x, s.p, s.t) for s in path.states])
+        want = np.concatenate([_bits(*s) for s in states])
+        np.testing.assert_array_equal(got, want)
+        assert _bits(path.c_start) == _bits(c0)
+        if escaped:
+            np.testing.assert_array_equal(_bits(path.x_exit, path.t_exit, path.v_exit),
+                                          _bits(x_exit, t_exit, v_exit))
+        else:
+            assert path.x_exit is None and path.t_exit is None and path.v_exit is None
+        return path
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_float_state_bitwise_equals_vector_oracle(self, sigma):
+        speed = _speed()
+        for cv in _random_covectors(24, np.random.default_rng(30 + sigma)):
+            assert self._assert_matches_oracle(cv, speed, sigma, t_max=3.0).escaped
+
+    def test_non_escaping_ray_bitwise_equals_vector_oracle(self):
+        cv = Covector(y=(0.1, -0.05), xi=(0.6, 0.8))
+        assert not self._assert_matches_oracle(cv, _speed(), 1, t_max=0.05).escaped
+
     def test_straight_line_at_unit_speed(self):
         """Constant speed: the traced ray is the straight line x(t) = y + t*xi,
         exactly, and the exterior continuation extends it."""

@@ -195,6 +195,21 @@ class TestSplineField:
         empty_v, empty_g = sf.value_and_gradient(np.zeros((0, 2)))
         assert empty_v.shape == (0,) and empty_g.shape == (0, 2)
 
+    def test_one_point_fast_path_equals_the_loop(self):
+        rng = np.random.default_rng(22)
+        n, x0, h = 33, -2.0, 0.125
+        sf = SplineField(x0, h, rng.normal(size=(n, n)))
+        pts = np.concatenate([
+            rng.uniform(x0, x0 + (n - 1) * h, size=(300, 2)),  # in the grid
+            rng.uniform(-30.0, 30.0, size=(300, 2)),  # mostly off the grid
+        ])
+        for q in pts:
+            want = sf._points(q[None, :])
+            for query in (q[None, :], (tuple(q.tolist()),)):
+                v, g = sf.value_and_gradient(query)
+                assert v.shape == (1,) and g.shape == (1, 2)
+                np.testing.assert_array_equal(_bits(v, g), _bits(want[:, 0], want[:, 1:]))
+
     @pytest.mark.parametrize(
         "q", [(np.inf, 0.3), (-np.inf, 0.3), (0.3, np.inf), (0.3, -np.inf), (np.nan, 0.3)]
     )
@@ -280,6 +295,24 @@ class TestBicubicSampler:
         monkeypatch.setattr(spline, "_prefilter", refuse)
         np.testing.assert_array_equal(samp.apply(u), want[0])
         np.testing.assert_array_equal(samp.apply_T(m), want[1])
+
+    def test_no_transpose_per_call(self, monkeypatch):
+        from scipy.sparse import csr_matrix
+
+        rng = np.random.default_rng(5)
+        samp = self._random_sampler(rng)
+        m = rng.normal(size=17)
+        want = samp.apply_T(m)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matrix was transposed after construction")
+
+        monkeypatch.setattr(csr_matrix, "transpose", refuse)
+        np.testing.assert_array_equal(samp.apply_T(m), want)
+        # the held view costs no memory: it shares the matrix's arrays
+        w, w_T = samp._w, samp._w_T
+        assert all(np.shares_memory(a, b) for a, b in
+                   ((w.data, w_T.data), (w.indices, w_T.indices), (w.indptr, w_T.indptr)))
 
     def test_matches_quasi_interpolant_oracle(self):
         rng = np.random.default_rng(9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,3 +386,11 @@ class TestSolveForward:
         _, sp = _setup()
         with pytest.raises(FloatingPointError):
             solve_forward(np.full((64, 64), np.nan), sp, 0.05)
+
+    def test_overflow_raises_without_numpy_warnings(self):
+        g, sp = _setup()
+        f = 1e308 * gaussian_phantom(g, sigma=0.1).f
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                solve_forward(f, sp, 0.05)
