@@ -70,6 +70,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import struct
 import sys
@@ -269,6 +270,13 @@ def _floats(value: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _positive(value: str) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"expected a finite positive number, got {value}")
+    return x
+
+
 def _angle_pair(value: str) -> tuple[float, float]:
     vals = _floats(value)
     if len(vals) != 2:
@@ -412,7 +420,7 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         window=_get(ap, "window", _time_pair, section="aperture"),
         method=method,
         iters=_get(rc, "iters", int, 15, "recon"),
-        step=_get(rc, "step", float, None, "recon"),
+        step=_get(rc, "step", _positive, None, "recon"),
         tol=_get(rc, "tol", float, 1e-6, "recon"),
         tikhonov=_get(rc, "tikhonov", float, 0.0, "recon"),
         seed=_get(rn, "seed", int, 0, "run"),
@@ -449,14 +457,6 @@ def _sample(cfg: ExperimentConfig):
     speed = sample_speed(cfg.speed_spec, cfg.grid)
     phantom = make_phantom(cfg.phantom_spec, cfg.grid)
     return speed, phantom
-
-
-def _pml(cfg: ExperimentConfig):
-    from .wave import pml_profile
-
-    if cfg.grid.pml_width == 0.0:
-        return None
-    return pml_profile(cfg.grid)
 
 
 def _detector_meta(cfg: ExperimentConfig, speed) -> dict:
@@ -505,7 +505,7 @@ def cmd_forward(args) -> int:
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
     speed, phantom = _sample(cfg)
-    sino = forward_operator(phantom.f, speed, cfg.detector, pml=_pml(cfg))
+    sino = forward_operator(phantom.f, speed, cfg.detector)
     data = sino.data.copy()
     seed = _seed(cfg, args)
     if cfg.noise_rel > 0.0:
@@ -589,14 +589,12 @@ def cmd_reconstruct(args) -> int:
     if cfg.cutoff_end is not None:
         cutoff = time_cutoff_chi(cfg.plateau, cfg.cutoff_end, nt, dt)
 
-    pml = _pml(cfg)
     if cfg.method == "landweber":
-        result = landweber(data, speed, cfg.detector, pml=pml, iters=cfg.iters,
-                           step=cfg.step, cutoff=cutoff, tol=cfg.tol,
-                           tikhonov=cfg.tikhonov)
+        result = landweber(data, speed, cfg.detector, iters=cfg.iters, step=cfg.step,
+                           cutoff=cutoff, tol=cfg.tol, tikhonov=cfg.tikhonov)
     else:
-        result = cg_normal(data, speed, cfg.detector, pml=pml, iters=cfg.iters,
-                           tol=cfg.tol, cutoff=cutoff, tikhonov=cfg.tikhonov)
+        result = cg_normal(data, speed, cfg.detector, iters=cfg.iters, tol=cfg.tol,
+                           cutoff=cutoff, tikhonov=cfg.tikhonov)
 
     est = result.estimate.f
     pgm_path = out / "estimate.pgm"

@@ -8,8 +8,9 @@ the unit circle, r >= 2).  Either way every detector point keeps distance
 at least 1 from the origin.
 
 The forward map, radius sweeps and the exact adjoint all drive the wave
-module; sampling goes through the shared bicubic machinery so the adjoint
-identity holds to machine precision.
+module, which damps the field in the grid's absorbing band (its
+``pml_width``; none when that is 0); sampling goes through the shared
+bicubic machinery so the adjoint identity holds to machine precision.
 
 The sweep data families satisfy cylinder wave equations in the sweep
 variable; the residual operations evaluate those equations with centered
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._spline import BicubicSampler
 from .field import SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from .wave import WaveSolver, PmlProfile, choose_time_steps, pml_profile, _check_finite
+from .wave import WaveSolver, choose_time_steps, _check_finite
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,10 +54,6 @@ class SmallMode:
     def center_radius(self) -> float:
         return self.R
 
-    @property
-    def reach(self) -> float:
-        return self.R + self.r
-
 
 @dataclass(frozen=True)
 class LargeMode:
@@ -69,15 +66,9 @@ class LargeMode:
         if self.r < 2.0 - 1e-12:
             raise ValueError(f"large-detector geometry needs r >= 2, got r = {self.r:g}")
 
-    R = 1.0
-
     @property
     def center_radius(self) -> float:
         return 1.0
-
-    @property
-    def reach(self) -> float:
-        return 1.0 + self.r
 
 
 @dataclass(frozen=True)
@@ -237,9 +228,9 @@ def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float
     return nt, dt
 
 
-def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int, dt: float,
-                    pml: PmlProfile | None) -> np.ndarray:
-    solver = WaveSolver(speed, dt, pml)
+def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
+                    dt: float) -> np.ndarray:
+    solver = WaveSolver(speed, dt)
     out = np.empty((nt, sampler.n_rows))
     # an overflowing field is reported once, by the checks below, instead
     # of by a numpy warning per operation
@@ -259,22 +250,15 @@ def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int, dt: 
     return out
 
 
-def forward_operator(
-    f, speed: SpeedField, config: DetectorConfig, pml: PmlProfile | None = None
-) -> Sinogram:
+def forward_operator(f, speed: SpeedField, config: DetectorConfig) -> Sinogram:
     """The measurement map: one wave solve, every detector read at every level."""
     sampler = _detector_sampler(speed.grid, config)
     nt, dt = _time_lattice(speed, config)
-    data = _record_forward(f, speed, sampler, nt, dt, pml)
+    data = _record_forward(f, speed, sampler, nt, dt)
     return Sinogram(data=data, dt=dt, thetas=theta_grid(config), config=config)
 
 
-def adjoint_operator(
-    data: np.ndarray,
-    speed: SpeedField,
-    config: DetectorConfig,
-    pml: PmlProfile | None = None,
-) -> np.ndarray:
+def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
     """Exact transpose of forward_operator, mapping a sinogram-shaped array
     back to an image.
 
@@ -287,7 +271,7 @@ def adjoint_operator(
     data = np.asarray(data, dtype=float)
     if data.shape != (nt, sampler.n_rows):
         raise ValueError(f"data shape {data.shape} does not match lattice {(nt, sampler.n_rows)}")
-    solver = WaveSolver(speed, dt, pml)
+    solver = WaveSolver(speed, dt)
     w = solver.zero_state()
     for k in range(nt - 1, -1, -1):
         w.u_curr = w.u_curr + sampler.apply_T(data[k])
@@ -296,13 +280,7 @@ def adjoint_operator(
     return solver.init_state_T(w)
 
 
-def sweep_small_radius(
-    f,
-    speed: SpeedField,
-    config: DetectorConfig,
-    R_values,
-    pml: PmlProfile | None = None,
-) -> RadiusSweep:
+def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -> RadiusSweep:
     """Record the small-geometry family P(t, theta, R) over center radii.
 
     One wave solve serves every R: the detectors are passive probes of the
@@ -317,18 +295,12 @@ def sweep_small_radius(
     thetas = theta_grid(config)
     sampler = _build_sampler(speed.grid, Rs, r, thetas, config.n_alpha)
     nt, dt = _time_lattice(speed, config)
-    flat = _record_forward(f, speed, sampler, nt, dt, pml)
+    flat = _record_forward(f, speed, sampler, nt, dt)
     data = flat.reshape(nt, thetas.size, Rs.size)
     return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=Rs, variable="center", config=config)
 
 
-def sweep_large_radius(
-    f,
-    speed: SpeedField,
-    config: DetectorConfig,
-    r_values,
-    pml: PmlProfile | None = None,
-) -> RadiusSweep:
+def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -> RadiusSweep:
     """Record the large-geometry family P(t, theta, r) over detector radii."""
     if not isinstance(config.mode, LargeMode):
         raise ValueError("detector-radius sweep requires the large-detector mode")
@@ -338,7 +310,7 @@ def sweep_large_radius(
     thetas = theta_grid(config)
     sampler = _build_sampler(speed.grid, 1.0, rs, thetas, config.n_alpha)
     nt, dt = _time_lattice(speed, config)
-    flat = _record_forward(f, speed, sampler, nt, dt, pml)
+    flat = _record_forward(f, speed, sampler, nt, dt)
     data = flat.reshape(nt, thetas.size, rs.size)
     return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=rs, variable="detector", config=config)
 
@@ -461,7 +433,7 @@ def residual_refinement_study(
         radii = [s.base_radius - dr, s.base_radius, s.base_radius + dr]
         config = DetectorConfig(mode=mode, n_theta=s.base_n_theta * scale, n_alpha=n_alpha,
                                 T=s.duration, nt=nt)
-        sweep = record(phantom.f, speed, config, radii, pml=pml_profile(grid))
+        sweep = record(phantom.f, speed, config, radii)
         resid = residual(sweep)
         times = sweep.dt * np.arange(1, nt - 1)
         sel = (times >= s.window[0]) & (times <= s.window[1])

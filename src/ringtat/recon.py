@@ -10,6 +10,8 @@ construction.
 
 The adjoint used throughout is the exact discrete transpose of the forward
 map, so convergence statements about the discrete system hold verbatim.
+Both maps damp the field in the grid's absorbing band (its ``pml_width``;
+none when that is 0), so no solver here takes a damping argument.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .detector import (
     theta_grid,
 )
 from .field import Phantom, SpeedField, transition
-from .wave import PmlProfile, laplacian
+from .wave import laplacian
 
 __all__ = [
     "TimeCutoff",
@@ -57,7 +59,7 @@ def time_cutoff_chi(T: float, T1: float, nt: int, dt: float) -> TimeCutoff:
     """Sample the cutoff on the record lattice t_i = i*dt, i < nt."""
     if not 0.0 < T < T1:
         raise ValueError(f"cutoff needs 0 < T < T1, got T={T:g}, T1={T1:g}")
-    if T1 > nt * dt + 1e-12:
+    if T1 > (nt - 1) * dt + 1e-12:
         raise ValueError("cutoff support must end inside the record window")
     t = dt * np.arange(nt)
     w = transition((t - T) / (T1 - T))
@@ -125,14 +127,13 @@ def _normal_apply(
     x: np.ndarray,
     speed: SpeedField,
     config: DetectorConfig,
-    pml: PmlProfile | None,
     chi_w: np.ndarray,
     mask: np.ndarray,
     tikhonov: float = 0.0,
 ) -> np.ndarray:
     """One application of the (masked, weighted) normal operator."""
-    sino = forward_operator(x, speed, config, pml=pml)
-    y = adjoint_operator(chi_w * sino.data, speed, config, pml=pml)
+    sino = forward_operator(x, speed, config)
+    y = adjoint_operator(chi_w * sino.data, speed, config)
     if tikhonov:
         y = y - tikhonov * laplacian(x, speed.grid.h)
     y[~mask] = 0.0
@@ -142,7 +143,6 @@ def _normal_apply(
 def operator_norm_estimate(
     speed: SpeedField,
     config: DetectorConfig,
-    pml: PmlProfile | None = None,
     iters: int = 30,
     cutoff: TimeCutoff | None = None,
     tol: float = 0.05,
@@ -169,7 +169,7 @@ def operator_norm_estimate(
     x /= math.sqrt(_inner(x, x))
     lam = 0.0
     for k in range(iters):
-        y = _normal_apply(x, speed, config, pml, chi_w, mask, tikhonov=tikhonov)
+        y = _normal_apply(x, speed, config, chi_w, mask, tikhonov=tikhonov)
         lam_new = _inner(x, y)
         norm_y = math.sqrt(_inner(y, y))
         if norm_y == 0.0:
@@ -185,7 +185,6 @@ def landweber(
     s,
     speed: SpeedField,
     config: DetectorConfig,
-    pml: PmlProfile | None = None,
     iters: int = 50,
     step: float | None = None,
     cutoff: TimeCutoff | None = None,
@@ -201,8 +200,11 @@ def landweber(
     step is too long for the operator at hand.  With a roughness penalty the
     history tracks the full objective, the quantity descent actually lowers.
     Non-finite data (checked before any wave solve) or a non-finite misfit
-    raise FloatingPointError.
+    raise FloatingPointError; a given step that is not finite and positive
+    raises ValueError before any solve.
     """
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"landweber step must be finite and positive, got {step}")
     grid = speed.grid
     data = _as_data(s, speed, config)
     nt, _ = _time_lattice(speed, config)
@@ -215,7 +217,7 @@ def landweber(
         return ReconResult(zero, np.array(history), step if step is not None else 0.0, 0)
 
     if step is None:
-        est = operator_norm_estimate(speed, config, pml=pml, cutoff=cutoff, tikhonov=tikhonov)
+        est = operator_norm_estimate(speed, config, cutoff=cutoff, tikhonov=tikhonov)
         if est <= 0.0:
             raise RuntimeError("operator norm estimate vanished; cannot pick a step")
         step = 1.0 / est
@@ -231,12 +233,12 @@ def landweber(
     rises = 0
     done = 0
     for k in range(iters):
-        g = adjoint_operator(chi_w * resid, speed, config, pml=pml)
+        g = adjoint_operator(chi_w * resid, speed, config)
         if tikhonov:
             g = g + tikhonov * laplacian(f, grid.h)
         f = f + step * g
         f[~mask] = 0.0
-        resid = data - forward_operator(f, speed, config, pml=pml).data
+        resid = data - forward_operator(f, speed, config).data
         history.append(_require_finite(objective(f, resid), "misfit", k + 1))
         done = k + 1
         if history[-1] > history[-2]:
@@ -263,7 +265,6 @@ def cg_normal(
     s,
     speed: SpeedField,
     config: DetectorConfig,
-    pml: PmlProfile | None = None,
     iters: int = 15,
     tol: float = 1e-6,
     cutoff: TimeCutoff | None = None,
@@ -289,7 +290,7 @@ def cg_normal(
     if c0 == 0.0:
         return ReconResult(Phantom(grid=grid, f=zero), np.array(history), None, 0)
 
-    b = adjoint_operator(chi_w * data, speed, config, pml=pml)
+    b = adjoint_operator(chi_w * data, speed, config)
     b[~mask] = 0.0
     x = zero
     r = b.copy()
@@ -297,7 +298,7 @@ def cg_normal(
     rs = _inner(r, r)
     done = 0
     for k in range(iters):
-        np_ = _normal_apply(p, speed, config, pml, chi_w, mask, tikhonov=tikhonov)
+        np_ = _normal_apply(p, speed, config, chi_w, mask, tikhonov=tikhonov)
         curv = _require_finite(_inner(p, np_), "curvature", k + 1)
         if not curv > 1e-30 * _inner(p, p):
             raise RuntimeError("curvature vanished along the search direction")
@@ -325,7 +326,6 @@ def cg_normal(
 def assemble_forward_matrix(
     speed: SpeedField,
     config: DetectorConfig,
-    pml: PmlProfile | None = None,
     support_radius: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrix of the measurement map on pixels inside a support disc.
@@ -344,6 +344,6 @@ def assemble_forward_matrix(
     e = np.zeros((grid.n, grid.n))
     for col, (i, j) in enumerate(idx):
         e[i, j] = 1.0
-        A[:, col] = forward_operator(e, speed, config, pml=pml).data.ravel()
+        A[:, col] = forward_operator(e, speed, config).data.ravel()
         e[i, j] = 0.0
     return A, mask

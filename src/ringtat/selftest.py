@@ -28,8 +28,7 @@ from .detector import (
 )
 from .field import Covector, SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
 from .rays import _speed_spline, trace_geodesic
-from .wave import WaveSolver, WaveState, cfl_limit, choose_time_steps, energy, pml_profile, \
-    solve_forward
+from .wave import WaveSolver, WaveState, cfl_limit, choose_time_steps, energy, solve_forward
 
 # second order: the matching residual shrinks about 4x per halving; the
 # wrong stencil must not come close
@@ -124,7 +123,7 @@ def pml_reflection() -> tuple[bool, str]:
     T = 1.6
     nt, dt = choose_time_steps(speed_c, T)
     ref = solve_forward(f_c, speed_c, T, dt=dt, nt=nt)
-    absorbed = solve_forward(f_a, speed_a, T, pml=pml_profile(grid_a), dt=dt, nt=nt)
+    absorbed = solve_forward(f_a, speed_a, T, dt=dt, nt=nt)
     lo = (grid_c.n - grid_a.n) // 2
     sl = slice(lo, lo + grid_a.n)
     du = absorbed.u_curr - ref.u_curr[sl, sl]

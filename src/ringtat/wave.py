@@ -1,9 +1,10 @@
 """Time-domain acoustic propagation.
 
 Solves u_tt = c(x)^2 Lap u with u(0) = f, u_t(0) = 0 by an explicit
-second-order leapfrog scheme.  An optional split-field absorbing layer
-occupies a band inside each domain edge; its damping enters
-semi-implicitly, so the scheme keeps the standard stability bound.
+second-order leapfrog scheme.  A split-field absorbing layer occupies the
+grid's band of width pml_width inside each domain edge (none when that
+width is 0); its damping enters semi-implicitly, so the scheme keeps the
+standard stability bound.
 
 Every map here (one time step, the initial-data embedding) is linear in
 the field and has a hand-written exact transpose, with plain Euclidean
@@ -122,55 +123,25 @@ def choose_time_steps(speed: SpeedField, duration: float, safety: float = 0.5) -
 # absorbing layer
 
 
-@dataclass(frozen=True)
-class PmlProfile:
-    """Per-axis damping of the absorbing band.
-
-    sigma(d) = sigma_max * (d / width)^m for depth d into the band; zero in
-    the interior, monotone up to sigma_max at the outer boundary.  sx/sy are
-    the profile sampled along the two axes.
-    """
-
-    width: float
-    sigma_max: float
-    m: int
-    sx: np.ndarray
-    sy: np.ndarray
-
-
 def default_sigma_max(width: float, m: int = 2, target: float = 1e-4) -> float:
     """Damping amplitude making a unit-speed round trip through the band
     attenuate to ``target`` in the continuous model."""
     return (m + 1) * math.log(1.0 / target) / (2.0 * width)
 
 
-def pml_profile(
-    grid: Grid2D,
-    width: float | None = None,
-    sigma_max: float | None = None,
-    m: int = 2,
-) -> PmlProfile:
-    """Damping profile for the grid's absorbing band.
+def pml_profile(grid: Grid2D) -> np.ndarray:
+    """Damping of the grid's absorbing band along one axis (both axes use it).
 
-    The band geometry is owned by the grid (make_grid's pml_width), so a
-    ``width`` given here must agree with it; detector-circle clearance is
-    checked where detectors are configured, against grid.interior_half_width.
+    sigma(d) = default_sigma_max(w) * (d / w)^2 at depth d into the band of
+    width w = grid.pml_width: zero in the interior, monotone up to the
+    maximum at the outer boundary.  Detector-circle clearance is checked
+    where detectors are configured, against grid.interior_half_width.
     """
-    if grid.pml_width <= 0.0:
+    width = grid.pml_width
+    if width <= 0.0:
         raise ValueError("grid was built without an absorbing band (pml_width = 0)")
-    if width is None:
-        width = grid.pml_width
-    if width != grid.pml_width:
-        raise ValueError(
-            f"profile width {width:g} conflicts with the grid band {grid.pml_width:g}"
-        )
-    if sigma_max is None:
-        sigma_max = default_sigma_max(width, m)
-    if sigma_max <= 0 or m < 1:
-        raise ValueError("need sigma_max > 0 and polynomial order m >= 1")
     d = np.maximum(0.0, np.abs(grid.axis) - (grid.L - width))
-    s = sigma_max * (d / width) ** m
-    return PmlProfile(width=float(width), sigma_max=float(sigma_max), m=int(m), sx=s, sy=s.copy())
+    return default_sigma_max(width) * (d / width) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +167,10 @@ class WaveState:
 
 
 class WaveSolver:
-    """Leapfrog stepper bound to one speed field, dt and damping profile.
+    """Leapfrog stepper bound to one speed field and dt.
+
+    The damping is the grid's: ``pml_profile(grid)`` on both axes when
+    ``grid.pml_width > 0``, none otherwise.
 
     ``step`` advances a WaveState one level; ``step_T`` applies the exact
     matrix transpose of that map.  States are treated as immutable: returned
@@ -219,13 +193,14 @@ class WaveSolver:
         u_curr = A0 U + N(K1 U) + V - Dx(B_phi F) - Dy(B_psi G),  u_prev = -Q U
         phi    = a_phi F - Dx(K2 U),    psi = a_psi G - Dy(K2 U)
 
-    Without a band den = 1, sx = sy = 0 and the phi/psi terms drop out.
+    Without a band (pml_width = 0) den = 1, sx = sy = 0 and the phi/psi
+    terms drop out.
     Folding reassociates the arithmetic of the unfolded update
     ``(coef_u u - coef_v u- + dt^2 c^2 (Lap u + ...)) / den``, so fields
     agree with it to rounding (about 2e-16 relative per step), not bitwise.
     """
 
-    def __init__(self, speed: SpeedField, dt: float, pml: PmlProfile | None = None):
+    def __init__(self, speed: SpeedField, dt: float):
         grid = speed.grid
         limit = cfl_limit(speed)
         if dt <= 0:
@@ -239,14 +214,15 @@ class WaveSolver:
         self.dt = float(dt)
         self.h = grid.h
         self.c2 = speed.c**2
-        self.pml = pml
+        self._band = grid.pml_width > 0.0
         n, h = grid.n, grid.h
 
         def flat(a):
             return np.ascontiguousarray(np.broadcast_to(a, (n, n))).reshape(-1)
 
-        if pml is not None:
-            sx, sy = pml.sx[:, None], pml.sy[None, :]
+        if self._band:
+            sigma = pml_profile(grid)
+            sx, sy = sigma[:, None], sigma[None, :]
             den = 1.0 + 0.5 * dt * (sx + sy)
             coef_u = 2.0 - dt**2 * sx * sy
             q = flat((1.0 - 0.5 * dt * (sx + sy)) / den)
@@ -257,7 +233,7 @@ class WaveSolver:
         self._k1 = flat(k1)
         self._a0 = flat(coef_u / den - 4.0 * k1)
         self._q, self._neg_q = q, -q
-        if pml is not None:
+        if self._band:
             self._k2 = flat(k / (2.0 * h))
             self._a_phi = flat(1.0 - dt * sx)
             self._b_phi = flat(dt * (sy - sx) / (2.0 * h))
@@ -291,7 +267,7 @@ class WaveSolver:
         out = np.multiply(self._a0, u)
         out -= np.multiply(self._q, v, out=t)
         out += np.multiply(self._k1, _neighbour_sum(u, t, n), out=t)
-        if self.pml is None:
+        if not self._band:
             return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi, s.t + dt, dt)
         phi, psi = _flat(s.phi), _flat(s.psi)
         flux = _diff0(phi, t, n)
@@ -313,7 +289,7 @@ class WaveSolver:
         a += _neighbour_sum(np.multiply(self._k1, U, out=t2), t, n)
         a += V
         b = np.multiply(self._neg_q, U)
-        if self.pml is None:
+        if not self._band:
             return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi, s.t - dt, dt)
         F, G = _flat(s.phi), _flat(s.psi)
         a -= _diff0(np.multiply(self._b_phi, F, out=t2), t, n)
@@ -361,13 +337,13 @@ def solve_forward(
     f,
     speed: SpeedField,
     duration: float,
-    pml: PmlProfile | None = None,
     probe=None,
     cfl_safety: float = 0.5,
     dt: float | None = None,
     nt: int | None = None,
 ) -> WaveState:
-    """March the pressure field from rest over [0, duration].
+    """March the pressure field from rest over [0, duration], damped by the
+    grid's absorbing band when it has one.
 
     ``probe(t, u)`` is invoked at every level including t = 0; the level
     spacing is chosen from the CFL bound unless (dt, nt) are given
@@ -376,7 +352,7 @@ def solve_forward(
     """
     if dt is None or nt is None:
         nt, dt = choose_time_steps(speed, duration, cfl_safety)
-    solver = WaveSolver(speed, dt, pml)
+    solver = WaveSolver(speed, dt)
     # an overflowing field is reported once, by _check_finite, instead of by
     # a numpy warning per operation
     with np.errstate(over="ignore", invalid="ignore"):

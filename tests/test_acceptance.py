@@ -46,7 +46,7 @@ from ringtat.selftest import (
     residual_convergence,
     residual_discrimination,
 )
-from ringtat.wave import choose_time_steps, pml_profile, solve_forward
+from ringtat.wave import choose_time_steps, solve_forward
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -89,16 +89,15 @@ def test_criterion_04_full_data_reconstruction():
     speed = sample_speed(SpeedSpec(), grid)
     phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
     config = DetectorConfig(mode=LargeMode(r=2.0), n_theta=60, n_alpha=256, T=5.0)
-    pml = pml_profile(grid)
-    sino = forward_operator(phantom.f, speed, config, pml=pml)
+    sino = forward_operator(phantom.f, speed, config)
     truth = float(np.sqrt(np.sum(phantom.f**2)))
 
-    lw = landweber(sino, speed, config, pml=pml, iters=50)
+    lw = landweber(sino, speed, config, iters=50)
     lw_err = float(np.sqrt(np.sum((lw.estimate.f - phantom.f) ** 2))) / truth
     hist = lw.residual_history
     monotone = bool(np.all(np.diff(hist) <= 1e-12 * max(hist[0], 1.0)))
 
-    cg = cg_normal(sino, speed, config, pml=pml, iters=15)
+    cg = cg_normal(sino, speed, config, iters=15)
     cg_err = float(np.sqrt(np.sum((cg.estimate.f - phantom.f) ** 2))) / truth
     elapsed = time.monotonic() - t0
     ok = monotone and (lw_err <= 0.15 or cg_err <= 0.15) and elapsed <= 600.0
@@ -115,9 +114,8 @@ def test_criterion_05_partial_aperture_edge_recovery():
     )
     config = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=45, n_alpha=256,
                             T=5.0, aperture=(-math.pi / 2, 0.0))
-    pml = pml_profile(grid)
-    sino = forward_operator(phantom.f, speed, config, pml=pml)
-    est = cg_normal(sino, speed, config, pml=pml, iters=15).estimate.f
+    sino = forward_operator(phantom.f, speed, config)
+    est = cg_normal(sino, speed, config, iters=15).estimate.f
 
     wf = phantom_edges(phantom, threshold=0.5, stride=2, max_count=48)
     report = visibility(wf, speed, config, time_window=(0.0, 5.0), arc=config.aperture)

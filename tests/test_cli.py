@@ -522,6 +522,16 @@ class TestReconstructCommand:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("step", ["0", "nan"])
+    def test_useless_landweber_step_exits_2_naming_it(self, workspace, tmp_path, step):
+        cfg = tmp_path / "lw.cfg"
+        cfg.write_text(BASE_CFG.replace("method = cg", "method = landweber")
+                       .replace("iters = 3", f"iters = 3\nstep = {step}"))
+        proc = _run_cli("reconstruct", "--config", str(cfg), "--data", str(workspace["sino"]),
+                        "--out", str(tmp_path / "rec"))
+        assert "[recon] step" in _one_error_line(proc, 2)
+        assert not (tmp_path / "rec").exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_exits_2_before_solving(self, tmp_path, bad):
         cfg = tmp_path / "exp.cfg"

@@ -24,7 +24,7 @@ from ringtat.detector import (
 )
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
 from ringtat.recon import time_cutoff_chi
-from ringtat.wave import choose_time_steps, pml_profile
+from ringtat.wave import choose_time_steps
 
 
 def _speed(grid, kind="sinusoidal"):
@@ -45,10 +45,6 @@ class TestModes:
         LargeMode(r=3.0)
         with pytest.raises(ValueError):
             LargeMode(r=1.5)
-
-    def test_reach(self):
-        assert SmallMode(R=2.0, r=0.8).reach == 2.8
-        assert LargeMode(r=2.0).reach == 3.0
 
     def test_config_validation(self):
         mode = SmallMode(R=2.0, r=0.8)
@@ -278,14 +274,13 @@ class TestAdjoint:
         products, to machine precision, with the absorbing band active."""
         grid = make_grid(L=L, n=64, pml_width=0.7)
         speed = _speed(grid)
-        pml = pml_profile(grid)
         rng = np.random.default_rng(7)
         f = rng.standard_normal((64, 64))
         cfg = DetectorConfig(mode=mode, n_theta=6, n_alpha=64, T=0.8)
-        sino = forward_operator(f, speed, cfg, pml=pml)
+        sino = forward_operator(f, speed, cfg)
         g = rng.standard_normal(sino.data.shape)
         lhs = float(np.sum(sino.data * g))
-        rhs = float(np.sum(f * adjoint_operator(g, speed, cfg, pml=pml)))
+        rhs = float(np.sum(f * adjoint_operator(g, speed, cfg)))
         denom = np.linalg.norm(sino.data) * np.linalg.norm(g)
         assert abs(lhs - rhs) / denom <= 1e-12
 
@@ -307,7 +302,6 @@ class TestAdjoint:
         apertures, angular sampling, record lattices and cutoff weights."""
         grid = make_grid(L=3.9, n=49, pml_width=0.7)
         speed = _speed(grid)
-        pml = pml_profile(grid)
         if large:
             mode = LargeMode(r=2.0 + 0.15 * radius)
         else:
@@ -323,9 +317,9 @@ class TestAdjoint:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((49, 49))
         g = rng.standard_normal((nt, n_theta))
-        sino = chi * forward_operator(f, speed, cfg, pml=pml).data
+        sino = chi * forward_operator(f, speed, cfg).data
         lhs = float(np.sum(sino * g))
-        rhs = float(np.sum(f * adjoint_operator(chi * g, speed, cfg, pml=pml)))
+        rhs = float(np.sum(f * adjoint_operator(chi * g, speed, cfg)))
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(sino) * np.linalg.norm(g)
 
     def test_shape_mismatch(self):

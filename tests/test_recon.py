@@ -21,7 +21,6 @@ from ringtat.recon import (
     operator_norm_estimate,
     time_cutoff_chi,
 )
-from ringtat.wave import pml_profile
 
 
 def _speed(grid, kind="sinusoidal"):
@@ -49,6 +48,11 @@ class TestTimeCutoff:
             time_cutoff_chi(T=-1.0, T1=2.0, nt=41, dt=0.1)
         with pytest.raises(ValueError, match="record window"):
             time_cutoff_chi(T=2.0, T1=9.0, nt=41, dt=0.1)
+        # the last level sits at (nt - 1) * dt = 1.5, before T1 = 1.55
+        with pytest.raises(ValueError, match="record window"):
+            time_cutoff_chi(T=1.0, T1=1.55, nt=16, dt=0.1)
+        chi = time_cutoff_chi(T=1.0, T1=1.5, nt=16, dt=0.1)
+        assert chi.weights[-1] == 0.0
 
 
 class TestNormEstimate:
@@ -119,64 +123,63 @@ class TestAdjointImage:
 def _small_problem():
     grid = make_grid(L=3.6, n=65, pml_width=0.5)
     speed = _speed(grid)
-    pml = pml_profile(grid)
     truth = gaussian_phantom(grid, center=(0.2, -0.1), sigma=0.18)
     cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=24, n_alpha=64, T=4.0)
-    sino = forward_operator(truth, speed, cfg, pml=pml)
-    return grid, speed, pml, truth, cfg, sino
+    sino = forward_operator(truth, speed, cfg)
+    return grid, speed, truth, cfg, sino
 
 
 class TestLandweber:
     def test_zero_data(self):
-        grid, speed, pml, _, cfg, sino = _small_problem()
-        res = landweber(np.zeros_like(sino.data), speed, cfg, pml=pml, iters=3, step=1.0)
+        grid, speed, _, cfg, sino = _small_problem()
+        res = landweber(np.zeros_like(sino.data), speed, cfg, iters=3, step=1.0)
         assert isinstance(res, ReconResult)
         assert np.all(res.estimate.f == 0.0)
         assert res.iterations == 0
         assert res.residual_history.tolist() == [0.0]
 
     def test_monotone_history_and_support(self):
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        res = landweber(sino, speed, cfg, pml=pml, iters=8)
+        grid, speed, truth, cfg, sino = _small_problem()
+        res = landweber(sino, speed, cfg, iters=8)
         assert np.all(np.diff(res.residual_history) <= 1e-12)
         assert np.all(res.estimate.f[grid.radius() >= 1.0] == 0.0)
         assert res.step_size is not None and res.step_size > 0.0
         assert res.iterations == 8
 
     def test_divergence_aborts(self):
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        est = operator_norm_estimate(speed, cfg, pml=pml)
+        grid, speed, truth, cfg, sino = _small_problem()
+        est = operator_norm_estimate(speed, cfg)
         with pytest.raises(RuntimeError, match="three iterations"):
-            landweber(sino, speed, cfg, pml=pml, iters=20, step=50.0 / est)
+            landweber(sino, speed, cfg, iters=20, step=50.0 / est)
 
     def test_accepts_raw_array(self):
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        a = landweber(sino, speed, cfg, pml=pml, iters=2, step=4.0)
-        b = landweber(sino.data, speed, cfg, pml=pml, iters=2, step=4.0)
+        grid, speed, truth, cfg, sino = _small_problem()
+        a = landweber(sino, speed, cfg, iters=2, step=4.0)
+        b = landweber(sino.data, speed, cfg, iters=2, step=4.0)
         assert np.array_equal(a.estimate.f, b.estimate.f)
 
     def test_shape_mismatch(self):
-        grid, speed, pml, truth, cfg, sino = _small_problem()
+        grid, speed, truth, cfg, sino = _small_problem()
         with pytest.raises(ValueError, match="shape"):
-            landweber(np.zeros((7, 24)), speed, cfg, pml=pml, iters=1, step=1.0)
+            landweber(np.zeros((7, 24)), speed, cfg, iters=1, step=1.0)
 
     def test_tikhonov_auto_step_monotone(self):
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        res = landweber(sino, speed, cfg, pml=pml, iters=4, tikhonov=1e-3)
+        grid, speed, truth, cfg, sino = _small_problem()
+        res = landweber(sino, speed, cfg, iters=4, tikhonov=1e-3)
         assert np.all(np.diff(res.residual_history) <= 1e-12)
 
 
 class TestConjugateGradients:
     def test_zero_data(self):
-        grid, speed, pml, _, cfg, sino = _small_problem()
-        res = cg_normal(np.zeros_like(sino.data), speed, cfg, pml=pml, iters=3)
+        grid, speed, _, cfg, sino = _small_problem()
+        res = cg_normal(np.zeros_like(sino.data), speed, cfg, iters=3)
         assert np.all(res.estimate.f == 0.0)
         assert res.iterations == 0
         assert res.step_size is None
 
     def test_recovers_truth(self):
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        res = cg_normal(sino, speed, cfg, pml=pml, iters=8)
+        grid, speed, truth, cfg, sino = _small_problem()
+        res = cg_normal(sino, speed, cfg, iters=8)
         err = np.linalg.norm(res.estimate.f - truth.f) / np.linalg.norm(truth.f)
         assert err <= 0.15
         assert np.all(res.estimate.f[grid.radius() >= 1.0] == 0.0)
@@ -184,47 +187,46 @@ class TestConjugateGradients:
     def test_tracked_misfit_matches_direct_evaluation(self):
         """The algebraically tracked misfit must equal a from-scratch forward
         evaluation of the final iterate: the bookkeeping identity is exact."""
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        res = cg_normal(sino, speed, cfg, pml=pml, iters=6)
+        grid, speed, truth, cfg, sino = _small_problem()
+        res = cg_normal(sino, speed, cfg, iters=6)
         direct = float(
-            np.linalg.norm(sino.data - forward_operator(res.estimate.f, speed, cfg, pml=pml).data)
+            np.linalg.norm(sino.data - forward_operator(res.estimate.f, speed, cfg).data)
         )
         assert abs(res.residual_history[-1] - direct) <= 1e-10 * direct
 
     def test_beats_landweber_at_equal_iteration_count(self):
         # CG minimizes the quadratic over the Krylov space containing the
         # gradient iterates, so its history sits below Landweber's pointwise
-        grid, speed, pml, truth, cfg, sino = _small_problem()
-        cg = cg_normal(sino, speed, cfg, pml=pml, iters=8)
-        lw = landweber(sino, speed, cfg, pml=pml, iters=8)
+        grid, speed, truth, cfg, sino = _small_problem()
+        cg = cg_normal(sino, speed, cfg, iters=8)
+        lw = landweber(sino, speed, cfg, iters=8)
         m = min(cg.residual_history.size, lw.residual_history.size)
         assert np.all(cg.residual_history[:m] <= lw.residual_history[:m] + 1e-12)
 
     def test_cutoff_weighting_enters_history(self):
         from ringtat.recon import time_cutoff_chi
 
-        grid, speed, pml, truth, cfg, sino = _small_problem()
+        grid, speed, truth, cfg, sino = _small_problem()
         chi = time_cutoff_chi(T=2.5, T1=3.5, nt=sino.data.shape[0], dt=sino.dt)
-        res = cg_normal(sino, speed, cfg, pml=pml, iters=2, cutoff=chi)
+        res = cg_normal(sino, speed, cfg, iters=2, cutoff=chi)
         manual = float(np.sqrt(np.sum(chi.weights[:, None] * sino.data**2)))
         assert abs(res.residual_history[0] - manual) <= 1e-12 * manual
 
     def test_cutoff_length_mismatch(self):
         from ringtat.recon import time_cutoff_chi
 
-        grid, speed, pml, truth, cfg, sino = _small_problem()
+        grid, speed, truth, cfg, sino = _small_problem()
         chi = time_cutoff_chi(T=1.0, T1=1.5, nt=17, dt=0.1)
         with pytest.raises(ValueError, match="weights"):
-            cg_normal(sino, speed, cfg, pml=pml, iters=2, cutoff=chi)
+            cg_normal(sino, speed, cfg, iters=2, cutoff=chi)
 
 
-def _tiny_problem():
-    grid = make_grid(L=3.4, n=32, pml_width=0.3)
+def _tiny_problem(pml_width=0.3):
+    grid = make_grid(L=3.4, n=32, pml_width=pml_width)
     speed = _speed(grid)
-    pml = pml_profile(grid)
     cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
     truth = gaussian_phantom(grid, center=(0.1, 0.2), sigma=0.15)
-    return speed, pml, cfg, forward_operator(truth, speed, cfg, pml=pml)
+    return speed, cfg, forward_operator(truth, speed, cfg)
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -243,7 +245,7 @@ class TestNonFinite:
     def test_rejects_non_finite_data_before_any_solve(self, monkeypatch, method, bad):
         import ringtat.recon as recon
 
-        speed, pml, cfg, sino = _tiny_problem()
+        speed, cfg, sino = _tiny_problem()
         data = sino.data.copy()
         data[5, 3] = bad
 
@@ -253,23 +255,37 @@ class TestNonFinite:
         monkeypatch.setattr(recon, "forward_operator", no_solve)
         monkeypatch.setattr(recon, "adjoint_operator", no_solve)
         with pytest.raises(FloatingPointError, match=r"\(5, 3\)"):
-            method(data, speed, cfg, pml=pml, iters=2)
+            method(data, speed, cfg, iters=2)
 
     def test_cg_non_finite_curvature(self, monkeypatch):
         import ringtat.recon as recon
 
-        speed, pml, cfg, sino = _tiny_problem()
+        speed, cfg, sino = _tiny_problem()
         monkeypatch.setattr(recon, "_normal_apply", lambda p, *a, **k: np.full_like(p, np.nan))
         with pytest.raises(FloatingPointError, match="curvature"):
-            cg_normal(sino, speed, cfg, pml=pml, iters=2)
+            cg_normal(sino, speed, cfg, iters=2)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_landweber_rejects_useless_step_before_any_solve(self, monkeypatch, step):
+        import ringtat.recon as recon
+
+        speed, cfg, sino = _tiny_problem()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a wave solve ran with an unusable step")
+
+        monkeypatch.setattr(recon, "forward_operator", no_solve)
+        monkeypatch.setattr(recon, "adjoint_operator", no_solve)
+        with pytest.raises(ValueError, match="step"):
+            landweber(sino, speed, cfg, iters=2, step=step)
 
     def test_landweber_non_finite_misfit(self):
         # a step this long overflows the residual in the first iteration,
         # long before three rises in a row could abort the loop
-        speed, pml, cfg, sino = _tiny_problem()
+        speed, cfg, sino = _tiny_problem()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="misfit"):
-                landweber(sino, speed, cfg, pml=pml, iters=5, step=1e300)
+                landweber(sino, speed, cfg, iters=5, step=1e300)
 
 
 class TestWorkCounts:
@@ -278,12 +294,12 @@ class TestWorkCounts:
     def test_cg_makes_2k_plus_1_wave_solves(self, monkeypatch):
         import ringtat.recon as recon
 
-        speed, pml, cfg, sino = _tiny_problem()
+        speed, cfg, sino = _tiny_problem()
         counts = {"forward_operator": 0, "adjoint_operator": 0}
         _count_calls(monkeypatch, recon, "forward_operator", counts)
         _count_calls(monkeypatch, recon, "adjoint_operator", counts)
         k = 3
-        res = cg_normal(sino, speed, cfg, pml=pml, iters=k, tol=0.0)
+        res = cg_normal(sino, speed, cfg, iters=k, tol=0.0)
         assert res.iterations == k
         assert counts == {"forward_operator": k, "adjoint_operator": k + 1}
 
@@ -291,30 +307,29 @@ class TestWorkCounts:
     def test_one_step_per_level(self, monkeypatch, band):
         from ringtat.wave import WaveSolver
 
-        speed, pml, cfg, sino = _tiny_problem()
-        pml = pml if band else None
+        speed, cfg, sino = _tiny_problem(0.3 if band else 0.0)
         nt = sino.data.shape[0]
         counts = {"step": 0, "step_T": 0}
         _count_calls(monkeypatch, WaveSolver, "step", counts)
         _count_calls(monkeypatch, WaveSolver, "step_T", counts)
-        forward_operator(np.zeros((32, 32)), speed, cfg, pml=pml)
+        forward_operator(np.zeros((32, 32)), speed, cfg)
         assert counts == {"step": nt - 1, "step_T": 0}
-        adjoint_operator(sino.data, speed, cfg, pml=pml)
+        adjoint_operator(sino.data, speed, cfg)
         assert counts == {"step": nt - 1, "step_T": nt - 1}
 
     def test_one_sampler_per_grid_and_config(self, monkeypatch):
         import ringtat.detector as detector
 
-        speed, pml, cfg, sino = _tiny_problem()
+        speed, cfg, sino = _tiny_problem()
         detector._detector_sampler.cache_clear()
         counts = {"BicubicSampler": 0}
         _count_calls(monkeypatch, detector, "BicubicSampler", counts)
         same = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
         for c in (cfg, same):
-            forward_operator(np.zeros((32, 32)), speed, c, pml=pml)
-            adjoint_operator(sino.data, speed, c, pml=pml)
-        cg_normal(sino, speed, cfg, pml=pml, iters=2)
+            forward_operator(np.zeros((32, 32)), speed, c)
+            adjoint_operator(sino.data, speed, c)
+        cg_normal(sino, speed, cfg, iters=2)
         assert counts["BicubicSampler"] == 1
         other = DetectorConfig(mode=LargeMode(r=2.0), n_theta=9, n_alpha=64, T=2.0)
-        forward_operator(np.zeros((32, 32)), speed, other, pml=pml)
+        forward_operator(np.zeros((32, 32)), speed, other)
         assert counts["BicubicSampler"] == 2

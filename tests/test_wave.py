@@ -59,13 +59,15 @@ class TestTimeStepSelection:
 class TestPmlProfile:
     def test_profile_values(self):
         g = make_grid(L=1.6, n=321, pml_width=0.5)  # h = 0.01, 1.35 is a node
-        pml = pml_profile(g, sigma_max=12.0, m=2)
+        sigma = pml_profile(g)
+        top = default_sigma_max(0.5)
         ax = g.axis
         inner = np.abs(ax) <= 1.1 + 1e-12
-        assert np.all(pml.sx[inner] == 0.0)
-        assert pml.sx[0] == pytest.approx(12.0, rel=1e-12)  # depth = width
+        assert sigma.shape == (321,)
+        assert np.all(sigma[inner] == 0.0)
+        assert sigma[0] == pytest.approx(top, rel=1e-12)  # depth = width
         i_half = np.argmin(np.abs(ax - 1.35))  # depth = width/2
-        assert pml.sx[i_half] == pytest.approx(3.0, rel=1e-9)
+        assert sigma[i_half] == pytest.approx(top / 4.0, rel=1e-9)
 
     def test_default_sigma_max_frozen(self):
         assert default_sigma_max(0.5, m=2, target=1e-4) == pytest.approx(
@@ -76,11 +78,6 @@ class TestPmlProfile:
         g = make_grid(L=1.6, n=64)
         with pytest.raises(ValueError):
             pml_profile(g)
-
-    def test_width_conflict(self):
-        g = make_grid(L=1.6, n=64, pml_width=0.5)
-        with pytest.raises(ValueError):
-            pml_profile(g, width=0.4)
 
 
 class TestInitialState:
@@ -203,14 +200,14 @@ def _ddx_oracle(u, h, axis):
     return out
 
 
-def _step_oracle(sp, dt, pml, s):
+def _step_oracle(sp, dt, sigma, s):
     """The unfolded update: (coef_u u - coef_v u- + dt^2 body) / den."""
     h, c2 = sp.grid.h, sp.c**2
     body = c2 * laplacian(s.u_curr, h)
-    if pml is None:
+    if sigma is None:
         u_new = 2.0 * s.u_curr - s.u_prev + dt**2 * body
         return WaveState(u_new, s.u_curr, s.phi, s.psi, s.t + dt, dt)
-    sx, sy = pml.sx[:, None], pml.sy[None, :]
+    sx, sy = sigma[:, None], sigma[None, :]
     den = 1.0 + 0.5 * dt * (sx + sy)
     coef_u = 2.0 - dt**2 * sx * sy
     coef_v = 1.0 - 0.5 * dt * (sx + sy)
@@ -221,13 +218,13 @@ def _step_oracle(sp, dt, pml, s):
     return WaveState(u_new, s.u_curr, phi_new, psi_new, s.t + dt, dt)
 
 
-def _step_T_oracle(sp, dt, pml, s):
+def _step_T_oracle(sp, dt, sigma, s):
     """The unfolded transpose, term by term."""
     h, c2 = sp.grid.h, sp.c**2
-    if pml is None:
+    if sigma is None:
         a = 2.0 * s.u_curr + dt**2 * laplacian(c2 * s.u_curr, h) + s.u_prev
         return WaveState(a, -s.u_curr, s.phi, s.psi, s.t - dt, dt)
-    sx, sy = pml.sx[:, None], pml.sy[None, :]
+    sx, sy = sigma[:, None], sigma[None, :]
     den = 1.0 + 0.5 * dt * (sx + sy)
     coef_u = 2.0 - dt**2 * sx * sy
     coef_v = 1.0 - 0.5 * dt * (sx + sy)
@@ -245,11 +242,11 @@ def _step_T_oracle(sp, dt, pml, s):
 def _kernel_case(n, band):
     g = make_grid(L=1.6, n=n, pml_width=0.5 if band else 0.0)
     sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
-    pml = pml_profile(g) if band else None
-    solver = WaveSolver(sp, 0.5 * cfl_limit(sp), pml)
+    sigma = pml_profile(g) if band else None
+    solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
     rng = np.random.default_rng(0)
     s = WaveState(*(rng.normal(size=(n, n)) for _ in range(4)), 0.3, solver.dt)
-    return sp, pml, solver, s
+    return sp, sigma, solver, s
 
 
 def _fields(s):
@@ -263,10 +260,10 @@ class TestFoldedKernel:
     @pytest.mark.parametrize("n", [32, 49])
     @pytest.mark.parametrize("which", ["step", "step_T"])
     def test_matches_unfolded_oracle(self, which, n, band):
-        sp, pml, solver, s = _kernel_case(n, band)
+        sp, sigma, solver, s = _kernel_case(n, band)
         oracle = _step_oracle if which == "step" else _step_T_oracle
         got = getattr(solver, which)(s)
-        want = oracle(sp, solver.dt, pml, s)
+        want = oracle(sp, solver.dt, sigma, s)
         for a, b in zip(_fields(got), _fields(want)):
             assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
         assert got.t == want.t and got.dt == want.dt
@@ -304,7 +301,7 @@ class TestAdjointness:
         rng = np.random.default_rng(seed)
         g = make_grid(L=1.6, n=32, pml_width=0.5)
         sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
-        solver = WaveSolver(sp, 0.5 * cfl_limit(sp), pml_profile(g))
+        solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
         dt = solver.dt
 
         def rand_state():
@@ -321,7 +318,7 @@ class TestAdjointness:
         rng = np.random.default_rng(seed)
         g = make_grid(L=1.6, n=32, pml_width=0.5)
         sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
-        solver = WaveSolver(sp, 0.5 * cfl_limit(sp), pml_profile(g))
+        solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
         f = rng.normal(size=(32, 32))
         t = WaveState(*(rng.normal(size=(32, 32)) for _ in range(4)), 0.0, solver.dt)
         lhs = solver.init_state(f).dot(t)
@@ -363,10 +360,9 @@ class TestSolveForward:
     def test_pml_absorbs_reflected_energy(self):
         g = make_grid(L=1.6, n=161, pml_width=0.5)
         sp = sample_speed(SpeedSpec(kind="constant"), g)
-        pml = pml_profile(g)
         f = gaussian_phantom(g, sigma=0.08).f
         nt, dt = choose_time_steps(sp, 2.4, safety=0.5)
-        solver = WaveSolver(sp, dt, pml)
+        solver = WaveSolver(sp, dt)
         X, Y = g.mesh()
         interior = np.maximum(np.abs(X), np.abs(Y)) < g.interior_half_width
 
