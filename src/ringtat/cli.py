@@ -52,7 +52,8 @@ array file or sidecar, or a sinogram with a NaN or infinite entry, is
 rejected before any solve; so is a path that names a directory where a file
 belongs, as ``--data`` may, or a file where a directory belongs, as
 ``--out`` may), 3 solver failure (divergence, breakdown, non-finite
-values).
+values).  A command creates ``--out`` only once its solve has succeeded,
+so a run that fails leaves no directory behind.
 
 Array artifacts use a fixed binary format (magic ``TATARR1``, version byte,
 dtype byte for little-endian float64, rank byte, uint64 dims, row-major
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -224,7 +226,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
 _KNOWN_KEYS = {
     "grid": {"l", "n", "pml_width"},
     "speed": {"kind", "c0", "amp", "kx", "ky", "sigma", "eta_radius", "eta_taper"},
-    "phantom": None,  # gaussian.* / disc.* / margin, checked separately
+    "phantom": None,  # gaussian.* / disc.*, checked separately
     "detector": {"mode", "center_radius", "r", "n_theta", "n_alpha"},  # center_radius: small
     "time": {"t", "t1", "nt"},
     "aperture": {"arc", "window"},
@@ -484,13 +486,12 @@ def _grid_meta(grid) -> dict:
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
+    """The output directory, not yet created: a command makes it only once
+    its solve has succeeded.  A file holding its name is rejected now."""
     out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
     return out
-
-
-def _seed(cfg: ExperimentConfig, args) -> int:
-    return cfg.seed if args.seed is None else args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +508,14 @@ def cmd_forward(args) -> int:
     speed, phantom = _sample(cfg)
     sino = forward_operator(phantom.f, speed, cfg.detector)
     data = sino.data.copy()
-    seed = _seed(cfg, args)
+    seed = cfg.seed if args.seed is None else args.seed
     if cfg.noise_rel > 0.0:
         peak = float(np.abs(data).max())
         if peak > 0.0:
             rng = np.random.default_rng(seed)
             data += cfg.noise_rel * peak * rng.standard_normal(data.shape)
 
+    out.mkdir(parents=True, exist_ok=True)
     pgm_path = out / "sinogram.pgm"
     lo, hi = write_pgm(pgm_path, data)
     meta = {
@@ -596,6 +598,7 @@ def cmd_reconstruct(args) -> int:
         result = cg_normal(data, speed, cfg.detector, iters=cfg.iters, tol=cfg.tol,
                            cutoff=cutoff, tikhonov=cfg.tikhonov)
 
+    out.mkdir(parents=True, exist_ok=True)
     est = result.estimate.f
     pgm_path = out / "estimate.pgm"
     lo, hi = write_pgm(pgm_path, _image_to_rows(est))
@@ -658,6 +661,7 @@ def cmd_visibility(args) -> int:
     if not wf:
         print("warning: phantom has no edges above threshold; empty report",
               file=sys.stderr)
+        out.mkdir(parents=True, exist_ok=True)
         with csv_path.open("w", newline="") as fh:
             csv.writer(fh).writerow(header)
         return 0
@@ -666,6 +670,7 @@ def cmd_visibility(args) -> int:
     report = visibility(wf, speed, cfg.detector, time_window=window,
                         arc=cfg.detector.aperture)
 
+    out.mkdir(parents=True, exist_ok=True)
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -718,6 +723,7 @@ def cmd_sweep(args) -> int:
         pml_width=cfg.grid.pml_width,
         speed_spec=cfg.speed_spec,
     )
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     wrong = study.get("rms_wrong")  # large mode only
     with path.open("w", newline="") as fh:
@@ -773,7 +779,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="sinogram array file")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("visibility", help="classify phantom edges by ray escape")

@@ -7,10 +7,12 @@ are supported: small detectors surrounding the imaging disc from outside
 the unit circle, r >= 2).  Either way every detector point keeps distance
 at least 1 from the origin.
 
-The forward map, radius sweeps and the exact adjoint all drive the wave
-module, which damps the field in the grid's absorbing band (its
-``pml_width``; none when that is 0); sampling goes through the shared
-bicubic machinery so the adjoint identity holds to machine precision.
+The forward map and the radius sweeps read the field at every level
+through ``wave.solve_forward``'s probe; the exact adjoint marches the
+solver's transposed steps.  Both damp the field in the grid's absorbing
+band (its ``pml_width``; none when that is 0), and sampling goes through
+the shared bicubic machinery so the adjoint identity holds to machine
+precision.
 
 The sweep data families satisfy cylinder wave equations in the sweep
 variable; the residual operations evaluate those equations with centered
@@ -29,7 +31,7 @@ import numpy as np
 
 from ._spline import BicubicSampler
 from .field import SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from .wave import WaveSolver, choose_time_steps, _check_finite
+from .wave import WaveSolver, choose_time_steps, solve_forward
 
 _TWO_PI = 2.0 * math.pi
 
@@ -230,23 +232,17 @@ def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float
 
 def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
                     dt: float) -> np.ndarray:
-    solver = WaveSolver(speed, dt)
+    """Row k of the record is the sampler read of the field at level k."""
     out = np.empty((nt, sampler.n_rows))
-    # an overflowing field is reported once, by the checks below, instead
-    # of by a numpy warning per operation
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = solver.init_state(f)
-        out[0] = sampler.apply(s.u_curr)
-        for k in range(1, nt):
-            s = solver.step(s)
-            if k % 100 == 0:
-                _check_finite(s, k)
-            out[k] = sampler.apply(s.u_curr)
-    # the periodic check above never runs on records of 100 levels or fewer
-    bad = ~np.isfinite(out)
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=1)))
-        raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * dt:g})")
+
+    def read(k, u):
+        out[k] = sampler.apply(u)
+        # checked as written, so a short record that overflows is reported
+        # here before the solver's own field checks fire
+        if not np.all(np.isfinite(out[k])):
+            raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * dt:g})")
+
+    solve_forward(f, speed, nt, dt, probe=read)
     return out
 
 
@@ -280,6 +276,16 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
     return solver.init_state_T(w)
 
 
+def _record_sweep(f, speed: SpeedField, config: DetectorConfig, centers_radius, circle_radius,
+                  radii: np.ndarray, variable: str) -> RadiusSweep:
+    thetas = theta_grid(config)
+    sampler = _build_sampler(speed.grid, centers_radius, circle_radius, thetas, config.n_alpha)
+    nt, dt = _time_lattice(speed, config)
+    data = _record_forward(f, speed, sampler, nt, dt).reshape(nt, thetas.size, radii.size)
+    return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=radii, variable=variable,
+                       config=config)
+
+
 def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -> RadiusSweep:
     """Record the small-geometry family P(t, theta, R) over center radii.
 
@@ -292,12 +298,7 @@ def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -
     Rs = np.asarray(sorted(R_values), dtype=float)
     if np.any(Rs - r < 1.0 - 1e-12):
         raise ValueError("every swept center radius must keep R - r >= 1")
-    thetas = theta_grid(config)
-    sampler = _build_sampler(speed.grid, Rs, r, thetas, config.n_alpha)
-    nt, dt = _time_lattice(speed, config)
-    flat = _record_forward(f, speed, sampler, nt, dt)
-    data = flat.reshape(nt, thetas.size, Rs.size)
-    return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=Rs, variable="center", config=config)
+    return _record_sweep(f, speed, config, Rs, r, Rs, "center")
 
 
 def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -> RadiusSweep:
@@ -307,12 +308,7 @@ def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -
     rs = np.asarray(sorted(r_values), dtype=float)
     if np.any(rs < 2.0 - 1e-12):
         raise ValueError("every swept detector radius must satisfy r >= 2")
-    thetas = theta_grid(config)
-    sampler = _build_sampler(speed.grid, 1.0, rs, thetas, config.n_alpha)
-    nt, dt = _time_lattice(speed, config)
-    flat = _record_forward(f, speed, sampler, nt, dt)
-    data = flat.reshape(nt, thetas.size, rs.size)
-    return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=rs, variable="detector", config=config)
+    return _record_sweep(f, speed, config, 1.0, rs, rs, "detector")
 
 
 # ---------------------------------------------------------------------------

@@ -249,10 +249,10 @@ class PhantomSpec:
 class Phantom:
     grid: Grid2D
     f: np.ndarray  # (n, n), indexed [ix, iy]
-    support_margin: float = 0.05
 
 
-DEFAULT_SUPPORT_MARGIN = 0.05
+# every phantom component must end this far inside the unit circle
+_SUPPORT_MARGIN = 0.05
 
 
 def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -268,12 +268,10 @@ def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> n
     raise TypeError(f"unknown phantom component {type(comp).__name__}")
 
 
-def make_phantom(
-    spec: PhantomSpec, grid: Grid2D, margin: float = DEFAULT_SUPPORT_MARGIN
-) -> Phantom:
+def make_phantom(spec: PhantomSpec, grid: Grid2D) -> Phantom:
     """Sample a phantom.  Every component must sit strictly inside the unit disc.
 
-    A component reaching |x| >= 1 - margin is rejected: the reconstruction
+    A component reaching |x| > 1 - _SUPPORT_MARGIN is rejected: the reconstruction
     theory and the masking predictor assume supp f is interior.  An empty
     spec yields the zero phantom.
     """
@@ -282,13 +280,13 @@ def make_phantom(
     for comp in spec.components:
         cx, cy = comp.center
         reach = float(np.hypot(cx, cy)) + comp.support_radius
-        if reach > 1.0 - margin + 1e-12:
+        if reach > 1.0 - _SUPPORT_MARGIN + 1e-12:
             raise ValueError(
-                f"phantom component reaches |x| = {reach:g} > {1 - margin:g}; "
+                f"phantom component reaches |x| = {reach:g} > {1 - _SUPPORT_MARGIN:g}; "
                 "support must stay strictly inside the unit disc"
             )
         f += _component_values(comp, X, Y)
-    return Phantom(grid=grid, f=f, support_margin=margin)
+    return Phantom(grid=grid, f=f)
 
 
 def gaussian_phantom(
@@ -296,12 +294,9 @@ def gaussian_phantom(
     center: tuple[float, float] = (0.0, 0.0),
     sigma: float = 0.1,
     amp: float = 1.0,
-    margin: float = DEFAULT_SUPPORT_MARGIN,
 ) -> Phantom:
     return make_phantom(
-        PhantomSpec([GaussianComponent(center=center, sigma=sigma, amp=amp)]),
-        grid,
-        margin=margin,
+        PhantomSpec([GaussianComponent(center=center, sigma=sigma, amp=amp)]), grid
     )
 
 

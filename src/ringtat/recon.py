@@ -34,7 +34,6 @@ from .field import Phantom, SpeedField, transition
 from .wave import laplacian
 
 __all__ = [
-    "TimeCutoff",
     "ReconResult",
     "time_cutoff_chi",
     "adjoint_operator",
@@ -45,25 +44,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeCutoff:
-    """Smooth record weighting: one on [0, T], a monotone C-infinity descent
-    on [T, T1], zero from T1 on."""
-
-    T: float
-    T1: float
-    weights: np.ndarray
-
-
-def time_cutoff_chi(T: float, T1: float, nt: int, dt: float) -> TimeCutoff:
-    """Sample the cutoff on the record lattice t_i = i*dt, i < nt."""
+def time_cutoff_chi(T: float, T1: float, nt: int, dt: float) -> np.ndarray:
+    """The smooth record weighting sampled on the record lattice t_i = i*dt,
+    i < nt: one on [0, T], a monotone C-infinity descent on [T, T1], zero
+    from T1 on.  Returns the (nt,) weights."""
     if not 0.0 < T < T1:
         raise ValueError(f"cutoff needs 0 < T < T1, got T={T:g}, T1={T1:g}")
     if T1 > (nt - 1) * dt + 1e-12:
         raise ValueError("cutoff support must end inside the record window")
     t = dt * np.arange(nt)
-    w = transition((t - T) / (T1 - T))
-    return TimeCutoff(T=T, T1=T1, weights=w)
+    return transition((t - T) / (T1 - T))
 
 
 @dataclass
@@ -105,10 +95,10 @@ def _require_finite(value: float, what: str, k: int) -> float:
     return value
 
 
-def _chi_column(cutoff: TimeCutoff | None, nt: int) -> np.ndarray:
+def _chi_column(cutoff: np.ndarray | None, nt: int) -> np.ndarray:
     if cutoff is None:
         return np.ones((nt, 1))
-    w = np.asarray(cutoff.weights, dtype=float)
+    w = np.asarray(cutoff, dtype=float)
     if w.shape != (nt,):
         raise ValueError(f"cutoff has {w.shape[0]} weights, record lattice has {nt}")
     return w[:, None]
@@ -144,7 +134,7 @@ def operator_norm_estimate(
     speed: SpeedField,
     config: DetectorConfig,
     iters: int = 30,
-    cutoff: TimeCutoff | None = None,
+    cutoff: np.ndarray | None = None,
     tol: float = 0.05,
     seed: int = 0,
     tikhonov: float = 0.0,
@@ -187,7 +177,7 @@ def landweber(
     config: DetectorConfig,
     iters: int = 50,
     step: float | None = None,
-    cutoff: TimeCutoff | None = None,
+    cutoff: np.ndarray | None = None,
     tol: float = 1e-6,
     tikhonov: float = 0.0,
 ) -> ReconResult:
@@ -267,7 +257,7 @@ def cg_normal(
     config: DetectorConfig,
     iters: int = 15,
     tol: float = 1e-6,
-    cutoff: TimeCutoff | None = None,
+    cutoff: np.ndarray | None = None,
     tikhonov: float = 0.0,
 ) -> ReconResult:
     """Conjugate gradients on the weighted normal equations.

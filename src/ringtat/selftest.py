@@ -122,8 +122,8 @@ def pml_reflection() -> tuple[bool, str]:
     f_c = gaussian_phantom(grid_c, sigma=0.1).f
     T = 1.6
     nt, dt = choose_time_steps(speed_c, T)
-    ref = solve_forward(f_c, speed_c, T, dt=dt, nt=nt)
-    absorbed = solve_forward(f_a, speed_a, T, dt=dt, nt=nt)
+    ref = solve_forward(f_c, speed_c, nt, dt)
+    absorbed = solve_forward(f_a, speed_a, nt, dt)
     lo = (grid_c.n - grid_a.n) // 2
     sl = slice(lo, lo + grid_a.n)
     du = absorbed.u_curr - ref.u_curr[sl, sl]

@@ -11,6 +11,12 @@ the field and has a hand-written exact transpose, with plain Euclidean
 inner products (no h^2 or dt weights).  Downstream modules compose these
 into an exact discrete adjoint of the full measurement map.
 
+``solve_forward`` is the one forward time loop: it owns the level lattice
+walk and the finiteness checks, and every forward reader (the measurement
+map, the radius sweeps) sees the field through its per-level probe.  Only
+the adjoint marches ``step_T`` itself, since it adds data into the state
+between steps.
+
 WaveSolver folds the scheme's per-cell coefficients (damping, speed, dt,
 h and the semi-implicit denominator) once, so one step and its transpose
 are a few contiguous multiply-adds and shifted sums over the flat field,
@@ -123,25 +129,31 @@ def choose_time_steps(speed: SpeedField, duration: float, safety: float = 0.5) -
 # absorbing layer
 
 
-def default_sigma_max(width: float, m: int = 2, target: float = 1e-4) -> float:
-    """Damping amplitude making a unit-speed round trip through the band
-    attenuate to ``target`` in the continuous model."""
-    return (m + 1) * math.log(1.0 / target) / (2.0 * width)
+_PROFILE_ORDER = 2
+_ROUND_TRIP_ATTENUATION = 1e-4
+
+
+def default_sigma_max(width: float) -> float:
+    """Damping amplitude making a unit-speed round trip through a band of
+    this width attenuate to ``_ROUND_TRIP_ATTENUATION`` in the continuous
+    model, for a profile of order ``_PROFILE_ORDER``."""
+    return (_PROFILE_ORDER + 1) * math.log(1.0 / _ROUND_TRIP_ATTENUATION) / (2.0 * width)
 
 
 def pml_profile(grid: Grid2D) -> np.ndarray:
     """Damping of the grid's absorbing band along one axis (both axes use it).
 
-    sigma(d) = default_sigma_max(w) * (d / w)^2 at depth d into the band of
-    width w = grid.pml_width: zero in the interior, monotone up to the
-    maximum at the outer boundary.  Detector-circle clearance is checked
-    where detectors are configured, against grid.interior_half_width.
+    sigma(d) = default_sigma_max(w) * (d / w)^m at depth d into the band of
+    width w = grid.pml_width, m = _PROFILE_ORDER: zero in the interior,
+    monotone up to the maximum at the outer boundary.  Detector-circle
+    clearance is checked where detectors are configured, against
+    grid.interior_half_width.
     """
     width = grid.pml_width
     if width <= 0.0:
         raise ValueError("grid was built without an absorbing band (pml_width = 0)")
     d = np.maximum(0.0, np.abs(grid.axis) - (grid.L - width))
-    return default_sigma_max(width) * (d / width) ** 2
+    return default_sigma_max(width) * (d / width) ** _PROFILE_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -333,37 +345,28 @@ def _check_finite(state: WaveState, k: int) -> None:
         )
 
 
-def solve_forward(
-    f,
-    speed: SpeedField,
-    duration: float,
-    probe=None,
-    cfl_safety: float = 0.5,
-    dt: float | None = None,
-    nt: int | None = None,
-) -> WaveState:
-    """March the pressure field from rest over [0, duration], damped by the
-    grid's absorbing band when it has one.
+def solve_forward(f, speed: SpeedField, nt: int, dt: float, probe=None) -> WaveState:
+    """March the pressure field ``f`` from rest over the levels 0..nt-1 at
+    spacing dt, damped by the grid's absorbing band when it has one.
 
-    ``probe(t, u)`` is invoked at every level including t = 0; the level
-    spacing is chosen from the CFL bound unless (dt, nt) are given
-    explicitly (then nt levels at spacing dt are computed and duration is
-    ignored).  Returns the final state.
+    This is the one forward time loop: the measurement map and the radius
+    sweeps read the field through ``probe(k, u)``, called with the level
+    index and the field at every level in order, level 0 included.  A
+    non-finite field raises FloatingPointError, checked every
+    ``_NAN_CHECK_EVERY`` levels and at the end.  Returns the final state.
     """
-    if dt is None or nt is None:
-        nt, dt = choose_time_steps(speed, duration, cfl_safety)
     solver = WaveSolver(speed, dt)
     # an overflowing field is reported once, by _check_finite, instead of by
     # a numpy warning per operation
     with np.errstate(over="ignore", invalid="ignore"):
         s = solver.init_state(f)
         if probe is not None:
-            probe(0.0, s.u_curr)
+            probe(0, s.u_curr)
         for k in range(1, nt):
             s = solver.step(s)
             if k % _NAN_CHECK_EVERY == 0:
                 _check_finite(s, k)
             if probe is not None:
-                probe(s.t, s.u_curr)
+                probe(k, s.u_curr)
     _check_finite(s, nt - 1)
     return s

@@ -430,7 +430,7 @@ class TestForwardCommand:
         proc = _run_cli("forward", "--config", str(cfg), "--out", str(tmp_path / "out"))
         # no numpy overflow warning precedes the one error line
         assert _one_error_line(proc, 3).startswith("error: recorded data not finite")
-        assert not (tmp_path / "out" / "sinogram.tat").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_out_naming_a_file_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -521,6 +521,7 @@ class TestReconstructCommand:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("step", ["0", "nan"])
     def test_useless_landweber_step_exits_2_naming_it(self, workspace, tmp_path, step):

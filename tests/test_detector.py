@@ -313,7 +313,7 @@ class TestAdjoint:
                              aperture=aperture)
         chi = np.ones((nt, 1))
         if plateau is not None:
-            chi = time_cutoff_chi(plateau * T, T, nt, T / (nt - 1)).weights[:, None]
+            chi = time_cutoff_chi(plateau * T, T, nt, T / (nt - 1))[:, None]
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((49, 49))
         g = rng.standard_normal((nt, n_theta))

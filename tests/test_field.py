@@ -162,7 +162,7 @@ class TestPhantom:
 
     def test_support_margin_boundary(self):
         g = make_grid(L=2.0, n=101)
-        # reach = 0.5 + 0.45 = 0.95 = 1 - margin: allowed
+        # reach = 0.5 + 0.45 = 0.95 = 1 - the support margin: allowed
         _disc(g, center=(0.5, 0.0), radius=0.35, taper=0.1)
         with pytest.raises(ValueError):
             _disc(g, center=(0.51, 0.0), radius=0.35, taper=0.1)
@@ -262,7 +262,7 @@ class TestCovector:
     def test_sign_flip_gives_same_covector_set(self):
         g = make_grid(L=1.5, n=101)
         p = _disc(g, center=(0.15, -0.1), radius=0.25, taper=0.1)
-        neg = Phantom(grid=g, f=-p.f, support_margin=p.support_margin)
+        neg = Phantom(grid=g, f=-p.f)
         set_pos = {(c.y, c.xi) for c in phantom_edges(p, threshold=0.8)}
         set_neg = {(c.y, c.xi) for c in phantom_edges(neg, threshold=0.8)}
         assert set_pos == set_neg

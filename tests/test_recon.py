@@ -31,15 +31,15 @@ class TestTimeCutoff:
     def test_plateau_taper_support(self):
         chi = time_cutoff_chi(T=2.0, T1=3.0, nt=41, dt=0.1)
         t = 0.1 * np.arange(41)
-        assert np.all(chi.weights[t <= 2.0] == 1.0)
-        assert np.all(chi.weights[t >= 3.0] == 0.0)
-        mid = chi.weights[25]  # t = 2.5, middle of the taper
+        assert np.all(chi[t <= 2.0] == 1.0)
+        assert np.all(chi[t >= 3.0] == 0.0)
+        mid = chi[25]  # t = 2.5, middle of the taper
         assert abs(mid - 0.5) < 1e-14
 
     def test_monotone_taper(self):
         chi = time_cutoff_chi(T=1.0, T1=2.5, nt=101, dt=0.03)
-        assert np.all(np.diff(chi.weights) <= 0.0)
-        assert np.all((chi.weights >= 0.0) & (chi.weights <= 1.0))
+        assert np.all(np.diff(chi) <= 0.0)
+        assert np.all((chi >= 0.0) & (chi <= 1.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ class TestTimeCutoff:
         with pytest.raises(ValueError, match="record window"):
             time_cutoff_chi(T=1.0, T1=1.55, nt=16, dt=0.1)
         chi = time_cutoff_chi(T=1.0, T1=1.5, nt=16, dt=0.1)
-        assert chi.weights[-1] == 0.0
+        assert chi[-1] == 0.0
 
 
 class TestNormEstimate:
@@ -209,7 +209,7 @@ class TestConjugateGradients:
         grid, speed, truth, cfg, sino = _small_problem()
         chi = time_cutoff_chi(T=2.5, T1=3.5, nt=sino.data.shape[0], dt=sino.dt)
         res = cg_normal(sino, speed, cfg, iters=2, cutoff=chi)
-        manual = float(np.sqrt(np.sum(chi.weights[:, None] * sino.data**2)))
+        manual = float(np.sqrt(np.sum(chi[:, None] * sino.data**2)))
         assert abs(res.residual_history[0] - manual) <= 1e-12 * manual
 
     def test_cutoff_length_mismatch(self):
@@ -316,6 +316,25 @@ class TestWorkCounts:
         assert counts == {"step": nt - 1, "step_T": 0}
         adjoint_operator(sino.data, speed, cfg)
         assert counts == {"step": nt - 1, "step_T": nt - 1}
+
+    @pytest.mark.parametrize("kind", ["small", "large"])
+    def test_sweep_reads_every_level_once(self, monkeypatch, kind):
+        from ringtat._spline import BicubicSampler
+        from ringtat.detector import sweep_large_radius, sweep_small_radius
+        from ringtat.wave import WaveSolver
+
+        speed = _speed(make_grid(L=3.4, n=32, pml_width=0.3))
+        if kind == "small":
+            cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=8, n_alpha=64, T=2.0)
+            sweep, radii = sweep_small_radius, [1.9, 2.0, 2.1]
+        else:
+            cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
+            sweep, radii = sweep_large_radius, [2.0, 2.02, 2.04]
+        counts = {"step": 0, "apply": 0}
+        _count_calls(monkeypatch, WaveSolver, "step", counts)
+        _count_calls(monkeypatch, BicubicSampler, "apply", counts)
+        nt = sweep(np.zeros((32, 32)), speed, cfg, radii).data.shape[0]
+        assert counts == {"step": nt - 1, "apply": nt}
 
     def test_one_sampler_per_grid_and_config(self, monkeypatch):
         import ringtat.detector as detector

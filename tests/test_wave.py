@@ -70,7 +70,7 @@ class TestPmlProfile:
         assert sigma[i_half] == pytest.approx(top / 4.0, rel=1e-9)
 
     def test_default_sigma_max_frozen(self):
-        assert default_sigma_max(0.5, m=2, target=1e-4) == pytest.approx(
+        assert default_sigma_max(0.5) == pytest.approx(
             27.631021115928553, rel=1e-13
         )
 
@@ -140,7 +140,7 @@ class TestStepping:
         f = gaussian_phantom(g, sigma=0.1).f
         T = 0.6
         nt, dt = choose_time_steps(sp, T, safety=0.5)
-        s = solve_forward(f, sp, T, dt=dt, nt=nt)
+        s = solve_forward(f, sp, nt, dt)
         rho = g.radius()
         outside = rho > 1.0 + T * sp.max_c + 3 * g.h
         assert np.sum(np.abs(s.u_curr[outside])) / np.sum(np.abs(s.u_curr)) < 1e-8
@@ -153,7 +153,7 @@ class TestStepping:
             sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
             f = gaussian_phantom(g, center=(0.1, -0.05), sigma=0.12).f
             nt, dt = choose_time_steps(sp, T, safety=0.45)
-            sols[n] = solve_forward(f, sp, T, dt=dt, nt=nt).u_curr
+            sols[n] = solve_forward(f, sp, nt, dt).u_curr
         # compare on the common coarse node set so the norms are comparable
         ref = sols[321]
         e41 = np.linalg.norm(sols[41] - ref[::8, ::8])
@@ -329,9 +329,15 @@ class TestAdjointness:
 class TestSolveForward:
     def test_probe_lattice_and_zero_field(self):
         _, sp = _setup()
-        times = []
-        solve_forward(np.zeros((64, 64)), sp, 0.5, probe=lambda t, u: times.append((t, np.abs(u).max())))
-        nt, dt = choose_time_steps(sp, 0.5, 0.5)
+        nt, dt = choose_time_steps(sp, 0.5)
+        levels, times = [], []
+
+        def probe(k, u):
+            levels.append(k)
+            times.append((k * dt, np.abs(u).max()))
+
+        solve_forward(np.zeros((64, 64)), sp, nt, dt, probe=probe)
+        assert levels == list(range(nt))
         assert len(times) == nt
         assert times[0][0] == 0.0
         assert times[-1][0] == pytest.approx(0.5, abs=1e-12)
@@ -343,7 +349,8 @@ class TestSolveForward:
         f = gaussian_phantom(g, sigma=0.08).f
         ij = (int(np.argmin(np.abs(g.axis - 1.0))), int(np.argmin(np.abs(g.axis))))
         rec = []
-        solve_forward(f, sp, 1.5, probe=lambda t, u: rec.append((t, u[ij])))
+        nt, dt = choose_time_steps(sp, 1.5)
+        solve_forward(f, sp, nt, dt, probe=lambda k, u: rec.append((k * dt, u[ij])))
         ts = np.array([t for t, _ in rec])
         vs = np.array([v for _, v in rec])
         t_peak = ts[np.argmax(np.abs(vs))]
@@ -353,8 +360,8 @@ class TestSolveForward:
     def test_deterministic(self):
         g, sp = _setup(n=64)
         f = gaussian_phantom(g, sigma=0.2).f
-        a = solve_forward(f, sp, 0.3).u_curr
-        b = solve_forward(f, sp, 0.3).u_curr
+        a = solve_forward(f, sp, *choose_time_steps(sp, 0.3)).u_curr
+        b = solve_forward(f, sp, *choose_time_steps(sp, 0.3)).u_curr
         assert np.array_equal(a, b)
 
     def test_pml_absorbs_reflected_energy(self):
@@ -381,7 +388,7 @@ class TestSolveForward:
     def test_nan_guard(self):
         _, sp = _setup()
         with pytest.raises(FloatingPointError):
-            solve_forward(np.full((64, 64), np.nan), sp, 0.05)
+            solve_forward(np.full((64, 64), np.nan), sp, *choose_time_steps(sp, 0.05))
 
     def test_overflow_raises_without_numpy_warnings(self):
         g, sp = _setup()
@@ -389,4 +396,4 @@ class TestSolveForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
-                solve_forward(f, sp, 0.05)
+                solve_forward(f, sp, *choose_time_steps(sp, 0.05))
