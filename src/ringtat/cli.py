@@ -225,7 +225,6 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
 
 _KNOWN_KEYS = {
     "grid": {"l", "n", "pml_width"},
-    "speed": {"kind", "c0", "amp", "kx", "ky", "sigma", "eta_radius", "eta_taper"},
     "phantom": None,  # gaussian.* / disc.*, checked separately
     "detector": {"mode", "center_radius", "r", "n_theta", "n_alpha"},  # center_radius: small
     "time": {"t", "t1", "nt"},
@@ -239,8 +238,10 @@ _KNOWN_KEYS = {
 
 def _check_keys(sections: dict[str, dict[str, str]]) -> None:
     from .detector import SweepSettings
+    from .field import SpeedSpec
 
-    known = {**_KNOWN_KEYS, "sweep": {f.name for f in fields(SweepSettings)}}
+    known = {**_KNOWN_KEYS, "speed": {f.name for f in fields(SpeedSpec)},
+             "sweep": {f.name for f in fields(SweepSettings)}}
     for name, body in sections.items():
         if name not in known:
             raise ConfigError(f"unknown section [{name}]")
@@ -401,6 +402,8 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     method = _get(rc, "method", str, "cg", "recon").lower()
     if method not in ("cg", "landweber"):
         raise ConfigError(f"[recon] method must be 'cg' or 'landweber', got '{method}'")
+    if method == "cg" and "step" in rc:
+        raise ConfigError("[recon] step is a Landweber step size; method 'cg' takes no step key")
 
     rn = sections.get("run", {})
     nz = sections.get("noise", {})
@@ -487,9 +490,11 @@ def _grid_meta(grid) -> dict:
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
     """The output directory, not yet created: a command makes it only once
-    its solve has succeeded.  A file holding its name is rejected now."""
+    its solve has succeeded.  A file holding its name, or the name of the
+    nearest ancestor that exists, is rejected now."""
     out = Path(args.out) if args.out else Path(cfg.out_dir)
-    if out.exists() and not out.is_dir():
+    existing = next(p for p in (out, *out.absolute().parents) if p.exists())
+    if not existing.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
     return out
 
@@ -508,11 +513,10 @@ def cmd_forward(args) -> int:
     speed, phantom = _sample(cfg)
     sino = forward_operator(phantom.f, speed, cfg.detector)
     data = sino.data.copy()
-    seed = cfg.seed if args.seed is None else args.seed
     if cfg.noise_rel > 0.0:
         peak = float(np.abs(data).max())
         if peak > 0.0:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(cfg.seed)
             data += cfg.noise_rel * peak * rng.standard_normal(data.shape)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -523,7 +527,7 @@ def cmd_forward(args) -> int:
         "detector": _detector_meta(cfg, speed),
         "grid": _grid_meta(cfg.grid),
         "speed_kind": cfg.speed_spec.kind,
-        "seed": seed,
+        "seed": cfg.seed,
         "noise_sigma_rel": cfg.noise_rel,
         "quicklook": {"file": pgm_path.name, "vmin": lo, "vmax": hi},
         "axes": ["time", "theta"],
@@ -667,8 +671,7 @@ def cmd_visibility(args) -> int:
         return 0
 
     window = cfg.window if cfg.window is not None else (0.0, cfg.plateau)
-    report = visibility(wf, speed, cfg.detector, time_window=window,
-                        arc=cfg.detector.aperture)
+    report = visibility(wf, speed, cfg.detector, time_window=window)
 
     out.mkdir(parents=True, exist_ok=True)
     with csv_path.open("w", newline="") as fh:
@@ -772,7 +775,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="simulate a sinogram from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("reconstruct", help="invert a sinogram file")

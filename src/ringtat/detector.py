@@ -118,17 +118,6 @@ def theta_grid(config: DetectorConfig) -> np.ndarray:
     return a + (np.arange(n) + 0.5) * (b - a) / n
 
 
-def detector_points(config: DetectorConfig, theta: float) -> np.ndarray:
-    """The n_alpha quadrature nodes on the detector circle at angle theta."""
-    mode = config.mode
-    alphas = _TWO_PI * np.arange(config.n_alpha) / config.n_alpha
-    cx = mode.center_radius * math.cos(theta)
-    cy = mode.center_radius * math.sin(theta)
-    return np.stack(
-        [cx + mode.r * np.cos(alphas), cy + mode.r * np.sin(alphas)], axis=-1
-    )
-
-
 def _require_clear_of_band(points: np.ndarray, grid) -> None:
     reach = float(np.max(np.abs(points)))
     if reach >= grid.interior_half_width - 1e-12:
@@ -151,10 +140,6 @@ class Sinogram:
     dt: float
     thetas: np.ndarray
     config: DetectorConfig
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.data.shape[0])
 
 
 @dataclass

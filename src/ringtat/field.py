@@ -9,10 +9,13 @@ geometry and the ray tracer depend on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ._spline import SplineField
 
 
 @dataclass(frozen=True)
@@ -116,15 +119,14 @@ class SpeedSpec:
     """Recipe for a sound-speed field.
 
     kind:
-      * "constant"    -- c == c0 (c0 must be 1; the toolkit requires unit
-                         exterior speed, use the other kinds for contrast)
+      * "constant"    -- c == 1, the exterior speed everywhere; the other
+                         fields do not apply
       * "sinusoidal"  -- 1 + amp * sin(kx*x) * cos(ky*y) * eta(x, y); the
                          defaults give the reference variable-speed model
       * "radial_bump" -- 1 + amp * eta(x, y) * exp(-|x|^2 / (2 sigma^2))
     """
 
     kind: str = "sinusoidal"
-    c0: float = 1.0
     amp: float = 0.3
     kx: float = 8.0
     ky: float = 5.0
@@ -142,6 +144,12 @@ class SpeedField:
     def max_c(self) -> float:
         return float(np.max(self.c))
 
+    @cached_property
+    def spline(self) -> SplineField:
+        """The natural bicubic spline of ``c``, which the ray tracer reads.
+        Built on first use: wave solves and sampling never need it."""
+        return SplineField(-self.grid.L, self.grid.h, self.c)
+
 
 # permissive bound used only to reject wildly rough fields
 _SPEED_LAPLACIAN_BOUND = 1.0e3
@@ -152,12 +160,6 @@ def sample_speed(spec: SpeedSpec, grid: Grid2D) -> SpeedField:
     X, Y = grid.mesh()
     eta = smooth_cutoff_eta(spec.eta_radius, spec.eta_taper)
     if spec.kind == "constant":
-        if spec.c0 != 1.0:
-            raise ValueError(
-                "constant speed must be 1: the exterior speed is fixed to 1 "
-                "(detector circles sit in the c==1 region); use 'radial_bump' "
-                "or 'sinusoidal' for interior contrast"
-            )
         c = np.ones_like(X)
     elif spec.kind == "sinusoidal":
         c = 1.0 + spec.amp * np.sin(spec.kx * X) * np.cos(spec.ky * Y) * eta(X, Y)
@@ -293,11 +295,8 @@ def gaussian_phantom(
     grid: Grid2D,
     center: tuple[float, float] = (0.0, 0.0),
     sigma: float = 0.1,
-    amp: float = 1.0,
 ) -> Phantom:
-    return make_phantom(
-        PhantomSpec([GaussianComponent(center=center, sigma=sigma, amp=amp)]), grid
-    )
+    return make_phantom(PhantomSpec([GaussianComponent(center=center, sigma=sigma)]), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ separated in circle-averaged data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._spline import SplineField
 from .detector import DetectorConfig, SmallMode
 from .field import Covector, SpeedField
 
@@ -86,24 +85,19 @@ class DetectionEvent:
     point: np.ndarray
 
 
-def _speed_spline(speed: SpeedField) -> SplineField:
-    g = speed.grid
-    return SplineField(-g.L, g.h, speed.c)
-
-
 def trace_geodesic(
     start: Covector,
     speed: SpeedField,
     sigma: int = 1,
     t_max: float = 6.0,
     h_ray: float = DEFAULT_RAY_STEP,
-    _spline: SplineField | None = None,
 ) -> RayPath:
     """Integrate the unit-speed geodesic issued from a covector.
 
     Fourth-order Runge-Kutta on xdot = c^2 p, pdot = -c |p|^2 grad c, with
-    the speed and its gradient read from a bicubic interpolant of the
-    sampled field.  Momentum starts at sigma * xi / c, so c|p| = 1 along the
+    the speed and its gradient read from ``speed.spline``, the bicubic
+    interpolant of the sampled field, which every trace on the same field
+    shares.  Momentum starts at sigma * xi / c, so c|p| = 1 along the
     exact flow.  Integration stops at the first sample outside the closed
     unit disc; the exit point is then refined along the last segment and the
     exterior continuation is an exact straight line.  A ray still inside the
@@ -121,8 +115,7 @@ def trace_geodesic(
         raise ValueError("sigma must be +1 or -1")
     if t_max <= 0 or h_ray <= 0:
         raise ValueError("t_max and h_ray must be positive")
-    sp = _speed_spline(speed) if _spline is None else _spline
-    query = sp.value_and_gradient
+    query = speed.spline.value_and_gradient
 
     def deriv(x0, x1, p0, p1):
         c, grad = query(((x0, x1),))
@@ -247,19 +240,17 @@ def canonical_image(
     speed: SpeedField,
     config: DetectorConfig,
     t_max: float = 6.0,
-    h_ray: float = DEFAULT_RAY_STEP,
-    _spline: SplineField | None = None,
 ) -> list[DetectionEvent]:
-    """All detector events of one covector, both time directions.
+    """All detector events of one covector, both time directions, traced
+    with the default RK4 step ``DEFAULT_RAY_STEP``.
 
     Four events for the small geometry (two branches per direction), two for
     the large one.  A shorter list means a non-escaping ray or a discarded
     degenerate crossing; callers compare against the expected count.
     """
-    sp = _speed_spline(speed) if _spline is None else _spline
     events: list[DetectionEvent] = []
     for sigma in (1, -1):
-        path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max, h_ray=h_ray, _spline=sp)
+        path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max)
         events.extend(detect_events(path, config))
     return events
 
@@ -287,8 +278,6 @@ class CovectorVerdict:
 @dataclass
 class VisibilityReport:
     verdicts: list[CovectorVerdict]
-    time_window: tuple[float, float]
-    arc: tuple[float, float] | None
 
     def count(self, verdict: str) -> int:
         return sum(1 for v in self.verdicts if v.verdict == verdict)
@@ -306,35 +295,27 @@ def visibility(
     speed: SpeedField,
     config: DetectorConfig,
     time_window: tuple[float, float] | None = None,
-    arc: tuple[float, float] | None = None,
-    pos_tol: float | None = None,
-    time_tol: float | None = None,
-    h_ray: float = DEFAULT_RAY_STEP,
 ) -> VisibilityReport:
-    """Classify wavefront samples against an acquisition aperture.
+    """Classify wavefront samples against the measured aperture.
 
-    A covector is visible when one of its events lands inside the time
-    window and the angular arc and no other wavefront sample produces an
-    event at the mirror point of the same circle at the same time (within
-    the matching tolerances).  If every in-aperture event is mirrored the
-    covector is masked; with no in-aperture event at all, or a trapped ray,
-    it is out of aperture.  Verdicts do not depend on covector magnitudes.
+    The aperture is ``config.aperture`` (the full circle when None) and the
+    time window defaults to the record [0, T].  A covector is visible when
+    one of its events lands inside the window and the arc and no other
+    wavefront sample produces an event at the mirror point of the same
+    circle at the same time, both matched to within two grid steps.  If
+    every in-aperture event is mirrored the covector is masked; with no
+    in-aperture event at all, or a trapped ray, it is out of aperture.
+    Verdicts do not depend on covector magnitudes.
     """
     if not wf:
         raise ValueError("need at least one wavefront sample")
     if time_window is None:
         time_window = (0.0, config.T)
-    if arc is None:
-        arc = config.aperture
-    if pos_tol is None:
-        pos_tol = 2.0 * speed.grid.h
-    if time_tol is None:
-        time_tol = pos_tol
+    tol = 2.0 * speed.grid.h  # in position and in time (unit exterior speed)
 
-    sp = _speed_spline(speed)
     t_max = time_window[1] + 1.0
     all_events: list[list[DetectionEvent]] = [
-        canonical_image(cv, speed, config, t_max=t_max, h_ray=h_ray, _spline=sp) for cv in wf
+        canonical_image(cv, speed, config, t_max=t_max) for cv in wf
     ]
 
     verdicts: list[CovectorVerdict] = []
@@ -344,7 +325,7 @@ def visibility(
         if not events:
             verdicts.append(CovectorVerdict(cv, "out_of_aperture", escaped=False))
             continue
-        in_ap = [e for e in events if t0 < e.t_det <= t1 and _in_arc(e.theta, arc)]
+        in_ap = [e for e in events if t0 < e.t_det <= t1 and _in_arc(e.theta, config.aperture)]
         if not in_ap:
             verdicts.append(CovectorVerdict(cv, "out_of_aperture"))
             continue
@@ -357,8 +338,8 @@ def visibility(
                     continue
                 for o in others:
                     if (
-                        abs(o.t_det - e.t_det) <= time_tol
-                        and float(np.hypot(*(o.point - mirror))) <= pos_tol
+                        abs(o.t_det - e.t_det) <= tol
+                        and float(np.hypot(*(o.point - mirror))) <= tol
                     ):
                         partner_here = j
                         break
@@ -370,4 +351,4 @@ def visibility(
             if witness is None:
                 witness, partner = e, partner_here
         verdicts.append(CovectorVerdict(cv, verdict, witness=witness, partner_index=partner))
-    return VisibilityReport(verdicts=verdicts, time_window=(t0, t1), arc=arc)
+    return VisibilityReport(verdicts=verdicts)

@@ -130,13 +130,17 @@ def _normal_apply(
     return y
 
 
+# power iteration: the start vector is seeded, so the estimate and a
+# Landweber step drawn from it are reproducible
+_POWER_ITERS = 30
+_POWER_TOL = 0.05
+_POWER_SEED = 0
+
+
 def operator_norm_estimate(
     speed: SpeedField,
     config: DetectorConfig,
-    iters: int = 30,
     cutoff: np.ndarray | None = None,
-    tol: float = 0.05,
-    seed: int = 0,
     tikhonov: float = 0.0,
 ) -> float:
     """Largest eigenvalue of the weighted normal operator on the unit-disc
@@ -144,28 +148,26 @@ def operator_norm_estimate(
     A roughness penalty, when given, is part of the iterated operator so the
     estimate bounds the actual descent operator.
 
-    Returns once the Rayleigh quotient moves by less than ``tol`` relative,
-    or after ``iters`` applications.
+    Returns once the Rayleigh quotient moves by less than ``_POWER_TOL``
+    relative, or after ``_POWER_ITERS`` applications.
     """
-    if iters < 10:
-        raise ValueError("need at least 10 power iterations")
     grid = speed.grid
     mask = _support_mask(grid)
     nt, _ = _time_lattice(speed, config)
     chi_w = _chi_column(cutoff, nt)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     x = rng.standard_normal((grid.n, grid.n))
     x[~mask] = 0.0
     x /= math.sqrt(_inner(x, x))
     lam = 0.0
-    for k in range(iters):
+    for k in range(_POWER_ITERS):
         y = _normal_apply(x, speed, config, chi_w, mask, tikhonov=tikhonov)
         lam_new = _inner(x, y)
         norm_y = math.sqrt(_inner(y, y))
         if norm_y == 0.0:
             return 0.0
         x = y / norm_y
-        if k > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
+        if k > 0 and abs(lam_new - lam) <= _POWER_TOL * abs(lam_new):
             return lam_new
         lam = lam_new
     return lam

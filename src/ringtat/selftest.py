@@ -27,7 +27,7 @@ from .detector import (
     residual_refinement_study,
 )
 from .field import Covector, SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
-from .rays import _speed_spline, trace_geodesic
+from .rays import trace_geodesic
 from .wave import WaveSolver, WaveState, cfl_limit, choose_time_steps, energy, solve_forward
 
 # second order: the matching residual shrinks about 4x per halving; the
@@ -85,12 +85,11 @@ def ray_hamiltonian() -> tuple[bool, str]:
     the unit disc."""
     grid = make_grid(L=3.0, n=161)
     speed = sample_speed(SpeedSpec(), grid)
-    spline = _speed_spline(speed)
     path = trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), speed, t_max=4.0)
     worst = 0.0
     for s in path.states:
         if math.hypot(*s.x) < 1.0:
-            c = float(spline.value(s.x[None, :])[0])
+            c = float(speed.spline.value(s.x[None, :])[0])
             worst = max(worst, abs(c * math.hypot(*s.p) - 1.0))
     return worst <= 1e-6, f"drift={worst:.3e} bound=1e-6"
 

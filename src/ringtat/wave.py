@@ -169,14 +169,6 @@ class WaveState:
     t: float
     dt: float
 
-    def dot(self, other: "WaveState") -> float:
-        return float(
-            np.sum(self.u_curr * other.u_curr)
-            + np.sum(self.u_prev * other.u_prev)
-            + np.sum(self.phi * other.phi)
-            + np.sum(self.psi * other.psi)
-        )
-
 
 class WaveSolver:
     """Leapfrog stepper bound to one speed field and dt.

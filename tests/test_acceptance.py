@@ -32,7 +32,7 @@ from ringtat.field import (
     phantom_edges,
     sample_speed,
 )
-from ringtat.rays import detect_events, trace_geodesic, visibility, _speed_spline
+from ringtat.rays import detect_events, trace_geodesic, visibility
 from ringtat.recon import assemble_forward_matrix, cg_normal, landweber
 from ringtat.selftest import (
     RATIO_RANGE,
@@ -118,7 +118,7 @@ def test_criterion_05_partial_aperture_edge_recovery():
     est = cg_normal(sino, speed, config, iters=15).estimate.f
 
     wf = phantom_edges(phantom, threshold=0.5, stride=2, max_count=48)
-    report = visibility(wf, speed, config, time_window=(0.0, 5.0), arc=config.aperture)
+    report = visibility(wf, speed, config, time_window=(0.0, 5.0))
 
     gx_t, gy_t = np.gradient(phantom.f, grid.h)
     gx_e, gy_e = np.gradient(est, grid.h)
@@ -147,7 +147,6 @@ def test_criterion_05_partial_aperture_edge_recovery():
 def test_criterion_06_canonical_relation_structure():
     grid = make_grid(L=3.0, n=129)
     speed = sample_speed(SpeedSpec(kind="constant"), grid)
-    spline = _speed_spline(speed)
     cfg_small = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=6.0)
     cfg_large = DetectorConfig(mode=LargeMode(r=2.0), T=6.0)
     rng = np.random.default_rng(42)
@@ -162,8 +161,7 @@ def test_criterion_06_canonical_relation_structure():
                       xi=(math.cos(d), math.sin(d)))
         small_events, large_events = [], []
         for sigma in (1, -1):
-            path = trace_geodesic(cv, speed, sigma=sigma, t_max=3.0, h_ray=0.02,
-                                  _spline=spline)
+            path = trace_geodesic(cv, speed, sigma=sigma, t_max=3.0, h_ray=0.02)
             evs = detect_events(path, cfg_small)
             small_events += evs
             large_events += detect_events(path, cfg_large)

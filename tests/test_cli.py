@@ -298,6 +298,12 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError, match="unit circle"):
             build_experiment(_cfg_dict(**{"detector.center_radius": "2.5"}))
 
+    def test_cg_rejects_step(self):
+        with pytest.raises(ConfigError, match=r"^\[recon\] step .* 'cg' takes no step"):
+            build_experiment(_cfg_dict(**{"recon.step": "2.0"}))
+        cfg = build_experiment(_cfg_dict(**{"recon.method": "landweber", "recon.step": "2.0"}))
+        assert cfg.step == 2.0
+
     def test_module_invariants_revalidated(self):
         # phantom support outside the unit disc is caught at load time
         with pytest.raises(ValueError, match="unit disc"):
@@ -310,7 +316,7 @@ class TestBuildExperiment:
             load_experiment(tmp_path / "nope.cfg")
 
     @pytest.mark.parametrize("edit, message", [
-        ({"speed.c0": "abc"}, r"^\[speed\] c0: could not convert"),
+        ({"speed.amp": "abc"}, r"^\[speed\] amp: could not convert"),
         ({"phantom.gaussian.1": "0.2 x 0.18"}, r"^\[phantom\] gaussian\.1: could not convert"),
         ({"aperture.arc": "a 0"}, r"^\[aperture\] arc: could not convert"),
         ({"aperture.window": "0 nan"}, r"^\[aperture\] window: expected an increasing"),
@@ -336,7 +342,7 @@ class TestBuildExperiment:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), key=st.sampled_from([
-        "grid.l", "grid.n", "grid.pml_width", "speed.kind", "speed.c0", "speed.amp",
+        "grid.l", "grid.n", "grid.pml_width", "speed.kind", "speed.kx", "speed.amp",
         "phantom.gaussian.1", "phantom.disc.2", "detector.mode", "detector.r",
         "detector.center_radius", "detector.n_theta", "detector.n_alpha", "time.t",
         "time.t1", "time.nt", "aperture.arc", "aperture.window", "recon.method",
@@ -387,11 +393,12 @@ class TestForwardCommand:
     def test_noise_is_seeded(self, workspace, tmp_path):
         cfg = tmp_path / "noisy.cfg"
         cfg.write_text(BASE_CFG + "\n[noise]\nsigma_rel = 0.01\n")
+        reseeded = tmp_path / "reseeded.cfg"
+        reseeded.write_text(cfg.read_text().replace("seed = 3", "seed = 9"))
         a_dir, b_dir, c_dir = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert main(["forward", "--config", str(cfg), "--out", str(a_dir)]) == 0
         assert main(["forward", "--config", str(cfg), "--out", str(b_dir)]) == 0
-        assert main(["forward", "--config", str(cfg), "--out", str(c_dir),
-                     "--seed", "9"]) == 0
+        assert main(["forward", "--config", str(reseeded), "--out", str(c_dir)]) == 0
         a = (a_dir / "sinogram.tat").read_bytes()
         assert a == (b_dir / "sinogram.tat").read_bytes()
         assert a != (c_dir / "sinogram.tat").read_bytes()
@@ -439,6 +446,20 @@ class TestForwardCommand:
         taken.write_text("")
         proc = _run_cli("forward", "--config", str(cfg), "--out", str(taken))
         assert str(taken) in _one_error_line(proc, 2)
+
+    def test_out_below_a_file_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        def solver(*args):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr("ringtat.detector.forward_operator", solver)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: not a directory: {out}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg, taken] and taken.read_text() == ""
 
     def test_missing_config_exits_2(self, capsys):
         rc = main(["forward", "--config", "/definitely/not/here.cfg"])
@@ -528,6 +549,14 @@ class TestReconstructCommand:
         cfg = tmp_path / "lw.cfg"
         cfg.write_text(BASE_CFG.replace("method = cg", "method = landweber")
                        .replace("iters = 3", f"iters = 3\nstep = {step}"))
+        proc = _run_cli("reconstruct", "--config", str(cfg), "--data", str(workspace["sino"]),
+                        "--out", str(tmp_path / "rec"))
+        assert "[recon] step" in _one_error_line(proc, 2)
+        assert not (tmp_path / "rec").exists()
+
+    def test_cg_step_exits_2_naming_it(self, workspace, tmp_path):
+        cfg = tmp_path / "cg.cfg"
+        cfg.write_text(BASE_CFG.replace("iters = 3", "iters = 3\nstep = 2.0"))
         proc = _run_cli("reconstruct", "--config", str(cfg), "--data", str(workspace["sino"]),
                         "--out", str(tmp_path / "rec"))
         assert "[recon] step" in _one_error_line(proc, 2)

@@ -16,7 +16,6 @@ from ringtat.detector import (
     adjoint_operator,
     cylinder_residual_large,
     cylinder_residual_small,
-    detector_points,
     forward_operator,
     sweep_large_radius,
     sweep_small_radius,
@@ -29,6 +28,18 @@ from ringtat.wave import choose_time_steps
 
 def _speed(grid, kind="sinusoidal"):
     return sample_speed(SpeedSpec(kind=kind), grid)
+
+
+def _detector_points(cfg, theta):
+    """The n_alpha uniform quadrature nodes on the detector circle at angle theta."""
+    mode = cfg.mode
+    alphas = 2.0 * math.pi * np.arange(cfg.n_alpha) / cfg.n_alpha
+    center = mode.center_radius * np.array([math.cos(theta), math.sin(theta)])
+    return center + mode.r * np.stack([np.cos(alphas), np.sin(alphas)], axis=-1)
+
+
+def _times(sino):
+    return sino.dt * np.arange(sino.data.shape[0])
 
 
 class TestModes:
@@ -84,13 +95,13 @@ class TestThetaGrid:
 class TestDetectorPoints:
     def test_small_example(self):
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=64)
-        pts = detector_points(cfg, 0.0)
+        pts = _detector_points(cfg, 0.0)
         assert pts.shape == (64, 2)
         assert np.allclose(pts[0], [2.8, 0.0], atol=1e-15)
 
     def test_large_example(self):
         cfg = DetectorConfig(mode=LargeMode(r=2.0), n_alpha=64)
-        pts = detector_points(cfg, math.pi / 2)
+        pts = _detector_points(cfg, math.pi / 2)
         # center (0, 1), half a turn along the circle lands at (-2, 1)
         assert np.allclose(pts[32], [-2.0, 1.0], atol=1e-12)
 
@@ -98,13 +109,13 @@ class TestDetectorPoints:
         for mode in (SmallMode(R=2.0, r=0.8), SmallMode(R=1.7, r=0.7), LargeMode(r=2.0), LargeMode(r=2.5)):
             cfg = DetectorConfig(mode=mode, n_alpha=256)
             for theta in (0.0, 0.3, 2.0, 4.5):
-                pts = detector_points(cfg, theta)
+                pts = _detector_points(cfg, theta)
                 assert np.min(np.hypot(pts[:, 0], pts[:, 1])) >= 1.0 - 1e-12
 
 
 class TestRingAverage:
     """The circle mean behind every reading: the uniform quadrature nodes of
-    ``detector_points`` and, on a sampled field, the first record level of
+    ``_detector_points`` and, on a sampled field, the first record level of
     the forward map."""
 
     def test_constant_field(self):
@@ -117,14 +128,15 @@ class TestRingAverage:
         # mean of x over a circle centered at (2, 0) is the center abscissa,
         # and the uniform cosine sum vanishes exactly in floating point too
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=128)
-        avg = np.mean(detector_points(cfg, 0.0)[:, 0])
+        avg = np.mean(_detector_points(cfg, 0.0)[:, 0])
         assert abs(avg - 2.0) < 1e-13
 
     def test_quadrature_spectral_accuracy(self):
         """Trapezoid on a periodic smooth integrand: refining n_alpha four-fold
         moves the answer by less than 1e-10."""
         def mean(n_alpha):
-            pts = detector_points(DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=n_alpha), 0.7)
+            cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_alpha=n_alpha)
+            pts = _detector_points(cfg, 0.7)
             return np.mean(np.exp(-((pts[:, 0] - 1.6) ** 2 + pts[:, 1] ** 2)))
 
         assert abs(mean(64) - mean(256)) <= 1e-10
@@ -137,7 +149,7 @@ class TestRingAverage:
             return np.sin(0.9 * x) * np.cos(0.7 * y)
 
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=7, n_alpha=128, T=0.02, nt=2)
-        exact = [np.mean(u(*detector_points(cfg, th).T)) for th in theta_grid(cfg)]
+        exact = [np.mean(u(*_detector_points(cfg, th).T)) for th in theta_grid(cfg)]
         sampled = forward_operator(u(X, Y), _speed(grid), cfg).data[0]
         np.testing.assert_allclose(sampled, exact, rtol=0, atol=1e-6)
 
@@ -151,8 +163,8 @@ class TestForwardOperator:
         sino = forward_operator(f, speed, cfg)
         assert isinstance(sino, Sinogram)
         assert np.all(sino.data == 0.0)
-        assert sino.times[0] == 0.0
-        assert abs(sino.times[-1] - 0.5) < 1e-12
+        assert _times(sino)[0] == 0.0
+        assert abs(_times(sino)[-1] - 0.5) < 1e-12
 
     def test_deterministic(self):
         grid = make_grid(L=3.0, n=97)
@@ -188,7 +200,7 @@ class TestForwardOperator:
         sino = forward_operator(f, speed, cfg)
         peak = np.abs(sino.data).max()
         firsts = np.array(
-            [sino.times[np.argmax(np.abs(sino.data[:, j]) > 1e-3 * peak)] for j in range(6)]
+            [_times(sino)[np.argmax(np.abs(sino.data[:, j]) > 1e-3 * peak)] for j in range(6)]
         )
         slack = grid.h + sino.dt
         assert np.all(firsts >= 1.2 - 4 * sigma - slack)
@@ -207,7 +219,7 @@ class TestForwardOperator:
         sino = forward_operator(f, speed, cfg)
         peak = np.abs(sino.data).max()
         firsts = np.array(
-            [sino.times[np.argmax(np.abs(sino.data[:, j]) > 1e-3 * peak)] for j in range(6)]
+            [_times(sino)[np.argmax(np.abs(sino.data[:, j]) > 1e-3 * peak)] for j in range(6)]
         )
         slack = grid.h + sino.dt
         assert np.all(firsts >= 1.0 - 4 * sigma - slack)
@@ -230,7 +242,7 @@ class TestForwardOperator:
             ctr = 2.0 * np.array([math.cos(th), math.sin(th)])
             dist = np.linalg.norm(ctr - center) - 0.8 - 4 * sigma
             t_min = dist / speed.max_c - (grid.h + sino.dt)
-            before = np.abs(sino.data[sino.times < t_min, j])
+            before = np.abs(sino.data[_times(sino) < t_min, j])
             if before.size:
                 assert before.max() <= 1e-8 * peak
 

@@ -1,5 +1,6 @@
 """Tests for geodesic tracing, detection events and visibility verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from ringtat.rays import (
     mirror_point,
     trace_geodesic,
     visibility,
-    _speed_spline,
 )
 
 
@@ -87,10 +87,9 @@ def _bits(*values):
 
 class TestTrace:
     def _assert_matches_oracle(self, cv, speed, sigma, t_max):
-        sp = _speed_spline(speed)
-        path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max, _spline=sp)
+        path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max)
         states, c0, (escaped, x_exit, t_exit, v_exit) = _vector_oracle(
-            cv, sp, sigma, t_max, rays.DEFAULT_RAY_STEP)
+            cv, speed.spline, sigma, t_max, rays.DEFAULT_RAY_STEP)
         assert path.escaped == escaped and len(path.states) == len(states)
         got = np.concatenate([_bits(s.x, s.p, s.t) for s in path.states])
         want = np.concatenate([_bits(*s) for s in states])
@@ -127,12 +126,11 @@ class TestTrace:
 
     def test_metric_speed_conserved(self):
         speed = _speed()
-        spline = _speed_spline(speed)
         path = trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), speed, t_max=4.0)
         worst = 0.0
         for s in path.states:
             if math.hypot(*s.x) < 1.0:
-                c = float(spline.value(s.x[None, :])[0])
+                c = float(speed.spline.value(s.x[None, :])[0])
                 worst = max(worst, abs(c * math.hypot(*s.p) - 1.0))
         assert worst <= 1e-6
 
@@ -323,11 +321,41 @@ class TestSplineQueries:
 
         monkeypatch.setattr(rays, "trace_geodesic", recording)
         wf = _random_covectors(3, np.random.default_rng(8))
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        visibility(wf, _speed(), cfg, time_window=(0.0, 5.0), arc=(0.0, 0.5 * math.pi))
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0, aperture=(0.0, 0.5 * math.pi))
+        visibility(wf, _speed(), cfg, time_window=(0.0, 5.0))
         assert len(paths) == 2 * len(wf)
         assert len(calls) == sum(4 * (len(p.states) - 1) + 1 for p in paths)
         assert set(calls) == {(1, 2)}
+
+
+class TestSplineBuilds:
+    """The speed interpolant is built once per ``SpeedField``, on first use,
+    and every trace on that field reads the same one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        init = SplineField.__init__
+
+        def counting(sf, *args, **kwargs):
+            built.append(sf)
+            init(sf, *args, **kwargs)
+
+        monkeypatch.setattr(SplineField, "__init__", counting)
+        return built
+
+    def test_visibility_builds_one_spline(self, builds):
+        wf = _random_covectors(4, np.random.default_rng(9))
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
+        visibility(wf, _speed(), cfg)
+        assert len(builds) == 1
+
+    def test_traces_share_the_field_spline(self, builds):
+        speed = _speed()
+        assert builds == []
+        trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), speed, t_max=1.0)
+        trace_geodesic(Covector(y=(-0.1, 0.4), xi=(1.0, 0.0)), speed, sigma=-1, t_max=1.0)
+        assert builds == [speed.spline]
 
 
 class TestVisibility:
@@ -350,7 +378,8 @@ class TestVisibility:
             Covector(y=(0.8, 0.0), xi=(1.0, 0.0)),
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
-        report = visibility(wf, speed, cfg, time_window=(1.5, 2.5), arc=(-0.1, 0.1))
+        report = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-0.1, 0.1)),
+                            time_window=(1.5, 2.5))
         assert [v.verdict for v in report.verdicts] == ["masked", "masked"]
         assert report.verdicts[0].partner_index == 1
         assert report.verdicts[1].partner_index == 0
@@ -375,7 +404,8 @@ class TestVisibility:
             Covector(y=(0.0, 0.0), xi=(u, u)),  # exits toward pi/4 and 5pi/4
             Covector(y=(0.0, 0.0), xi=(u, -u)),  # exits toward -pi/4, inside the arc
         ]
-        report = visibility(wf, speed, cfg, time_window=(0.0, 5.0), arc=(-math.pi / 2, 0.0))
+        report = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-math.pi / 2, 0.0)),
+                            time_window=(0.0, 5.0))
         assert report.verdicts[0].verdict == "out_of_aperture"
         assert report.verdicts[1].verdict == "visible"
 
@@ -394,8 +424,9 @@ class TestVisibility:
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
         scaled = [Covector(y=c.y, xi=c.xi, magnitude=7.5) for c in base]
-        a = visibility(base, speed, cfg, time_window=(1.5, 2.5), arc=(-0.1, 0.1))
-        b = visibility(scaled, speed, cfg, time_window=(1.5, 2.5), arc=(-0.1, 0.1))
+        narrow = dataclasses.replace(cfg, aperture=(-0.1, 0.1))
+        a = visibility(base, speed, narrow, time_window=(1.5, 2.5))
+        b = visibility(scaled, speed, narrow, time_window=(1.5, 2.5))
         assert [v.verdict for v in a.verdicts] == [v.verdict for v in b.verdicts]
 
     def test_empty_wavefront_rejected(self):

@@ -56,11 +56,6 @@ class TestTimeCutoff:
 
 
 class TestNormEstimate:
-    def test_requires_ten_iterations(self):
-        grid = make_grid(L=3.4, n=32)
-        with pytest.raises(ValueError):
-            operator_norm_estimate(_speed(grid), DetectorConfig(mode=LargeMode(r=2.0), T=2.0), iters=5)
-
     def test_deterministic(self):
         grid = make_grid(L=3.4, n=32)
         speed = _speed(grid)
