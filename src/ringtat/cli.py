@@ -25,7 +25,8 @@ An experiment is described by a flat key-value config with sections::
     t = 5.0             # record / cutoff plateau length
     # t1 = 5.5          # optional taper end: record to t1, weight by a
     #                   # smooth cutoff that is 1 on [0, t] and 0 past t1
-    # nt = 401          # optional; otherwise the CFL bound picks the lattice
+    # nt = 401          # optional; otherwise the lattice steps at 0.9 of
+    #                   # the CFL bound
 
     [aperture]          # optional section
     # arc = -1.5708 0.0
@@ -336,11 +337,12 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
             raise ConfigError(f"config is missing the [{required}] section")
 
     g = sections["grid"]
-    grid = make_grid(
-        L=_require(g, "l", float, "grid"),
-        n=_require(g, "n", int, "grid"),
-        pml_width=_get(g, "pml_width", float, 0.5, "grid"),
-    )
+    L, n = _require(g, "l", float, "grid"), _require(g, "n", int, "grid")
+    pml_width = _get(g, "pml_width", float, 0.5, "grid")
+    try:
+        grid = make_grid(L=L, n=n, pml_width=pml_width)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
 
     sp = sections.get("speed", {})
     speed_spec = SpeedSpec(**{key: _get(sp, key, str if key == "kind" else float, section="speed")

@@ -45,11 +45,12 @@ class SmallMode:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("detector radius r must be positive")
-        if self.R - self.r < 1.0 - 1e-12:
+        # comparisons with NaN are false, so NaN fails these checks
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"detector radius r must be finite and positive, got {self.r:g}")
+        if not 1.0 - 1e-12 <= self.R - self.r < math.inf:
             raise ValueError(
-                f"small-detector geometry needs R - r >= 1, got R - r = {self.R - self.r:g}"
+                f"small-detector geometry needs finite R - r >= 1, got R - r = {self.R - self.r:g}"
             )
 
     @property
@@ -65,8 +66,8 @@ class LargeMode:
     r: float
 
     def __post_init__(self):
-        if self.r < 2.0 - 1e-12:
-            raise ValueError(f"large-detector geometry needs r >= 2, got r = {self.r:g}")
+        if not 2.0 - 1e-12 <= self.r < math.inf:
+            raise ValueError(f"large-detector geometry needs finite r >= 2, got r = {self.r:g}")
 
     @property
     def center_radius(self) -> float:
@@ -94,8 +95,8 @@ class DetectorConfig:
             raise ValueError("n_alpha must be at least 64")
         if self.n_theta < 1:
             raise ValueError("n_theta must be positive")
-        if self.T <= 0:
-            raise ValueError("record length T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"record length T = {self.T} must be finite and positive")
         if self.nt is not None and self.nt < 2:
             raise ValueError("nt must be at least 2")
         if self.aperture is not None:
@@ -147,16 +148,14 @@ class RadiusSweep:
     """A family of sinograms over a swept radius.
 
     data[i, j, k] is the reading at time i*dt, angle thetas[j], radius
-    radii[k].  ``variable`` records what was swept: "center" (the circle
-    of detector centers, small geometry) or "detector" (the detector
-    radius itself, large geometry).
+    radii[k]: the circle of detector centers in the small geometry, the
+    detector radius itself in the large one.
     """
 
     data: np.ndarray
     dt: float
     thetas: np.ndarray
     radii: np.ndarray
-    variable: str
     config: DetectorConfig
 
 
@@ -209,7 +208,7 @@ def _detector_sampler(grid, config: DetectorConfig) -> BicubicSampler:
 
 def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:
     if config.nt is None:
-        return choose_time_steps(speed, config.T, safety=0.5)
+        return choose_time_steps(speed, config.T)
     nt = config.nt
     dt = config.T / (nt - 1)
     return nt, dt
@@ -262,13 +261,12 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
 
 
 def _record_sweep(f, speed: SpeedField, config: DetectorConfig, centers_radius, circle_radius,
-                  radii: np.ndarray, variable: str) -> RadiusSweep:
+                  radii: np.ndarray) -> RadiusSweep:
     thetas = theta_grid(config)
     sampler = _build_sampler(speed.grid, centers_radius, circle_radius, thetas, config.n_alpha)
     nt, dt = _time_lattice(speed, config)
     data = _record_forward(f, speed, sampler, nt, dt).reshape(nt, thetas.size, radii.size)
-    return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=radii, variable=variable,
-                       config=config)
+    return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=radii, config=config)
 
 
 def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -> RadiusSweep:
@@ -283,7 +281,7 @@ def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -
     Rs = np.asarray(sorted(R_values), dtype=float)
     if np.any(Rs - r < 1.0 - 1e-12):
         raise ValueError("every swept center radius must keep R - r >= 1")
-    return _record_sweep(f, speed, config, Rs, r, Rs, "center")
+    return _record_sweep(f, speed, config, Rs, r, Rs)
 
 
 def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -> RadiusSweep:
@@ -293,7 +291,7 @@ def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -
     rs = np.asarray(sorted(r_values), dtype=float)
     if np.any(rs < 2.0 - 1e-12):
         raise ValueError("every swept detector radius must satisfy r >= 2")
-    return _record_sweep(f, speed, config, 1.0, rs, rs, "detector")
+    return _record_sweep(f, speed, config, 1.0, rs, rs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,19 @@ import numpy as np
 from ._spline import SplineField
 
 
+def _require_finite(**values) -> None:
+    """Reject NaN and +-inf: a NaN passes every later comparison and would
+    reach the solver."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} = {value} must be finite")
+
+
+# the unit disc, where phantoms and speed variations live, must span at
+# least this many cells across
+_MIN_DISC_CELLS = 4
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform node grid on [-L, L]^2 with n nodes per axis.
@@ -38,6 +51,11 @@ class Grid2D:
             raise ValueError(
                 f"domain half width L={self.L} must be finite and exceed 1 (unit disc "
                 "must be strictly interior)"
+            )
+        if self.h > 2.0 / _MIN_DISC_CELLS:
+            raise ValueError(
+                f"spacing h = 2L/(n-1) = {self.h:g} (L = {self.L:g}, n = {self.n}) leaves "
+                f"the unit disc under {_MIN_DISC_CELLS} cells across; lower L or raise n"
             )
         if not (0.0 <= self.pml_width < self.L - 1.0):
             raise ValueError("pml_width must be >= 0 and leave the unit disc clear")
@@ -134,6 +152,10 @@ class SpeedSpec:
     eta_radius: float = 1.0
     eta_taper: float = 0.2
 
+    def __post_init__(self):
+        _require_finite(amp=self.amp, kx=self.kx, ky=self.ky, sigma=self.sigma,
+                        eta_radius=self.eta_radius, eta_taper=self.eta_taper)
+
 
 @dataclass(frozen=True)
 class SpeedField:
@@ -188,14 +210,6 @@ def sample_speed(spec: SpeedSpec, grid: Grid2D) -> SpeedField:
 
 # ---------------------------------------------------------------------------
 # phantoms
-
-
-def _require_finite(**values) -> None:
-    """Reject NaN and +-inf: a NaN passes every later comparison and would
-    reach the solver."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} = {value} must be finite")
 
 
 @dataclass(frozen=True)

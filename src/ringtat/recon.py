@@ -40,7 +40,6 @@ __all__ = [
     "operator_norm_estimate",
     "landweber",
     "cg_normal",
-    "assemble_forward_matrix",
 ]
 
 
@@ -313,29 +312,3 @@ def cg_normal(
         step_size=None,
         iterations=done,
     )
-
-
-def assemble_forward_matrix(
-    speed: SpeedField,
-    config: DetectorConfig,
-    support_radius: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense matrix of the measurement map on pixels inside a support disc.
-
-    Column j is the flattened record of the unit image at the j-th kept
-    pixel; the boolean mask (second return) says which pixels were kept, in
-    C order.  Meant for small grids where a singular value analysis of the
-    discrete problem is affordable.
-    """
-    grid = speed.grid
-    mask = grid.radius() < support_radius
-    idx = np.argwhere(mask)
-    nt, _ = _time_lattice(speed, config)
-    n_theta = theta_grid(config).size
-    A = np.empty((nt * n_theta, idx.shape[0]))
-    e = np.zeros((grid.n, grid.n))
-    for col, (i, j) in enumerate(idx):
-        e[i, j] = 1.0
-        A[:, col] = forward_operator(e, speed, config).data.ravel()
-        e[i, j] = 0.0
-    return A, mask

@@ -33,7 +33,7 @@ from ringtat.field import (
     sample_speed,
 )
 from ringtat.rays import detect_events, trace_geodesic, visibility
-from ringtat.recon import assemble_forward_matrix, cg_normal, landweber
+from ringtat.recon import cg_normal, landweber
 from ringtat.selftest import (
     RATIO_RANGE,
     STUDY,
@@ -47,6 +47,8 @@ from ringtat.selftest import (
     residual_discrimination,
 )
 from ringtat.wave import choose_time_steps, solve_forward
+
+from dense_matrix import assemble_forward_matrix
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

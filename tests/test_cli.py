@@ -1,11 +1,14 @@
 """Tests for the command line front end and artifact formats."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,8 @@ from ringtat.cli import (
     write_pgm,
 )
 from ringtat.detector import LargeMode, SmallMode, SweepSettings
+from ringtat.field import sample_speed
+from ringtat.wave import cfl_limit
 
 BASE_CFG = """
 [grid]
@@ -461,6 +466,14 @@ class TestForwardCommand:
         assert capsys.readouterr().err == f"error: not a directory: {out}\n"
         assert sorted(tmp_path.iterdir()) == [cfg, taken] and taken.read_text() == ""
 
+    def test_absurd_grid_spacing_exits_2_naming_it(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("l = 3.6", "l = 1e300").replace("n = 49", "n = 33"))
+        proc = _run_cli("forward", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        err = _one_error_line(proc, 2)
+        assert err.startswith("error: [grid] ") and "L = 1e+300, n = 33" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, capsys):
         rc = main(["forward", "--config", "/definitely/not/here.cfg"])
         assert rc == 2
@@ -518,6 +531,24 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert str(workspace["sino"]) in err and str(cfg) in err
         assert "mode.r" in err
+
+    def test_sinogram_on_an_older_lattice_exits_2_naming_it(self, workspace, tmp_path):
+        """A sinogram recorded at half the CFL bound, as older builds chose
+        when ``[time] nt`` is unset, is refused before any solve."""
+        exp = load_experiment(workspace["cfg"])
+        T = exp.detector.T
+        nt = math.ceil(T / (0.5 * cfl_limit(sample_speed(exp.speed_spec, exp.grid)))) + 1
+        _, meta = read_array(workspace["sino"])
+        current = meta["detector"]["nt"]
+        assert current < nt
+        meta["detector"].update(nt=nt, dt=T / (nt - 1))
+        old = tmp_path / "old.tat"
+        write_array(old, np.zeros((nt, exp.detector.n_theta)), meta)
+        proc = _run_cli("reconstruct", "--config", str(workspace["cfg"]), "--data", str(old),
+                        "--out", str(tmp_path / "rec"))
+        err = _one_error_line(proc, 2)
+        assert f"nt: config has {current}, data has {nt}" in err and "dt: config has" in err
+        assert not (tmp_path / "rec").exists()
 
     def test_shape_check_without_sidecar(self, workspace, tmp_path, capsys):
         bare = tmp_path / "bare.tat"
@@ -623,6 +654,68 @@ class TestVisibilityCommand:
         assert "no edges" in capsys.readouterr().err
         rows = (tmp_path / "visibility.csv").read_text().strip().splitlines()
         assert len(rows) == 1
+
+
+TINY_CFG = """
+[grid]
+l = 3.4
+n = 17
+pml_width = 0.3
+
+[speed]
+kind = sinusoidal
+
+[phantom]
+gaussian.1 = 0.1 -0.1 0.2
+
+[detector]
+mode = large
+r = 2.0
+n_theta = 4
+n_alpha = 64
+
+[time]
+t = 1.0
+
+[visibility]
+stride = 1
+max_count = 2
+"""
+
+_FUZZ_NUMBERS = st.one_of(
+    st.sampled_from(["1e300", "-1e300", "1e-300", "inf", "-inf", "nan", "0", "-1"]),
+    st.floats(-4.0, 40.0).map(repr),
+    st.integers(-3, 40).map(str),
+    st.text(alphabet="0123456789.-e nai", max_size=6),
+)
+
+
+class TestCommandFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["forward", "visibility"]),
+           edits=st.dictionaries(st.sampled_from([
+               "grid.l", "grid.n", "grid.pml_width", "speed.amp", "speed.kx",
+               "phantom.gaussian.1", "detector.mode", "detector.r", "detector.center_radius",
+               "detector.n_theta", "time.t", "time.nt", "aperture.arc", "aperture.window",
+           ]), _FUZZ_NUMBERS, max_size=2))
+    def test_tiny_configs_exit_cleanly(self, command, edits):
+        """Any config ends in exit 0, 2 or 3 with at most one stderr line and
+        no Python warning."""
+        sections = parse_config_text(TINY_CFG)
+        for dotted, value in edits.items():
+            sec, key = dotted.split(".", 1)
+            sections.setdefault(sec, {})[key] = value
+        text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                         for sec, body in sections.items())
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = Path(root) / "exp.cfg"
+            cfg.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([command, "--config", str(cfg), "--out", str(Path(root) / "out")])
+        assert rc in (0, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 class TestSweepCommand:

@@ -15,12 +15,13 @@ from ringtat.detector import (
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
 from ringtat.recon import (
     ReconResult,
-    assemble_forward_matrix,
     cg_normal,
     landweber,
     operator_norm_estimate,
     time_cutoff_chi,
 )
+
+from dense_matrix import assemble_forward_matrix
 
 
 def _speed(grid, kind="sinusoidal"):

@@ -26,6 +26,12 @@ def _setup(n=64, L=1.5, kind="sinusoidal", pml_width=0.0):
     return g, sp
 
 
+def _lattice(sp, T, fraction):
+    """(nt, dt) covering [0, T] at ``fraction`` of the CFL bound."""
+    nt = math.ceil(T / (fraction * cfl_limit(sp))) + 1
+    return nt, T / (nt - 1)
+
+
 def _lap_independent(u, h):
     p = np.pad(u, 1)
     return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4 * u) / h**2
@@ -38,17 +44,15 @@ class TestTimeStepSelection:
 
     def test_choose_time_steps_frozen(self):
         _, sp = _setup(n=129, L=2.0, kind="constant")
-        nt, dt = choose_time_steps(sp, 1.0, 0.5)
-        assert nt == 92
-        assert dt == pytest.approx(1.0 / 91, rel=1e-15)
-        assert dt <= 0.5 * cfl_limit(sp)
+        nt, dt = choose_time_steps(sp, 1.0)
+        assert nt == 52
+        assert dt == pytest.approx(1.0 / 51, rel=1e-15)
+        assert dt <= 0.9 * cfl_limit(sp)
 
     def test_rejects_bad_inputs(self):
         _, sp = _setup()
         with pytest.raises(ValueError):
             choose_time_steps(sp, -1.0)
-        with pytest.raises(ValueError):
-            choose_time_steps(sp, 1.0, safety=0.0)
 
     def test_solver_rejects_unstable_dt(self):
         _, sp = _setup()
@@ -139,7 +143,7 @@ class TestStepping:
         sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
         f = gaussian_phantom(g, sigma=0.1).f
         T = 0.6
-        nt, dt = choose_time_steps(sp, T, safety=0.5)
+        nt, dt = _lattice(sp, T, 0.5)
         s = solve_forward(f, sp, nt, dt)
         rho = g.radius()
         outside = rho > 1.0 + T * sp.max_c + 3 * g.h
@@ -152,7 +156,7 @@ class TestStepping:
             g = make_grid(L=1.5, n=n)
             sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
             f = gaussian_phantom(g, center=(0.1, -0.05), sigma=0.12).f
-            nt, dt = choose_time_steps(sp, T, safety=0.45)
+            nt, dt = _lattice(sp, T, 0.45)
             sols[n] = solve_forward(f, sp, nt, dt).u_curr
         # compare on the common coarse node set so the norms are comparable
         ref = sols[321]
@@ -179,7 +183,7 @@ class TestEnergy:
     def test_exact_conservation_without_damping(self):
         g, sp = _setup(n=101)
         f = gaussian_phantom(g, sigma=0.1).f
-        nt, dt = choose_time_steps(sp, 1.2, safety=0.5)
+        nt, dt = _lattice(sp, 1.2, 0.5)
         solver = WaveSolver(sp, dt)
         s = solver.step(solver.init_state(f))
         e0 = energy(s, sp)
@@ -373,7 +377,7 @@ class TestSolveForward:
         g = make_grid(L=1.6, n=161, pml_width=0.5)
         sp = sample_speed(SpeedSpec(kind="constant"), g)
         f = gaussian_phantom(g, sigma=0.08).f
-        nt, dt = choose_time_steps(sp, 2.4, safety=0.5)
+        nt, dt = _lattice(sp, 2.4, 0.5)
         solver = WaveSolver(sp, dt)
         X, Y = g.mesh()
         interior = np.maximum(np.abs(X), np.abs(Y)) < g.interior_half_width
