@@ -291,14 +291,14 @@ class BicubicSampler:
         h: float,
         n: int,
         points: np.ndarray,
-        rows: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-        n_rows: int | None = None,
+        rows: np.ndarray,
+        weights: np.ndarray,
+        n_rows: int,
     ):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         k = pts.shape[0]
-        rows = np.zeros(k, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
-        weights = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
+        rows = np.asarray(rows, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
         if rows.shape != (k,) or weights.shape != (k,):
             raise ValueError("rows and weights must be 1-d with one entry per point")
         if n < 4:
@@ -306,7 +306,7 @@ class BicubicSampler:
         self.x0 = float(x0)
         self.h = float(h)
         self.n = int(n)
-        self.n_rows = int(rows.max()) + 1 if n_rows is None else int(n_rows)
+        self.n_rows = int(n_rows)
         if k and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise ValueError(f"rows must lie in [0, {self.n_rows})")
 

@@ -35,6 +35,8 @@ An experiment is described by a flat key-value config with sections::
     [recon]
     method = cg         # or landweber
     iters = 15
+    # step = 0.5        # Landweber only; otherwise one over the power-
+    #                   # iteration norm estimate
 
     [run]
     seed = 0
@@ -230,7 +232,7 @@ _KNOWN_KEYS = {
     "detector": {"mode", "center_radius", "r", "n_theta", "n_alpha"},  # center_radius: small
     "time": {"t", "t1", "nt"},
     "aperture": {"arc", "window"},
-    "recon": {"method", "iters", "step", "tol", "tikhonov"},
+    "recon": {"method", "iters", "step"},
     "run": {"seed", "out_dir"},
     "noise": {"sigma_rel"},
     "visibility": {"threshold", "stride", "max_count"},
@@ -281,6 +283,20 @@ def _positive(value: str) -> float:
     return x
 
 
+def _fraction(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"expected a number in (0, 1), got {value}")
+    return x
+
+
+def _count(value: str) -> int:
+    x = int(value)
+    if x < 1:
+        raise ValueError(f"expected an integer of at least 1, got {value}")
+    return x
+
+
 def _angle_pair(value: str) -> tuple[float, float]:
     vals = _floats(value)
     if len(vals) != 2:
@@ -309,8 +325,6 @@ class ExperimentConfig:
     method: str
     iters: int
     step: float | None
-    tol: float
-    tikhonov: float
     seed: int
     out_dir: str
     noise_rel: float
@@ -428,14 +442,12 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         method=method,
         iters=_get(rc, "iters", int, 15, "recon"),
         step=_get(rc, "step", _positive, None, "recon"),
-        tol=_get(rc, "tol", float, 1e-6, "recon"),
-        tikhonov=_get(rc, "tikhonov", float, 0.0, "recon"),
         seed=_get(rn, "seed", int, 0, "run"),
         out_dir=rn.get("out_dir", "."),
         noise_rel=_get(nz, "sigma_rel", float, 0.0, "noise"),
-        vis_threshold=_get(vis, "threshold", float, 0.5, "visibility"),
-        vis_stride=_get(vis, "stride", int, 4, "visibility"),
-        vis_max_count=_get(vis, "max_count", int, 64, "visibility"),
+        vis_threshold=_get(vis, "threshold", _fraction, 0.5, "visibility"),
+        vis_stride=_get(vis, "stride", _count, 4, "visibility"),
+        vis_max_count=_get(vis, "max_count", _count, 64, "visibility"),
         sweep=sweep,
     )
     # fail fast: phantom support validates at load, not mid-run
@@ -599,10 +611,9 @@ def cmd_reconstruct(args) -> int:
 
     if cfg.method == "landweber":
         result = landweber(data, speed, cfg.detector, iters=cfg.iters, step=cfg.step,
-                           cutoff=cutoff, tol=cfg.tol, tikhonov=cfg.tikhonov)
+                           cutoff=cutoff)
     else:
-        result = cg_normal(data, speed, cfg.detector, iters=cfg.iters, tol=cfg.tol,
-                           cutoff=cutoff, tikhonov=cfg.tikhonov)
+        result = cg_normal(data, speed, cfg.detector, iters=cfg.iters, cutoff=cutoff)
 
     out.mkdir(parents=True, exist_ok=True)
     est = result.estimate.f
@@ -753,7 +764,7 @@ def cmd_selftest(args) -> int:
     from .selftest import run_checks
 
     passed = failed = 0
-    for name, ok, detail in run_checks(args.level, args.break_adjoint):
+    for name, ok, detail in run_checks(args.level):
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
         passed += ok
         failed += not ok
@@ -797,8 +808,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="built-in consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--break-adjoint", action="store_true",
-                   help="fault injection: perturb one side of the adjoint check")
     p.set_defaults(fn=cmd_selftest)
     return parser
 

@@ -217,7 +217,11 @@ def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float
 def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
                     dt: float) -> np.ndarray:
     """Row k of the record is the sampler read of the field at level k."""
-    out = np.empty((nt, sampler.n_rows))
+    try:
+        out = np.empty((nt, sampler.n_rows))
+    except (MemoryError, ValueError):  # past memory, or past numpy's index range
+        raise ValueError(f"a record of {nt} time levels x {sampler.n_rows} detectors "
+                         "is too large to allocate") from None
 
     def read(k, u):
         out[k] = sampler.apply(u)

@@ -373,6 +373,10 @@ def phantom_edges(
     """
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie in (0, 1)")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if max_count is not None and max_count < 1:
+        raise ValueError(f"max_count must be at least 1, got {max_count}")
     gx, gy, mag = gradient_magnitude(p)
     peak = float(np.max(mag))
     if peak == 0.0:

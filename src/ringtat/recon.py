@@ -31,7 +31,6 @@ from .detector import (
     theta_grid,
 )
 from .field import Phantom, SpeedField, transition
-from .wave import laplacian
 
 __all__ = [
     "ReconResult",
@@ -60,9 +59,8 @@ class ReconResult:
     """Outcome of an iterative solve.
 
     ``residual_history[k]`` is the weighted data-misfit norm of the k-th
-    iterate (index 0 is the zero initial guess); with a roughness penalty it
-    is the full objective norm.  ``step_size`` is the Landweber step actually
-    used, None for CG.
+    iterate (index 0 is the zero initial guess).  ``step_size`` is the
+    Landweber step actually used, None for CG.
     """
 
     estimate: Phantom
@@ -118,13 +116,10 @@ def _normal_apply(
     config: DetectorConfig,
     chi_w: np.ndarray,
     mask: np.ndarray,
-    tikhonov: float = 0.0,
 ) -> np.ndarray:
     """One application of the (masked, weighted) normal operator."""
     sino = forward_operator(x, speed, config)
     y = adjoint_operator(chi_w * sino.data, speed, config)
-    if tikhonov:
-        y = y - tikhonov * laplacian(x, speed.grid.h)
     y[~mask] = 0.0
     return y
 
@@ -135,17 +130,17 @@ _POWER_ITERS = 30
 _POWER_TOL = 0.05
 _POWER_SEED = 0
 
+# both solvers stop once the misfit falls to this fraction of its start
+_TOL = 1e-6
+
 
 def operator_norm_estimate(
     speed: SpeedField,
     config: DetectorConfig,
     cutoff: np.ndarray | None = None,
-    tikhonov: float = 0.0,
 ) -> float:
     """Largest eigenvalue of the weighted normal operator on the unit-disc
     subspace, by power iteration: the squared norm of the measurement map.
-    A roughness penalty, when given, is part of the iterated operator so the
-    estimate bounds the actual descent operator.
 
     Returns once the Rayleigh quotient moves by less than ``_POWER_TOL``
     relative, or after ``_POWER_ITERS`` applications.
@@ -160,7 +155,7 @@ def operator_norm_estimate(
     x /= math.sqrt(_inner(x, x))
     lam = 0.0
     for k in range(_POWER_ITERS):
-        y = _normal_apply(x, speed, config, chi_w, mask, tikhonov=tikhonov)
+        y = _normal_apply(x, speed, config, chi_w, mask)
         lam_new = _inner(x, y)
         norm_y = math.sqrt(_inner(y, y))
         if norm_y == 0.0:
@@ -179,8 +174,6 @@ def landweber(
     iters: int = 50,
     step: float | None = None,
     cutoff: np.ndarray | None = None,
-    tol: float = 1e-6,
-    tikhonov: float = 0.0,
 ) -> ReconResult:
     """Projected gradient descent on the weighted least-squares misfit.
 
@@ -188,11 +181,11 @@ def landweber(
     the unit disc after every update.  With the automatic step (one over the
     power-iteration norm estimate) the recorded history is non-increasing;
     three consecutive increases abort with a diagnostic since they mean the
-    step is too long for the operator at hand.  With a roughness penalty the
-    history tracks the full objective, the quantity descent actually lowers.
-    Non-finite data (checked before any wave solve) or a non-finite misfit
-    raise FloatingPointError; a given step that is not finite and positive
-    raises ValueError before any solve.
+    step is too long for the operator at hand.  Non-finite data (checked
+    before any wave solve) or a non-finite misfit raise FloatingPointError;
+    a given step that is not finite and positive raises ValueError before
+    any solve.  Both solvers stop early once the misfit falls to ``_TOL``
+    of its initial value.
     """
     if step is not None and not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"landweber step must be finite and positive, got {step}")
@@ -208,16 +201,10 @@ def landweber(
         return ReconResult(zero, np.array(history), step if step is not None else 0.0, 0)
 
     if step is None:
-        est = operator_norm_estimate(speed, config, cutoff=cutoff, tikhonov=tikhonov)
+        est = operator_norm_estimate(speed, config, cutoff=cutoff)
         if est <= 0.0:
             raise RuntimeError("operator norm estimate vanished; cannot pick a step")
         step = 1.0 / est
-
-    def objective(img, resid):
-        m2 = float(np.sum(chi_w * resid**2))
-        if tikhonov:
-            m2 += tikhonov * _inner(img, -laplacian(img, grid.h))
-        return float(np.sqrt(m2))
 
     f = np.zeros((grid.n, grid.n))
     resid = data
@@ -225,12 +212,10 @@ def landweber(
     done = 0
     for k in range(iters):
         g = adjoint_operator(chi_w * resid, speed, config)
-        if tikhonov:
-            g = g + tikhonov * laplacian(f, grid.h)
         f = f + step * g
         f[~mask] = 0.0
         resid = data - forward_operator(f, speed, config).data
-        history.append(_require_finite(objective(f, resid), "misfit", k + 1))
+        history.append(_require_finite(_misfit(chi_w, resid), "misfit", k + 1))
         done = k + 1
         if history[-1] > history[-2]:
             rises += 1
@@ -242,7 +227,7 @@ def landweber(
                 )
         else:
             rises = 0
-        if history[-1] <= tol * history[0]:
+        if history[-1] <= _TOL * history[0]:
             break
     return ReconResult(
         estimate=Phantom(grid=grid, f=f),
@@ -257,9 +242,7 @@ def cg_normal(
     speed: SpeedField,
     config: DetectorConfig,
     iters: int = 15,
-    tol: float = 1e-6,
     cutoff: np.ndarray | None = None,
-    tikhonov: float = 0.0,
 ) -> ReconResult:
     """Conjugate gradients on the weighted normal equations.
 
@@ -289,7 +272,7 @@ def cg_normal(
     rs = _inner(r, r)
     done = 0
     for k in range(iters):
-        np_ = _normal_apply(p, speed, config, chi_w, mask, tikhonov=tikhonov)
+        np_ = _normal_apply(p, speed, config, chi_w, mask)
         curv = _require_finite(_inner(p, np_), "curvature", k + 1)
         if not curv > 1e-30 * _inner(p, p):
             raise RuntimeError("curvature vanished along the search direction")
@@ -301,7 +284,7 @@ def cg_normal(
         m2 = _require_finite(c0 - _inner(b, x) - _inner(x, r), "misfit", k + 1)
         history.append(float(np.sqrt(max(m2, 0.0))))
         done = k + 1
-        if history[-1] <= tol * history[0]:
+        if history[-1] <= _TOL * history[0]:
             break
         rs_new = _inner(r, r)
         p = r + (rs_new / rs) * p

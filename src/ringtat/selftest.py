@@ -37,14 +37,10 @@ WRONG_STENCIL_BELOW = 3.2
 STUDY = SweepSettings(levels=3)
 
 
-def adjoint_identity(*mode_kinds: str, n: int = 48, n_theta: int = 12, seeds=(7,),
-                     perturb: float = 0.0) -> tuple[bool, str]:
+def adjoint_identity(*mode_kinds: str, n: int = 48, n_theta: int = 12,
+                     seeds=(7,)) -> tuple[bool, str]:
     """Worst relative mismatch of <M f, g> and <f, M^T g> over seeded random
-    pairs (f, g), for each geometry in ``mode_kinds``.
-
-    ``perturb`` > 0 injects a fault: M f is shifted by ``perturb`` times
-    max(|M f|, 1) before the inner product.
-    """
+    pairs (f, g), for each geometry in ``mode_kinds``."""
     worst = 0.0
     for kind in mode_kinds:
         small = kind == "small"
@@ -58,8 +54,6 @@ def adjoint_identity(*mode_kinds: str, n: int = 48, n_theta: int = 12, seeds=(7,
             f = rng.standard_normal((n, n))
             g = rng.standard_normal((nt, n_theta))
             Mf = forward_operator(f, speed, config).data
-            if perturb:
-                Mf = Mf + perturb * max(float(np.abs(Mf).max()), 1.0)
             Mtg = adjoint_operator(g, speed, config)
             lhs = float(np.sum(Mf * g))
             rhs = float(np.sum(f * Mtg))
@@ -157,17 +151,16 @@ def residual_discrimination(study: dict) -> tuple[bool, str]:
 
 
 class _Run:
-    """What the checks of one ``run_checks`` call share: the level, the
-    fault injection and the refinement studies, each run at most once."""
+    """What the checks of one ``run_checks`` call share: the level and the
+    refinement studies, each run at most once."""
 
-    def __init__(self, level: str, break_adjoint: bool):
+    def __init__(self, level: str):
         self.full = level == "full"
-        self.perturb = 1e-6 if break_adjoint else 0.0
         self.study = functools.cache(lambda kind: residual_refinement_study(kind, STUDY))
 
 
 CHECKS = (
-    ("adjoint_small", "quick", lambda run: adjoint_identity("small", perturb=run.perturb)),
+    ("adjoint_small", "quick", lambda run: adjoint_identity("small")),
     ("adjoint_large", "quick", lambda run: adjoint_identity("large")),
     ("ray_straight_line", "quick", lambda run: ray_straight_line()),
     ("ray_hamiltonian", "quick", lambda run: ray_hamiltonian()),
@@ -183,14 +176,10 @@ CHECKS = (
 )
 
 
-def run_checks(level: str = "quick", break_adjoint: bool = False):
+def run_checks(level: str = "quick"):
     """Run the registry in order up to ``level`` ("quick" or "full"),
-    yielding ``(name, ok, detail)`` as each check finishes.
-
-    ``break_adjoint`` perturbs one side of the small-geometry adjoint check,
-    which must then fail.
-    """
-    run = _Run(level, break_adjoint)
+    yielding ``(name, ok, detail)`` as each check finishes."""
+    run = _Run(level)
     for name, check_level, check in CHECKS:
         if check_level == "quick" or run.full:
             ok, detail = check(run)

@@ -29,7 +29,7 @@ from ringtat.cli import (
     write_array,
     write_pgm,
 )
-from ringtat.detector import LargeMode, SmallMode, SweepSettings
+from ringtat.detector import LargeMode, SmallMode, SweepSettings, _time_lattice
 from ringtat.field import sample_speed
 from ringtat.wave import cfl_limit
 
@@ -64,6 +64,30 @@ seed = 3
 
 
 SMALL_CFG = BASE_CFG.replace("n = 65", "n = 49")
+
+HUGE_RECORD_CFG = """
+[grid]
+l = 3.9
+n = 33
+pml_width = 0.5
+
+[phantom]
+gaussian.1 = 0.2 -0.1 0.18
+
+[detector]
+mode = large
+r = 2.0
+n_theta = 4
+n_alpha = 64
+
+[time]
+t = 1.0
+
+[sweep]
+levels = 2
+base_n = 33
+base_n_theta = 4
+"""
 
 
 def _run_cli(*argv):
@@ -326,10 +350,23 @@ class TestBuildExperiment:
         ({"aperture.arc": "a 0"}, r"^\[aperture\] arc: could not convert"),
         ({"aperture.window": "0 nan"}, r"^\[aperture\] window: expected an increasing"),
         ({"sweep.window": "abc"}, r"^\[sweep\] window: could not convert"),
+        ({"visibility.threshold": "2"}, r"^\[visibility\] threshold: expected a number in \(0, 1\)"),
+        ({"visibility.threshold": "0"}, r"^\[visibility\] threshold: expected a number in \(0, 1\)"),
+        ({"visibility.stride": "0"}, r"^\[visibility\] stride: expected an integer of at least 1"),
+        ({"visibility.stride": "-2"}, r"^\[visibility\] stride: expected an integer of at least 1"),
+        ({"visibility.max_count": "-1"},
+         r"^\[visibility\] max_count: expected an integer of at least 1"),
+        ({"visibility.max_count": "0"},
+         r"^\[visibility\] max_count: expected an integer of at least 1"),
     ])
     def test_bad_values_name_their_key(self, edit, message):
         with pytest.raises(ConfigError, match=message):
             build_experiment(_cfg_dict(**edit))
+
+    @pytest.mark.parametrize("key", ["tol", "tikhonov"])
+    def test_recon_takes_method_iters_and_step_only(self, key):
+        with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in \[recon\]$"):
+            build_experiment(_cfg_dict(**{f"recon.{key}": "0.001"}))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_grid_rejected_at_load(self, value):
@@ -473,6 +510,29 @@ class TestForwardCommand:
         err = _one_error_line(proc, 2)
         assert err.startswith("error: [grid] ") and "L = 1e+300, n = 33" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, edit", [
+        ("forward", ("t = 1.0", "t = 1e15")),
+        ("forward", ("t = 1.0", "t = 1e300")),
+        ("forward", ("t = 1.0", f"t = 1.0\nnt = {10**16}")),
+        ("sweep", ("[sweep]", f"[sweep]\nbase_nt = {10**16}")),
+    ])
+    def test_record_too_long_to_allocate_exits_2_naming_it(self, tmp_path, capsys, command, edit):
+        # 256 PiB and up: past any address space, so nothing is allocated
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(HUGE_RECORD_CFG.replace(*edit))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        if command == "sweep":
+            nt, n_rows = 10**16, 4 * 3  # level 0: base_n_theta angles x 3 radii
+        else:
+            exp = load_experiment(cfg)
+            nt, _ = _time_lattice(sample_speed(exp.speed_spec, exp.grid), exp.detector)
+            n_rows = 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"record of {nt} time levels x {n_rows} detectors" in err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, capsys):
         rc = main(["forward", "--config", "/definitely/not/here.cfg"])
@@ -646,6 +706,18 @@ class TestVisibilityCommand:
         assert verdicts == {"visible"}
         assert (tmp_path / "overlay.pgm").exists()
 
+    @pytest.mark.parametrize("line", ["threshold = 2", "stride = 0", "stride = -2",
+                                      "max_count = -1"])
+    def test_bad_edge_knob_exits_2_naming_it(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG + f"\n[visibility]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: [visibility] {line.split()[0]}: ")
+        assert not out.exists()
+
     def test_zero_phantom_warns_and_writes_empty(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(BASE_CFG.replace("gaussian.1 = 0.2 -0.1 0.18", ""))
@@ -755,11 +827,25 @@ class TestSelftestCommand:
         assert "FAIL" not in out
         assert out.count("PASS") == 6
 
-    def test_fault_injection_fails_adjoint(self, capsys):
-        rc = main(["selftest", "--break-adjoint"])
+    def test_fault_injection_fails_adjoint(self, monkeypatch, capsys):
+        forward_operator = selftest.forward_operator
+
+        def shifted(f, speed, config):
+            sino = forward_operator(f, speed, config)
+            sino.data += 1e-6 * max(float(np.abs(sino.data).max()), 1.0)
+            return sino
+
+        monkeypatch.setattr(selftest, "forward_operator", shifted)
+        rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL adjoint_small" in out
+
+    def test_fault_injection_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["selftest", "--break-adjoint"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --break-adjoint" in capsys.readouterr().err
 
     def test_registry(self):
         names = [name for name, _, _ in selftest.CHECKS]

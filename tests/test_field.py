@@ -252,6 +252,16 @@ class TestCovector:
             # gradient of a radial profile is parallel to the radius
             assert abs(np.dot(cv.xi_arr, radial)) > 0.999
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"threshold": 1.0}, "threshold"), ({"stride": 0}, "stride"),
+        ({"stride": -2}, "stride"), ({"max_count": 0}, "max_count"),
+        ({"max_count": -1}, "max_count"),
+    ])
+    def test_edge_knobs_out_of_range_rejected(self, kwargs, key):
+        p = _disc(make_grid(L=1.5, n=64), radius=0.2, taper=0.1)
+        with pytest.raises(ValueError, match=key):
+            phantom_edges(p, **kwargs)
+
     def test_flat_phantom_has_no_edges(self):
         g = make_grid(L=1.5, n=64)
         p = _disc(g, radius=0.2, taper=0.1, amp=0.0)

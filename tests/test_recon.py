@@ -159,11 +159,6 @@ class TestLandweber:
         with pytest.raises(ValueError, match="shape"):
             landweber(np.zeros((7, 24)), speed, cfg, iters=1, step=1.0)
 
-    def test_tikhonov_auto_step_monotone(self):
-        grid, speed, truth, cfg, sino = _small_problem()
-        res = landweber(sino, speed, cfg, iters=4, tikhonov=1e-3)
-        assert np.all(np.diff(res.residual_history) <= 1e-12)
-
 
 class TestConjugateGradients:
     def test_zero_data(self):
@@ -295,7 +290,7 @@ class TestWorkCounts:
         _count_calls(monkeypatch, recon, "forward_operator", counts)
         _count_calls(monkeypatch, recon, "adjoint_operator", counts)
         k = 3
-        res = cg_normal(sino, speed, cfg, iters=k, tol=0.0)
+        res = cg_normal(sino, speed, cfg, iters=k)
         assert res.iterations == k
         assert counts == {"forward_operator": k, "adjoint_operator": k + 1}
 

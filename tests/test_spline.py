@@ -324,7 +324,7 @@ class TestBicubicSampler:
              [1.15, 1.16], [-1.08, 1.13], [-1.13, 0.4], [1.23, -1.14]],
         ])
         k = len(pts)
-        samp = BicubicSampler(-1.1, 0.1, 24, pts, rows=np.arange(k), n_rows=k)
+        samp = BicubicSampler(-1.1, 0.1, 24, pts, rows=np.arange(k), weights=np.ones(k), n_rows=k)
         want = _quasi_interpolant_oracle(-1.1, 0.1, g, pts)
         np.testing.assert_allclose(samp.apply(g), want, rtol=0, atol=1e-13)
 
@@ -338,7 +338,8 @@ class TestBicubicSampler:
             return 0.3 - x + 2 * y + x * x * y - 0.7 * y**3 + 0.4 * x**3 + 0.2 * (x * y) ** 3
 
         pts = np.random.default_rng(12).uniform(x0 + 2 * h, x0 + (n - 3) * h, size=(200, 2))
-        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(200), n_rows=200)
+        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(200), weights=np.ones(200),
+                              n_rows=200)
         err = np.max(np.abs(samp.apply(cubic(X, Y)) - cubic(pts[:, 0], pts[:, 1])))
         assert err <= 1e-12
 
@@ -358,7 +359,7 @@ class TestBicubicSampler:
             np.stack([lo_cell, lo_cell[::-1]], -1), np.stack([hi_cell, hi_cell[::-1]], -1),
         ])
         k = len(pts)
-        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(k), n_rows=k)
+        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(k), weights=np.ones(k), n_rows=k)
         err = np.max(np.abs(samp.apply(lin(X, Y)) - lin(pts[:, 0], pts[:, 1])))
         assert err <= 1e-13
 
@@ -369,7 +370,8 @@ class TestBicubicSampler:
         errs = []
         for n in (65, 129):
             h = 2.0 / (n - 1)
-            samp = BicubicSampler(-1.0, h, n, pts, rows=np.arange(40), n_rows=40)
+            samp = BicubicSampler(-1.0, h, n, pts, rows=np.arange(40), weights=np.ones(40),
+                                  n_rows=40)
             errs.append(np.max(np.abs(samp.apply(fun(*_mesh(n, -1.0, h))) - exact)))
         assert errs[0] / errs[1] > 12.0
         assert errs[1] < 3e-7
@@ -378,15 +380,22 @@ class TestBicubicSampler:
         g = np.ones((8, 8))
         pts = np.array([[0.31, 0.17], [0.52, 0.44], [0.11, 0.62]])
         samp = BicubicSampler(
-            0.0, 0.1, 8, pts, rows=np.zeros(3, dtype=int), weights=np.array([0.5, 0.25, 0.25])
+            0.0, 0.1, 8, pts, rows=np.zeros(3, dtype=int), weights=np.array([0.5, 0.25, 0.25]),
+            n_rows=1,
         )
         # constant function is reproduced, so the row sums the weights
         assert samp.apply(g)[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((4, 2)), rows=np.zeros(3, dtype=int))
+            BicubicSampler(0.0, 0.1, 8, np.zeros((4, 2)), rows=np.zeros(3, dtype=int),
+                           weights=np.ones(4), n_rows=1)
+        with pytest.raises(ValueError):
+            BicubicSampler(0.0, 0.1, 8, np.zeros((4, 2)), rows=np.zeros(4, dtype=int),
+                           weights=np.ones(3), n_rows=1)
         with pytest.raises(ValueError, match="rows"):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, 1, 2]), n_rows=2)
+            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, 1, 2]),
+                           weights=np.ones(3), n_rows=2)
         with pytest.raises(ValueError, match="rows"):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, -1, 1]))
+            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, -1, 1]),
+                           weights=np.ones(3), n_rows=2)
