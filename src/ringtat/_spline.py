@@ -31,17 +31,14 @@ axis starting at x0 with spacing h; query points are (k, 2) arrays.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 
 
-@lru_cache(maxsize=32)
 def _bands(n: int) -> np.ndarray:
     """Banded form (solve_banded layout) of the natural-spline tridiagonal
-    system.  Do not mutate the cached array."""
+    system."""
     ab = np.zeros((3, n))
     ab[1] = 4.0
     ab[1, 0] = ab[1, -1] = 1.0  # end rows pin the coefficient to zero

@@ -82,6 +82,31 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
+from .detector import (
+    DetectorConfig,
+    LargeMode,
+    SmallMode,
+    SweepSettings,
+    _time_lattice,
+    forward_operator,
+    residual_refinement_study,
+)
+from .field import (
+    DiscComponent,
+    GaussianComponent,
+    PhantomSpec,
+    SpeedSpec,
+    make_grid,
+    make_phantom,
+    phantom_edges,
+    sample_speed,
+)
+from .rays import visibility
+from .recon import cg_normal, landweber, time_cutoff_chi
+from .selftest import run_checks
+
 
 class ConfigError(ValueError):
     """Bad experiment config: unknown key, missing file, violated invariant."""
@@ -106,8 +131,6 @@ def write_array(path, arr, meta: dict | None = None) -> None:
     The payload is row-major little-endian float64; the sidecar repeats the
     dims so either file alone is checkable.
     """
-    import numpy as np
-
     path = Path(path)
     a = np.ascontiguousarray(arr, dtype="<f8")
     head = MAGIC + bytes([FORMAT_VERSION, _DTYPE_F64_LE, a.ndim])
@@ -127,8 +150,6 @@ def read_array(path):
     A missing sidecar yields an empty dict; a present one must agree with
     the header dims.
     """
-    import numpy as np
-
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER_FIXED or raw[: len(MAGIC)] != MAGIC:
@@ -171,8 +192,6 @@ def read_array(path):
 
 def write_pgm(path, img, vmin: float | None = None, vmax: float | None = None):
     """16-bit binary PGM quicklook; returns the (vmin, vmax) scale used."""
-    import numpy as np
-
     v = np.asarray(img, dtype=float)
     if v.ndim != 2:
         raise ValueError("PGM quicklook needs a 2-D array")
@@ -240,9 +259,6 @@ _KNOWN_KEYS = {
 
 
 def _check_keys(sections: dict[str, dict[str, str]]) -> None:
-    from .detector import SweepSettings
-    from .field import SpeedSpec
-
     known = {**_KNOWN_KEYS, "speed": {f.name for f in fields(SpeedSpec)},
              "sweep": {f.name for f in fields(SweepSettings)}}
     for name, body in sections.items():
@@ -335,16 +351,6 @@ class ExperimentConfig:
 
 
 def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
-    from .detector import DetectorConfig, LargeMode, SmallMode, SweepSettings
-    from .field import (
-        DiscComponent,
-        GaussianComponent,
-        PhantomSpec,
-        SpeedSpec,
-        make_grid,
-        make_phantom,
-    )
-
     _check_keys(sections)
     for required in ("grid", "detector"):
         if required not in sections:
@@ -426,8 +432,7 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     vis = sections.get("visibility", {})
     sw = sections.get("sweep", {})
     sweep = SweepSettings(**{
-        f.name: _get(sw, f.name, _time_pair if f.name == "window" else type(f.default),
-                     section="sweep")
+        f.name: _get(sw, f.name, type(f.default), section="sweep")
         for f in fields(SweepSettings) if f.name in sw
     })
 
@@ -471,24 +476,17 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def _sample(cfg: ExperimentConfig):
-    from .field import make_phantom, sample_speed
-
     speed = sample_speed(cfg.speed_spec, cfg.grid)
     phantom = make_phantom(cfg.phantom_spec, cfg.grid)
     return speed, phantom
 
 
 def _detector_meta(cfg: ExperimentConfig, speed) -> dict:
-    from .detector import SmallMode, _time_lattice
-
     nt, dt = _time_lattice(speed, cfg.detector)
     mode = cfg.detector.mode
-    if isinstance(mode, SmallMode):
-        geom = {"kind": "small", "center_radius": mode.R, "r": mode.r}
-    else:
-        geom = {"kind": "large", "center_radius": 1.0, "r": mode.r}
     return {
-        "mode": geom,
+        "mode": {"kind": "small" if isinstance(mode, SmallMode) else "large",
+                 "center_radius": mode.center_radius, "r": mode.r},
         "n_theta": cfg.detector.n_theta,
         "n_alpha": cfg.detector.n_alpha,
         "T": cfg.detector.T,
@@ -518,10 +516,6 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_forward(args) -> int:
-    import numpy as np
-
-    from .detector import forward_operator
-
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
     speed, phantom = _sample(cfg)
@@ -569,11 +563,6 @@ def _geometry_mismatches(expect: dict, got: dict) -> list[str]:
 
 
 def cmd_reconstruct(args) -> int:
-    import numpy as np
-
-    from .detector import _time_lattice
-    from .recon import cg_normal, landweber, time_cutoff_chi
-
     cfg = load_experiment(args.config)
     speed, phantom = _sample(cfg)
 
@@ -596,18 +585,12 @@ def cmd_reconstruct(args) -> int:
             raise ConfigError(
                 f"sinogram {args.data} does not match config {args.config}: {detail}"
             )
-    nt, dt = _time_lattice(speed, cfg.detector)
-    if data.shape != (nt, cfg.detector.n_theta):
-        raise ConfigError(
-            f"sinogram {args.data} has shape {data.shape}, "
-            f"config {args.config} implies {(nt, cfg.detector.n_theta)}"
-        )
-    # only valid input gets an output directory
+    # only valid input gets an output directory; recon checks the data shape
     out = _out_dir(cfg, args)
 
     cutoff = None
     if cfg.cutoff_end is not None:
-        cutoff = time_cutoff_chi(cfg.plateau, cfg.cutoff_end, nt, dt)
+        cutoff = time_cutoff_chi(cfg.plateau, cfg.cutoff_end, expect["nt"], expect["dt"])
 
     if cfg.method == "landweber":
         result = landweber(data, speed, cfg.detector, iters=cfg.iters, step=cfg.step,
@@ -658,15 +641,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    import numpy as np
-
-    from .field import make_phantom, phantom_edges, sample_speed
-    from .rays import visibility
-
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
-    speed = sample_speed(cfg.speed_spec, cfg.grid)
-    phantom = make_phantom(cfg.phantom_spec, cfg.grid)
+    speed, phantom = _sample(cfg)
     wf = []
     if cfg.phantom_spec.components:
         wf = phantom_edges(phantom, threshold=cfg.vis_threshold, stride=cfg.vis_stride,
@@ -724,17 +701,14 @@ def cmd_visibility(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .detector import SmallMode, residual_refinement_study
-
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
     mode = cfg.detector.mode
-    is_small = isinstance(mode, SmallMode)
     study = residual_refinement_study(
-        "small" if is_small else "large",
+        "small" if isinstance(mode, SmallMode) else "large",
         cfg.sweep,
         n_alpha=cfg.detector.n_alpha,
-        small_r=mode.r if is_small else 0.8,
+        small_r=mode.r,  # read by the small geometry only
         L=cfg.grid.L,
         pml_width=cfg.grid.pml_width,
         speed_spec=cfg.speed_spec,
@@ -761,8 +735,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import run_checks
-
     passed = failed = 0
     for name, ok, detail in run_checks(args.level):
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
@@ -781,30 +753,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ringtat",
         description="Circular-detector thermoacoustic tomography toolkit",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads (set before numpy loads)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forward", help="simulate a sinogram from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_forward)
-
-    p = sub.add_parser("reconstruct", help="invert a sinogram file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True, help="sinogram array file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser("visibility", help="classify phantom edges by ray escape")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_visibility)
-
-    p = sub.add_parser("sweep", help="radius-sweep PDE residual refinement study")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_sweep)
+    for name, fn, text in (
+        ("forward", cmd_forward, "simulate a sinogram from a config"),
+        ("reconstruct", cmd_reconstruct, "invert a sinogram file"),
+        ("visibility", cmd_visibility, "classify phantom edges by ray escape"),
+        ("sweep", cmd_sweep, "radius-sweep PDE residual refinement study"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        if name == "reconstruct":
+            p.add_argument("--data", required=True, help="sinogram array file")
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("selftest", help="built-in consistency checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -814,22 +775,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.fn(args)
-    except (ConfigError, ArrayFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         # a missing path, or a file where a directory belongs (or the reverse)
         print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, ArrayFormatError, a module invariant
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError) as exc:

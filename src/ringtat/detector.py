@@ -34,6 +34,9 @@ from .field import SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_sp
 from .wave import WaveSolver, choose_time_steps, solve_forward
 
 _TWO_PI = 2.0 * math.pi
+# the sampler holds 16 entries per circle point behind int32 offsets, so the
+# n_theta * n_alpha points of a detector ring must stay below 2**31 / 16
+_MAX_POINTS = (2**31 - 1) // 16
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,9 @@ class DetectorConfig:
             raise ValueError("n_alpha must be at least 64")
         if self.n_theta < 1:
             raise ValueError("n_theta must be positive")
+        if self.n_theta * self.n_alpha > _MAX_POINTS:
+            raise ValueError(f"n_theta x n_alpha = {self.n_theta} x {self.n_alpha} circle points "
+                             f"exceed {_MAX_POINTS}, the most the sampler's int32 indices allow")
         if not 0 < self.T < math.inf:
             raise ValueError(f"record length T = {self.T} must be finite and positive")
         if self.nt is not None and self.nt < 2:
@@ -357,24 +363,29 @@ def cylinder_residual_large(sweep: RadiusSweep) -> np.ndarray:
 # radius-sweep refinement study
 
 
+# every level records over [0, _SWEEP_DURATION] and averages its residual
+# over _SWEEP_WINDOW; level 0 sweeps the radius by +-_SWEEP_DELTA_R
+_SWEEP_DELTA_R = 0.1
+_SWEEP_DURATION = 3.0
+_SWEEP_WINDOW = (1.2, 2.8)
+
+
 @dataclass(frozen=True)
 class SweepSettings:
     """Lattice of the refinement study: the ``[sweep]`` config section.
 
     Level 0 is the base lattice (``base_n`` nodes per axis, ``base_nt``
-    time levels over ``duration``, ``base_n_theta`` angles, radii
-    ``base_radius`` and ``base_radius +- delta_r``); each further level
-    halves every spacing.  Residuals are averaged over the time ``window``.
+    time levels over ``_SWEEP_DURATION``, ``base_n_theta`` angles, radii
+    ``base_radius`` and ``base_radius +- _SWEEP_DELTA_R``); each further
+    level halves every spacing.  Residuals are averaged over the times in
+    ``_SWEEP_WINDOW``.
     """
 
     levels: int = 2
     base_radius: float = 2.1
-    delta_r: float = 0.1
     base_n: int = 129
     base_nt: int = 203
     base_n_theta: int = 40
-    duration: float = 3.0
-    window: tuple[float, float] = (1.2, 2.8)
 
 
 def residual_refinement_study(
@@ -412,14 +423,14 @@ def residual_refinement_study(
         speed = sample_speed(speed_spec, grid)
         phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
         nt = (s.base_nt - 1) * scale + 1
-        dr = s.delta_r / scale
+        dr = _SWEEP_DELTA_R / scale
         radii = [s.base_radius - dr, s.base_radius, s.base_radius + dr]
         config = DetectorConfig(mode=mode, n_theta=s.base_n_theta * scale, n_alpha=n_alpha,
-                                T=s.duration, nt=nt)
+                                T=_SWEEP_DURATION, nt=nt)
         sweep = record(phantom.f, speed, config, radii)
         resid = residual(sweep)
         times = sweep.dt * np.arange(1, nt - 1)
-        sel = (times >= s.window[0]) & (times <= s.window[1])
+        sel = (times >= _SWEEP_WINDOW[0]) & (times <= _SWEEP_WINDOW[1])
         hs.append(grid.h)
         rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))
         if mode_kind == "large":

@@ -9,6 +9,7 @@ geometry and the ray tracer depend on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -29,6 +30,9 @@ def _require_finite(**values) -> None:
 # the unit disc, where phantoms and speed variations live, must span at
 # least this many cells across
 _MIN_DISC_CELLS = 4
+# the sampler's (n^2, n^2) prefilter holds 9 entries per row behind int32
+# offsets, so 9 n^2 must stay below 2**31
+_MAX_N = math.isqrt((2**31 - 1) // 9)
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,9 @@ class Grid2D:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError(f"grid too coarse: n={self.n} < 16")
+        if self.n > _MAX_N:
+            raise ValueError(f"grid too fine: n={self.n} > {_MAX_N}, the most the sampler's "
+                             "int32 indices allow")
         # comparisons with NaN are false, so NaN fails both checks
         if not (1.0 < self.L < np.inf):
             raise ValueError(
@@ -222,8 +229,10 @@ class GaussianComponent:
 
     def __post_init__(self):
         _require_finite(center=self.center, sigma=self.sigma, amp=self.amp)
-        if not self.sigma > 0:
-            raise ValueError("gaussian sigma must be positive")
+        # a square that underflows to 0 would divide 0 by 0 at the center
+        if not self.sigma * self.sigma > 0:
+            raise ValueError(f"gaussian sigma must be positive with a nonzero square, "
+                             f"got {self.sigma:g}")
 
     @property
     def support_radius(self) -> float:
@@ -274,13 +283,16 @@ _SUPPORT_MARGIN = 0.05
 def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     cx, cy = comp.center
     rho = np.hypot(X - cx, Y - cy)
-    if isinstance(comp, GaussianComponent):
-        vals = comp.amp * np.exp(-(rho**2) / (2.0 * comp.sigma**2))
-        # exact compact support: C-inf taper over [3 sigma, 4 sigma]
-        cut = transition((rho - 3.0 * comp.sigma) / comp.sigma)
-        return vals * cut
-    if isinstance(comp, DiscComponent):
-        return comp.amp * transition((rho - comp.radius) / comp.taper)
+    # a width near the smallest float overflows the scaled distances to inf,
+    # where the limits are exact: exp(-inf) = 0 and transition clips inf to 1
+    with np.errstate(over="ignore"):
+        if isinstance(comp, GaussianComponent):
+            vals = comp.amp * np.exp(-(rho**2) / (2.0 * comp.sigma**2))
+            # exact compact support: C-inf taper over [3 sigma, 4 sigma]
+            cut = transition((rho - 3.0 * comp.sigma) / comp.sigma)
+            return vals * cut
+        if isinstance(comp, DiscComponent):
+            return comp.amp * transition((rho - comp.radius) / comp.taper)
     raise TypeError(f"unknown phantom component {type(comp).__name__}")
 
 

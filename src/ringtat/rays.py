@@ -294,12 +294,12 @@ def visibility(
     wf: list[Covector],
     speed: SpeedField,
     config: DetectorConfig,
-    time_window: tuple[float, float] | None = None,
+    time_window: tuple[float, float],
 ) -> VisibilityReport:
     """Classify wavefront samples against the measured aperture.
 
     The aperture is ``config.aperture`` (the full circle when None) and the
-    time window defaults to the record [0, T].  A covector is visible when
+    window is ``time_window`` = (t0, t1].  A covector is visible when
     one of its events lands inside the window and the arc and no other
     wavefront sample produces an event at the mirror point of the same
     circle at the same time, both matched to within two grid steps.  If
@@ -309,8 +309,6 @@ def visibility(
     """
     if not wf:
         raise ValueError("need at least one wavefront sample")
-    if time_window is None:
-        time_window = (0.0, config.T)
     tol = 2.0 * speed.grid.h  # in position and in time (unit exterior speed)
 
     t_max = time_window[1] + 1.0

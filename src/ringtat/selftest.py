@@ -37,10 +37,11 @@ WRONG_STENCIL_BELOW = 3.2
 STUDY = SweepSettings(levels=3)
 
 
-def adjoint_identity(*mode_kinds: str, n: int = 48, n_theta: int = 12,
-                     seeds=(7,)) -> tuple[bool, str]:
-    """Worst relative mismatch of <M f, g> and <f, M^T g> over seeded random
-    pairs (f, g), for each geometry in ``mode_kinds``."""
+def adjoint_identity(*mode_kinds: str) -> tuple[bool, str]:
+    """Worst relative mismatch of <M f, g> and <f, M^T g> over five seeded
+    random pairs (f, g) on a 64^2 grid with 16 detectors, for each geometry
+    in ``mode_kinds``."""
+    n, n_theta = 64, 16
     worst = 0.0
     for kind in mode_kinds:
         small = kind == "small"
@@ -49,7 +50,7 @@ def adjoint_identity(*mode_kinds: str, n: int = 48, n_theta: int = 12,
         speed = sample_speed(SpeedSpec(), grid)
         config = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=64, T=0.8)
         nt, _ = _time_lattice(speed, config)
-        for seed in seeds:
+        for seed in range(5):
             rng = np.random.default_rng(seed)
             f = rng.standard_normal((n, n))
             g = rng.standard_normal((nt, n_theta))

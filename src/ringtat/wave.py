@@ -122,12 +122,16 @@ def choose_time_steps(speed: SpeedField, duration: float) -> tuple[int, float]:
     CFL bound.
 
     Returns (nt, dt) with dt = duration / (nt - 1): level k sits at k*dt and
-    the last level at exactly ``duration``.
+    the last level at exactly ``duration``.  A level count past the int64
+    range is rejected.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    bound = _CFL_FRACTION * cfl_limit(speed)
-    nt = int(math.ceil(duration / bound)) + 1
+    steps = duration / (_CFL_FRACTION * cfl_limit(speed))
+    if not steps < 2.0**63:
+        raise ValueError(f"a record of length {duration:.3g} needs {steps:.3g} time levels; "
+                         "the level count must stay below 2**63")
+    nt = int(math.ceil(steps)) + 1
     return nt, duration / (nt - 1)
 
 

@@ -90,10 +90,11 @@ base_n_theta = 4
 """
 
 
-def _run_cli(*argv):
-    """Run ``python -m ringtat.cli`` in a fresh process on this source tree."""
+def _run_cli(*argv, **env_vars):
+    """Run ``python -m ringtat.cli`` in a fresh process on this source tree,
+    with ``env_vars`` added to its environment."""
     src = Path(ringtat.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     return subprocess.run([sys.executable, "-m", "ringtat.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
@@ -349,7 +350,7 @@ class TestBuildExperiment:
         ({"phantom.gaussian.1": "0.2 x 0.18"}, r"^\[phantom\] gaussian\.1: could not convert"),
         ({"aperture.arc": "a 0"}, r"^\[aperture\] arc: could not convert"),
         ({"aperture.window": "0 nan"}, r"^\[aperture\] window: expected an increasing"),
-        ({"sweep.window": "abc"}, r"^\[sweep\] window: could not convert"),
+        ({"sweep.base_nt": "abc"}, r"^\[sweep\] base_nt: invalid literal"),
         ({"visibility.threshold": "2"}, r"^\[visibility\] threshold: expected a number in \(0, 1\)"),
         ({"visibility.threshold": "0"}, r"^\[visibility\] threshold: expected a number in \(0, 1\)"),
         ({"visibility.stride": "0"}, r"^\[visibility\] stride: expected an integer of at least 1"),
@@ -377,10 +378,11 @@ class TestBuildExperiment:
 
     def test_sweep_settings(self):
         assert build_experiment(_cfg_dict()).sweep == SweepSettings()
-        cfg = build_experiment(_cfg_dict(**{"sweep.levels": "3", "sweep.window": "1 2"}))
-        assert cfg.sweep == SweepSettings(levels=3, window=(1.0, 2.0))
-        with pytest.raises(ConfigError, match=r"unknown key 'include_wrong_stencil' in \[sweep\]"):
-            build_experiment(_cfg_dict(**{"sweep.include_wrong_stencil": "1"}))
+        cfg = build_experiment(_cfg_dict(**{"sweep.levels": "3", "sweep.base_nt": "101"}))
+        assert cfg.sweep == SweepSettings(levels=3, base_nt=101)
+        for key in ("include_wrong_stencil", "window", "duration", "delta_r"):
+            with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in \[sweep\]$"):
+                build_experiment(_cfg_dict(**{f"sweep.{key}": "1"}))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), key=st.sampled_from([
@@ -388,7 +390,7 @@ class TestBuildExperiment:
         "phantom.gaussian.1", "phantom.disc.2", "detector.mode", "detector.r",
         "detector.center_radius", "detector.n_theta", "detector.n_alpha", "time.t",
         "time.t1", "time.nt", "aperture.arc", "aperture.window", "recon.method",
-        "recon.iters", "noise.sigma_rel", "sweep.levels", "sweep.window", "sweep.base_n",
+        "recon.iters", "noise.sigma_rel", "sweep.levels", "sweep.base_nt", "sweep.base_n",
     ]))
     def test_fuzz_values_raise_only_value_errors(self, data, key):
         # grid sizes stay at n <= 65: the phantom is sampled at load time
@@ -453,11 +455,19 @@ class TestForwardCommand:
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            proc = _run_cli("--threads", threads, "forward", "--config", str(cfg),
-                            "--out", str(out))
+            pools = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                                  threads)
+            proc = _run_cli("forward", "--config", str(cfg), "--out", str(out), **pools)
             assert proc.returncode == 0, proc.stderr
             outs.append((out / "sinogram.tat").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_threads_is_no_option(self, capsys):
+        # the thread pools are set through their environment variables
+        with pytest.raises(SystemExit) as exit_:
+            main(["--threads", "2", "forward", "--config", "exp.cfg"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ringtat ")
 
     @pytest.mark.parametrize("line", ["disc.1 = 0 0 nan 0.1", "gaussian.1 = 0.2 inf 0.18",
                                       "gaussian.1 = 0.2 -0.1 0.18 nan"])
@@ -493,7 +503,7 @@ class TestForwardCommand:
         def solver(*args):
             raise AssertionError("solver reached")
 
-        monkeypatch.setattr("ringtat.detector.forward_operator", solver)
+        monkeypatch.setattr("ringtat.cli.forward_operator", solver)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CFG)
         taken = tmp_path / "taken"
@@ -513,7 +523,8 @@ class TestForwardCommand:
 
     @pytest.mark.parametrize("command, edit", [
         ("forward", ("t = 1.0", "t = 1e15")),
-        ("forward", ("t = 1.0", "t = 1e300")),
+        # just under 2**63 levels; 1.2e18 is past them
+        ("forward", ("t = 1.0", "t = 1.1e18")),
         ("forward", ("t = 1.0", f"t = 1.0\nnt = {10**16}")),
         ("sweep", ("[sweep]", f"[sweep]\nbase_nt = {10**16}")),
     ])
@@ -532,6 +543,29 @@ class TestForwardCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"record of {nt} time levels x {n_rows} detectors" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, edit, names", [
+        ("forward", ("t = 1.0", "t = 1e308"), "time levels"),
+        ("forward", ("t = 1.0", "t = 1e300"), "time levels"),
+        ("forward", ("t = 1.0", "t = 1.2e18"), "time levels"),
+        ("forward", ("\nn = 33", f"\nn = {10**7}"), "[grid] grid too fine"),
+        ("forward", ("\nn_theta = 4", f"\nn_theta = {10**13}"), "n_theta x n_alpha"),
+        ("forward", ("n_alpha = 64", f"n_alpha = {10**13}"), "n_theta x n_alpha"),
+        ("sweep", ("base_n = 33", f"base_n = {10**7}"), "grid too fine"),
+        ("sweep", ("base_n_theta = 4", f"base_n_theta = {10**13}"), "n_theta x n_alpha"),
+    ])
+    def test_oversized_sizes_exit_2_before_allocating(self, tmp_path, capsys, command, edit,
+                                                       names):
+        # each size is past an index range, so it is rejected before any
+        # array of that size is asked for
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(HUGE_RECORD_CFG.replace(*edit))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200, err
+        assert names in err
         assert not out.exists()
 
     def test_missing_config_exits_2(self, capsys):
@@ -754,27 +788,64 @@ stride = 1
 max_count = 2
 """
 
+TINY_SWEEP_CFG = TINY_CFG.replace("l = 3.4", "l = 3.9").replace("pml_width = 0.3",
+                                                                "pml_width = 0.5") + """
+[sweep]
+levels = 2
+base_n = 33
+base_nt = 33
+base_n_theta = 4
+"""
+
 _FUZZ_NUMBERS = st.one_of(
     st.sampled_from(["1e300", "-1e300", "1e-300", "inf", "-inf", "nan", "0", "-1"]),
     st.floats(-4.0, 40.0).map(repr),
     st.integers(-3, 40).map(str),
     st.text(alphabet="0123456789.-e nai", max_size=6),
 )
+_FUZZ_KEYS = (
+    "grid.l", "grid.n", "grid.pml_width", "speed.amp", "speed.kx",
+    "phantom.gaussian.1", "detector.mode", "detector.r", "detector.center_radius",
+    "detector.n_theta", "time.t", "time.nt", "aperture.arc", "aperture.window",
+)
+_FUZZ_SWEEP_KEYS = (
+    "grid.l", "grid.pml_width", "speed.amp", "speed.kx", "detector.mode", "detector.r",
+    "detector.center_radius", "sweep.levels", "sweep.base_radius", "sweep.base_n",
+    "sweep.base_nt", "sweep.base_n_theta",
+)
+
+
+def _small_or_rejected(values):
+    """``values``, or text that each size key rejects or reads as a small value."""
+    return st.one_of(st.sampled_from(["1e300", "-1e300", "inf", "nan", "2.5", ""]), values,
+                     st.text(alphabet=".-e nai", max_size=6))
+
+
+# Keys that set an array size or a level count draw only small valid values:
+# a valid size in the thousands, or a record length in the millions, would
+# make one example allocate gigabytes or step for minutes.  Sizes past an
+# index range have their own cases (test_oversized_sizes_exit_2_before_allocating).
+_FUZZ_SIZES = {
+    **{key: _small_or_rejected(st.integers(-3, 65).map(str))
+       for key in ("grid.n", "detector.n_theta", "time.nt", "sweep.base_nt")},
+    "time.t": _small_or_rejected(st.floats(-4.0, 40.0).map(repr)),
+    "sweep.levels": _small_or_rejected(st.integers(-3, 2).map(str)),
+    "sweep.base_n": _small_or_rejected(st.integers(-3, 33).map(str)),
+    "sweep.base_n_theta": _small_or_rejected(st.integers(-3, 16).map(str)),
+}
 
 
 class TestCommandFuzz:
-    @settings(max_examples=100, deadline=None)
-    @given(command=st.sampled_from(["forward", "visibility"]),
-           edits=st.dictionaries(st.sampled_from([
-               "grid.l", "grid.n", "grid.pml_width", "speed.amp", "speed.kx",
-               "phantom.gaussian.1", "detector.mode", "detector.r", "detector.center_radius",
-               "detector.n_theta", "time.t", "time.nt", "aperture.arc", "aperture.window",
-           ]), _FUZZ_NUMBERS, max_size=2))
-    def test_tiny_configs_exit_cleanly(self, command, edits):
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["forward", "visibility", "sweep"]), data=st.data())
+    def test_tiny_configs_exit_cleanly(self, command, data):
         """Any config ends in exit 0, 2 or 3 with at most one stderr line and
         no Python warning."""
-        sections = parse_config_text(TINY_CFG)
-        for dotted, value in edits.items():
+        sweep = command == "sweep"
+        sections = parse_config_text(TINY_SWEEP_CFG if sweep else TINY_CFG)
+        keys = _FUZZ_SWEEP_KEYS if sweep else _FUZZ_KEYS
+        for dotted in data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=2)):
+            value = data.draw(_FUZZ_SIZES.get(dotted, _FUZZ_NUMBERS), label=dotted)
             sec, key = dotted.split(".", 1)
             sections.setdefault(sec, {})[key] = value
         text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())

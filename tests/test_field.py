@@ -194,8 +194,21 @@ class TestPhantom:
     def test_rejects_non_positive_widths(self):
         with pytest.raises(ValueError, match="sigma"):
             GaussianComponent((0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="nonzero square"):  # sigma**2 underflows to 0
+            GaussianComponent((0.0, 0.0), 1e-170)
         with pytest.raises(ValueError, match="taper"):
             DiscComponent((0.0, 0.0), 0.3, -0.1)
+
+    @pytest.mark.parametrize("component", [
+        DiscComponent((0.0, 0.0), 0.0, 1.1125369292536007e-308),
+        GaussianComponent((0.0, 0.0), 1e-160),
+    ])
+    def test_widths_near_the_float_minimum_sample_without_warnings(self, component):
+        # the scaled distances overflow to inf, whose limits are exact: the
+        # center node is 1 and every other node 0
+        g = make_grid(L=2.0, n=65)
+        f = make_phantom(PhantomSpec([component]), g).f
+        assert f[32, 32] == 1.0 and np.count_nonzero(f) == 1
 
     def test_empty_spec_is_zero_phantom(self):
         g = make_grid(L=2.0, n=64)

@@ -347,7 +347,7 @@ class TestSplineBuilds:
     def test_visibility_builds_one_spline(self, builds):
         wf = _random_covectors(4, np.random.default_rng(9))
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        visibility(wf, _speed(), cfg)
+        visibility(wf, _speed(), cfg, time_window=(0.0, cfg.T))
         assert len(builds) == 1
 
     def test_traces_share_the_field_spline(self, builds):
@@ -433,7 +433,7 @@ class TestVisibility:
         speed = _speed(n=65)
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         with pytest.raises(ValueError):
-            visibility([], speed, cfg)
+            visibility([], speed, cfg, time_window=(0.0, cfg.T))
 
     def test_phantom_edges_all_visible_full_aperture(self):
         grid = make_grid(L=3.0, n=161)
