@@ -31,6 +31,8 @@ axis starting at x0 with spacing h; query points are (k, 2) arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
@@ -70,31 +72,17 @@ def spline_coeffs_1d(g: np.ndarray, h: float, axis: int) -> np.ndarray:
     return _solve(_bands(g.shape[axis]), _second_diff(g, h, axis), axis)
 
 
-# _point sends NaN, +-inf and anything past the int64 range to cell 0, as
-# numpy's float -> int64 cast (INT64_MIN) followed by a clip to [0, n - 2]
-# does in the vectorized cell search
-_CAST_LIMIT = 2.0**63
-
-
 class SplineField:
     """Bicubic interpolant of one fixed grid function, for pointwise queries.
 
     Every query runs through one scalar kernel, ``_point``, one point at a
     time: the ray tracer asks for a single point per Runge-Kutta stage, and
     at that size numpy call overhead is the whole cost.  The kernel locates
-    the cell with Python floats and reads the 2x2 block of (g, mx, my, mxy)
-    with one slice of a stacked (n, n, 4) array.  Its results are bit for
-    bit those of the vectorized per-cell weights (values: ``(1-t, t)``,
-    second derivatives: ``h^2/6 (a^3 - a)``) contracted with einsum on one
-    point, because it keeps their rounding:
-
-    * cubes go through numpy array power (on AVX-512 builds Python ``**``
-      and ``math.pow`` differ from it in the last bit for some inputs);
-    * squares are plain products, as numpy computes ``a**2``;
-    * each 2x2 contraction sum_ab u_a v_b B_ab rounds as einsum
-      ("ka,kb,kab->k") does at k = 1, ((00 + 01) + (10 + 11)) with each
-      term (u_a v_b) B_ab, and the four coefficient terms add left to right
-      (g, mx, my, mxy).  The kernel writes all twelve sums out inline.
+    the cell with Python floats, reads the 2x2 block of (g, mx, my, mxy)
+    with one slice of a stacked (n, n, 4) array and contracts it with the
+    per-cell weights (values: ``(1-t, t)``, second derivatives:
+    ``h^2/6 (a^3 - a)``) in plain float arithmetic.  It agrees with the
+    vectorized einsum contraction of the same weights to 1e-13 relative.
 
     A query of exactly one point calls the kernel directly; more points run
     it in a loop.
@@ -119,53 +107,41 @@ class SplineField:
         h, last = self.h, self.n - 2
         tx = (x - self.x0) / h
         ty = (y - self.x0) / h
-        i = min(int(tx), last) if 0.0 <= tx < _CAST_LIMIT else 0
-        j = min(int(ty), last) if 0.0 <= ty < _CAST_LIMIT else 0
+        # NaN and +-inf take cell 0, whose edge row has zero second
+        # derivatives (natural ends): inf * 0 then makes every sum NaN
+        i = min(int(tx), last) if 0.0 <= tx < math.inf else 0
+        j = min(int(ty), last) if 0.0 <= ty < math.inf else 0
         xi = tx - i
         yi = ty - j
         ax = 1.0 - xi
         ay = 1.0 - yi
-        ax3, xi3, ay3, yi3 = (np.array([ax, xi, ay, yi]) ** 3).tolist()
         # the corner-value weights are (ax, xi) and (ay, yi); m* weight the
         # second derivatives, dw and dm* are the derivatives of both pairs
         cm = h * h / 6.0
         cd = h / 6.0
-        mx0, mx1 = cm * (ax3 - ax), cm * (xi3 - xi)
-        my0, my1 = cm * (ay3 - ay), cm * (yi3 - yi)
+        mx0, mx1 = cm * (ax * ax * ax - ax), cm * (xi * xi * xi - xi)
+        my0, my1 = cm * (ay * ay * ay - ay), cm * (yi * yi * yi - yi)
         dw0, dw1 = -1.0 / h, 1.0 / h
-        dmx0, dmx1 = cd * (1.0 - 3.0 * (ax * ax)), cd * (3.0 * (xi * xi) - 1.0)
-        dmy0, dmy1 = cd * (1.0 - 3.0 * (ay * ay)), cd * (3.0 * (yi * yi) - 1.0)
+        dmx0, dmx1 = cd * (1.0 - 3.0 * ax * ax), cd * (3.0 * xi * xi - 1.0)
+        dmy0, dmy1 = cd * (1.0 - 3.0 * ay * ay), cd * (3.0 * yi * yi - 1.0)
         # corner ab is node (i + a, j + b), holding g and its second
         # derivatives sx = mx, sy = my and sxy = mxy
         lo, hi = self._coef[i : i + 2, j : j + 2].tolist()
         (g00, sx00, sy00, sxy00), (g01, sx01, sy01, sxy01) = lo
         (g10, sx10, sy10, sxy10), (g11, sx11, sy11, sxy11) = hi
-        # keep the bracketing: it is einsum's rounding order (class docstring)
-        value = (
-            (((ax * ay) * g00 + (ax * yi) * g01) + ((xi * ay) * g10 + (xi * yi) * g11))
-            + (((mx0 * ay) * sx00 + (mx0 * yi) * sx01) + ((mx1 * ay) * sx10 + (mx1 * yi) * sx11))
-            + (((ax * my0) * sy00 + (ax * my1) * sy01) + ((xi * my0) * sy10 + (xi * my1) * sy11))
-            + (((mx0 * my0) * sxy00 + (mx0 * my1) * sxy01)
-               + ((mx1 * my0) * sxy10 + (mx1 * my1) * sxy11))
-        )
-        grad_x = (
-            (((dw0 * ay) * g00 + (dw0 * yi) * g01) + ((dw1 * ay) * g10 + (dw1 * yi) * g11))
-            + (((dmx0 * ay) * sx00 + (dmx0 * yi) * sx01)
-               + ((dmx1 * ay) * sx10 + (dmx1 * yi) * sx11))
-            + (((dw0 * my0) * sy00 + (dw0 * my1) * sy01)
-               + ((dw1 * my0) * sy10 + (dw1 * my1) * sy11))
-            + (((dmx0 * my0) * sxy00 + (dmx0 * my1) * sxy01)
-               + ((dmx1 * my0) * sxy10 + (dmx1 * my1) * sxy11))
-        )
-        grad_y = (
-            (((ax * dw0) * g00 + (ax * dw1) * g01) + ((xi * dw0) * g10 + (xi * dw1) * g11))
-            + (((mx0 * dw0) * sx00 + (mx0 * dw1) * sx01)
-               + ((mx1 * dw0) * sx10 + (mx1 * dw1) * sx11))
-            + (((ax * dmy0) * sy00 + (ax * dmy1) * sy01)
-               + ((xi * dmy0) * sy10 + (xi * dmy1) * sy11))
-            + (((mx0 * dmy0) * sxy00 + (mx0 * dmy1) * sxy01)
-               + ((mx1 * dmy0) * sxy10 + (mx1 * dmy1) * sxy11))
-        )
+        # the y-sums of each x-corner: p (g, sy) and q (sx, sxy) with the
+        # value weights in y, r and s the same with their derivatives
+        p0 = ay * g00 + yi * g01 + my0 * sy00 + my1 * sy01
+        p1 = ay * g10 + yi * g11 + my0 * sy10 + my1 * sy11
+        q0 = ay * sx00 + yi * sx01 + my0 * sxy00 + my1 * sxy01
+        q1 = ay * sx10 + yi * sx11 + my0 * sxy10 + my1 * sxy11
+        r0 = dw0 * g00 + dw1 * g01 + dmy0 * sy00 + dmy1 * sy01
+        r1 = dw0 * g10 + dw1 * g11 + dmy0 * sy10 + dmy1 * sy11
+        s0 = dw0 * sx00 + dw1 * sx01 + dmy0 * sxy00 + dmy1 * sxy01
+        s1 = dw0 * sx10 + dw1 * sx11 + dmy0 * sxy10 + dmy1 * sxy11
+        value = ax * p0 + xi * p1 + mx0 * q0 + mx1 * q1
+        grad_x = dw0 * p0 + dw1 * p1 + dmx0 * q0 + dmx1 * q1
+        grad_y = ax * r0 + xi * r1 + mx0 * s0 + mx1 * s1
         return value, grad_x, grad_y
 
     def _points(self, pts: np.ndarray) -> np.ndarray:

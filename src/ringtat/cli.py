@@ -322,8 +322,8 @@ def _angle_pair(value: str) -> tuple[float, float]:
 
 def _time_pair(value: str) -> tuple[float, float]:
     vals = _floats(value)
-    if len(vals) != 2 or not vals[1] > vals[0]:
-        raise ValueError("expected an increasing time pair")
+    if len(vals) != 2 or not -math.inf < vals[0] < vals[1] < math.inf:
+        raise ValueError(f"expected an increasing pair of finite times, got {value}")
     return vals[0], vals[1]
 
 
@@ -365,8 +365,12 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ConfigError(f"[grid] {exc}") from exc
 
     sp = sections.get("speed", {})
-    speed_spec = SpeedSpec(**{key: _get(sp, key, str if key == "kind" else float, section="speed")
-                              for key in sp})
+    speed_values = {key: _get(sp, key, str if key == "kind" else float, section="speed")
+                    for key in sp}
+    try:
+        speed_spec = SpeedSpec(**speed_values)
+    except ValueError as exc:
+        raise ConfigError(f"[speed] {exc}") from exc
 
     ph = sections.get("phantom", {})
     components = []
@@ -457,8 +461,10 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     )
     # fail fast: phantom support validates at load, not mid-run
     make_phantom(phantom_spec, grid)
-    if cfg.noise_rel < 0:
-        raise ConfigError("[noise] sigma_rel must be nonnegative")
+    if not 0.0 <= cfg.noise_rel < math.inf:
+        raise ConfigError(f"[noise] sigma_rel: expected a finite number >= 0, got {cfg.noise_rel}")
+    if cfg.seed < 0:
+        raise ConfigError(f"[run] seed: expected an integer >= 0, got {cfg.seed}")
     if cfg.iters < 1:
         raise ConfigError("[recon] iters must be positive")
     return cfg

@@ -27,6 +27,14 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} = {value} must be finite")
 
 
+def _require_width(**values) -> None:
+    """Reject a Gaussian width that is not positive, or whose square
+    underflows to 0 and would divide 0 by 0 at the center."""
+    for name, value in values.items():
+        if not (value > 0 and value * value > 0):
+            raise ValueError(f"{name} = {value:g} must be positive with a nonzero square")
+
+
 # the unit disc, where phantoms and speed variations live, must span at
 # least this many cells across
 _MIN_DISC_CELLS = 4
@@ -162,6 +170,7 @@ class SpeedSpec:
     def __post_init__(self):
         _require_finite(amp=self.amp, kx=self.kx, ky=self.ky, sigma=self.sigma,
                         eta_radius=self.eta_radius, eta_taper=self.eta_taper)
+        _require_width(sigma=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -188,16 +197,21 @@ def sample_speed(spec: SpeedSpec, grid: Grid2D) -> SpeedField:
     """Sample a SpeedSpec on the grid and validate the field invariants."""
     X, Y = grid.mesh()
     eta = smooth_cutoff_eta(spec.eta_radius, spec.eta_taper)
-    if spec.kind == "constant":
-        c = np.ones_like(X)
-    elif spec.kind == "sinusoidal":
-        c = 1.0 + spec.amp * np.sin(spec.kx * X) * np.cos(spec.ky * Y) * eta(X, Y)
-    elif spec.kind == "radial_bump":
-        rho2 = X * X + Y * Y
-        c = 1.0 + spec.amp * eta(X, Y) * np.exp(-rho2 / (2.0 * spec.sigma**2))
-    else:
-        raise ValueError(f"unknown speed kind {spec.kind!r}")
+    # extreme parameters overflow here; the result is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "constant":
+            c = np.ones_like(X)
+        elif spec.kind == "sinusoidal":
+            c = 1.0 + spec.amp * np.sin(spec.kx * X) * np.cos(spec.ky * Y) * eta(X, Y)
+        elif spec.kind == "radial_bump":
+            rho2 = X * X + Y * Y
+            # a product, not Python's ** on a float, which raises on overflow
+            c = 1.0 + spec.amp * eta(X, Y) * np.exp(-rho2 / (2.0 * spec.sigma * spec.sigma))
+        else:
+            raise ValueError(f"unknown speed kind {spec.kind!r}")
 
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"{spec} gives a non-finite speed")
     if np.min(c) <= 0:
         raise ValueError(f"speed spec produces min c = {np.min(c):g} <= 0")
     rho = np.hypot(X, Y)
@@ -229,10 +243,7 @@ class GaussianComponent:
 
     def __post_init__(self):
         _require_finite(center=self.center, sigma=self.sigma, amp=self.amp)
-        # a square that underflows to 0 would divide 0 by 0 at the center
-        if not self.sigma * self.sigma > 0:
-            raise ValueError(f"gaussian sigma must be positive with a nonzero square, "
-                             f"got {self.sigma:g}")
+        _require_width(sigma=self.sigma)
 
     @property
     def support_radius(self) -> float:
@@ -251,6 +262,8 @@ class DiscComponent:
     def __post_init__(self):
         _require_finite(center=self.center, radius=self.radius, taper=self.taper,
                         amp=self.amp)
+        if not self.radius >= 0:
+            raise ValueError(f"disc radius = {self.radius:g} must be >= 0")
         if not self.taper > 0:
             raise ValueError("disc taper must be positive")
 

@@ -104,36 +104,30 @@ def trace_geodesic(
     disc at t_max is reported as non-escaping.  The interpolant is queried
     once per RK4 stage and once at the start, one point per query.
 
-    The state is four Python floats: on 2-vectors numpy call overhead is the
-    whole cost of a stage.  Each vector expression is written per component
-    in numpy's evaluation order, so the states are bit for bit those of the
-    same loop on 2-arrays.  The two squared norms stay ``np.dot`` on a
-    2-array: numpy rounds that dot like ``fma(p1, p1, p0*p0)``, which
-    ``p0*p0 + p1*p1`` does not reproduce.
+    The state is four Python floats, because on 2-vectors numpy call
+    overhead is the whole cost of a stage.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
-    if t_max <= 0 or h_ray <= 0:
-        raise ValueError("t_max and h_ray must be positive")
+    if not (0.0 < t_max < math.inf and 0.0 < h_ray < math.inf):
+        raise ValueError("t_max and h_ray must be finite and positive")
     query = speed.spline.value_and_gradient
 
     def deriv(x0, x1, p0, p1):
         c, grad = query(((x0, x1),))
         c = float(c[0])
         (g0, g1), = grad.tolist()
-        pp = np.array((p0, p1))
         cc = c * c
-        s = -c * float(np.dot(pp, pp))
+        s = -c * (p0 * p0 + p1 * p1)
         return cc * p0, cc * p1, s * g0, s * g1
 
-    x = start.y_arr
-    x0, x1 = x.tolist()
+    x0, x1 = start.y_arr.tolist()
     c0, _ = query(((x0, x1),))
     c0 = float(c0[0])
     xi0, xi1 = start.xi_arr.tolist()
     p0, p1 = sigma * xi0 / c0, sigma * xi1 / c0
     t = 0.0
-    states = [RayState(x=x, p=np.array((p0, p1)), t=t)]
+    states = [RayState(x=start.y_arr, p=np.array((p0, p1)), t=t)]
     half = 0.5 * h_ray
     sixth = h_ray / 6.0
     n_steps = int(math.ceil(t_max / h_ray))
@@ -146,32 +140,30 @@ def trace_geodesic(
             x0 + half * bx0, x1 + half * bx1, p0 + half * bp0, p1 + half * bp1)
         dx0, dx1, dp0, dp1 = deriv(
             x0 + h_ray * cx0, x1 + h_ray * cx1, p0 + h_ray * cp0, p1 + h_ray * cp1)
-        x0 = x0 + sixth * (ax0 + 2.0 * bx0 + 2.0 * cx0 + dx0)
-        x1 = x1 + sixth * (ax1 + 2.0 * bx1 + 2.0 * cx1 + dx1)
+        y0 = x0 + sixth * (ax0 + 2.0 * bx0 + 2.0 * cx0 + dx0)
+        y1 = x1 + sixth * (ax1 + 2.0 * bx1 + 2.0 * cx1 + dx1)
         p0 = p0 + sixth * (ap0 + 2.0 * bp0 + 2.0 * cp0 + dp0)
         p1 = p1 + sixth * (ap1 + 2.0 * bp1 + 2.0 * cp1 + dp1)
-        x_new = np.array((x0, x1))
-        p_new = np.array((p0, p1))
         t_new = t + h_ray
-        states.append(RayState(x=x_new, p=p_new, t=t_new))
-        if float(np.dot(x_new, x_new)) >= 1.0:
-            # refine the unit-circle crossing on the segment [x, x_new];
+        states.append(RayState(x=np.array((y0, y1)), p=np.array((p0, p1)), t=t_new))
+        if y0 * y0 + y1 * y1 >= 1.0:
+            # refine the unit-circle crossing on the segment from x to y;
             # the segment is straight to integrator accuracy
-            d = x_new - x
-            a = float(np.dot(d, d))
-            b = float(np.dot(x, d))
-            cc = float(np.dot(x, x)) - 1.0
+            d0, d1 = y0 - x0, y1 - x1
+            a = d0 * d0 + d1 * d1
+            b = x0 * d0 + x1 * d1
+            cc = x0 * x0 + x1 * x1 - 1.0
             s = (-b + math.sqrt(max(b * b - a * cc, 0.0))) / a if a > 0 else 1.0
-            x_exit = x + s * d
-            nrm = float(np.hypot(x_exit[0], x_exit[1]))
+            e0, e1 = x0 + s * d0, x1 + s * d1
+            nrm = math.hypot(e0, e1)
             if nrm > 0:
-                x_exit = x_exit / nrm
-            v = p_new / float(np.hypot(p_new[0], p_new[1]))
+                e0, e1 = e0 / nrm, e1 / nrm
             return RayPath(
                 covector=start, sigma=sigma, c_start=c0, states=states,
-                escaped=True, x_exit=x_exit, t_exit=t + s * h_ray, v_exit=v,
+                escaped=True, x_exit=np.array((e0, e1)), t_exit=t + s * h_ray,
+                v_exit=np.array((p0, p1)) / math.hypot(p0, p1),
             )
-        x, t = x_new, t_new
+        x0, x1, t = y0, y1, t_new
     return RayPath(covector=start, sigma=sigma, c_start=c0, states=states, escaped=False)
 
 

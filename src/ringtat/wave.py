@@ -162,8 +162,11 @@ def pml_profile(grid: Grid2D) -> np.ndarray:
     width = grid.pml_width
     if width <= 0.0:
         raise ValueError("grid was built without an absorbing band (pml_width = 0)")
+    top = default_sigma_max(width)
+    if top == math.inf:
+        raise ValueError(f"pml_width = {width:g} is too thin: its damping overflows")
     d = np.maximum(0.0, np.abs(grid.axis) - (grid.L - width))
-    return default_sigma_max(width) * (d / width) ** _PROFILE_ORDER
+    return top * (d / width) ** _PROFILE_ORDER
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the command line front end and artifact formats."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -359,6 +361,17 @@ class TestBuildExperiment:
          r"^\[visibility\] max_count: expected an integer of at least 1"),
         ({"visibility.max_count": "0"},
          r"^\[visibility\] max_count: expected an integer of at least 1"),
+        ({"aperture.window": "0 inf"}, r"^\[aperture\] window: .* finite times"),
+        ({"aperture.window": "-inf 5"}, r"^\[aperture\] window: .* finite times"),
+        ({"noise.sigma_rel": "inf"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
+        ({"noise.sigma_rel": "nan"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
+        ({"noise.sigma_rel": "-0.1"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
+        ({"run.seed": "-1"}, r"^\[run\] seed: expected an integer >= 0"),
+        ({"speed.kind": "radial_bump", "speed.sigma": "0"}, r"^\[speed\] sigma = 0 must be"),
+        ({"speed.kind": "radial_bump", "speed.sigma": "1e-200"}, r"^\[speed\] sigma = 1e-200"),
+        ({"speed.amp": "nan"}, r"^\[speed\] amp = nan must be finite"),
+        ({"phantom.gaussian.1": "0.5 0 -0.3"}, r"^\[phantom\] gaussian\.1: sigma = -0\.3"),
+        ({"phantom.disc.1": "0 0 -5 0.1"}, r"^\[phantom\] disc\.1: disc radius = -5"),
     ])
     def test_bad_values_name_their_key(self, edit, message):
         with pytest.raises(ConfigError, match=message):
@@ -568,6 +581,30 @@ class TestForwardCommand:
         assert names in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, edit, names", [
+        ("forward", ("gaussian.1 = 0.2 -0.1 0.18", "disc.1 = 0 0 -5 0.1"), "[phantom] disc.1:"),
+        ("forward", ("gaussian.1 = 0.2 -0.1 0.18", "gaussian.1 = 0.5 0 -0.3"),
+         "[phantom] gaussian.1:"),
+        ("forward", ("kind = sinusoidal", "kind = radial_bump\nsigma = 0"), "[speed] sigma"),
+        ("visibility", ("kind = sinusoidal", "kind = radial_bump\nsigma = 1e-200"),
+         "[speed] sigma"),
+        ("forward", ("kind = sinusoidal", "kind = sinusoidal\nkx = 1e308"), "kx=1e+308"),
+        ("forward", ("[run]", "[noise]\nsigma_rel = inf\n[run]"), "[noise] sigma_rel:"),
+        ("forward", ("[run]", "[noise]\nsigma_rel = nan\n[run]"), "[noise] sigma_rel:"),
+        ("forward", ("seed = 3", "seed = -1\n[noise]\nsigma_rel = 0.1"), "[run] seed:"),
+        ("visibility", ("[run]", "[aperture]\nwindow = 0 inf\n[run]"), "[aperture] window:"),
+    ])
+    def test_bad_width_noise_seed_or_window_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                              edit, names):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace(*edit))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200, err
+        assert names in err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, capsys):
         rc = main(["forward", "--config", "/definitely/not/here.cfg"])
         assert rc == 2
@@ -729,7 +766,27 @@ class TestReconstructCommand:
         assert not (tmp_path / "rec").exists()
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 class TestVisibilityCommand:
+    def test_small_arc_verdicts_equal_the_benchmark_reference(self, tmp_path):
+        """The visibility-small-arc benchmark config at seed 0 gives the
+        verdicts its reference file records."""
+        # perfbench is a directory of scripts, not a package; run_path
+        # writes no bytecode next to them
+        workload = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"][
+            "visibility-small-arc"]
+        text, _ = workload.build(0, False)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "visibility.csv").open(newline="") as fh:
+            verdicts = [row["verdict"] for row in csv.DictReader(fh)]
+        reference = PERFBENCH / "reference" / "visibility-small-arc.seed0.txt"
+        assert verdicts == reference.read_text().split()
+
     def test_full_aperture_report(self, workspace, tmp_path):
         rc = main(["visibility", "--config", str(workspace["cfg"]), "--out", str(tmp_path)])
         assert rc == 0
@@ -804,9 +861,10 @@ _FUZZ_NUMBERS = st.one_of(
     st.text(alphabet="0123456789.-e nai", max_size=6),
 )
 _FUZZ_KEYS = (
-    "grid.l", "grid.n", "grid.pml_width", "speed.amp", "speed.kx",
-    "phantom.gaussian.1", "detector.mode", "detector.r", "detector.center_radius",
-    "detector.n_theta", "time.t", "time.nt", "aperture.arc", "aperture.window",
+    "grid.l", "grid.n", "grid.pml_width", "speed.amp", "speed.kx", "speed.kind",
+    "phantom.gaussian.1", "phantom.disc.1", "detector.mode", "detector.r",
+    "detector.center_radius", "detector.n_theta", "time.t", "time.nt", "aperture.arc",
+    "aperture.window", "noise.sigma_rel", "run.seed",
 )
 _FUZZ_SWEEP_KEYS = (
     "grid.l", "grid.pml_width", "speed.amp", "speed.kx", "detector.mode", "detector.r",
@@ -832,7 +890,17 @@ _FUZZ_SIZES = {
     "sweep.levels": _small_or_rejected(st.integers(-3, 2).map(str)),
     "sweep.base_n": _small_or_rejected(st.integers(-3, 33).map(str)),
     "sweep.base_n_theta": _small_or_rejected(st.integers(-3, 16).map(str)),
+    # a window end bounds the trace length, so it stays small when finite
+    "aperture.window": st.lists(st.one_of(st.sampled_from(["inf", "-inf", "nan"]),
+                                          st.floats(-4.0, 40.0).map(repr)),
+                                min_size=2, max_size=2).map(" ".join),
+    "phantom.disc.1": st.lists(_FUZZ_NUMBERS, min_size=4, max_size=5).map(" ".join),
+    "speed.kind": st.sampled_from(["constant", "sinusoidal", "radial_bump"]),
 }
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestCommandFuzz:
@@ -840,7 +908,8 @@ class TestCommandFuzz:
     @given(command=st.sampled_from(["forward", "visibility", "sweep"]), data=st.data())
     def test_tiny_configs_exit_cleanly(self, command, data):
         """Any config ends in exit 0, 2 or 3 with at most one stderr line and
-        no Python warning."""
+        no Python warning; only exit 0 writes ``--out``, and its sidecars
+        are strict JSON."""
         sweep = command == "sweep"
         sections = parse_config_text(TINY_SWEEP_CFG if sweep else TINY_CFG)
         keys = _FUZZ_SWEEP_KEYS if sweep else _FUZZ_KEYS
@@ -848,6 +917,8 @@ class TestCommandFuzz:
             value = data.draw(_FUZZ_SIZES.get(dotted, _FUZZ_NUMBERS), label=dotted)
             sec, key = dotted.split(".", 1)
             sections.setdefault(sec, {})[key] = value
+            if dotted == "speed.kind":  # with the sigma that radial_bump reads
+                sections["speed"]["sigma"] = data.draw(_FUZZ_NUMBERS, label="speed.sigma")
         text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
                          for sec, body in sections.items())
         err = io.StringIO()
@@ -855,8 +926,12 @@ class TestCommandFuzz:
             warnings.simplefilter("error")
             cfg = Path(root) / "exp.cfg"
             cfg.write_text(text)
+            out = Path(root) / "out"
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = main([command, "--config", str(cfg), "--out", str(Path(root) / "out")])
+                rc = main([command, "--config", str(cfg), "--out", str(out)])
+            assert rc == 0 or not out.exists()
+            for sidecar in out.glob("*.json"):
+                json.loads(sidecar.read_text(), parse_constant=_no_constant)
         assert rc in (0, 2, 3)
         assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 

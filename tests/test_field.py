@@ -115,6 +115,29 @@ class TestSpeed:
         assert sf.max_c == pytest.approx(1.2, abs=1e-6)
         assert sf.c.min() >= 1.0
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200, -0.4])
+    def test_rejects_non_positive_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma = .* must be positive with a nonzero square"):
+            SpeedSpec(kind="radial_bump", sigma=sigma)
+
+    def test_radial_bump_near_the_float_minimum_samples_without_warnings(self):
+        # sigma**2 is subnormal: the scaled distances overflow to inf, and
+        # only the center node keeps the bump
+        g = make_grid(L=2.0, n=65)
+        c = sample_speed(SpeedSpec(kind="radial_bump", sigma=1e-160, amp=0.2), g).c
+        assert c[32, 32] == 1.2 and np.count_nonzero(c != 1.0) == 1
+
+    def test_radial_bump_with_overflowing_width_is_the_cutoff(self):
+        g = make_grid(L=2.0, n=65)
+        sf = sample_speed(SpeedSpec(kind="radial_bump", sigma=1e300, amp=0.2), g)
+        eta = smooth_cutoff_eta(1.0, 0.2)(*g.mesh())
+        np.testing.assert_array_equal(sf.c, 1.0 + 0.2 * eta)
+
+    def test_rejects_non_finite_field(self):
+        # kx * x overflows, and sin(inf) is NaN
+        with pytest.raises(ValueError, match=r"kx=1e\+308.* gives a non-finite speed"):
+            sample_speed(SpeedSpec(kind="sinusoidal", kx=1e308), make_grid(L=2.0, n=64))
+
     def test_unknown_kind(self):
         g = make_grid(L=2.0, n=64)
         with pytest.raises(ValueError):
@@ -196,8 +219,12 @@ class TestPhantom:
             GaussianComponent((0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="nonzero square"):  # sigma**2 underflows to 0
             GaussianComponent((0.0, 0.0), 1e-170)
+        with pytest.raises(ValueError, match="sigma = -0.3 must be positive"):
+            GaussianComponent((0.5, 0.0), -0.3)  # its reach |c| + 4 sigma is negative
         with pytest.raises(ValueError, match="taper"):
             DiscComponent((0.0, 0.0), 0.3, -0.1)
+        with pytest.raises(ValueError, match="radius = -5 must be >= 0"):
+            DiscComponent((0.0, 0.0), -5.0, 0.1)
 
     @pytest.mark.parametrize("component", [
         DiscComponent((0.0, 0.0), 0.0, 1.1125369292536007e-308),

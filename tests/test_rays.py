@@ -42,13 +42,18 @@ def _random_covectors(count, rng, max_radius=0.9):
 def _vector_oracle(start, sp, sigma, t_max, h_ray):
     """The RK4 loop on 2-arrays that the float-state tracer replaced, with
     the spline read through its multi-point path: states
-    [(x, p, t)], c_start and (escaped, x_exit, t_exit, v_exit)."""
+    [(x, p, t)], c_start and (escaped, x_exit, t_exit, v_exit).  Dot
+    products are plain two-term sums and norms ``math.hypot``, as in the
+    tracer."""
+
+    def dot(u, v):
+        return float(u[0] * v[0] + u[1] * v[1])
 
     def deriv(x, p):
         out = sp._points(x[None, :])
         c = float(out[0, 0])
         dx = (c * c) * p
-        dp = -c * float(np.dot(p, p)) * out[0, 1:]
+        dp = -c * dot(p, p) * out[0, 1:]
         return dx, dp
 
     x = start.y_arr.copy()
@@ -65,17 +70,17 @@ def _vector_oracle(start, sp, sigma, t_max, h_ray):
         p_new = p + (h_ray / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         t_new = t + h_ray
         states.append((x_new.copy(), p_new.copy(), t_new))
-        if float(np.dot(x_new, x_new)) >= 1.0:
+        if dot(x_new, x_new) >= 1.0:
             d = x_new - x
-            a = float(np.dot(d, d))
-            b = float(np.dot(x, d))
-            cc = float(np.dot(x, x)) - 1.0
+            a = dot(d, d)
+            b = dot(x, d)
+            cc = dot(x, x) - 1.0
             s = (-b + math.sqrt(max(b * b - a * cc, 0.0))) / a if a > 0 else 1.0
             x_exit = x + s * d
-            nrm = float(np.hypot(x_exit[0], x_exit[1]))
+            nrm = math.hypot(*x_exit)
             if nrm > 0:
                 x_exit = x_exit / nrm
-            v = p_new / float(np.hypot(p_new[0], p_new[1]))
+            v = p_new / math.hypot(*p_new)
             return states, c0, (True, x_exit, t + s * h_ray, v)
         x, p, t = x_new, p_new, t_new
     return states, c0, (False, None, None, None)
@@ -177,6 +182,11 @@ class TestTrace:
             trace_geodesic(cv, speed, sigma=2)
         with pytest.raises(ValueError):
             trace_geodesic(cv, speed, t_max=-1.0)
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                trace_geodesic(cv, speed, t_max=bad)
+            with pytest.raises(ValueError, match="finite and positive"):
+                trace_geodesic(cv, speed, h_ray=bad)
 
 
 class TestEvents:

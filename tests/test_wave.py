@@ -83,6 +83,11 @@ class TestPmlProfile:
         with pytest.raises(ValueError):
             pml_profile(g)
 
+    def test_rejects_band_too_thin_for_finite_damping(self):
+        g = make_grid(L=1.6, n=64, pml_width=5e-324)
+        with pytest.raises(ValueError, match="pml_width = 4.94066e-324 is too thin"):
+            pml_profile(g)
+
 
 class TestInitialState:
     def test_zero_phantom_gives_zero_state(self):
