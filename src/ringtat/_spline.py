@@ -3,7 +3,7 @@
 ``SplineField`` is the natural bicubic spline of one fixed grid function,
 for pointwise queries: it passes through every node exactly and has a
 continuous gradient, which the ray tracer integrates.  Its coefficients are
-second derivatives from one tridiagonal solve per axis, with natural end
+second derivatives from one tridiagonal sweep per axis, with natural end
 conditions.
 
 ``BicubicSampler`` is a fixed linear map from grid functions to weighted
@@ -34,19 +34,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import csr_matrix
-
-
-def _bands(n: int) -> np.ndarray:
-    """Banded form (solve_banded layout) of the natural-spline tridiagonal
-    system."""
-    ab = np.zeros((3, n))
-    ab[1] = 4.0
-    ab[1, 0] = ab[1, -1] = 1.0  # end rows pin the coefficient to zero
-    ab[0, 2:] = 1.0
-    ab[2, :-2] = 1.0
-    return ab
+# scipy.sparse is named only where a sampler is built: scipy's package
+# __getattr__ imports it there on first use, so a process that builds no
+# sampler (visibility) skips that import, about 0.1 s
+import scipy
 
 
 def _second_diff(g: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -60,16 +51,29 @@ def _second_diff(g: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def _solve(ab: np.ndarray, rhs: np.ndarray, axis: int) -> np.ndarray:
-    r = np.moveaxis(rhs, axis, 0)
-    shp = r.shape
-    x = solve_banded((1, 1), ab, r.reshape(shp[0], -1), check_finite=False)
-    return np.moveaxis(x.reshape(shp), 0, axis)
+def _solve(rhs: np.ndarray, axis: int) -> np.ndarray:
+    """Solve the natural-spline system (identity end rows, 1 4 1 inside)
+    along ``axis`` in place, by a Thomas sweep over the rows vectorized over
+    the other axis.  The pivots are Python floats.  The arithmetic is LAPACK
+    gtsv's, which never pivots on this diagonally dominant matrix, so the
+    result equals a gtsv solve bit for bit."""
+    x = np.moveaxis(rhs, axis, 0)
+    n = x.shape[0]
+    pivots = [1.0] * n
+    for i in range(1, n - 1):
+        # row 0 has no upper entry, so row 1 keeps its diagonal 4
+        fact = 1.0 / pivots[i - 1]
+        pivots[i] = 4.0 - fact if i > 1 else 4.0
+        x[i] -= fact * x[i - 1]
+    for i in range(n - 2, 0, -1):
+        x[i] -= x[i + 1]
+        x[i] /= pivots[i]
+    return rhs
 
 
 def spline_coeffs_1d(g: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Natural-spline second derivatives along one axis (zero at both ends)."""
-    return _solve(_bands(g.shape[axis]), _second_diff(g, h, axis), axis)
+    return _solve(_second_diff(g, h, axis), axis)
 
 
 class SplineField:
@@ -163,7 +167,7 @@ class SplineField:
         return out[:, 0], out[:, 1:]
 
 
-def _prefilter(n: int) -> csr_matrix:
+def _prefilter(n: int) -> scipy.sparse.csr_matrix:
     """Q x Q, the quasi-interpolant prefilter along both axes, as one
     (n^2, n^2) CSR matrix on C-order flat indices.
 
@@ -180,7 +184,7 @@ def _prefilter(n: int) -> csr_matrix:
     data = (vals[:, None, :, None] * vals[None, :, None, :]).ravel()
     indices = (cols[:, None, :, None] * n + cols[None, :, None, :]).ravel()
     indptr = np.arange(0, 9 * n * n + 1, 9, dtype=np.int32)
-    return csr_matrix((data, indices, indptr), shape=(n * n, n * n))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
 
 
 # Ghost folding on the edge cells, as maps from the weights on c[i-1 .. i+2]
@@ -218,7 +222,8 @@ def _axis_weights(q: np.ndarray, x0: float, h: float, n: int):
     return np.clip(i - 1, 0, n - 4).astype(np.int32), w
 
 
-def _point_weights(pts, rows, weights, x0: float, h: float, n: int, n_rows: int) -> csr_matrix:
+def _point_weights(pts, rows, weights, x0: float, h: float, n: int,
+                   n_rows: int) -> scipy.sparse.csr_matrix:
     """W: each point's 4x4 block of B-spline weights on the coefficients,
     times its weight, summed into output row ``rows``.
 
@@ -236,7 +241,7 @@ def _point_weights(pts, rows, weights, x0: float, h: float, n: int, n_rows: int)
     cols = ix[:, :, None] + (jy[:, None] + offsets)[:, None, :]
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
     np.cumsum(16 * np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    w = csr_matrix(
+    w = scipy.sparse.csr_matrix(
         ((wx[:, :, None] * wy[:, None, :]).ravel(), cols.ravel(), indptr),
         shape=(n_rows, n * n),
     )

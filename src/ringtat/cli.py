@@ -104,7 +104,7 @@ from .field import (
     sample_speed,
 )
 from .rays import visibility
-from .recon import cg_normal, landweber, time_cutoff_chi
+from .recon import cg_normal, landweber, relative_error, time_cutoff_chi
 from .selftest import run_checks
 
 
@@ -603,9 +603,10 @@ def cmd_reconstruct(args) -> int:
                            cutoff=cutoff)
     else:
         result = cg_normal(data, speed, cfg.detector, iters=cfg.iters, cutoff=cutoff)
+    est = result.estimate.f
+    err = relative_error(est, phantom.f)
 
     out.mkdir(parents=True, exist_ok=True)
-    est = result.estimate.f
     pgm_path = out / "estimate.pgm"
     lo, hi = write_pgm(pgm_path, _image_to_rows(est))
     meta = {
@@ -631,12 +632,11 @@ def cmd_reconstruct(args) -> int:
         "step_size": result.step_size,
         "final_residual": float(result.residual_history[-1]),
     }
-    truth_norm = float(np.sqrt(np.sum(phantom.f**2)))
-    if truth_norm > 0.0:
-        err = float(np.sqrt(np.sum((est - phantom.f) ** 2))) / truth_norm
+    if err is not None:
         report["rel_l2_error"] = err
         print(f"relative l2 error vs configured phantom: {err:.6g}")
-    (out / "recon_report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (out / "recon_report.json").write_text(
+        json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out / 'estimate.tat'}; {result.iterations} iterations, "
           f"final residual {report['final_residual']:.6g}")
     return 0

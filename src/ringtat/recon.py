@@ -11,7 +11,10 @@ construction.
 The adjoint used throughout is the exact discrete transpose of the forward
 map, so convergence statements about the discrete system hold verbatim.
 Both maps damp the field in the grid's absorbing band (its ``pml_width``;
-none when that is 0), so no solver here takes a damping argument.
+none when that is 0), so no solver here takes a damping argument.  Both
+solvers work on the data scaled by a power of two to a peak in [0.5, 1) and
+scale the result back: exact in binary floating point, and no sum of
+squares overflows or underflows at any finite data scale.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "operator_norm_estimate",
     "landweber",
     "cg_normal",
+    "relative_error",
 ]
 
 
@@ -84,6 +88,44 @@ def _as_data(s, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
         idx = tuple(int(i) for i in bad[0])
         raise FloatingPointError(f"non-finite data value {data[idx]} at index {idx}")
     return data
+
+
+def _unit_exponent(a: np.ndarray) -> int:
+    """The e with max|a| in [2**(e-1), 2**e); 0 for a zero array."""
+    return math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+
+
+def _scaled_back(estimate: Phantom, history: list[float], step: float | None,
+                 iterations: int, e: int) -> ReconResult:
+    """The result of a solve on data scaled by 2**-e, scaled by 2**e."""
+    top = max(float(np.max(np.abs(estimate.f))), max(history))
+    if not math.isfinite(top) or math.frexp(top)[1] + e > 1024:  # past the largest float
+        raise FloatingPointError(f"the estimate overflows at this data scale (peak about 2**{e})")
+    return ReconResult(
+        estimate=Phantom(grid=estimate.grid, f=np.ldexp(estimate.f, e)),
+        residual_history=np.ldexp(np.array(history), e),
+        step_size=step,
+        iterations=iterations,
+    )
+
+
+def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float | None:
+    """|estimate - truth| / |truth| in l2, None for a zero truth.  Each norm
+    is taken on its array scaled by a power of two to a peak in [0.5, 1); a
+    ratio past the largest float raises FloatingPointError."""
+    if not truth.any():
+        return None
+    e_t = _unit_exponent(truth)
+    e_d = max(_unit_exponent(estimate), e_t)
+    d = np.ldexp(estimate, -e_d) - np.ldexp(truth, -e_d)
+    t = np.ldexp(truth, -e_t)
+    ratio = math.sqrt(_inner(d, d)) / math.sqrt(_inner(t, t))
+    try:
+        return math.ldexp(ratio, e_d - e_t)
+    except OverflowError:
+        raise FloatingPointError(
+            f"the estimate is about 2**{e_d - e_t} times the configured phantom; "
+            "its relative error overflows") from None
 
 
 def _require_finite(value: float, what: str, k: int) -> float:
@@ -191,6 +233,8 @@ def landweber(
         raise ValueError(f"landweber step must be finite and positive, got {step}")
     grid = speed.grid
     data = _as_data(s, speed, config)
+    e = _unit_exponent(data)
+    data = np.ldexp(data, -e)
     nt, _ = _time_lattice(speed, config)
     chi_w = _chi_column(cutoff, nt)
     mask = _support_mask(grid)
@@ -211,30 +255,29 @@ def landweber(
     rises = 0
     done = 0
     for k in range(iters):
-        g = adjoint_operator(chi_w * resid, speed, config)
-        f = f + step * g
-        f[~mask] = 0.0
-        resid = data - forward_operator(f, speed, config).data
-        history.append(_require_finite(_misfit(chi_w, resid), "misfit", k + 1))
+        # a step far too long overflows the iterate: the misfit check reports
+        # that in one line, so numpy's warnings are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = adjoint_operator(chi_w * resid, speed, config)
+            f = f + step * g
+            f[~mask] = 0.0
+            resid = data - forward_operator(f, speed, config).data
+            misfit = _misfit(chi_w, resid)
+        history.append(_require_finite(misfit, "misfit", k + 1))
         done = k + 1
         if history[-1] > history[-2]:
             rises += 1
             if rises >= 3:
                 raise RuntimeError(
-                    "misfit increased three iterations in a row "
-                    f"(last values {history[-4]:.3e} -> {history[-1]:.3e}); "
-                    f"step {step:.3e} is too long"
+                    "misfit increased three iterations in a row (from "
+                    f"{history[-4] / history[0]:.3e} to {history[-1] / history[0]:.3e} "
+                    f"of its start); step {step:.3e} is too long"
                 )
         else:
             rises = 0
         if history[-1] <= _TOL * history[0]:
             break
-    return ReconResult(
-        estimate=Phantom(grid=grid, f=f),
-        residual_history=np.array(history),
-        step_size=step,
-        iterations=done,
-    )
+    return _scaled_back(Phantom(grid=grid, f=f), history, step, done, e)
 
 
 def cg_normal(
@@ -254,6 +297,8 @@ def cg_normal(
     """
     grid = speed.grid
     data = _as_data(s, speed, config)
+    e = _unit_exponent(data)
+    data = np.ldexp(data, -e)
     nt, _ = _time_lattice(speed, config)
     chi_w = _chi_column(cutoff, nt)
     mask = _support_mask(grid)
@@ -289,9 +334,4 @@ def cg_normal(
         rs_new = _inner(r, r)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return ReconResult(
-        estimate=Phantom(grid=grid, f=x),
-        residual_history=np.array(history),
-        step_size=None,
-        iterations=done,
-    )
+    return _scaled_back(Phantom(grid=grid, f=x), history, None, done, e)

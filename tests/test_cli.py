@@ -92,14 +92,19 @@ base_n_theta = 4
 """
 
 
-def _run_cli(*argv, **env_vars):
-    """Run ``python -m ringtat.cli`` in a fresh process on this source tree,
-    with ``env_vars`` added to its environment."""
+def _run_python(*argv, **env_vars):
+    """Run ``python *argv`` in a fresh process on this source tree, with
+    ``env_vars`` added to its environment."""
     src = Path(ringtat.__file__).resolve().parent.parent
     env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    return subprocess.run([sys.executable, "-m", "ringtat.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def _run_cli(*argv, **env_vars):
+    """Run ``python -m ringtat.cli`` in a fresh process on this source tree."""
+    return _run_python("-m", "ringtat.cli", *argv, **env_vars)
 
 
 def _one_error_line(proc, code):
@@ -899,11 +904,64 @@ _FUZZ_SIZES = {
 }
 
 
+# data factors and entries for reconstruct: overflowing and underflowing
+# squares, subnormals, zero and the largest floats
+_FUZZ_SCALES = st.one_of(
+    st.sampled_from([1e300, 1e160, 1e155, 1e-300, 1e-310, 5e-324, 0.0, -1.0]),
+    st.floats(-1e300, 1e300),
+)
+_FUZZ_ENTRIES = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 1e155, 1e-300, 5e-324, 0.0, math.nan, math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_FUZZ_RECON = {
+    "method": st.sampled_from(["cg", "landweber", "LANDWEBER", "sgd", ""]),
+    "iters": _small_or_rejected(st.integers(-3, 6).map(str)),
+    "step": _FUZZ_NUMBERS,
+}
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+@pytest.fixture(scope="module")
+def tiny_sinogram(tmp_path_factory):
+    """``forward`` on TINY_CFG: the sinogram and its sidecar."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "exp.cfg"
+    cfg.write_text(TINY_CFG)
+    assert main(["forward", "--config", str(cfg), "--out", str(root)]) == 0
+    return read_array(root / "sinogram.tat")
+
+
 class TestCommandFuzz:
+    @staticmethod
+    def _exits_cleanly(command, sections, data=None):
+        """Run ``command`` on the config ``sections`` (and on ``data``, an
+        array and its sidecar, as ``--data``) with warnings as errors: it
+        ends in exit 0, 2 or 3 with at most one stderr line, only exit 0
+        writes ``--out``, and the JSON files there are strict JSON."""
+        text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                         for sec, body in sections.items())
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = Path(root) / "exp.cfg"
+            cfg.write_text(text)
+            out = Path(root) / "out"
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            if data is not None:
+                write_array(Path(root) / "data.tat", *data)
+                argv += ["--data", str(Path(root) / "data.tat")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc == 0 or not out.exists()
+            for sidecar in out.glob("*.json"):
+                json.loads(sidecar.read_text(), parse_constant=_no_constant)
+        assert rc in (0, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from(["forward", "visibility", "sweep"]), data=st.data())
     def test_tiny_configs_exit_cleanly(self, command, data):
@@ -919,21 +977,25 @@ class TestCommandFuzz:
             sections.setdefault(sec, {})[key] = value
             if dotted == "speed.kind":  # with the sigma that radial_bump reads
                 sections["speed"]["sigma"] = data.draw(_FUZZ_NUMBERS, label="speed.sigma")
-        text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
-                         for sec, body in sections.items())
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = Path(root) / "exp.cfg"
-            cfg.write_text(text)
-            out = Path(root) / "out"
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = main([command, "--config", str(cfg), "--out", str(out)])
-            assert rc == 0 or not out.exists()
-            for sidecar in out.glob("*.json"):
-                json.loads(sidecar.read_text(), parse_constant=_no_constant)
-        assert rc in (0, 2, 3)
-        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+        self._exits_cleanly(command, sections)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reconstruct_on_scaled_or_perturbed_data_exits_cleanly(self, tiny_sinogram, data):
+        """``reconstruct`` on a ``forward`` sinogram times any finite factor,
+        with a few entries overwritten and ``[recon]`` keys drawn, exits as
+        ``_exits_cleanly`` requires; ``recon_report.json`` is strict JSON."""
+        sino, meta = tiny_sinogram
+        values = sino * data.draw(_FUZZ_SCALES, label="scale")
+        for index, value in data.draw(st.lists(st.tuples(st.integers(0, values.size - 1),
+                                                         _FUZZ_ENTRIES), max_size=3),
+                                      label="entries"):
+            values.flat[index] = value
+        sections = parse_config_text(TINY_CFG)
+        recon = sections.setdefault("recon", {})
+        for key in data.draw(st.lists(st.sampled_from(sorted(_FUZZ_RECON)), unique=True)):
+            recon[key] = data.draw(_FUZZ_RECON[key], label=f"recon.{key}")
+        self._exits_cleanly("reconstruct", sections, (values, meta))
 
 
 class TestSweepCommand:
@@ -1016,3 +1078,36 @@ class TestSelftestCommand:
         assert calls == [("small", SweepSettings(levels=3)), ("large", SweepSettings(levels=3))]
         out = capsys.readouterr().out
         assert "PASS residual_discrimination" in out and "9/9 checks passed" in out
+
+
+_SCIPY_AFTER_EACH_STEP = """
+import json
+import sys
+
+from ringtat import cli
+
+
+def loaded():
+    return [name for name in ("scipy.linalg", "scipy.sparse") if name in sys.modules]
+
+
+cfg, out = sys.argv[1:]
+steps = {"import": loaded()}
+for command in ("visibility", "forward"):
+    assert cli.main([command, "--config", cfg, "--out", f"{out}/{command}"]) == 0
+    steps[command] = loaded()
+print(json.dumps(steps))
+"""
+
+
+class TestColdStart:
+    def test_scipy_submodules_load_only_with_a_sampler(self, tmp_path):
+        """A fresh process that imports ``ringtat.cli`` and runs
+        ``visibility`` loads neither scipy.linalg nor scipy.sparse; the
+        first sampler build (``forward``) loads scipy.sparse alone."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CFG)
+        proc = _run_python("-c", _SCIPY_AFTER_EACH_STEP, str(cfg), str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert steps == {"import": [], "visibility": [], "forward": ["scipy.sparse"]}

@@ -18,6 +18,7 @@ from ringtat.recon import (
     cg_normal,
     landweber,
     operator_norm_estimate,
+    relative_error,
     time_cutoff_chi,
 )
 
@@ -277,6 +278,50 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="misfit"):
                 landweber(sino, speed, cfg, iters=5, step=1e300)
+
+
+class TestDataScale:
+    """Both solvers are linear in the data at any finite data scale: they
+    solve on the data scaled by a power of two to a unit peak."""
+
+    @pytest.mark.parametrize("method", [cg_normal, landweber])
+    @pytest.mark.parametrize("k", [-900, -40, 7, 900])
+    def test_power_of_two_scale_is_bitwise_equivariant(self, method, k):
+        # every data entry and every result stays a normal float at 2**k
+        speed, cfg, sino = _tiny_problem()
+        base = method(sino, speed, cfg, iters=3)
+        res = method(np.ldexp(sino.data, k), speed, cfg, iters=3)
+        np.testing.assert_array_equal(res.estimate.f, np.ldexp(base.estimate.f, k))
+        np.testing.assert_array_equal(res.residual_history, np.ldexp(base.residual_history, k))
+        assert res.iterations == base.iterations and res.step_size == base.step_size
+
+    @pytest.mark.parametrize("method", [cg_normal, landweber])
+    @pytest.mark.parametrize("s", [1e-300, 1e155, 1e300])
+    def test_extreme_scales_give_the_scaled_estimate(self, method, s):
+        # unscaled, 1e-300 underflowed the misfit to a zero image and 1e155
+        # overflowed it; a decimal factor rounds the data, hence the 1e-12
+        speed, cfg, sino = _tiny_problem()
+        base = method(sino, speed, cfg, iters=3).estimate.f
+        got = method(sino.data * s, speed, cfg, iters=3).estimate.f
+        assert np.max(np.abs(got / s - base)) <= 1e-12 * np.max(np.abs(base))
+
+    @pytest.mark.parametrize("method", [cg_normal, landweber])
+    def test_estimate_past_the_largest_float_raises(self, method):
+        speed, cfg, sino = _tiny_problem()
+        data = np.ldexp(sino.data, 1023 - math.frexp(np.max(np.abs(sino.data)))[1])
+        with pytest.raises(FloatingPointError, match="overflows"):
+            method(data, speed, cfg, iters=3)
+
+    def test_relative_error(self):
+        rng = np.random.default_rng(3)
+        truth, est = rng.normal(size=(2, 9, 9))
+        plain = float(np.sqrt(np.sum((est - truth) ** 2))) / float(np.sqrt(np.sum(truth**2)))
+        assert relative_error(est, truth) == plain
+        for k in (-1000, 1000):
+            assert relative_error(np.ldexp(est, k), np.ldexp(truth, k)) == plain
+        assert relative_error(est, np.zeros_like(truth)) is None
+        with pytest.raises(FloatingPointError, match="overflows"):
+            relative_error(np.ldexp(est, 1000), np.ldexp(truth, -1000))
 
 
 class TestWorkCounts:
