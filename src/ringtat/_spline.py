@@ -6,27 +6,28 @@ continuous gradient, which the ray tracer integrates.  Its coefficients are
 second derivatives from one tridiagonal sweep per axis, with natural end
 conditions.
 
-``BicubicSampler`` is a fixed linear map from grid functions to weighted
-point sums, applied at every time level of the forward and adjoint wave
-sweeps.  It evaluates the local C2 cubic B-spline quasi-interpolant
-(Unser, "Splines: a perfect fit for signal and image processing", IEEE SPM
-1999): the coefficients are the samples filtered by the 3-tap stencil
-(-1, 8, -1)/6 along each axis, with identity end rows, and each point sums
-the cubic B-spline weights of its 4x4 coefficient block.  Coefficients one
-step past the grid follow the linear ghost rule c[-1] = 2c[0] - c[1] and
-c[n] = 2c[n-1] - c[n-2], so constants and linear functions are reproduced
-on every cell.  Cubic polynomials are reproduced on cells whose stencil
-stays two nodes inside, and the error on smooth fields is fourth order.
-No global solve is involved, and the whole map is fixed: the prefilter is
-folded into the weight matrix once, at build time, so apply and apply_T are
-one sparse product each with the same matrix and are exact matrix
-transposes of each other.  A C2 interpolant keeps the sampling error
-smooth in the geometry parameters (piecewise-linear interpolation has O(h)
-derivative kinks at every cell edge, which pollutes grid-refinement
-studies).
+``BicubicSampler`` is a fixed linear map from grid functions to means over
+rings of points (the detector circles), applied at every time level of the
+forward and adjoint wave sweeps.  It evaluates the local C2 cubic B-spline
+quasi-interpolant (Unser, "Splines: a perfect fit for signal and image
+processing", IEEE SPM 1999): the coefficients are the samples filtered by
+the 3-tap stencil (-1, 8, -1)/6 along each axis, with identity end rows,
+each point sums the cubic B-spline weights of its 4x4 coefficient block,
+and each ring averages its points.  Coefficients one step past the grid
+follow the linear ghost rule c[-1] = 2c[0] - c[1] and c[n] = 2c[n-1] -
+c[n-2], so constants and linear functions are reproduced on every cell.
+Cubic polynomials are reproduced on cells whose stencil stays two nodes
+inside, and the error on smooth fields is fourth order.  No global solve is
+involved, and the whole map is fixed: the prefilter is folded into the
+weight matrix once, at build time, so apply and apply_T are one sparse
+product each with the same matrix and are exact matrix transposes of each
+other.  A C2 interpolant keeps the sampling error smooth in the geometry
+parameters (piecewise-linear interpolation has O(h) derivative kinks at
+every cell edge, which pollutes grid-refinement studies).
 
 Conventions: grid functions are (n, n) arrays indexed [ix, iy] on a uniform
-axis starting at x0 with spacing h; query points are (k, 2) arrays.
+axis starting at x0 with spacing h; query points are (k, 2) arrays, and
+rings of m points (n_rows, m, 2) arrays.
 """
 
 from __future__ import annotations
@@ -222,25 +223,23 @@ def _axis_weights(q: np.ndarray, x0: float, h: float, n: int):
     return np.clip(i - 1, 0, n - 4).astype(np.int32), w
 
 
-def _point_weights(pts, rows, weights, x0: float, h: float, n: int,
-                   n_rows: int) -> scipy.sparse.csr_matrix:
-    """W: each point's 4x4 block of B-spline weights on the coefficients,
-    times its weight, summed into output row ``rows``.
+def _ring_weights(rings: np.ndarray, x0: float, h: float, n: int) -> scipy.sparse.csr_matrix:
+    """W: row i is the mean, over ring i's m points, of each point's 4x4
+    block of B-spline weights on the coefficients.
 
-    CSR straight from the points grouped by row (stable, so each row keeps
-    its point order and equal rows of two samplers sum alike), 16 entries
-    per point, then duplicates summed in place: no COO or transpose copies,
-    so the transient memory is about W itself.
+    CSR straight from the points in ring order, 16 entries per point, then
+    duplicates summed in place: no COO or transpose copies, so the transient
+    memory is about W itself.
     """
-    order = np.argsort(rows, kind="stable")
-    jx, wx = _axis_weights(pts[order, 0], x0, h, n)
-    jy, wy = _axis_weights(pts[order, 1], x0, h, n)
-    wx *= weights[order, None]
+    n_rows, m = rings.shape[:2]
+    pts = rings.reshape(-1, 2)
+    jx, wx = _axis_weights(pts[:, 0], x0, h, n)
+    jy, wy = _axis_weights(pts[:, 1], x0, h, n)
+    wx *= 1.0 / m
     offsets = np.arange(4, dtype=np.int32)
     ix = (jx[:, None] + offsets) * n
     cols = ix[:, :, None] + (jy[:, None] + offsets)[:, None, :]
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(16 * np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    indptr = np.arange(0, 16 * m * n_rows + 1, 16 * m, dtype=np.int32)
     w = scipy.sparse.csr_matrix(
         ((wx[:, :, None] * wy[:, None, :]).ravel(), cols.ravel(), indptr),
         shape=(n_rows, n * n),
@@ -250,47 +249,33 @@ def _point_weights(pts, rows, weights, x0: float, h: float, n: int,
 
 
 class BicubicSampler:
-    """Fixed linear map m = W (Q x Q) u from a grid function to weighted
-    point sums through the cubic B-spline quasi-interpolant, with an exact
-    transpose.
+    """Fixed linear map m = W (Q x Q) u from a grid function to ring means
+    of the cubic B-spline quasi-interpolant, with an exact transpose.
 
-    ``Q`` is the prefilter along one axis (``_prefilter`` builds ``Q x Q``)
-    and ``W`` holds each point's 4x4 block of B-spline weights times its ``weight``, summed
-    into output row ``row`` (points sharing a row accumulate).  The sampler
-    stores only the product ``W (Q x Q)``, one CSR matrix formed once in the
-    constructor, so apply is one product with it and apply_T one product
-    with its transpose view (plain Euclidean inner products, no grid
+    ``rings`` is an (n_rows, m, 2) array of points, and row i of the output
+    is the mean of the quasi-interpolant over ring i's m points.  ``Q`` is
+    the prefilter along one axis (``_prefilter`` builds ``Q x Q``) and ``W``
+    holds the ring means of each point's 4x4 block of B-spline weights.  The
+    sampler stores only the product ``W (Q x Q)``, one CSR matrix formed
+    once in the constructor, so apply is one product with it and apply_T one
+    product with its transpose view (plain Euclidean inner products, no grid
     weights).
     """
 
-    def __init__(
-        self,
-        x0: float,
-        h: float,
-        n: int,
-        points: np.ndarray,
-        rows: np.ndarray,
-        weights: np.ndarray,
-        n_rows: int,
-    ):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        k = pts.shape[0]
-        rows = np.asarray(rows, dtype=np.int64)
-        weights = np.asarray(weights, dtype=float)
-        if rows.shape != (k,) or weights.shape != (k,):
-            raise ValueError("rows and weights must be 1-d with one entry per point")
+    def __init__(self, x0: float, h: float, n: int, rings: np.ndarray):
+        rings = np.asarray(rings, dtype=float)
+        if rings.ndim != 3 or rings.shape[1] < 1 or rings.shape[2] != 2:
+            raise ValueError("rings must be an (n_rows, m, 2) array with m >= 1")
         if n < 4:
             raise ValueError("the sampler needs n >= 4 grid points per axis")
         self.x0 = float(x0)
         self.h = float(h)
         self.n = int(n)
-        self.n_rows = int(n_rows)
-        if k and (rows.min() < 0 or rows.max() >= self.n_rows):
-            raise ValueError(f"rows must lie in [0, {self.n_rows})")
+        self.n_rows = rings.shape[0]
 
         # W is built in a helper so that its transient arrays are freed
         # before the product; a sparse product has no duplicate entries
-        w = _point_weights(pts, rows, weights, self.x0, self.h, self.n, self.n_rows)
+        w = _ring_weights(rings, self.x0, self.h, self.n)
         self._w = w @ _prefilter(self.n)
         self._w.sort_indices()
         # the CSC transpose view shares the CSR arrays; held so that apply_T

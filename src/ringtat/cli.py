@@ -435,10 +435,12 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     nz = sections.get("noise", {})
     vis = sections.get("visibility", {})
     sw = sections.get("sweep", {})
-    sweep = SweepSettings(**{
-        f.name: _get(sw, f.name, type(f.default), section="sweep")
-        for f in fields(SweepSettings) if f.name in sw
-    })
+    sweep_keys = {f.name: _get(sw, f.name, type(f.default), section="sweep")
+                  for f in fields(SweepSettings) if f.name in sw}
+    try:
+        sweep = SweepSettings(**sweep_keys)
+    except ValueError as exc:
+        raise ConfigError(f"[sweep] {exc}") from exc
 
     cfg = ExperimentConfig(
         grid=grid,
@@ -783,9 +785,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
-        # a missing path, or a file where a directory belongs (or the reverse)
-        print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # a path that is missing, too long, or names the wrong kind of file
+        known = exc.strerror and exc.filename is not None
+        what = f"{exc.strerror.lower()}: {exc.filename}" if known else str(exc)
+        print(f"error: {what}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError, ArrayFormatError, a module invariant
         print(f"error: {exc}", file=sys.stderr)

@@ -171,35 +171,23 @@ class RadiusSweep:
 
 def _build_sampler(grid, centers_radius: float | np.ndarray, circle_radius: float | np.ndarray,
                    thetas: np.ndarray, n_alpha: int) -> BicubicSampler:
-    """Sampler whose row (j * n_radii + i) averages circle i at angle j.
+    """Sampler whose row (j * n_radii + i) is the mean over n_alpha equally
+    spaced points of circle i at angle j.
 
-    centers_radius/circle_radius may be scalars or per-radius arrays; rows
-    are laid out theta-major so a single-radius sampler and the matching
-    column of a sweep sampler are built from identical point sequences
-    (this is what makes sweep columns bit-exact against forward runs).
+    centers_radius/circle_radius are scalars or per-radius arrays; rows are
+    laid out theta-major so a single-radius sampler and the matching column
+    of a sweep sampler are built from identical point sequences (this is
+    what makes sweep columns bit-exact against forward runs).
     """
-    Rs = np.atleast_1d(np.asarray(centers_radius, dtype=float))
-    rs = np.atleast_1d(np.asarray(circle_radius, dtype=float))
-    if Rs.size == 1:
-        Rs = np.full(rs.size, Rs[0])
-    if rs.size == 1:
-        rs = np.full(Rs.size, rs[0])
-    n_rad = Rs.size
+    R, r = (a[:, None] for a in np.broadcast_arrays(np.atleast_1d(centers_radius),
+                                                     np.atleast_1d(circle_radius)))
     alphas = _TWO_PI * np.arange(n_alpha) / n_alpha
-    ca, sa = np.cos(alphas), np.sin(alphas)
-    pts = np.empty((thetas.size, n_rad, n_alpha, 2))
-    for j, th in enumerate(thetas):
-        for i in range(n_rad):
-            pts[j, i, :, 0] = Rs[i] * math.cos(th) + rs[i] * ca
-            pts[j, i, :, 1] = Rs[i] * math.sin(th) + rs[i] * sa
-    flat = pts.reshape(-1, 2)
-    _require_clear_of_band(flat, grid)
-    rows = np.repeat(np.arange(thetas.size * n_rad), n_alpha)
-    weights = np.full(flat.shape[0], 1.0 / n_alpha)
-    return BicubicSampler(
-        -grid.L, grid.h, grid.n, flat, rows=rows, weights=weights,
-        n_rows=thetas.size * n_rad,
-    )
+    cos_t = np.array([math.cos(th) for th in thetas])[:, None, None]
+    sin_t = np.array([math.sin(th) for th in thetas])[:, None, None]
+    # (theta, radius, alpha, xy): each point is R cos(theta) + r cos(alpha), ...
+    rings = np.stack([R * cos_t + r * np.cos(alphas), R * sin_t + r * np.sin(alphas)], axis=-1)
+    _require_clear_of_band(rings, grid)
+    return BicubicSampler(-grid.L, grid.h, grid.n, rings.reshape(-1, n_alpha, 2))
 
 
 @functools.lru_cache(maxsize=1)
@@ -289,8 +277,8 @@ def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -
         raise ValueError("center-radius sweep requires the small-detector mode")
     r = config.mode.r
     Rs = np.asarray(sorted(R_values), dtype=float)
-    if np.any(Rs - r < 1.0 - 1e-12):
-        raise ValueError("every swept center radius must keep R - r >= 1")
+    for R in Rs:
+        SmallMode(R=float(R), r=r)
     return _record_sweep(f, speed, config, Rs, r, Rs)
 
 
@@ -299,8 +287,8 @@ def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -
     if not isinstance(config.mode, LargeMode):
         raise ValueError("detector-radius sweep requires the large-detector mode")
     rs = np.asarray(sorted(r_values), dtype=float)
-    if np.any(rs < 2.0 - 1e-12):
-        raise ValueError("every swept detector radius must satisfy r >= 2")
+    for r in rs:
+        LargeMode(r=float(r))
     return _record_sweep(f, speed, config, 1.0, rs, rs)
 
 
@@ -386,6 +374,10 @@ class SweepSettings:
     base_n: int = 129
     base_nt: int = 203
     base_n_theta: int = 40
+
+    def __post_init__(self):
+        if self.levels < 2:
+            raise ValueError(f"levels must be at least 2 for a refinement ratio, got {self.levels}")
 
 
 def residual_refinement_study(

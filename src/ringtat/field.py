@@ -365,14 +365,6 @@ class Covector:
             raise ValueError("covector magnitude must be positive")
         object.__setattr__(self, "xi", (self.xi[0] / nx, self.xi[1] / nx))
 
-    @property
-    def y_arr(self) -> np.ndarray:
-        return np.array(self.y, dtype=float)
-
-    @property
-    def xi_arr(self) -> np.ndarray:
-        return np.array(self.xi, dtype=float)
-
 
 def gradient_magnitude(p: Phantom) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central-difference gradient (gx, gy) and its magnitude."""

@@ -121,13 +121,13 @@ def trace_geodesic(
         s = -c * (p0 * p0 + p1 * p1)
         return cc * p0, cc * p1, s * g0, s * g1
 
-    x0, x1 = start.y_arr.tolist()
+    x0, x1 = map(float, start.y)
     c0, _ = query(((x0, x1),))
     c0 = float(c0[0])
-    xi0, xi1 = start.xi_arr.tolist()
+    xi0, xi1 = map(float, start.xi)
     p0, p1 = sigma * xi0 / c0, sigma * xi1 / c0
     t = 0.0
-    states = [RayState(x=start.y_arr, p=np.array((p0, p1)), t=t)]
+    states = [RayState(x=np.array((x0, x1)), p=np.array((p0, p1)), t=t)]
     half = 0.5 * h_ray
     sixth = h_ray / 6.0
     n_steps = int(math.ceil(t_max / h_ray))

@@ -615,6 +615,19 @@ class TestForwardCommand:
         assert rc == 2
         assert "config not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_overlong_path_exits_2(self, tmp_path, capsys, flag):
+        # a name past the file system's limit raises a plain OSError
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG)
+        paths = {"--config": str(cfg), "--out": str(tmp_path / "out")}
+        paths[flag] = str(tmp_path / ("a" * 300))
+        argv = ["forward", "--config", paths["--config"], "--out", paths["--out"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: file name too long: {paths[flag]}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestReconstructCommand:
     def test_happy_path(self, workspace, tmp_path):
@@ -1025,6 +1038,17 @@ base_n_theta = 20
         assert len(rows) == 3
         rms = [float(r.split(",")[2]) for r in rows[1:]]
         assert rms[1] < rms[0]  # matching stencil improves under refinement
+
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_fewer_than_two_levels_exits_2(self, tmp_path, capsys, levels):
+        # a refinement ratio needs two lattices, so the study is refused at load
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(HUGE_RECORD_CFG.replace("levels = 2", f"levels = {levels}"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: [sweep] levels "), err
+        assert not out.exists()
 
 
 class TestSelftestCommand:

@@ -13,6 +13,7 @@ from ringtat.detector import (
     RadiusSweep,
     SmallMode,
     Sinogram,
+    _build_sampler,
     adjoint_operator,
     cylinder_residual_large,
     cylinder_residual_small,
@@ -152,6 +153,33 @@ class TestRingAverage:
         exact = [np.mean(u(*_detector_points(cfg, th).T)) for th in theta_grid(cfg)]
         sampled = forward_operator(u(X, Y), _speed(grid), cfg).data[0]
         np.testing.assert_allclose(sampled, exact, rtol=0, atol=1e-6)
+
+    def test_rows_are_theta_major_ring_means(self):
+        # u = x is reproduced exactly and its mean over circle i at angle j is
+        # the center abscissa R_i cos(theta_j): this pins the row layout
+        # j * n_radii + i and the equal-weight mean over each ring
+        grid = make_grid(L=3.6, n=65, pml_width=0.3)
+        X, _ = grid.mesh()
+        Rs, thetas = np.array([2.0, 2.3]), np.array([0.0, 0.4, 2.1, 4.0])
+        sampler = _build_sampler(grid, Rs, 0.8, thetas, 64)
+        got = sampler.apply(X).reshape(thetas.size, Rs.size)
+        np.testing.assert_allclose(got, np.cos(thetas)[:, None] * Rs, rtol=0, atol=1e-12)
+
+    def test_ring_points_equal_the_per_circle_loop(self, monkeypatch):
+        # the reference: every circle built on its own, with the same float
+        # operations; the broadcast must give the same bits
+        import ringtat.detector as detector
+
+        seen = []
+        monkeypatch.setattr(detector, "BicubicSampler", lambda *args: seen.append(args[3]))
+        grid = make_grid(L=3.9, n=33, pml_width=0.5)
+        Rs, rs, thetas = np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.1, 2.2]), 0.3 + np.arange(5)
+        _build_sampler(grid, 1.0, rs, thetas, 64)
+        alphas = 2.0 * math.pi * np.arange(64) / 64
+        want = [np.stack([R * math.cos(th) + r * np.cos(alphas),
+                          R * math.sin(th) + r * np.sin(alphas)], axis=-1)
+                for th in thetas for R, r in zip(Rs, rs)]
+        assert np.array_equal(seen[0], np.array(want))
 
 
 class TestForwardOperator:
@@ -395,8 +423,9 @@ class TestSweeps:
         speed = _speed(grid)
         f = np.zeros((65, 65))
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=4, T=0.4)
-        with pytest.raises(ValueError, match="R - r"):
-            sweep_small_radius(f, speed, cfg, [1.7, 2.0])
+        for radii in ([1.7, 2.0], [math.nan, 2.0], [2.0, math.inf]):
+            with pytest.raises(ValueError, match="R - r"):
+                sweep_small_radius(f, speed, cfg, radii)
         cfg_l = DetectorConfig(mode=LargeMode(r=2.0), n_theta=4, T=0.4)
         with pytest.raises(ValueError, match="r >= 2"):
             sweep_large_radius(f, speed, cfg_l, [1.9, 2.0])

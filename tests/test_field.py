@@ -287,10 +287,10 @@ class TestCovector:
         p = _disc(g, center=(0.0, 0.0), radius=0.3, taper=0.1)
         cvs = phantom_edges(p, threshold=0.95, max_count=16)
         for cv in cvs[0::2]:
-            y = cv.y_arr
+            y = np.array(cv.y)
             radial = y / np.linalg.norm(y)
             # gradient of a radial profile is parallel to the radius
-            assert abs(np.dot(cv.xi_arr, radial)) > 0.999
+            assert abs(np.dot(np.array(cv.xi), radial)) > 0.999
 
     @pytest.mark.parametrize("kwargs, key", [
         ({"threshold": 1.0}, "threshold"), ({"stride": 0}, "stride"),

@@ -56,9 +56,9 @@ def _vector_oracle(start, sp, sigma, t_max, h_ray):
         dp = -c * dot(p, p) * out[0, 1:]
         return dx, dp
 
-    x = start.y_arr.copy()
+    x = np.array(start.y)
     c0 = float(sp._points(x[None, :])[0, 0])
-    p = sigma * start.xi_arr / c0
+    p = sigma * np.array(start.xi) / c0
     t = 0.0
     states = [(x.copy(), p.copy(), t)]
     for _ in range(int(math.ceil(t_max / h_ray))):

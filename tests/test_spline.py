@@ -108,6 +108,14 @@ def _quasi_interpolant_oracle(x0, h, g, pts):
     return np.array(out)
 
 
+# edge and corner cells on both sides of a 24-node grid from -1.1 at spacing
+# 0.1, and clamped points just outside it
+_EDGE_POINTS = np.array([
+    [-1.07, 0.3], [0.3, -1.02], [1.17, 0.1], [0.1, 1.19], [-1.05, -1.08],
+    [1.15, 1.16], [-1.08, 1.13], [-1.13, 0.4], [1.23, -1.14],
+])
+
+
 def _bits(*arrays):
     return np.concatenate([np.ravel(a) for a in arrays]).view(np.int64)
 
@@ -257,11 +265,9 @@ class TestCoeffTranspose:
 
 
 class TestBicubicSampler:
-    def _random_sampler(self, rng, n=24, n_rows=17, k=300):
-        pts = rng.uniform(-1.0, 1.2, size=(k, 2))
-        rows = rng.integers(0, n_rows, size=k)
-        wts = rng.normal(size=k)
-        return BicubicSampler(-1.1, 0.1, n, pts, rows=rows, weights=wts, n_rows=n_rows)
+    def _random_sampler(self, rng, n=24, n_rows=17, m=18):
+        rings = rng.uniform(-1.0, 1.2, size=(n_rows, m, 2))
+        return BicubicSampler(-1.1, 0.1, n, rings)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -281,10 +287,7 @@ class TestBicubicSampler:
         # n = 4: every cell is an edge cell, so both ghost folds and both
         # identity end rows of the prefilter meet in one 4x4 block
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-0.3, 1.3, size=(60, 2))
-        rows = rng.integers(0, 5, size=60)
-        samp = BicubicSampler(0.0, 1.0 / 3.0, 4, pts, rows=rows, weights=rng.normal(size=60),
-                              n_rows=5)
+        samp = BicubicSampler(0.0, 1.0 / 3.0, 4, rng.uniform(-0.3, 1.3, size=(5, 12, 2)))
         u = rng.normal(size=(4, 4))
         m = rng.normal(size=5)
         lhs = np.dot(samp.apply(u), m)
@@ -295,9 +298,7 @@ class TestBicubicSampler:
     def test_apply_T_is_the_transpose_of_apply(self, n):
         rng = np.random.default_rng(n)
         h = 1.0 / (n - 1)
-        pts = rng.uniform(-0.2, 1.2, size=(50, 2))
-        samp = BicubicSampler(0.0, h, n, pts, rows=np.arange(50) % 7, weights=rng.normal(size=50),
-                              n_rows=7)
+        samp = BicubicSampler(0.0, h, n, rng.uniform(-0.2, 1.2, size=(7, 7, 2)))
         dense = np.stack([samp.apply(e.reshape(n, n)) for e in np.eye(n * n)], axis=-1)
         for r, e in enumerate(np.eye(7)):
             np.testing.assert_array_equal(samp.apply_T(e).ravel(), dense[r])
@@ -342,15 +343,20 @@ class TestBicubicSampler:
     def test_matches_quasi_interpolant_oracle(self):
         rng = np.random.default_rng(9)
         g = rng.normal(size=(24, 24))
-        pts = np.concatenate([
-            rng.uniform(-1.0, 1.2, size=(15, 2)),
-            # edge and corner cells on both sides, and clamped points just outside
-            [[-1.07, 0.3], [0.3, -1.02], [1.17, 0.1], [0.1, 1.19], [-1.05, -1.08],
-             [1.15, 1.16], [-1.08, 1.13], [-1.13, 0.4], [1.23, -1.14]],
-        ])
-        k = len(pts)
-        samp = BicubicSampler(-1.1, 0.1, 24, pts, rows=np.arange(k), weights=np.ones(k), n_rows=k)
+        pts = np.concatenate([rng.uniform(-1.0, 1.2, size=(15, 2)), _EDGE_POINTS])
+        samp = BicubicSampler(-1.1, 0.1, 24, pts[:, None])
         want = _quasi_interpolant_oracle(-1.1, 0.1, g, pts)
+        np.testing.assert_allclose(samp.apply(g), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_rows_are_ring_means(self, m):
+        # 9 rings of m points; the first rings take the edge and corner points
+        rng = np.random.default_rng(m)
+        g = rng.normal(size=(24, 24))
+        pts = np.concatenate([_EDGE_POINTS, rng.uniform(-1.0, 1.2, size=(9 * m - 9, 2))])
+        rings = pts.reshape(9, m, 2)
+        samp = BicubicSampler(-1.1, 0.1, 24, rings)
+        want = _quasi_interpolant_oracle(-1.1, 0.1, g, pts).reshape(9, m).mean(axis=1)
         np.testing.assert_allclose(samp.apply(g), want, rtol=0, atol=1e-13)
 
     def test_reproduces_cubics_at_interior_points(self):
@@ -363,8 +369,7 @@ class TestBicubicSampler:
             return 0.3 - x + 2 * y + x * x * y - 0.7 * y**3 + 0.4 * x**3 + 0.2 * (x * y) ** 3
 
         pts = np.random.default_rng(12).uniform(x0 + 2 * h, x0 + (n - 3) * h, size=(200, 2))
-        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(200), weights=np.ones(200),
-                              n_rows=200)
+        samp = BicubicSampler(x0, h, n, pts[:, None])
         err = np.max(np.abs(samp.apply(cubic(X, Y)) - cubic(pts[:, 0], pts[:, 1])))
         assert err <= 1e-12
 
@@ -383,8 +388,7 @@ class TestBicubicSampler:
             np.stack([lo_cell, hi_cell], -1), np.stack([hi_cell, lo_cell], -1),
             np.stack([lo_cell, lo_cell[::-1]], -1), np.stack([hi_cell, hi_cell[::-1]], -1),
         ])
-        k = len(pts)
-        samp = BicubicSampler(x0, h, n, pts, rows=np.arange(k), weights=np.ones(k), n_rows=k)
+        samp = BicubicSampler(x0, h, n, pts[:, None])
         err = np.max(np.abs(samp.apply(lin(X, Y)) - lin(pts[:, 0], pts[:, 1])))
         assert err <= 1e-13
 
@@ -395,32 +399,14 @@ class TestBicubicSampler:
         errs = []
         for n in (65, 129):
             h = 2.0 / (n - 1)
-            samp = BicubicSampler(-1.0, h, n, pts, rows=np.arange(40), weights=np.ones(40),
-                                  n_rows=40)
+            samp = BicubicSampler(-1.0, h, n, pts[:, None])
             errs.append(np.max(np.abs(samp.apply(fun(*_mesh(n, -1.0, h))) - exact)))
         assert errs[0] / errs[1] > 12.0
         assert errs[1] < 3e-7
 
-    def test_row_accumulation_with_weights(self):
-        g = np.ones((8, 8))
-        pts = np.array([[0.31, 0.17], [0.52, 0.44], [0.11, 0.62]])
-        samp = BicubicSampler(
-            0.0, 0.1, 8, pts, rows=np.zeros(3, dtype=int), weights=np.array([0.5, 0.25, 0.25]),
-            n_rows=1,
-        )
-        # constant function is reproduced, so the row sums the weights
-        assert samp.apply(g)[0] == pytest.approx(1.0, abs=1e-13)
-
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((4, 2)), rows=np.zeros(3, dtype=int),
-                           weights=np.ones(4), n_rows=1)
-        with pytest.raises(ValueError):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((4, 2)), rows=np.zeros(4, dtype=int),
-                           weights=np.ones(3), n_rows=1)
-        with pytest.raises(ValueError, match="rows"):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, 1, 2]),
-                           weights=np.ones(3), n_rows=2)
-        with pytest.raises(ValueError, match="rows"):
-            BicubicSampler(0.0, 0.1, 8, np.zeros((3, 2)), rows=np.array([0, -1, 1]),
-                           weights=np.ones(3), n_rows=2)
+        for shape in [(4, 2), (2, 3, 3), (2, 0, 2), (1, 2, 2, 2)]:
+            with pytest.raises(ValueError, match="rings"):
+                BicubicSampler(0.0, 0.1, 8, np.zeros(shape))
+        with pytest.raises(ValueError, match="n >= 4"):
+            BicubicSampler(0.0, 0.1, 3, np.zeros((1, 1, 2)))
