@@ -364,11 +364,8 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
 
-    sp = sections.get("speed", {})
-    speed_values = {key: _get(sp, key, str if key == "kind" else float, section="speed")
-                    for key in sp}
     try:
-        speed_spec = SpeedSpec(**speed_values)
+        speed_spec = SpeedSpec(**sections.get("speed", {}))
     except ValueError as exc:
         raise ConfigError(f"[speed] {exc}") from exc
 
@@ -415,10 +412,11 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     record_T = cutoff_end if cutoff_end is not None else plateau
 
     ap = sections.get("aperture", {})
+    sampling = {key: _get(det, key, int, section="detector")
+                for key in ("n_theta", "n_alpha") if key in det}
     detector = DetectorConfig(
         mode=mode,
-        n_theta=_get(det, "n_theta", int, 180, "detector"),
-        n_alpha=_get(det, "n_alpha", int, 256, "detector"),
+        **sampling,
         T=record_T,
         nt=nt,
         aperture=_get(ap, "arc", _angle_pair, section="aperture"),

@@ -353,7 +353,7 @@ class TestBuildExperiment:
             load_experiment(tmp_path / "nope.cfg")
 
     @pytest.mark.parametrize("edit, message", [
-        ({"speed.amp": "abc"}, r"^\[speed\] amp: could not convert"),
+        ({"speed.kind": "bogus"}, r"^\[speed\] unknown speed kind 'bogus'"),
         ({"phantom.gaussian.1": "0.2 x 0.18"}, r"^\[phantom\] gaussian\.1: could not convert"),
         ({"aperture.arc": "a 0"}, r"^\[aperture\] arc: could not convert"),
         ({"aperture.window": "0 nan"}, r"^\[aperture\] window: expected an increasing"),
@@ -372,9 +372,9 @@ class TestBuildExperiment:
         ({"noise.sigma_rel": "nan"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
         ({"noise.sigma_rel": "-0.1"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
         ({"run.seed": "-1"}, r"^\[run\] seed: expected an integer >= 0"),
-        ({"speed.kind": "radial_bump", "speed.sigma": "0"}, r"^\[speed\] sigma = 0 must be"),
-        ({"speed.kind": "radial_bump", "speed.sigma": "1e-200"}, r"^\[speed\] sigma = 1e-200"),
-        ({"speed.amp": "nan"}, r"^\[speed\] amp = nan must be finite"),
+        ({"detector.n_theta": "abc"}, r"^\[detector\] n_theta: invalid literal"),
+        ({"detector.n_alpha": "1.5"}, r"^\[detector\] n_alpha: invalid literal"),
+        ({"grid.n": "abc"}, r"^\[grid\] n: invalid literal"),
         ({"phantom.gaussian.1": "0.5 0 -0.3"}, r"^\[phantom\] gaussian\.1: sigma = -0\.3"),
         ({"phantom.disc.1": "0 0 -5 0.1"}, r"^\[phantom\] disc\.1: disc radius = -5"),
     ])
@@ -404,7 +404,7 @@ class TestBuildExperiment:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), key=st.sampled_from([
-        "grid.l", "grid.n", "grid.pml_width", "speed.kind", "speed.kx", "speed.amp",
+        "grid.l", "grid.n", "grid.pml_width", "speed.kind",
         "phantom.gaussian.1", "phantom.disc.2", "detector.mode", "detector.r",
         "detector.center_radius", "detector.n_theta", "detector.n_alpha", "time.t",
         "time.t1", "time.nt", "aperture.arc", "aperture.window", "recon.method",
@@ -590,10 +590,6 @@ class TestForwardCommand:
         ("forward", ("gaussian.1 = 0.2 -0.1 0.18", "disc.1 = 0 0 -5 0.1"), "[phantom] disc.1:"),
         ("forward", ("gaussian.1 = 0.2 -0.1 0.18", "gaussian.1 = 0.5 0 -0.3"),
          "[phantom] gaussian.1:"),
-        ("forward", ("kind = sinusoidal", "kind = radial_bump\nsigma = 0"), "[speed] sigma"),
-        ("visibility", ("kind = sinusoidal", "kind = radial_bump\nsigma = 1e-200"),
-         "[speed] sigma"),
-        ("forward", ("kind = sinusoidal", "kind = sinusoidal\nkx = 1e308"), "kx=1e+308"),
         ("forward", ("[run]", "[noise]\nsigma_rel = inf\n[run]"), "[noise] sigma_rel:"),
         ("forward", ("[run]", "[noise]\nsigma_rel = nan\n[run]"), "[noise] sigma_rel:"),
         ("forward", ("seed = 3", "seed = -1\n[noise]\nsigma_rel = 0.1"), "[run] seed:"),
@@ -608,6 +604,20 @@ class TestForwardCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200, err
         assert names in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        *((f"kind = sinusoidal\n{key} = 0.3", f"unknown key '{key}' in [speed]")
+          for key in ("amp", "kx", "ky", "sigma", "eta_radius", "eta_taper")),
+        ("kind = bogus", "[speed] unknown speed kind 'bogus'"),
+    ])
+    def test_speed_takes_only_a_known_kind(self, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("kind = sinusoidal", edit))
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
         assert not out.exists()
 
     def test_missing_config_exits_2(self, capsys):
@@ -879,13 +889,13 @@ _FUZZ_NUMBERS = st.one_of(
     st.text(alphabet="0123456789.-e nai", max_size=6),
 )
 _FUZZ_KEYS = (
-    "grid.l", "grid.n", "grid.pml_width", "speed.amp", "speed.kx", "speed.kind",
+    "grid.l", "grid.n", "grid.pml_width", "speed.kind",
     "phantom.gaussian.1", "phantom.disc.1", "detector.mode", "detector.r",
     "detector.center_radius", "detector.n_theta", "time.t", "time.nt", "aperture.arc",
     "aperture.window", "noise.sigma_rel", "run.seed",
 )
 _FUZZ_SWEEP_KEYS = (
-    "grid.l", "grid.pml_width", "speed.amp", "speed.kx", "detector.mode", "detector.r",
+    "grid.l", "grid.pml_width", "speed.kind", "detector.mode", "detector.r",
     "detector.center_radius", "sweep.levels", "sweep.base_radius", "sweep.base_n",
     "sweep.base_nt", "sweep.base_n_theta",
 )
@@ -988,8 +998,6 @@ class TestCommandFuzz:
             value = data.draw(_FUZZ_SIZES.get(dotted, _FUZZ_NUMBERS), label=dotted)
             sec, key = dotted.split(".", 1)
             sections.setdefault(sec, {})[key] = value
-            if dotted == "speed.kind":  # with the sigma that radial_bump reads
-                sections["speed"]["sigma"] = data.draw(_FUZZ_NUMBERS, label="speed.sigma")
         self._exits_cleanly(command, sections)
 
     @settings(max_examples=150, deadline=None)

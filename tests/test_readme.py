@@ -1,7 +1,12 @@
-"""The README's Python API example runs as written."""
+"""The README's Quick-start config loads and its Python API example runs as
+written."""
 
 import re
 from pathlib import Path
+
+from ringtat.cli import build_experiment, parse_config_text
+from ringtat.detector import _time_lattice
+from ringtat.field import sample_speed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +17,12 @@ def test_python_api_example_recovers_the_phantom():
     scope = {}
     exec(compile(blocks[0], str(README), "exec"), scope)
     assert scope["err"] <= 0.15  # the criterion-04 bound
+
+
+def test_quick_start_config_loads_with_the_stated_record():
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    cfg = build_experiment(parse_config_text(blocks[0]))
+    nt, _ = _time_lattice(sample_speed(cfg.speed_spec, cfg.grid), cfg.detector)
+    # "here 182 time levels x 60 detectors"
+    assert (nt, cfg.detector.n_theta) == (182, 60)
