@@ -89,8 +89,9 @@ from .detector import (
     LargeMode,
     SmallMode,
     SweepSettings,
-    _time_lattice,
     forward_operator,
+    record_lattice,
+    require_rings_clear,
     residual_refinement_study,
 )
 from .field import (
@@ -104,7 +105,7 @@ from .field import (
     sample_speed,
 )
 from .rays import visibility
-from .recon import cg_normal, landweber, relative_error, time_cutoff_chi
+from .recon import cg_normal, landweber, relative_error
 from .selftest import run_checks
 
 
@@ -335,8 +336,6 @@ class ExperimentConfig:
     speed_spec: object
     phantom_spec: object
     detector: object
-    plateau: float  # cutoff plateau end (the [time] t key)
-    cutoff_end: float | None  # t1, None for a hard window
     window: tuple[float, float] | None
     method: str
     iters: int
@@ -403,24 +402,24 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     else:
         raise ConfigError(f"[detector] mode must be 'small' or 'large', got '{mode_name}'")
 
+    # with t1 the record runs to t1 and is weighted by a cutoff with plateau
+    # t; without it the record runs to t, unweighted
     tm = sections.get("time", {})
-    plateau = _get(tm, "t", float, 5.0, "time")
-    cutoff_end = _get(tm, "t1", float, None, "time")
-    nt = _get(tm, "nt", int, None, "time")
-    if cutoff_end is not None and cutoff_end <= plateau:
-        raise ConfigError("[time] t1 must exceed t")
-    record_T = cutoff_end if cutoff_end is not None else plateau
-
+    t = _get(tm, "t", float, 5.0, "time")
+    t1 = _get(tm, "t1", float, None, "time")
     ap = sections.get("aperture", {})
     sampling = {key: _get(det, key, int, section="detector")
                 for key in ("n_theta", "n_alpha") if key in det}
     detector = DetectorConfig(
         mode=mode,
         **sampling,
-        T=record_T,
-        nt=nt,
+        T=t if t1 is None else t1,
+        nt=_get(tm, "nt", int, None, "time"),
         aperture=_get(ap, "arc", _angle_pair, section="aperture"),
+        plateau=None if t1 is None else t,
     )
+    # fail fast: a ring in the absorbing band is rejected at load, not mid-run
+    require_rings_clear(grid, detector)
 
     rc = sections.get("recon", {})
     method = _get(rc, "method", str, "cg", "recon").lower()
@@ -445,8 +444,6 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         speed_spec=speed_spec,
         phantom_spec=phantom_spec,
         detector=detector,
-        plateau=plateau,
-        cutoff_end=cutoff_end,
         window=_get(ap, "window", _time_pair, section="aperture"),
         method=method,
         iters=_get(rc, "iters", int, 15, "recon"),
@@ -459,8 +456,6 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         vis_max_count=_get(vis, "max_count", _count, 64, "visibility"),
         sweep=sweep,
     )
-    # fail fast: phantom support validates at load, not mid-run
-    make_phantom(phantom_spec, grid)
     if not 0.0 <= cfg.noise_rel < math.inf:
         raise ConfigError(f"[noise] sigma_rel: expected a finite number >= 0, got {cfg.noise_rel}")
     if cfg.seed < 0:
@@ -488,7 +483,7 @@ def _sample(cfg: ExperimentConfig):
 
 
 def _detector_meta(cfg: ExperimentConfig, speed) -> dict:
-    nt, dt = _time_lattice(speed, cfg.detector)
+    nt, dt = record_lattice(speed, cfg.detector)
     mode = cfg.detector.mode
     return {
         "mode": {"kind": "small" if isinstance(mode, SmallMode) else "large",
@@ -531,7 +526,13 @@ def cmd_forward(args) -> int:
         peak = float(np.abs(data).max())
         if peak > 0.0:
             rng = np.random.default_rng(cfg.seed)
-            data += cfg.noise_rel * peak * rng.standard_normal(data.shape)
+            # an overflow is reported below in one line
+            with np.errstate(over="ignore", invalid="ignore"):
+                data += cfg.noise_rel * peak * rng.standard_normal(data.shape)
+            if not np.all(np.isfinite(data)):
+                raise FloatingPointError(
+                    f"the noisy record is not finite: [noise] sigma_rel = {cfg.noise_rel:g} "
+                    f"times the record peak {peak:g} overflows")
 
     out.mkdir(parents=True, exist_ok=True)
     pgm_path = out / "sinogram.pgm"
@@ -594,15 +595,10 @@ def cmd_reconstruct(args) -> int:
     # only valid input gets an output directory; recon checks the data shape
     out = _out_dir(cfg, args)
 
-    cutoff = None
-    if cfg.cutoff_end is not None:
-        cutoff = time_cutoff_chi(cfg.plateau, cfg.cutoff_end, expect["nt"], expect["dt"])
-
     if cfg.method == "landweber":
-        result = landweber(data, speed, cfg.detector, iters=cfg.iters, step=cfg.step,
-                           cutoff=cutoff)
+        result = landweber(data, speed, cfg.detector, iters=cfg.iters, step=cfg.step)
     else:
-        result = cg_normal(data, speed, cfg.detector, iters=cfg.iters, cutoff=cutoff)
+        result = cg_normal(data, speed, cfg.detector, iters=cfg.iters)
     est = result.estimate.f
     err = relative_error(est, phantom.f)
 
@@ -666,7 +662,7 @@ def cmd_visibility(args) -> int:
             csv.writer(fh).writerow(header)
         return 0
 
-    window = cfg.window if cfg.window is not None else (0.0, cfg.plateau)
+    window = cfg.window or (0.0, cfg.detector.plateau or cfg.detector.T)
     report = visibility(wf, speed, cfg.detector, time_window=window)
 
     out.mkdir(parents=True, exist_ok=True)

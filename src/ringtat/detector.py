@@ -84,6 +84,9 @@ class DetectorConfig:
     ``aperture`` restricts the detector centers to the open arc (a, b);
     None means the full circle.  ``nt`` is the number of time samples on
     [0, T]; None lets the forward operator pick it from the CFL bound.
+    ``plateau`` weights the record in the reconstruction misfit: the weight
+    is one on [0, plateau] and falls smoothly to zero at T.  None weights
+    every level by one.
     """
 
     mode: SmallMode | LargeMode
@@ -92,6 +95,7 @@ class DetectorConfig:
     T: float = 5.0
     nt: int | None = None
     aperture: tuple[float, float] | None = None
+    plateau: float | None = None
 
     def __post_init__(self):
         if self.n_alpha < 64:
@@ -109,6 +113,9 @@ class DetectorConfig:
             a, b = self.aperture
             if not (b > a and b - a <= _TWO_PI + 1e-12):
                 raise ValueError("aperture must be an increasing arc of at most one turn")
+        if self.plateau is not None and not 0 < self.plateau < self.T:
+            raise ValueError(f"cutoff plateau {self.plateau:g} must lie in (0, T) = "
+                             f"(0, {self.T:g}): [time] t1 must exceed t, and t must be positive")
 
     @property
     def full_circle(self) -> bool:
@@ -123,15 +130,6 @@ def theta_grid(config: DetectorConfig) -> np.ndarray:
         return _TWO_PI * np.arange(n) / n
     a, b = config.aperture
     return a + (np.arange(n) + 0.5) * (b - a) / n
-
-
-def _require_clear_of_band(points: np.ndarray, grid) -> None:
-    reach = float(np.max(np.abs(points)))
-    if reach >= grid.interior_half_width - 1e-12:
-        raise ValueError(
-            f"detector points reach |x| = {reach:g}, inside the absorbing band "
-            f"(interior half width {grid.interior_half_width:g})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +167,44 @@ class RadiusSweep:
 # sampling machinery shared by the forward map, the adjoint and the sweeps
 
 
-def _build_sampler(grid, centers_radius: float | np.ndarray, circle_radius: float | np.ndarray,
-                   thetas: np.ndarray, n_alpha: int) -> BicubicSampler:
-    """Sampler whose row (j * n_radii + i) is the mean over n_alpha equally
-    spaced points of circle i at angle j.
+def _rings(grid, centers_radius: float | np.ndarray, circle_radius: float | np.ndarray,
+           thetas: np.ndarray, n_alpha: int) -> np.ndarray:
+    """The (theta, radius, alpha, xy) points of the detector circles: n_alpha
+    equally spaced points on the circle of each radius at each angle.  Points
+    that reach the grid's absorbing band are rejected.
 
-    centers_radius/circle_radius are scalars or per-radius arrays; rows are
-    laid out theta-major so a single-radius sampler and the matching column
-    of a sweep sampler are built from identical point sequences (this is
-    what makes sweep columns bit-exact against forward runs).
+    centers_radius/circle_radius are scalars or per-radius arrays; a single
+    radius and the matching radius of a sweep give identical point
+    sequences (this is what makes sweep columns bit-exact against forward
+    runs).
     """
     R, r = (a[:, None] for a in np.broadcast_arrays(np.atleast_1d(centers_radius),
                                                      np.atleast_1d(circle_radius)))
     alphas = _TWO_PI * np.arange(n_alpha) / n_alpha
     cos_t = np.array([math.cos(th) for th in thetas])[:, None, None]
     sin_t = np.array([math.sin(th) for th in thetas])[:, None, None]
-    # (theta, radius, alpha, xy): each point is R cos(theta) + r cos(alpha), ...
+    # each point is R cos(theta) + r cos(alpha), R sin(theta) + r sin(alpha)
     rings = np.stack([R * cos_t + r * np.cos(alphas), R * sin_t + r * np.sin(alphas)], axis=-1)
-    _require_clear_of_band(rings, grid)
+    reach = float(np.max(np.abs(rings)))
+    if reach >= grid.interior_half_width - 1e-12:
+        raise ValueError(
+            f"detector points reach |x| = {reach:g}, inside the absorbing band "
+            f"(interior half width {grid.interior_half_width:g})"
+        )
+    return rings
+
+
+def require_rings_clear(grid, config: DetectorConfig) -> None:
+    """Reject a detector whose circle points reach the grid's absorbing band,
+    as building the forward map's sampler does, without building it."""
+    _rings(grid, config.mode.center_radius, config.mode.r, theta_grid(config), config.n_alpha)
+
+
+def _build_sampler(grid, centers_radius: float | np.ndarray, circle_radius: float | np.ndarray,
+                   thetas: np.ndarray, n_alpha: int) -> BicubicSampler:
+    """Sampler whose row (j * n_radii + i) is the mean over the ring of
+    circle i at angle j (see ``_rings``): theta-major rows."""
+    rings = _rings(grid, centers_radius, circle_radius, thetas, n_alpha)
     return BicubicSampler(-grid.L, grid.h, grid.n, rings.reshape(-1, n_alpha, 2))
 
 
@@ -200,7 +218,8 @@ def _detector_sampler(grid, config: DetectorConfig) -> BicubicSampler:
     return _build_sampler(grid, mode.center_radius, mode.r, theta_grid(config), config.n_alpha)
 
 
-def _time_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:
+def record_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:
+    """(nt, dt) of the record: level k sits at k*dt, the last at T."""
     if config.nt is None:
         return choose_time_steps(speed, config.T)
     nt = config.nt
@@ -231,7 +250,7 @@ def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
 def forward_operator(f, speed: SpeedField, config: DetectorConfig) -> Sinogram:
     """The measurement map: one wave solve, every detector read at every level."""
     sampler = _detector_sampler(speed.grid, config)
-    nt, dt = _time_lattice(speed, config)
+    nt, dt = record_lattice(speed, config)
     data = _record_forward(f, speed, sampler, nt, dt)
     return Sinogram(data=data, dt=dt, thetas=theta_grid(config), config=config)
 
@@ -245,7 +264,7 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
     machine precision (plain Euclidean inner products on both sides).
     """
     sampler = _detector_sampler(speed.grid, config)
-    nt, dt = _time_lattice(speed, config)
+    nt, dt = record_lattice(speed, config)
     data = np.asarray(data, dtype=float)
     if data.shape != (nt, sampler.n_rows):
         raise ValueError(f"data shape {data.shape} does not match lattice {(nt, sampler.n_rows)}")
@@ -262,7 +281,7 @@ def _record_sweep(f, speed: SpeedField, config: DetectorConfig, centers_radius, 
                   radii: np.ndarray) -> RadiusSweep:
     thetas = theta_grid(config)
     sampler = _build_sampler(speed.grid, centers_radius, circle_radius, thetas, config.n_alpha)
-    nt, dt = _time_lattice(speed, config)
+    nt, dt = record_lattice(speed, config)
     data = _record_forward(f, speed, sampler, nt, dt).reshape(nt, thetas.size, radii.size)
     return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=radii, config=config)
 

@@ -5,7 +5,8 @@ All physical objects live on a square cell-centered-free node grid over
 (initial pressure) are compactly supported strictly inside the unit disc.
 The detector geometry and the ray tracer depend on both.  The first holds by
 construction: every speed model is multiplied by a fixed cutoff that is
-exactly 0 for |x| >= 1.  The second is enforced when a phantom is sampled.
+exactly 0 for |x| >= 1.  The second is enforced when a phantom component
+is made.
 """
 
 from __future__ import annotations
@@ -26,6 +27,22 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} = {value} must be finite")
+
+
+# every phantom component must end this far inside the unit circle
+_SUPPORT_MARGIN = 0.05
+
+
+def _require_inside_disc(center, support_radius: float) -> None:
+    """Reject a component reaching |x| > 1 - _SUPPORT_MARGIN: the
+    reconstruction theory and the masking predictor assume supp f is
+    interior."""
+    reach = float(np.hypot(*center)) + support_radius
+    if reach > 1.0 - _SUPPORT_MARGIN + 1e-12:
+        raise ValueError(
+            f"phantom component reaches |x| = {reach:g} > {1 - _SUPPORT_MARGIN:g}; "
+            "support must stay strictly inside the unit disc"
+        )
 
 
 def _require_width(**values) -> None:
@@ -213,6 +230,7 @@ class GaussianComponent:
     def __post_init__(self):
         _require_finite(center=self.center, sigma=self.sigma, amp=self.amp)
         _require_width(sigma=self.sigma)
+        _require_inside_disc(self.center, self.support_radius)
 
     @property
     def support_radius(self) -> float:
@@ -235,6 +253,7 @@ class DiscComponent:
             raise ValueError(f"disc radius = {self.radius:g} must be >= 0")
         if not self.taper > 0:
             raise ValueError("disc taper must be positive")
+        _require_inside_disc(self.center, self.support_radius)
 
     @property
     def support_radius(self) -> float:
@@ -258,10 +277,6 @@ class Phantom:
     f: np.ndarray  # (n, n), indexed [ix, iy]
 
 
-# every phantom component must end this far inside the unit circle
-_SUPPORT_MARGIN = 0.05
-
-
 def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     cx, cy = comp.center
     rho = np.hypot(X - cx, Y - cy)
@@ -279,22 +294,12 @@ def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> n
 
 
 def make_phantom(spec: PhantomSpec, grid: Grid2D) -> Phantom:
-    """Sample a phantom.  Every component must sit strictly inside the unit disc.
-
-    A component reaching |x| > 1 - _SUPPORT_MARGIN is rejected: the reconstruction
-    theory and the masking predictor assume supp f is interior.  An empty
-    spec yields the zero phantom.
-    """
+    """Sample a phantom: the sum of its components, each of which sits
+    strictly inside the unit disc by construction.  An empty spec yields the
+    zero phantom."""
     X, Y = grid.mesh()
     f = np.zeros_like(X)
     for comp in spec.components:
-        cx, cy = comp.center
-        reach = float(np.hypot(cx, cy)) + comp.support_radius
-        if reach > 1.0 - _SUPPORT_MARGIN + 1e-12:
-            raise ValueError(
-                f"phantom component reaches |x| = {reach:g} > {1 - _SUPPORT_MARGIN:g}; "
-                "support must stay strictly inside the unit disc"
-            )
         f += _component_values(comp, X, Y)
     return Phantom(grid=grid, f=f)
 

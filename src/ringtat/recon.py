@@ -1,12 +1,12 @@
 """Iterative image recovery from circle-averaged measurements.
 
-The data misfit is a plain sum-of-squares over the record lattice, optionally
-weighted by a smooth time cutoff that is one on an initial window and falls
-to zero smoothly before the record ends.  Two minimizers are provided for the
-weighted normal equations: Landweber (projected gradient descent with a step
-chosen from a power-iteration norm estimate) and conjugate gradients.  Both
-keep every iterate supported in the open unit disc, where phantoms live by
-construction.
+The data misfit is a plain sum-of-squares over the record lattice, weighted
+by a smooth time cutoff when the detector config has a ``plateau``: one on
+[0, plateau], falling to zero at the record end T.  Two minimizers are
+provided for the weighted normal equations: Landweber (projected gradient
+descent with a step chosen from a power-iteration norm estimate) and
+conjugate gradients.  Both keep every iterate supported in the open unit
+disc, where phantoms live by construction.
 
 The adjoint used throughout is the exact discrete transpose of the forward
 map, so convergence statements about the discrete system hold verbatim.
@@ -28,34 +28,21 @@ import numpy as np
 from .detector import (
     DetectorConfig,
     Sinogram,
-    _time_lattice,
     adjoint_operator,
     forward_operator,
+    record_lattice,
     theta_grid,
 )
 from .field import Phantom, SpeedField, transition
 
 __all__ = [
     "ReconResult",
-    "time_cutoff_chi",
     "adjoint_operator",
     "operator_norm_estimate",
     "landweber",
     "cg_normal",
     "relative_error",
 ]
-
-
-def time_cutoff_chi(T: float, T1: float, nt: int, dt: float) -> np.ndarray:
-    """The smooth record weighting sampled on the record lattice t_i = i*dt,
-    i < nt: one on [0, T], a monotone C-infinity descent on [T, T1], zero
-    from T1 on.  Returns the (nt,) weights."""
-    if not 0.0 < T < T1:
-        raise ValueError(f"cutoff needs 0 < T < T1, got T={T:g}, T1={T1:g}")
-    if T1 > (nt - 1) * dt + 1e-12:
-        raise ValueError("cutoff support must end inside the record window")
-    t = dt * np.arange(nt)
-    return transition((t - T) / (T1 - T))
 
 
 @dataclass
@@ -73,21 +60,32 @@ class ReconResult:
     iterations: int
 
 
-def _support_mask(grid) -> np.ndarray:
-    return grid.radius() < 1.0
+def _misfit_weights(speed: SpeedField, config: DetectorConfig) -> np.ndarray:
+    """The (nt, 1) misfit weights on the record lattice t_i = i*dt: one on
+    [0, plateau], a monotone C-infinity descent on [plateau, T], zero at T;
+    all ones without a plateau."""
+    nt, dt = record_lattice(speed, config)
+    if config.plateau is None:
+        return np.ones((nt, 1))
+    t = dt * np.arange(nt)
+    return transition((t - config.plateau) / (config.T - config.plateau))[:, None]
 
 
-def _as_data(s, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
+def _set_up(s, speed: SpeedField, config: DetectorConfig):
+    """What both solvers start from: the data, checked against the record
+    lattice and scaled by 2**-e to a peak in [0.5, 1); e; the misfit
+    weights; the unit-disc mask."""
     data = s.data if isinstance(s, Sinogram) else np.asarray(s, dtype=float)
-    nt, _ = _time_lattice(speed, config)
-    expected = (nt, theta_grid(config).size)
+    chi_w = _misfit_weights(speed, config)
+    expected = (chi_w.shape[0], theta_grid(config).size)
     if data.shape != expected:
         raise ValueError(f"data shape {data.shape} does not match lattice {expected}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         raise FloatingPointError(f"non-finite data value {data[idx]} at index {idx}")
-    return data
+    e = _unit_exponent(data)
+    return np.ldexp(data, -e), e, chi_w, speed.grid.radius() < 1.0
 
 
 def _unit_exponent(a: np.ndarray) -> int:
@@ -134,15 +132,6 @@ def _require_finite(value: float, what: str, k: int) -> float:
     return value
 
 
-def _chi_column(cutoff: np.ndarray | None, nt: int) -> np.ndarray:
-    if cutoff is None:
-        return np.ones((nt, 1))
-    w = np.asarray(cutoff, dtype=float)
-    if w.shape != (nt,):
-        raise ValueError(f"cutoff has {w.shape[0]} weights, record lattice has {nt}")
-    return w[:, None]
-
-
 def _misfit(chi_w: np.ndarray, resid: np.ndarray) -> float:
     return float(np.sqrt(np.sum(chi_w * resid**2)))
 
@@ -176,11 +165,7 @@ _POWER_SEED = 0
 _TOL = 1e-6
 
 
-def operator_norm_estimate(
-    speed: SpeedField,
-    config: DetectorConfig,
-    cutoff: np.ndarray | None = None,
-) -> float:
+def operator_norm_estimate(speed: SpeedField, config: DetectorConfig) -> float:
     """Largest eigenvalue of the weighted normal operator on the unit-disc
     subspace, by power iteration: the squared norm of the measurement map.
 
@@ -188,9 +173,8 @@ def operator_norm_estimate(
     relative, or after ``_POWER_ITERS`` applications.
     """
     grid = speed.grid
-    mask = _support_mask(grid)
-    nt, _ = _time_lattice(speed, config)
-    chi_w = _chi_column(cutoff, nt)
+    mask = grid.radius() < 1.0
+    chi_w = _misfit_weights(speed, config)
     rng = np.random.default_rng(_POWER_SEED)
     x = rng.standard_normal((grid.n, grid.n))
     x[~mask] = 0.0
@@ -215,7 +199,6 @@ def landweber(
     config: DetectorConfig,
     iters: int = 50,
     step: float | None = None,
-    cutoff: np.ndarray | None = None,
 ) -> ReconResult:
     """Projected gradient descent on the weighted least-squares misfit.
 
@@ -232,12 +215,7 @@ def landweber(
     if step is not None and not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"landweber step must be finite and positive, got {step}")
     grid = speed.grid
-    data = _as_data(s, speed, config)
-    e = _unit_exponent(data)
-    data = np.ldexp(data, -e)
-    nt, _ = _time_lattice(speed, config)
-    chi_w = _chi_column(cutoff, nt)
-    mask = _support_mask(grid)
+    data, e, chi_w, mask = _set_up(s, speed, config)
 
     history = [_require_finite(_misfit(chi_w, data), "misfit", 0)]
     if history[0] == 0.0:
@@ -245,7 +223,7 @@ def landweber(
         return ReconResult(zero, np.array(history), step if step is not None else 0.0, 0)
 
     if step is None:
-        est = operator_norm_estimate(speed, config, cutoff=cutoff)
+        est = operator_norm_estimate(speed, config)
         if est <= 0.0:
             raise RuntimeError("operator norm estimate vanished; cannot pick a step")
         step = 1.0 / est
@@ -285,7 +263,6 @@ def cg_normal(
     speed: SpeedField,
     config: DetectorConfig,
     iters: int = 15,
-    cutoff: np.ndarray | None = None,
 ) -> ReconResult:
     """Conjugate gradients on the weighted normal equations.
 
@@ -296,12 +273,7 @@ def cg_normal(
     wave solve), misfit or curvature raise FloatingPointError.
     """
     grid = speed.grid
-    data = _as_data(s, speed, config)
-    e = _unit_exponent(data)
-    data = np.ldexp(data, -e)
-    nt, _ = _time_lattice(speed, config)
-    chi_w = _chi_column(cutoff, nt)
-    mask = _support_mask(grid)
+    data, e, chi_w, mask = _set_up(s, speed, config)
 
     c0 = _require_finite(float(np.sum(chi_w * data**2)), "misfit", 0)
     history = [float(np.sqrt(c0))]

@@ -21,9 +21,9 @@ from .detector import (
     LargeMode,
     SmallMode,
     SweepSettings,
-    _time_lattice,
     adjoint_operator,
     forward_operator,
+    record_lattice,
     residual_refinement_study,
 )
 from .field import Covector, SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
@@ -49,7 +49,7 @@ def adjoint_identity(*mode_kinds: str) -> tuple[bool, str]:
         mode = SmallMode(R=2.0, r=0.8) if small else LargeMode(r=2.0)
         speed = sample_speed(SpeedSpec(), grid)
         config = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=64, T=0.8)
-        nt, _ = _time_lattice(speed, config)
+        nt, _ = record_lattice(speed, config)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             f = rng.standard_normal((n, n))

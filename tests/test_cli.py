@@ -31,8 +31,8 @@ from ringtat.cli import (
     write_array,
     write_pgm,
 )
-from ringtat.detector import LargeMode, SmallMode, SweepSettings, _time_lattice
-from ringtat.field import sample_speed
+from ringtat.detector import LargeMode, SmallMode, SweepSettings, record_lattice
+from ringtat.field import sample_speed, transition
 from ringtat.wave import cfl_limit
 
 BASE_CFG = """
@@ -289,7 +289,7 @@ class TestBuildExperiment:
     def test_base_config(self):
         cfg = build_experiment(_cfg_dict())
         assert isinstance(cfg.detector.mode, LargeMode)
-        assert cfg.detector.T == 4.0 and cfg.cutoff_end is None
+        assert cfg.detector.T == 4.0 and cfg.detector.plateau is None
         assert cfg.grid.n == 65 and cfg.seed == 3
         assert cfg.method == "cg" and cfg.iters == 3
 
@@ -307,11 +307,13 @@ class TestBuildExperiment:
 
     def test_cutoff_extends_record(self):
         cfg = build_experiment(_cfg_dict(**{"time.t1": "4.5"}))
-        assert cfg.detector.T == 4.5 and cfg.plateau == 4.0
+        assert cfg.detector.T == 4.5 and cfg.detector.plateau == 4.0
 
     def test_cutoff_must_exceed_plateau(self):
-        with pytest.raises(ConfigError, match="t1 must exceed t"):
-            build_experiment(_cfg_dict(**{"time.t1": "3.0"}))
+        # DetectorConfig checks 0 < plateau < T, with T = t1 and plateau = t
+        for t, t1 in (("4.0", "3.0"), ("4.0", "4.0"), ("-1.0", "3.0")):
+            with pytest.raises(ValueError, match=r"\[time\] t1 must exceed t, and t must be"):
+                build_experiment(_cfg_dict(**{"time.t": t, "time.t1": t1}))
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section \[plotting\]"):
@@ -343,7 +345,7 @@ class TestBuildExperiment:
 
     def test_module_invariants_revalidated(self):
         # phantom support outside the unit disc is caught at load time
-        with pytest.raises(ValueError, match="unit disc"):
+        with pytest.raises(ConfigError, match=r"^\[phantom\] gaussian.1: .* unit disc"):
             build_experiment(_cfg_dict(**{"phantom.gaussian.1": "0.8 0.0 0.2"}))
         with pytest.raises(ValueError, match="n_alpha"):
             build_experiment(_cfg_dict(**{"detector.n_alpha": "16"}))
@@ -452,6 +454,15 @@ class TestForwardCommand:
         sino, _ = read_array(tmp_path / "sinogram.tat")
         assert not sino.any()
 
+    def test_noise_that_overflows_exits_3_before_writing(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("gaussian.1 = 0.2 -0.1 0.18",
+                                         "gaussian.1 = 0.25 -0.15 0.15 1e6")
+                       + "\n[noise]\nsigma_rel = 1e308\n")
+        proc = _run_cli("forward", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert "[noise] sigma_rel = 1e+308" in _one_error_line(proc, 3)
+        assert not (tmp_path / "out").exists()
+
     def test_noise_is_seeded(self, workspace, tmp_path):
         cfg = tmp_path / "noisy.cfg"
         cfg.write_text(BASE_CFG + "\n[noise]\nsigma_rel = 0.01\n")
@@ -556,7 +567,7 @@ class TestForwardCommand:
             nt, n_rows = 10**16, 4 * 3  # level 0: base_n_theta angles x 3 radii
         else:
             exp = load_experiment(cfg)
-            nt, _ = _time_lattice(sample_speed(exp.speed_spec, exp.grid), exp.detector)
+            nt, _ = record_lattice(sample_speed(exp.speed_spec, exp.grid), exp.detector)
             n_rows = 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
@@ -653,6 +664,27 @@ class TestReconstructCommand:
         assert rows[0] == "iteration,residual"
         assert len(rows) == 2 + 3  # header + initial point + 3 iterations
 
+    @pytest.mark.parametrize("method", ["cg", "landweber"])
+    def test_time_cutoff_weights_the_misfit(self, tmp_path, method):
+        """With ``[time] t1`` the record runs to t1, and the first misfit is
+        the data norm weighted by the cutoff with plateau t."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("t = 4.0", "t = 2.0\nt1 = 2.6")
+                       .replace("method = cg", f"method = {method}"))
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        data, meta = read_array(tmp_path / "sinogram.tat")
+        nt, dt = meta["detector"]["nt"], meta["detector"]["dt"]
+        assert meta["detector"]["T"] == 2.6 and abs((nt - 1) * dt - 2.6) < 1e-12
+        assert main(["reconstruct", "--config", str(cfg), "--data", str(tmp_path / "sinogram.tat"),
+                     "--out", str(tmp_path)]) == 0
+        with (tmp_path / "residual_history.csv").open(newline="") as fh:
+            history = [float(row["residual"]) for row in csv.DictReader(fh)]
+        chi = transition((dt * np.arange(nt) - 2.0) / (2.6 - 2.0))
+        assert chi[0] == 1.0 and chi[-1] == 0.0
+        expected = math.sqrt(float(np.sum(chi[:, None] * data**2)))
+        assert abs(history[0] - expected) <= 1e-13 * expected
+        assert expected < math.sqrt(float(np.sum(data**2)))
+
     def test_landweber_with_explicit_step(self, workspace, tmp_path):
         cfg = tmp_path / "lw.cfg"
         cfg.write_text(BASE_CFG.replace("method = cg", "method = landweber")
@@ -683,7 +715,8 @@ class TestReconstructCommand:
 
     def test_geometry_mismatch_names_both_files(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "other.cfg"
-        cfg.write_text(BASE_CFG.replace("r = 2.0", "r = 2.2"))
+        # r = 2.05 keeps the ring (reach 3.05) clear of the band (from 3.1)
+        cfg.write_text(BASE_CFG.replace("r = 2.0", "r = 2.05"))
         rc = main(["reconstruct", "--config", str(cfg),
                    "--data", str(workspace["sino"]), "--out", str(tmp_path)])
         assert rc == 2
@@ -798,6 +831,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestVisibilityCommand:
+    def test_ring_in_the_band_is_rejected_at_load_like_forward(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("mode = large", "mode = small\ncenter_radius = 2.5")
+                       .replace("r = 2.0", "r = 1.5"))
+        errors = []
+        for command in ("forward", "visibility"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "error: detector points reach |x| = 4, inside the absorbing band "
+            "(interior half width 3.1)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_small_arc_verdicts_equal_the_benchmark_reference(self, tmp_path):
         """The visibility-small-arc benchmark config at seed 0 gives the
         verdicts its reference file records."""

@@ -23,7 +23,7 @@ from ringtat.detector import (
     theta_grid,
 )
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from ringtat.recon import time_cutoff_chi
+from ringtat.recon import _misfit_weights
 from ringtat.wave import cfl_limit, choose_time_steps
 
 
@@ -378,10 +378,8 @@ class TestAdjoint:
         nt = choose_time_steps(speed, T)[0] + extra_levels
         aperture = None if arc is None else (arc[0], arc[0] + arc[1])
         cfg = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=n_alpha, T=T, nt=nt,
-                             aperture=aperture)
-        chi = np.ones((nt, 1))
-        if plateau is not None:
-            chi = time_cutoff_chi(plateau * T, T, nt, T / (nt - 1))[:, None]
+                             aperture=aperture, plateau=None if plateau is None else plateau * T)
+        chi = _misfit_weights(speed, cfg)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((49, 49))
         g = rng.standard_normal((nt, n_theta))

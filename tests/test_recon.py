@@ -1,5 +1,6 @@
 """Tests for the time cutoff, norm estimation and iterative solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +13,14 @@ from ringtat.detector import (
     adjoint_operator,
     forward_operator,
 )
-from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
+from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
 from ringtat.recon import (
     ReconResult,
+    _misfit_weights,
     cg_normal,
     landweber,
     operator_norm_estimate,
     relative_error,
-    time_cutoff_chi,
 )
 
 from dense_matrix import assemble_forward_matrix
@@ -29,32 +30,35 @@ def _speed(grid, kind="sinusoidal"):
     return sample_speed(SpeedSpec(kind=kind), grid)
 
 
+def _weights(T, plateau, nt=None):
+    """The misfit weights of a detector recording [0, T] on 32^2."""
+    speed = _speed(make_grid(L=3.4, n=32))
+    cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=4, n_alpha=64, T=T, nt=nt,
+                         plateau=plateau)
+    return _misfit_weights(speed, cfg)[:, 0]
+
+
 class TestTimeCutoff:
     def test_plateau_taper_support(self):
-        chi = time_cutoff_chi(T=2.0, T1=3.0, nt=41, dt=0.1)
-        t = 0.1 * np.arange(41)
+        chi = _weights(T=3.0, plateau=2.0, nt=31)  # dt = 0.1
+        t = 0.1 * np.arange(31)
         assert np.all(chi[t <= 2.0] == 1.0)
-        assert np.all(chi[t >= 3.0] == 0.0)
+        assert np.all(chi[t < 3.0] > 0.0) and chi[-1] == 0.0
         mid = chi[25]  # t = 2.5, middle of the taper
         assert abs(mid - 0.5) < 1e-14
+        assert np.all(_weights(T=3.0, plateau=None, nt=31) == 1.0)
 
     def test_monotone_taper(self):
-        chi = time_cutoff_chi(T=1.0, T1=2.5, nt=101, dt=0.03)
+        chi = _weights(T=2.5, plateau=1.0)  # on the CFL lattice
         assert np.all(np.diff(chi) <= 0.0)
         assert np.all((chi >= 0.0) & (chi <= 1.0))
+        assert chi[0] == 1.0 and chi[-1] == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            time_cutoff_chi(T=2.0, T1=2.0, nt=41, dt=0.1)
-        with pytest.raises(ValueError):
-            time_cutoff_chi(T=-1.0, T1=2.0, nt=41, dt=0.1)
-        with pytest.raises(ValueError, match="record window"):
-            time_cutoff_chi(T=2.0, T1=9.0, nt=41, dt=0.1)
-        # the last level sits at (nt - 1) * dt = 1.5, before T1 = 1.55
-        with pytest.raises(ValueError, match="record window"):
-            time_cutoff_chi(T=1.0, T1=1.55, nt=16, dt=0.1)
-        chi = time_cutoff_chi(T=1.0, T1=1.5, nt=16, dt=0.1)
-        assert chi[-1] == 0.0
+        # the plateau must end inside the record [0, T]
+        for plateau in (2.0, 9.0, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"plateau .* must lie in \(0, T\) = \(0, 2\)"):
+                DetectorConfig(mode=LargeMode(r=2.0), T=2.0, plateau=plateau)
 
 
 class TestNormEstimate:
@@ -196,21 +200,13 @@ class TestConjugateGradients:
         assert np.all(cg.residual_history[:m] <= lw.residual_history[:m] + 1e-12)
 
     def test_cutoff_weighting_enters_history(self):
-        from ringtat.recon import time_cutoff_chi
-
         grid, speed, truth, cfg, sino = _small_problem()
-        chi = time_cutoff_chi(T=2.5, T1=3.5, nt=sino.data.shape[0], dt=sino.dt)
-        res = cg_normal(sino, speed, cfg, iters=2, cutoff=chi)
+        weighted = dataclasses.replace(cfg, plateau=2.5)
+        res = cg_normal(sino, speed, weighted, iters=2)
+        chi = transition((sino.dt * np.arange(sino.data.shape[0]) - 2.5) / (cfg.T - 2.5))
         manual = float(np.sqrt(np.sum(chi[:, None] * sino.data**2)))
         assert abs(res.residual_history[0] - manual) <= 1e-12 * manual
-
-    def test_cutoff_length_mismatch(self):
-        from ringtat.recon import time_cutoff_chi
-
-        grid, speed, truth, cfg, sino = _small_problem()
-        chi = time_cutoff_chi(T=1.0, T1=1.5, nt=17, dt=0.1)
-        with pytest.raises(ValueError, match="weights"):
-            cg_normal(sino, speed, cfg, iters=2, cutoff=chi)
+        assert manual < float(np.sqrt(np.sum(sino.data**2)))
 
 
 def _tiny_problem(pml_width=0.3):
