@@ -79,7 +79,8 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,7 @@ from .detector import (
     DetectorConfig,
     LargeMode,
     SmallMode,
+    SweepLatticeError,
     SweepSettings,
     forward_operator,
     record_lattice,
@@ -288,6 +290,17 @@ def _require(body: dict[str, str], key: str, conv, section: str):
     return _get(body, key, conv, section=section)
 
 
+@contextmanager
+def _section(name: str, key: str | None = None):
+    """Name the config section (and key) whose values a module check rejects."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {key + ': ' if key else ''}{exc}") from exc
+
+
 def _floats(value: str) -> list[float]:
     parts = value.replace(",", " ").split()
     return [float(p) for p in parts]
@@ -358,15 +371,10 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     g = sections["grid"]
     L, n = _require(g, "l", float, "grid"), _require(g, "n", int, "grid")
     pml_width = _get(g, "pml_width", float, 0.5, "grid")
-    try:
+    with _section("grid"):
         grid = make_grid(L=L, n=n, pml_width=pml_width)
-    except ValueError as exc:
-        raise ConfigError(f"[grid] {exc}") from exc
-
-    try:
+    with _section("speed"):
         speed_spec = SpeedSpec(**sections.get("speed", {}))
-    except ValueError as exc:
-        raise ConfigError(f"[speed] {exc}") from exc
 
     ph = sections.get("phantom", {})
     components = []
@@ -383,43 +391,41 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
             if len(vals) not in (4, 5):
                 raise ConfigError(f"[phantom] {key}: expected 'cx cy radius taper [amp]'")
             kind = DiscComponent
-        try:
+        with _section("phantom", key):
             components.append(kind((vals[0], vals[1]), *vals[2:]))
-        except ValueError as exc:
-            raise ConfigError(f"[phantom] {key}: {exc}") from exc
     phantom_spec = PhantomSpec(components)
 
     det = sections["detector"]
     mode_name = _require(det, "mode", str, "detector").lower()
-    if mode_name == "small":
-        mode = SmallMode(R=_require(det, "center_radius", float, "detector"),
-                         r=_require(det, "r", float, "detector"))
-    elif mode_name == "large":
-        if "center_radius" in det:
-            raise ConfigError("[detector] large mode pins the centers to the unit "
-                              "circle; it takes no center_radius key")
-        mode = LargeMode(r=_require(det, "r", float, "detector"))
-    else:
+    if mode_name not in ("small", "large"):
         raise ConfigError(f"[detector] mode must be 'small' or 'large', got '{mode_name}'")
+    if mode_name == "large" and "center_radius" in det:
+        raise ConfigError("[detector] large mode pins the centers to the unit "
+                          "circle; it takes no center_radius key")
+    R = _require(det, "center_radius", float, "detector") if mode_name == "small" else None
+    r = _require(det, "r", float, "detector")
+    sampling = {key: _get(det, key, int, section="detector")
+                for key in ("n_theta", "n_alpha") if key in det}
+    with _section("detector"):
+        mode = SmallMode(R=R, r=r) if mode_name == "small" else LargeMode(r=r)
+        detector = DetectorConfig(mode=mode, **sampling)
 
     # with t1 the record runs to t1 and is weighted by a cutoff with plateau
     # t; without it the record runs to t, unweighted
     tm = sections.get("time", {})
     t = _get(tm, "t", float, 5.0, "time")
     t1 = _get(tm, "t1", float, None, "time")
+    nt = _get(tm, "nt", int, None, "time")
+    with _section("time"):
+        detector = replace(detector, T=t if t1 is None else t1, nt=nt,
+                           plateau=None if t1 is None else t)
     ap = sections.get("aperture", {})
-    sampling = {key: _get(det, key, int, section="detector")
-                for key in ("n_theta", "n_alpha") if key in det}
-    detector = DetectorConfig(
-        mode=mode,
-        **sampling,
-        T=t if t1 is None else t1,
-        nt=_get(tm, "nt", int, None, "time"),
-        aperture=_get(ap, "arc", _angle_pair, section="aperture"),
-        plateau=None if t1 is None else t,
-    )
+    arc = _get(ap, "arc", _angle_pair, section="aperture")
+    with _section("aperture"):
+        detector = replace(detector, aperture=arc)
     # fail fast: a ring in the absorbing band is rejected at load, not mid-run
-    require_rings_clear(grid, detector)
+    with _section("detector"):
+        require_rings_clear(grid, detector)
 
     rc = sections.get("recon", {})
     method = _get(rc, "method", str, "cg", "recon").lower()
@@ -434,10 +440,8 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     sw = sections.get("sweep", {})
     sweep_keys = {f.name: _get(sw, f.name, type(f.default), section="sweep")
                   for f in fields(SweepSettings) if f.name in sw}
-    try:
+    with _section("sweep"):
         sweep = SweepSettings(**sweep_keys)
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] {exc}") from exc
 
     cfg = ExperimentConfig(
         grid=grid,
@@ -706,15 +710,18 @@ def cmd_sweep(args) -> int:
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
     mode = cfg.detector.mode
-    study = residual_refinement_study(
-        "small" if isinstance(mode, SmallMode) else "large",
-        cfg.sweep,
-        n_alpha=cfg.detector.n_alpha,
-        small_r=mode.r,  # read by the small geometry only
-        L=cfg.grid.L,
-        pml_width=cfg.grid.pml_width,
-        speed_spec=cfg.speed_spec,
-    )
+    try:  # the study checks its lattice before the first solve
+        study = residual_refinement_study(
+            "small" if isinstance(mode, SmallMode) else "large",
+            cfg.sweep,
+            n_alpha=cfg.detector.n_alpha,
+            small_r=mode.r,  # read by the small geometry only
+            L=cfg.grid.L,
+            pml_width=cfg.grid.pml_width,
+            speed_spec=cfg.speed_spec,
+        )
+    except SweepLatticeError as exc:
+        raise ConfigError(f"[sweep] {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     wrong = study.get("rms_wrong")  # large mode only

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._spline import BicubicSampler
 from .field import SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from .wave import WaveSolver, choose_time_steps, solve_forward
+from .wave import WaveSolver, check_time_step, choose_time_steps, solve_forward
 
 _TWO_PI = 2.0 * math.pi
 # the sampler holds 16 entries per circle point behind int32 offsets, so the
@@ -115,7 +115,7 @@ class DetectorConfig:
                 raise ValueError("aperture must be an increasing arc of at most one turn")
         if self.plateau is not None and not 0 < self.plateau < self.T:
             raise ValueError(f"cutoff plateau {self.plateau:g} must lie in (0, T) = "
-                             f"(0, {self.T:g}): [time] t1 must exceed t, and t must be positive")
+                             f"(0, {self.T:g}): t1 must exceed t, and t must be positive")
 
     @property
     def full_circle(self) -> bool:
@@ -397,6 +397,54 @@ class SweepSettings:
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError(f"levels must be at least 2 for a refinement ratio, got {self.levels}")
+        if self.base_n_theta < 2:
+            raise ValueError(f"base_n_theta must be at least 2 for a theta stencil, "
+                             f"got {self.base_n_theta}")
+        if self.base_nt < 3:
+            raise ValueError(f"base_nt must be at least 3 for a time stencil, got {self.base_nt}")
+
+
+class SweepLatticeError(ValueError):
+    """A ``SweepSettings`` value whose study lattice cannot work; the
+    message names the field."""
+
+
+def _sweep_lattice(mode_kind: str, s: SweepSettings, n_alpha: int, small_r: float, L: float,
+                   pml_width: float, speed_spec: SpeedSpec) -> list[tuple]:
+    """The refinement study's levels as (grid, config, radii), checked
+    before any solve.  A lattice that cannot work raises SweepLatticeError
+    naming the ``SweepSettings`` field at fault."""
+    if mode_kind not in ("small", "large"):
+        raise ValueError("mode_kind must be 'small' or 'large'")
+
+    def blame(key, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise SweepLatticeError(f"{key} = {getattr(s, key)}: {exc}") from exc
+
+    levels = []
+    for level in range(s.levels):
+        scale = 2**level
+        grid = blame("base_n", make_grid, L=L, n=(s.base_n - 1) * scale + 1, pml_width=pml_width)
+        dr = _SWEEP_DELTA_R / scale
+        radii = [s.base_radius - dr, s.base_radius, s.base_radius + dr]
+        modes = [blame("base_radius", SmallMode, R=R, r=small_r) if mode_kind == "small"
+                 else blame("base_radius", LargeMode, r=R) for R in radii]
+        config = blame("base_n_theta", DetectorConfig, mode=modes[1],
+                       n_theta=s.base_n_theta * scale, n_alpha=n_alpha, T=_SWEEP_DURATION,
+                       nt=(s.base_nt - 1) * scale + 1)
+        levels.append((grid, config, radii))
+    # Level 0 sweeps the widest radii on angles every level has, so its rings
+    # reach farthest.  Every level steps at level 0's Courant number; a finer
+    # grid's speed can only peak higher (its nodes include level 0's), so a
+    # time step within that margin of the bound still stops at its level.
+    grid, config, radii = levels[0]
+    rings = (radii, small_r) if mode_kind == "small" else (1.0, radii)
+    blame("base_radius", _rings, grid, *rings, theta_grid(config), n_alpha)
+    blame("base_nt", check_time_step, sample_speed(speed_spec, grid),
+          _SWEEP_DURATION / (config.nt - 1))
+    return levels
 
 
 def residual_refinement_study(
@@ -416,31 +464,18 @@ def residual_refinement_study(
     evaluates the small-geometry stencil on the same data (``rms_wrong``,
     ``ratios_wrong``), where it has no reason to decay.
     """
-    s = settings
-    if mode_kind == "small":
-        mode, record, residual = (SmallMode(R=s.base_radius, r=small_r),
-                                  sweep_small_radius, cylinder_residual_small)
-    elif mode_kind == "large":
-        mode, record, residual = (LargeMode(r=s.base_radius),
-                                  sweep_large_radius, cylinder_residual_large)
-    else:
-        raise ValueError("mode_kind must be 'small' or 'large'")
     if speed_spec is None:
         speed_spec = SpeedSpec()
+    record, residual = ((sweep_small_radius, cylinder_residual_small) if mode_kind == "small"
+                        else (sweep_large_radius, cylinder_residual_large))
     hs, rms, rms_wrong = [], [], []
-    for level in range(s.levels):
-        scale = 2**level
-        grid = make_grid(L=L, n=(s.base_n - 1) * scale + 1, pml_width=pml_width)
+    for grid, config, radii in _sweep_lattice(mode_kind, settings, n_alpha, small_r, L,
+                                              pml_width, speed_spec):
         speed = sample_speed(speed_spec, grid)
         phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
-        nt = (s.base_nt - 1) * scale + 1
-        dr = _SWEEP_DELTA_R / scale
-        radii = [s.base_radius - dr, s.base_radius, s.base_radius + dr]
-        config = DetectorConfig(mode=mode, n_theta=s.base_n_theta * scale, n_alpha=n_alpha,
-                                T=_SWEEP_DURATION, nt=nt)
         sweep = record(phantom.f, speed, config, radii)
         resid = residual(sweep)
-        times = sweep.dt * np.arange(1, nt - 1)
+        times = sweep.dt * np.arange(1, config.nt - 1)
         sel = (times >= _SWEEP_WINDOW[0]) & (times <= _SWEEP_WINDOW[1])
         hs.append(grid.h)
         rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))

@@ -20,13 +20,16 @@ between steps.
 WaveSolver folds the scheme's per-cell coefficients (damping, speed, dt,
 h and the semi-implicit denominator) once, so one step and its transpose
 are a few contiguous multiply-adds and shifted sums over the flat field,
-with no per-step division.  The transpose reads the same folded arrays,
-so it stays exact; the folding reassociates floating-point arithmetic,
-so fields equal the unfolded update to rounding, not bit for bit.
+with no per-step division, plus gathers over the band cells, the only
+cells where the split field lives.  The transpose reads the same folded
+arrays and index arrays, so it stays exact; the folding reassociates
+floating-point arithmetic, so fields equal the unfolded update to
+rounding, not bit for bit.
 
 State convention: u_curr is the field at the current level, u_prev one
-level back, phi/psi the split-field layer memory.  Since u_t(0) = 0 makes
-the solution even in time, the initial state uses u(-dt) = u(+dt).
+level back, phi/psi the split-field layer memory on the band cells.
+Since u_t(0) = 0 makes the solution even in time, the initial state uses
+u(-dt) = u(+dt).
 """
 
 from __future__ import annotations
@@ -72,28 +75,40 @@ def _neighbour_sum(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _diff0(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
-    """out = Dx u, the unscaled centred difference along axis 0 with zero
-    padding; antisymmetric as a matrix."""
-    np.subtract(u[2 * n:], u[: -2 * n], out=out[n:-n])
-    out[:n] = u[n : 2 * n]
-    np.negative(u[-2 * n : -n], out=out[-n:])
-    return out
+def _neighbours(cells: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(4, cells.size) positions of the (+n, +1, -n, -1) neighbours of the
+    flat ``cells`` among the True cells of the (n, n) ``mask`` in C order.
+    A neighbour off the grid or off the mask gets ``mask.sum()``, the
+    position of the zero pad at the end of a vector over the mask."""
+    n, k = mask.shape[0], np.count_nonzero(mask)
+    pos = np.full((n + 2, n + 2), k)
+    pos[1:-1, 1:-1][mask] = np.arange(k)
+    at = cells + 2 * (cells // n) + n + 3  # each cell's flat index in ``pos``
+    return pos.reshape(-1)[at + np.array([n + 2, 1, -n - 2, -1])[:, None]]
 
 
-def _diff1(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
-    """out = Dy u, the unscaled centred difference along axis 1 with zero
-    padding; antisymmetric as a matrix."""
-    np.subtract(u[2:], u[:-2], out=out[1:-1])
-    o, v = out.reshape(n, n), u.reshape(n, n)
-    o[:, 0] = v[:, 1]
-    np.negative(v[:, -2], out=o[:, -1])
-    return out
+def _centred(p: np.ndarray, nb: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(Dx, Dy) off the padded vector ``p`` at the cells of the neighbour
+    positions ``nb``: out[:2] = p[nb[:2]] - p[nb[2:]]."""
+    np.take(p, nb, out=out, mode="clip")
+    out[:2] -= out[2:]
+    return out[:2]
 
 
 def cfl_limit(speed: SpeedField) -> float:
     """Largest stable dt for the five-point leapfrog scheme."""
     return speed.grid.h / (math.sqrt(2.0) * speed.max_c)
+
+
+def check_time_step(speed: SpeedField, dt: float) -> None:
+    """Reject a dt that is not finite and positive, or past the CFL bound."""
+    # comparisons with NaN are false, so NaN fails the first check
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt = {dt} must be finite and positive")
+    limit = cfl_limit(speed)
+    if dt > limit * (1.0 + 1e-12):
+        raise ValueError(f"dt = {dt:g} exceeds the stability bound {limit:g} "
+                         f"(h = {speed.grid.h:g}, max c = {speed.max_c:g})")
 
 
 # Fraction of the stability bound the default lattice steps at.  In the
@@ -111,8 +126,9 @@ def choose_time_steps(speed: SpeedField, duration: float) -> tuple[int, float]:
     the last level at exactly ``duration``.  A level count past the int64
     range is rejected.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    # comparisons with NaN are false, so NaN fails this check
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration = {duration} must be finite and positive")
     steps = duration / (_CFL_FRACTION * cfl_limit(speed))
     if not steps < 2.0**63:
         raise ValueError(f"a record of length {duration:.3g} needs {steps:.3g} time levels; "
@@ -161,6 +177,13 @@ def pml_profile(grid: Grid2D) -> np.ndarray:
 
 @dataclass
 class WaveState:
+    """One leapfrog level pair and the split-field memory.
+
+    u_curr and u_prev are (n, n) fields; phi and psi are 1-D, one entry per
+    absorbing-band cell (sigma_x + sigma_y > 0) in C order, since the split
+    field stays zero off the band.  Without a band they are empty.
+    """
+
     u_curr: np.ndarray
     u_prev: np.ndarray
     phi: np.ndarray
@@ -196,6 +219,17 @@ class WaveSolver:
         u_curr = A0 U + N(K1 U) + V - Dx(B_phi F) - Dy(B_psi G),  u_prev = -Q U
         phi    = a_phi F - Dx(K2 U),    psi = a_psi G - Dy(K2 U)
 
+    The split field is zero off the band, so it lives on the band cells S
+    only (WaveState.phi/psi), and K2 on the flux cells H (S and its four
+    neighbours), the only cells Dx phi and Dy psi reach.  ``__init__``
+    lists both sets and, for each cell, the positions of its four
+    neighbours in the other set.  ``step`` and ``step_T`` both read Dx and
+    Dy through these index arrays (one gather off a copy of the other set's
+    vector with a zero pad, for a neighbour off the grid or the set) and
+    move u on and off H by its index array, as whole-row slices where H
+    holds whole grid rows.  Each cell's arithmetic is that of the full-grid
+    folded step, so fields equal it bit for bit.
+
     Without a band (pml_width = 0) den = 1, sx = sy = 0 and the phi/psi
     terms drop out.
     Folding reassociates the arithmetic of the unfolded update
@@ -204,28 +238,22 @@ class WaveSolver:
     """
 
     def __init__(self, speed: SpeedField, dt: float):
+        check_time_step(speed, dt)
         grid = speed.grid
-        limit = cfl_limit(speed)
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt:g} exceeds the stability bound {limit:g} "
-                f"(h = {grid.h:g}, max c = {speed.max_c:g})"
-            )
         self.grid = grid
         self.dt = float(dt)
         self.h = grid.h
         self.c2 = speed.c**2
-        self._band = grid.pml_width > 0.0
         n, h = grid.n, grid.h
 
         def flat(a):
             return np.ascontiguousarray(np.broadcast_to(a, (n, n))).reshape(-1)
 
-        if self._band:
+        band = np.zeros((n, n), dtype=bool)
+        if grid.pml_width > 0.0:
             sigma = pml_profile(grid)
             sx, sy = sigma[:, None], sigma[None, :]
+            band = (sx + sy) > 0.0
             den = 1.0 + 0.5 * dt * (sx + sy)
             coef_u = 2.0 - dt**2 * sx * sy
             q = flat((1.0 - 0.5 * dt * (sx + sy)) / den)
@@ -236,18 +264,50 @@ class WaveSolver:
         self._k1 = flat(k1)
         self._a0 = flat(coef_u / den - 4.0 * k1)
         self._q, self._neg_q = q, -q
-        if self._band:
-            self._k2 = flat(k / (2.0 * h))
-            self._a_phi = flat(1.0 - dt * sx)
-            self._b_phi = flat(dt * (sy - sx) / (2.0 * h))
-            self._a_psi = flat(1.0 - dt * sy)
-            self._b_psi = flat(dt * (sx - sy) / (2.0 * h))
         self._t = np.empty(n * n)
         self._t2 = np.empty(n * n)
+        cells = np.flatnonzero(band)
+        self._m = m = cells.size
+        if not m:
+            return
+        reach = band | (_neighbour_sum(band.reshape(-1) * 1.0, self._t, n) > 0.0).reshape(n, n)
+        flux = np.flatnonzero(reach)
+        # H begins and ends with whole grid rows, which move by slices
+        head = int(np.argmin(flux == np.arange(flux.size)))
+        tail = int(np.argmin((flux == np.arange(flux.size) + n * n - flux.size)[::-1]))
+        self._rows = head, tail, flux[head : flux.size - tail]
+        # Dx phi and Dy psi at H read one padded (2, m + 1) buffer, psi second
+        self._flux_nb = _neighbours(flux, band)
+        self._flux_nb[1::2] += m + 1
+        self._band_nb = _neighbours(cells, reach)
+        self._k2 = k.reshape(-1)[flux] / (2.0 * h)
+        sx, sy = sigma[cells // n], sigma[cells % n]
+        self._a = np.stack([1.0 - dt * sx, 1.0 - dt * sy])
+        self._b = np.stack([dt * (sy - sx) / (2.0 * h), dt * (sx - sy) / (2.0 * h)])
+        # padded vectors over S and H, whose pads stay 0, and scratch: u on H
+        # takes a row the flux differences leave free, and the band
+        # differences reuse the whole buffer once the flux has been added
+        self._pad_band, self._pad_flux = np.zeros((2, m + 1)), np.zeros(flux.size + 1)
+        self._w_flux = np.empty((4, flux.size))
+        self._on_flux = self._w_flux[2]
+        self._w_band = self._w_flux.reshape(-1)[: 4 * m].reshape(4, m)
+
+    def _take(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = the flat field ``x`` on H."""
+        head, tail, mid = self._rows
+        out[:head], out[out.size - tail :] = x[:head], x[x.size - tail :]
+        np.take(x, mid, out=out[head : out.size - tail], mode="clip")
+        return out
+
+    def _put(self, x: np.ndarray, v: np.ndarray) -> None:
+        """x = v on H."""
+        head, tail, mid = self._rows
+        x[:head], x[x.size - tail :] = v[:head], v[v.size - tail :]
+        x[mid] = v[head : v.size - tail]
 
     def zero_state(self) -> WaveState:
         z = np.zeros_like(self.c2)
-        return WaveState(z, z.copy(), z.copy(), z.copy(), 0.0, self.dt)
+        return WaveState(z, z.copy(), np.zeros(self._m), np.zeros(self._m), 0.0, self.dt)
 
     # -- initial data embedding and its transpose --------------------------
 
@@ -256,8 +316,7 @@ class WaveSolver:
         from rest."""
         f = f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
         v = f + 0.5 * self.dt**2 * self.c2 * laplacian(f, self.h)
-        z = np.zeros_like(f)
-        return WaveState(f.copy(), v, z, z.copy(), 0.0, self.dt)
+        return WaveState(f.copy(), v, np.zeros(self._m), np.zeros(self._m), 0.0, self.dt)
 
     def init_state_T(self, s: WaveState) -> np.ndarray:
         return s.u_curr + s.u_prev + 0.5 * self.dt**2 * laplacian(self.c2 * s.u_prev, self.h)
@@ -270,49 +329,56 @@ class WaveSolver:
         out = np.multiply(self._a0, u)
         out -= np.multiply(self._q, v, out=t)
         out += np.multiply(self._k1, _neighbour_sum(u, t, n), out=t)
-        if not self._band:
+        if not self._m:
             return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi, s.t + dt, dt)
-        phi, psi = _flat(s.phi), _flat(s.psi)
-        flux = _diff0(phi, t, n)
-        flux += _diff1(psi, self._t2, n)
-        out += np.multiply(self._k2, flux, out=t)
-        phi_new = np.multiply(self._a_phi, phi)
-        phi_new += np.multiply(self._b_phi, _diff0(u, t, n), out=t)
-        psi_new = np.multiply(self._a_psi, psi)
-        psi_new += np.multiply(self._b_psi, _diff1(u, t, n), out=t)
-        return WaveState(
-            out.reshape(n, n), s.u_curr, phi_new.reshape(n, n), psi_new.reshape(n, n),
-            s.t + dt, dt,
-        )
+        pb, ph, m = self._pad_band, self._pad_flux, self._m
+        pb[0, :m], pb[1, :m] = s.phi, s.psi
+        flux = _centred(pb.reshape(-1), self._flux_nb, self._w_flux)
+        flux[0] += flux[1]
+        flux[0] *= self._k2
+        o = self._take(out, self._on_flux)
+        o += flux[0]
+        self._put(out, o)
+        self._take(u, ph[:-1])
+        d = _centred(ph, self._band_nb, self._w_band)
+        d *= self._b
+        new = np.multiply(self._a, pb[:, :m])
+        new += d
+        return WaveState(out.reshape(n, n), s.u_curr, new[0], new[1], s.t + dt, dt)
 
     def step_T(self, s: WaveState) -> WaveState:
-        n, dt, t, t2 = self.grid.n, self.dt, self._t, self._t2
+        n, dt, t = self.grid.n, self.dt, self._t
         U, V = _flat(s.u_curr), _flat(s.u_prev)
         a = np.multiply(self._a0, U)
-        a += _neighbour_sum(np.multiply(self._k1, U, out=t2), t, n)
+        a += _neighbour_sum(np.multiply(self._k1, U, out=self._t2), t, n)
         a += V
         b = np.multiply(self._neg_q, U)
-        if not self._band:
+        if not self._m:
             return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi, s.t - dt, dt)
-        F, G = _flat(s.phi), _flat(s.psi)
-        a -= _diff0(np.multiply(self._b_phi, F, out=t2), t, n)
-        a -= _diff1(np.multiply(self._b_psi, G, out=t2), t, n)
-        ku = np.multiply(self._k2, U, out=t2)
-        g = np.multiply(self._a_phi, F)
-        g -= _diff0(ku, t, n)
-        q = np.multiply(self._a_psi, G)
-        q -= _diff1(ku, t, n)
-        return WaveState(
-            a.reshape(n, n), b.reshape(n, n), g.reshape(n, n), q.reshape(n, n), s.t - dt, dt
-        )
+        pb, ph, m = self._pad_band, self._pad_flux, self._m
+        np.multiply(self._b[0], s.phi, out=pb[0, :m])
+        np.multiply(self._b[1], s.psi, out=pb[1, :m])
+        flux = _centred(pb.reshape(-1), self._flux_nb, self._w_flux)
+        o = self._take(a, self._on_flux)
+        o -= flux[0]
+        o -= flux[1]
+        self._put(a, o)
+        np.multiply(self._k2, self._take(U, self._on_flux), out=ph[:-1])
+        d = _centred(ph, self._band_nb, self._w_band)
+        g = np.multiply(self._a[0], s.phi)
+        g -= d[0]
+        q = np.multiply(self._a[1], s.psi)
+        q -= d[1]
+        return WaveState(a.reshape(n, n), b.reshape(n, n), g, q, s.t - dt, dt)
 
 
 # ---------------------------------------------------------------------------
 # module-level operations
 
 
-def energy(state: WaveState, speed: SpeedField) -> float:
-    """Discrete wave energy of the leapfrog level pair.
+def energy(u_curr: np.ndarray, u_prev: np.ndarray, dt: float, speed: SpeedField) -> float:
+    """Discrete wave energy of the leapfrog level pair ``u_curr``, ``u_prev``
+    (dt apart); the split field does not enter.
 
     Uses the product of gradients at consecutive levels rather than a
     squared gradient; for the undamped scheme this quantity is conserved
@@ -321,9 +387,9 @@ def energy(state: WaveState, speed: SpeedField) -> float:
     differences across every cell edge, so the gradient product is
     -u_curr . laplacian(u_prev).
     """
-    h, dt = speed.grid.h, state.dt
-    kin = np.sum(((state.u_curr - state.u_prev) / dt) ** 2 / (speed.c**2))
-    pot = -np.sum(state.u_curr * laplacian(state.u_prev, h))
+    h = speed.grid.h
+    kin = np.sum(((u_curr - u_prev) / dt) ** 2 / (speed.c**2))
+    pot = -np.sum(u_curr * laplacian(u_prev, h))
     return 0.5 * h * h * (kin + pot)
 
 

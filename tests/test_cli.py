@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringtat
-from ringtat import selftest
+from ringtat import detector, selftest
 from ringtat.cli import (
     ArrayFormatError,
     ConfigError,
@@ -273,6 +273,11 @@ class TestConfigGrammar:
             pass
 
 
+def _cfg_text(sections):
+    return "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                     for sec, body in sections.items())
+
+
 def _cfg_dict(**edits):
     sections = parse_config_text(BASE_CFG)
     for dotted, value in edits.items():
@@ -312,8 +317,25 @@ class TestBuildExperiment:
     def test_cutoff_must_exceed_plateau(self):
         # DetectorConfig checks 0 < plateau < T, with T = t1 and plateau = t
         for t, t1 in (("4.0", "3.0"), ("4.0", "4.0"), ("-1.0", "3.0")):
-            with pytest.raises(ValueError, match=r"\[time\] t1 must exceed t, and t must be"):
+            with pytest.raises(ConfigError,
+                               match=r"^\[time\] cutoff plateau .*: t1 must exceed t, and t must be"):
                 build_experiment(_cfg_dict(**{"time.t": t, "time.t1": t1}))
+
+    @pytest.mark.parametrize("edits, section", [
+        ({"detector.n_alpha": "16"}, "detector"),
+        ({"time.t": "-1"}, "time"),
+        ({"detector.r": "1.5"}, "detector"),
+        ({"aperture.arc": "1 0.5"}, "aperture"),
+        ({"time.nt": "1"}, "time"),
+    ])
+    def test_module_check_names_the_section(self, tmp_path, capsys, edits, section):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(_cfg_text(_cfg_dict(**edits)))
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: [{section}] "), err
+        assert not out.exists()
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section \[plotting\]"):
@@ -840,7 +862,7 @@ class TestVisibilityCommand:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == (
-            "error: detector points reach |x| = 4, inside the absorbing band "
+            "error: [detector] detector points reach |x| = 4, inside the absorbing band "
             "(interior half width 3.1)\n")
         assert not (tmp_path / "out").exists()
 
@@ -1011,8 +1033,7 @@ class TestCommandFuzz:
         array and its sidecar, as ``--data``) with warnings as errors: it
         ends in exit 0, 2 or 3 with at most one stderr line, only exit 0
         writes ``--out``, and the JSON files there are strict JSON."""
-        text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
-                         for sec, body in sections.items())
+        text = _cfg_text(sections)
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1065,10 +1086,7 @@ class TestCommandFuzz:
         self._exits_cleanly("reconstruct", sections, (values, meta))
 
 
-class TestSweepCommand:
-    def test_two_level_study(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("""
+SWEEP_CFG = """
 [grid]
 l = 3.9
 n = 65
@@ -1084,7 +1102,13 @@ levels = 2
 base_n = 65
 base_nt = 103
 base_n_theta = 20
-""")
+"""
+
+
+class TestSweepCommand:
+    def test_two_level_study(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG)
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
@@ -1092,6 +1116,30 @@ base_n_theta = 20
         assert len(rows) == 3
         rms = [float(r.split(",")[2]) for r in rows[1:]]
         assert rms[1] < rms[0]  # matching stencil improves under refinement
+
+    @pytest.mark.parametrize("line, says", [
+        ("base_n = 4", "base_n = 4: grid too coarse"),
+        ("base_n_theta = 1", "base_n_theta must be at least 2"),
+        ("base_nt = 2", "base_nt must be at least 3"),
+        ("base_nt = 5", "base_nt = 5: dt = 0.75 exceeds the stability bound"),
+        ("base_radius = nan", "base_radius = nan: large-detector geometry needs finite r >= 2"),
+        ("base_radius = 2.05", "base_radius = 2.05: large-detector geometry needs finite r >= 2"),
+        ("base_radius = 3.0", "base_radius = 3.0: detector points reach"),
+    ])
+    def test_bad_lattice_exits_2_naming_the_key_before_any_solve(self, tmp_path, capsys,
+                                                                monkeypatch, line, says):
+        monkeypatch.setattr(detector, "_record_forward",
+                            lambda *args: pytest.fail("the study solved"))
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "sweep.cfg"
+        # [sweep] is the last section, so the edited key goes at the end
+        cfg.write_text("\n".join(row for row in SWEEP_CFG.splitlines()
+                                 if not row.startswith(key + " ")) + f"\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: [sweep] {says}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("levels", [0, 1])
     def test_fewer_than_two_levels_exits_2(self, tmp_path, capsys, levels):

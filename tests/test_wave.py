@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from full_grid_step import FullGridStep, band_cells, to_band, to_full
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
 from ringtat.wave import (
     WaveSolver,
@@ -58,6 +59,19 @@ class TestTimeStepSelection:
         _, sp = _setup()
         with pytest.raises(ValueError, match="stability"):
             WaveSolver(sp, 2.0 * cfl_limit(sp))
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+    def test_solver_rejects_dt_that_is_not_finite_and_positive(self, dt):
+        _, sp = _setup()
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            WaveSolver(sp, dt)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -1.0])
+    def test_choose_time_steps_rejects_duration_that_is_not_finite_and_positive(self,
+                                                                                duration):
+        _, sp = _setup()
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            choose_time_steps(sp, duration)
 
 
 class TestPmlProfile:
@@ -174,7 +188,7 @@ class TestEnergy:
     def test_zero_state(self):
         _, sp = _setup()
         s = WaveSolver(sp, 0.01).init_state(np.zeros((64, 64)))
-        assert energy(s, sp) == 0.0
+        assert energy(s.u_curr, s.u_prev, s.dt, sp) == 0.0
 
     def test_initial_energy_is_gradient_energy(self):
         g, sp = _setup(n=101)
@@ -183,7 +197,7 @@ class TestEnergy:
         gx = np.diff(f, axis=0) / g.h
         gy = np.diff(f, axis=1) / g.h
         ref = 0.5 * g.h**2 * (np.sum(gx**2) + np.sum(gy**2))
-        assert energy(s, sp) == pytest.approx(ref, rel=0.01)
+        assert energy(s.u_curr, s.u_prev, s.dt, sp) == pytest.approx(ref, rel=0.01)
 
     def test_exact_conservation_without_damping(self):
         g, sp = _setup(n=101)
@@ -191,11 +205,11 @@ class TestEnergy:
         nt, dt = _lattice(sp, 1.2, 0.5)
         solver = WaveSolver(sp, dt)
         s = solver.step(solver.init_state(f))
-        e0 = energy(s, sp)
+        e0 = energy(s.u_curr, s.u_prev, s.dt, sp)
         worst = 0.0
         for _ in range(nt - 2):
             s = solver.step(s)
-            worst = max(worst, abs(energy(s, sp) - e0))
+            worst = max(worst, abs(energy(s.u_curr, s.u_prev, s.dt, sp) - e0))
         assert worst / e0 < 1e-12
 
 
@@ -248,13 +262,19 @@ def _step_T_oracle(sp, dt, sigma, s):
     return WaveState(a, b, g, q, s.t - dt, dt)
 
 
+def _random_state(rng, g, dt, t=0.0):
+    """Random fields, with the split field on the band cells only."""
+    m = band_cells(g).size
+    return WaveState(rng.normal(size=(g.n, g.n)), rng.normal(size=(g.n, g.n)),
+                     rng.normal(size=m), rng.normal(size=m), t, dt)
+
+
 def _kernel_case(n, band):
     g = make_grid(L=1.6, n=n, pml_width=0.5 if band else 0.0)
     sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
     sigma = pml_profile(g) if band else None
     solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
-    rng = np.random.default_rng(0)
-    s = WaveState(*(rng.normal(size=(n, n)) for _ in range(4)), 0.3, solver.dt)
+    s = _random_state(np.random.default_rng(0), g, solver.dt, 0.3)
     return sp, sigma, solver, s
 
 
@@ -277,7 +297,8 @@ class TestFoldedKernel:
         sp, sigma, solver, s = _kernel_case(n, band)
         oracle = _step_oracle if which == "step" else _step_T_oracle
         got = getattr(solver, which)(s)
-        want = oracle(sp, solver.dt, sigma, s)
+        # the unfolded formulas act on a full-grid split field
+        want = to_band(sp.grid, oracle(sp, solver.dt, sigma, to_full(sp.grid, s)))
         for a, b in zip(_fields(got), _fields(want)):
             assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
         assert got.t == want.t and got.dt == want.dt
@@ -298,10 +319,12 @@ class TestFoldedKernel:
         _, _, solver, s = _kernel_case(49, band)
         ref = getattr(solver, which)(s)
         fortran = WaveState(*(np.asfortranarray(x) for x in _fields(s)), s.t, s.dt)
-        big = [np.zeros((2 * 49, 3 * 49)) for _ in range(4)]
-        for b, x in zip(big, _fields(s)):
-            b[::2, ::3] = x
-        strided = WaveState(*(b[::2, ::3] for b in big), s.t, s.dt)
+        big = [np.zeros((2 * x.shape[0],) + tuple(3 * d for d in x.shape[1:]))
+               for x in _fields(s)]
+        views = [b[::2, ::3] if b.ndim == 2 else b[::2] for b in big]
+        for v, x in zip(views, _fields(s)):
+            v[...] = x
+        strided = WaveState(*views, s.t, s.dt)
         for other in (fortran, strided):
             got = getattr(solver, which)(other)
             for a, b in zip(_fields(got), _fields(ref)):
@@ -319,7 +342,7 @@ class TestAdjointness:
         dt = solver.dt
 
         def rand_state():
-            return WaveState(*(rng.normal(size=(32, 32)) for _ in range(4)), 0.0, dt)
+            return _random_state(rng, g, dt)
 
         a, b = rand_state(), rand_state()
         lhs = _dot(solver.step(a), b)
@@ -334,10 +357,75 @@ class TestAdjointness:
         sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
         solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
         f = rng.normal(size=(32, 32))
-        t = WaveState(*(rng.normal(size=(32, 32)) for _ in range(4)), 0.0, solver.dt)
+        t = _random_state(rng, g, solver.dt)
         lhs = _dot(solver.init_state(f), t)
         rhs = np.sum(f * solver.init_state_T(t))
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-12
+
+
+class TestBandLayout:
+    """The split field lives on the band cells only, and a step equals the
+    full-grid folded step (tests/full_grid_step.py) bit for bit."""
+
+    # the (n, n) arrays a solver may hold: speed, the folded u coefficients
+    # and scratch for the full-grid part of a step
+    _FULL_GRID = {"c2", "_k1", "_a0", "_q", "_neg_q", "_t", "_t2"}
+
+    @pytest.mark.parametrize("n", [32, 49, 129])
+    def test_state_holds_the_band_cells_only(self, n):
+        g = make_grid(L=1.6, n=n, pml_width=0.5)
+        sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+        sigma = pml_profile(g)
+        m = int(np.count_nonzero(sigma[:, None] + sigma[None, :] > 0.0))
+        assert 0 < m < n * n
+        solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
+        s = solver.init_state(gaussian_phantom(g, sigma=0.15))
+        for state in (s, solver.zero_state(), solver.step(s), solver.step_T(s)):
+            assert state.phi.shape == state.psi.shape == (m,)
+        for name, value in vars(solver).items():
+            if isinstance(value, np.ndarray) and name not in self._FULL_GRID:
+                assert n * n not in value.shape and value.shape != (n, n), name
+
+    def test_band_free_state_is_empty(self):
+        _, sp = _setup(n=32)
+        s = WaveSolver(sp, 0.01).init_state(np.zeros((32, 32)))
+        assert s.phi.shape == s.psi.shape == (0,)
+
+    @pytest.mark.parametrize("start", ["phantom", "random"])
+    @pytest.mark.parametrize("n", [32, 49])
+    def test_forward_solve_equals_the_full_grid_step(self, n, start):
+        g = make_grid(L=1.6, n=n, pml_width=0.5)
+        sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+        nt, dt = choose_time_steps(sp, 3.0)
+        solver, ref = WaveSolver(sp, dt), FullGridStep(sp, dt)
+        if start == "phantom":
+            s = solver.init_state(gaussian_phantom(g, center=(0.3, -0.2), sigma=0.12))
+        else:
+            s = _random_state(np.random.default_rng(n), g, dt)
+        r = to_full(g, s)
+        for _ in range(nt - 1):
+            s, r = solver.step(s), ref.step(r)
+            assert all(np.array_equal(a, b) for a, b in zip(_fields(s), _fields(to_band(g, r))))
+        assert np.abs(s.phi).max() > 0.0 and np.abs(s.psi).max() > 0.0
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("n", [32, 49])
+    def test_adjoint_solve_equals_the_full_grid_step(self, n, start):
+        g = make_grid(L=1.6, n=n, pml_width=0.5)
+        sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+        nt, dt = choose_time_steps(sp, 3.0)
+        solver, ref = WaveSolver(sp, dt), FullGridStep(sp, dt)
+        rng = np.random.default_rng(n + 1)
+        s = solver.zero_state() if start == "zero" else _random_state(rng, g, dt)
+        r = to_full(g, s)
+        for _ in range(nt - 1):
+            # data enter the state between steps, as in the adjoint operator
+            data = rng.normal(size=(n, n))
+            s.u_curr = s.u_curr + data
+            r.u_curr = r.u_curr + data
+            s, r = solver.step_T(s), ref.step_T(r)
+            assert all(np.array_equal(a, b) for a, b in zip(_fields(s), _fields(to_band(g, r))))
+        assert np.array_equal(solver.init_state_T(s), solver.init_state_T(to_band(g, r)))
 
 
 class TestSolveForward:
@@ -388,10 +476,7 @@ class TestSolveForward:
         interior = np.maximum(np.abs(X), np.abs(Y)) < g.interior_half_width
 
         def interior_energy(st):
-            masked = WaveState(
-                st.u_curr * interior, st.u_prev * interior, st.phi, st.psi, st.t, st.dt
-            )
-            return energy(masked, sp)
+            return energy(st.u_curr * interior, st.u_prev * interior, st.dt, sp)
 
         s = solver.step(solver.init_state(f))
         e0 = interior_energy(s)
