@@ -26,8 +26,8 @@ parameters (piecewise-linear interpolation has O(h) derivative kinks at
 every cell edge, which pollutes grid-refinement studies).
 
 Conventions: grid functions are (n, n) arrays indexed [ix, iy] on a uniform
-axis starting at x0 with spacing h; query points are (k, 2) arrays, and
-rings of m points (n_rows, m, 2) arrays.
+axis starting at x0 with spacing h; the sampler's query points are (k, 2)
+arrays, and rings of m points (n_rows, m, 2) arrays.
 """
 
 from __future__ import annotations
@@ -84,13 +84,15 @@ class SplineField:
     time: the ray tracer asks for a single point per Runge-Kutta stage, and
     at that size numpy call overhead is the whole cost.  The kernel locates
     the cell with Python floats, reads the 2x2 block of (g, mx, my, mxy)
-    with one slice of a stacked (n, n, 4) array and contracts it with the
-    per-cell weights (values: ``(1-t, t)``, second derivatives:
-    ``h^2/6 (a^3 - a)``) in plain float arithmetic.  It agrees with the
-    vectorized einsum contraction of the same weights to 1e-13 relative.
+    of a stacked (n, n, 4) array and contracts it with the per-cell weights
+    (values: ``(1-t, t)``, second derivatives: ``h^2/6 (a^3 - a)``) in plain
+    float arithmetic.  It agrees with the vectorized einsum contraction of
+    the same weights to 1e-13 relative.  Each cell's block is read from the
+    array once, as 16 floats memoized by cell: a ray visits few cells many
+    times, and the memo holds at most one entry per grid cell.
 
-    A query of exactly one point calls the kernel directly; more points run
-    it in a loop.
+    ``value_and_gradient`` returns the kernel's ``(c, dc/dx, dc/dy)`` float
+    triples, one per point, so the tracer's one-point query builds no array.
     """
 
     def __init__(self, x0: float, h: float, values: np.ndarray):
@@ -105,17 +107,20 @@ class SplineField:
         self.my = spline_coeffs_1d(v, self.h, 1)
         self.mxy = spline_coeffs_1d(self.mx, self.h, 1)
         self._coef = np.stack([self.g, self.mx, self.my, self.mxy], axis=-1)
+        self._blocks: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def _point(self, x: float, y: float) -> tuple[float, float, float]:
         """Value and gradient at one point (clamped to the edge cells
         outside the grid; NaN for non-finite input)."""
-        h, last = self.h, self.n - 2
+        h, top = self.h, self.n - 1
         tx = (x - self.x0) / h
         ty = (y - self.x0) / h
-        # NaN and +-inf take cell 0, whose edge row has zero second
-        # derivatives (natural ends): inf * 0 then makes every sum NaN
-        i = min(int(tx), last) if 0.0 <= tx < math.inf else 0
-        j = min(int(ty), last) if 0.0 <= ty < math.inf else 0
+        # finite points past the far end take the last cell, top - 1, and
+        # all others outside, NaN and +-inf among them, take cell 0, whose
+        # edge row has zero second derivatives (natural ends): inf * 0 then
+        # makes every sum NaN
+        i = int(tx) if 0.0 <= tx < top else (top - 1 if top <= tx < math.inf else 0)
+        j = int(ty) if 0.0 <= ty < top else (top - 1 if top <= ty < math.inf else 0)
         xi = tx - i
         yi = ty - j
         ax = 1.0 - xi
@@ -131,9 +136,12 @@ class SplineField:
         dmy0, dmy1 = cd * (1.0 - 3.0 * ay * ay), cd * (3.0 * yi * yi - 1.0)
         # corner ab is node (i + a, j + b), holding g and its second
         # derivatives sx = mx, sy = my and sxy = mxy
-        lo, hi = self._coef[i : i + 2, j : j + 2].tolist()
-        (g00, sx00, sy00, sxy00), (g01, sx01, sy01, sxy01) = lo
-        (g10, sx10, sy10, sxy10), (g11, sx11, sy11, sxy11) = hi
+        try:
+            block = self._blocks[i, j]
+        except KeyError:
+            block = self._blocks[i, j] = tuple(self._coef[i : i + 2, j : j + 2].ravel().tolist())
+        (g00, sx00, sy00, sxy00, g01, sx01, sy01, sxy01,
+         g10, sx10, sy10, sxy10, g11, sx11, sy11, sxy11) = block
         # the y-sums of each x-corner: p (g, sy) and q (sx, sxy) with the
         # value weights in y, r and s the same with their derivatives
         p0 = ay * g00 + yi * g01 + my0 * sy00 + my1 * sy01
@@ -149,23 +157,14 @@ class SplineField:
         grad_y = ax * r0 + xi * r1 + mx0 * s0 + mx1 * s1
         return value, grad_x, grad_y
 
-    def _points(self, pts: np.ndarray) -> np.ndarray:
-        rows = np.asarray(pts, dtype=float).reshape(-1, 2).tolist()
-        return np.array([self._point(x, y) for x, y in rows]).reshape(-1, 3)
+    def value(self, pts) -> np.ndarray:
+        """Interpolated values at a sequence of k points (x, y), shape (k,)."""
+        return np.array([self._point(float(x), float(y))[0] for x, y in pts], dtype=float)
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        """Interpolated values at (k, 2) points, shape (k,)."""
-        return self._points(pts)[:, 0]
-
-    def value_and_gradient(self, pts: np.ndarray):
-        """Values (k,) and gradients (k, 2) at (k, 2) points."""
-        if len(pts) == 1:
-            # the ray tracer's query: one point, no array round trip
-            (x, y), = pts
-            v, gx, gy = self._point(float(x), float(y))
-            return np.array([v]), np.array([[gx, gy]])
-        out = self._points(pts)
-        return out[:, 0], out[:, 1:]
+    def value_and_gradient(self, pts) -> list[tuple[float, float, float]]:
+        """(c, dc/dx, dc/dy) as Python floats at each of a sequence of k
+        points (x, y), such as a (k, 2) array or ``((x, y),)``."""
+        return [self._point(float(x), float(y)) for x, y in pts]
 
 
 def _prefilter(n: int) -> scipy.sparse.csr_matrix:

@@ -105,6 +105,7 @@ from .field import (
     make_phantom,
     phantom_edges,
     sample_speed,
+    unit_exponent,
 )
 from .rays import visibility
 from .recon import cg_normal, landweber, relative_error
@@ -482,7 +483,8 @@ def load_experiment(path) -> ExperimentConfig:
 
 def _sample(cfg: ExperimentConfig):
     speed = sample_speed(cfg.speed_spec, cfg.grid)
-    phantom = make_phantom(cfg.phantom_spec, cfg.grid)
+    with _section("phantom"):
+        phantom = make_phantom(cfg.phantom_spec, cfg.grid)
     return speed, phantom
 
 
@@ -683,9 +685,10 @@ def cmd_visibility(args) -> int:
                    "" if v.witness is None else f"{v.witness.t_det:.17g}"]
             w.writerow(row)
 
-    # overlay: phantom as a dim backdrop, edge nodes marked by verdict
+    # overlay: phantom as a dim backdrop, edge nodes marked by verdict; the
+    # phantom is scaled to a unit peak, exactly, so its range is finite
     grid = cfg.grid
-    f = phantom.f
+    f = np.ldexp(phantom.f, -unit_exponent(phantom.f))
     span = float(f.max() - f.min())
     base = (f - float(f.min())) / span * 0.45 if span > 0 else np.zeros_like(f)
     marks = {"visible": 1.0, "masked": 0.78, "out_of_aperture": 0.6}

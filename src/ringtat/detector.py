@@ -30,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spline import BicubicSampler
-from .field import Phantom, SpeedField, SpeedSpec, gaussian_phantom, make_grid, sample_speed
+from .field import (
+    Phantom,
+    SpeedField,
+    SpeedSpec,
+    gaussian_phantom,
+    make_grid,
+    sample_speed,
+    unit_exponent,
+)
 from .wave import WaveSolver, check_time_step, choose_time_steps, solve_forward
 
 _TWO_PI = 2.0 * math.pi
@@ -216,11 +224,6 @@ def _detector_sampler(grid, config: DetectorConfig) -> BicubicSampler:
     The sweeps build their own, uncached."""
     mode = config.mode
     return _build_sampler(grid, mode.center_radius, mode.r, theta_grid(config), config.n_alpha)
-
-
-def unit_exponent(a: np.ndarray) -> int:
-    """The e with max|a| in [2**(e-1), 2**e); 0 for a zero array."""
-    return math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
 
 
 def record_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:

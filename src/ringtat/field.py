@@ -21,6 +21,13 @@ import numpy as np
 from ._spline import SplineField
 
 
+def unit_exponent(a: np.ndarray) -> int:
+    """The e with max|a| in [2**(e-1), 2**e); 0 for a zero array.  Scaling
+    by 2**-e brings a finite array to a peak in [0.5, 1), exactly in binary
+    floating point."""
+    return math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+
+
 def _require_finite(**values) -> None:
     """Reject NaN and +-inf: a NaN passes every later comparison and would
     reach the solver."""
@@ -296,11 +303,14 @@ def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> n
 def make_phantom(spec: PhantomSpec, grid: Grid2D) -> Phantom:
     """Sample a phantom: the sum of its components, each of which sits
     strictly inside the unit disc by construction.  An empty spec yields the
-    zero phantom."""
+    zero phantom; a sum past the largest float is refused."""
     X, Y = grid.mesh()
     f = np.zeros_like(X)
-    for comp in spec.components:
-        f += _component_values(comp, X, Y)
+    with np.errstate(over="ignore"):  # reported below, in one error
+        for comp in spec.components:
+            f += _component_values(comp, X, Y)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("the components sum past the largest float on the grid")
     return Phantom(grid=grid, f=f)
 
 
@@ -341,12 +351,16 @@ class Covector:
 
 
 def gradient_magnitude(p: Phantom) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central-difference gradient (gx, gy) and its magnitude."""
+    """Central-difference gradient (gx, gy) and its magnitude, of the
+    phantom scaled by 2**-e to a peak in [0.5, 1): the scaling is exact, so
+    the directions and magnitude ratios that edge extraction reads do not
+    depend on the amplitude, and no difference overflows."""
     h = p.grid.h
-    gx = np.zeros_like(p.f)
-    gy = np.zeros_like(p.f)
-    gx[1:-1, :] = (p.f[2:, :] - p.f[:-2, :]) / (2.0 * h)
-    gy[:, 1:-1] = (p.f[:, 2:] - p.f[:, :-2]) / (2.0 * h)
+    f = np.ldexp(p.f, -unit_exponent(p.f))
+    gx = np.zeros_like(f)
+    gy = np.zeros_like(f)
+    gx[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * h)
+    gy[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
     return gx, gy, np.hypot(gx, gy)
 
 

@@ -107,7 +107,8 @@ def trace_geodesic(
     unit disc; the exit point is then refined along the last segment and the
     exterior continuation is an exact straight line.  A ray still inside the
     disc at t_max is reported as non-escaping.  The interpolant is queried
-    once per RK4 stage and once at the start, one point per query.
+    once per RK4 stage and once at the start, one point per query, and each
+    query's (c, grad c) float triple is unpacked as it comes.
 
     The default step ``DEFAULT_RAY_STEP`` = 0.01 is the largest the checks
     allow.  Visibility matches events to within two grid steps (0.11 on
@@ -126,16 +127,13 @@ def trace_geodesic(
     query = speed.spline.value_and_gradient
 
     def deriv(x0, x1, p0, p1):
-        c, grad = query(((x0, x1),))
-        c = float(c[0])
-        (g0, g1), = grad.tolist()
+        (c, g0, g1), = query(((x0, x1),))
         cc = c * c
         s = -c * (p0 * p0 + p1 * p1)
         return cc * p0, cc * p1, s * g0, s * g1
 
     x0, x1 = map(float, start.y)
-    c0, _ = query(((x0, x1),))
-    c0 = float(c0[0])
+    (c0, _, _), = query(((x0, x1),))
     xi0, xi1 = map(float, start.xi)
     p0, p1 = sigma * xi0 / c0, sigma * xi1 / c0
     t = 0.0

@@ -32,9 +32,8 @@ from .detector import (
     forward_operator,
     record_lattice,
     theta_grid,
-    unit_exponent,
 )
-from .field import Phantom, SpeedField, transition
+from .field import Phantom, SpeedField, transition, unit_exponent
 
 __all__ = [
     "ReconResult",

@@ -531,6 +531,20 @@ class TestForwardCommand:
         assert f"[phantom] {line.split()[0]}:" in err and "finite" in err
         assert not (tmp_path / "out" / "sinogram.tat").exists()
 
+    @pytest.mark.parametrize("command", ["forward", "visibility", "reconstruct"])
+    def test_phantom_summing_past_the_largest_float_exits_2(self, tmp_path, command):
+        # each component is finite; their sum at the center is not
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG.replace("gaussian.1 = 0.2 -0.1 0.18",
+                                         "gaussian.1 = 0 0 0.1 1e308\ngaussian.2 = 0 0 0.1 1e308"))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "reconstruct":
+            argv += ["--data", str(tmp_path / "sinogram.tat")]
+        err = _one_error_line(_run_cli(*argv), 2)
+        assert err.startswith("error: [phantom] ") and "largest float" in err
+        assert not out.exists()
+
     def test_phantom_near_the_largest_float_records_its_scaled_data(self, tmp_path, capsys):
         # the solve runs on the phantom scaled to a peak in [0.5, 1), so an
         # amplitude of 1e308 records 1e308 times the amplitude-1 data (peak
@@ -909,6 +923,29 @@ class TestVisibilityCommand:
         assert err.count("\n") == 1
         assert err.startswith(f"error: [visibility] {line.split()[0]}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        ("gaussian.1 = 0 0 0.2 {a}",),
+        ("disc.1 = 0.3 0 0.2 0.1 {a}", "gaussian.1 = -0.45 0.15 0.1 -{a}"),
+    ])
+    def test_edges_do_not_depend_on_the_amplitude(self, tmp_path, capsys, lines):
+        # scaling by a power of two is exact, so a phantom at 2**1023 has
+        # the edges, verdicts and overlay of the same phantom at 1; the
+        # second case spans twice the largest float
+        outs = []
+        for name, a in (("one", "1"), ("big", repr(2.0**1023))):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(SMALL_CFG.replace("gaussian.1 = 0.2 -0.1 0.18",
+                                             "\n".join(line.format(a=a) for line in lines))
+                           + "\n[visibility]\nstride = 1\n")
+            out = tmp_path / name
+            assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out)
+        assert capsys.readouterr().err == ""
+        one, big = outs
+        for name in ("visibility.csv", "overlay.pgm"):
+            assert (one / name).read_bytes() == (big / name).read_bytes()
+        assert len((one / "visibility.csv").read_text().splitlines()) > 1
 
     def test_zero_phantom_warns_and_writes_empty(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"

@@ -65,23 +65,22 @@ def _random_covectors(count, rng, max_radius=0.9):
 
 def _vector_oracle(start, sp, sigma, t_max, h_ray):
     """The RK4 loop on 2-arrays that the float-state tracer replaced, with
-    the spline read through its multi-point path: states
-    [(x, p, t)], c_start and (escaped, x_exit, t_exit, v_exit).  Dot
-    products are plain two-term sums and norms ``math.hypot``, as in the
-    tracer."""
+    the spline's triples read as a (1, 3) array: states [(x, p, t)],
+    c_start and (escaped, x_exit, t_exit, v_exit).  Dot products are plain
+    two-term sums and norms ``math.hypot``, as in the tracer."""
 
     def dot(u, v):
         return float(u[0] * v[0] + u[1] * v[1])
 
     def deriv(x, p):
-        out = sp._points(x[None, :])
+        out = np.array(sp.value_and_gradient(x[None, :]))
         c = float(out[0, 0])
         dx = (c * c) * p
         dp = -c * dot(p, p) * out[0, 1:]
         return dx, dp
 
     x = np.array(start.y)
-    c0 = float(sp._points(x[None, :])[0, 0])
+    c0 = float(np.array(sp.value_and_gradient(x[None, :]))[0, 0])
     p = sigma * np.array(start.xi) / c0
     t = 0.0
     states = [(x.copy(), p.copy(), t)]

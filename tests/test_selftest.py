@@ -42,8 +42,7 @@ def _negated_gradient(monkeypatch):
     value_and_gradient = _spline.SplineField.value_and_gradient
 
     def flipped(self, pts):
-        v, g = value_and_gradient(self, pts)
-        return v, -g
+        return [(v, -gx, -gy) for v, gx, gy in value_and_gradient(self, pts)]
 
     monkeypatch.setattr(_spline.SplineField, "value_and_gradient", flipped)
 

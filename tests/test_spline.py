@@ -117,7 +117,14 @@ _EDGE_POINTS = np.array([
 
 
 def _bits(*arrays):
-    return np.concatenate([np.ravel(a) for a in arrays]).view(np.int64)
+    return np.concatenate([np.ravel(np.asarray(a, dtype=float)) for a in arrays]).view(np.int64)
+
+
+def _vg(sf, pts):
+    """Values (k,) and gradients (k, 2) from the float triples of
+    ``value_and_gradient``."""
+    out = np.array(sf.value_and_gradient(pts)).reshape(-1, 3)
+    return out[:, 0], out[:, 1:]
 
 
 class TestSplineField:
@@ -133,7 +140,7 @@ class TestSplineField:
         sf = _field(16, lin, 0.0, 3.75)
         rng = np.random.default_rng(5)
         q = rng.uniform(0.3, 3.4, size=(50, 2))
-        v, g = sf.value_and_gradient(q)
+        v, g = _vg(sf, q)
         assert np.max(np.abs(v - lin(q[:, 0], q[:, 1]))) < 1e-13
         assert np.max(np.abs(g - np.array([-1.3, 0.4]))) < 1e-13
 
@@ -151,7 +158,7 @@ class TestSplineField:
         sf = _field(129, fun)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.6, 0.6, size=(40, 2))
-        _, g = sf.value_and_gradient(pts)
+        _, g = _vg(sf, pts)
         gx = 2 * np.cos(2 * pts[:, 0]) * np.cos(3 * pts[:, 1])
         gy = -3 * np.sin(2 * pts[:, 0]) * np.sin(3 * pts[:, 1])
         assert np.max(np.abs(g[:, 0] - gx)) < 1e-5
@@ -162,8 +169,8 @@ class TestSplineField:
         sf = SplineField(0.0, 0.25, rng.normal(size=(12, 12)))
         # straddle the interior node line x = 1.0
         eps = 1e-9
-        _, gl = sf.value_and_gradient(np.array([[1.0 - eps, 1.13]]))
-        _, gr = sf.value_and_gradient(np.array([[1.0 + eps, 1.13]]))
+        _, gl = _vg(sf, [(1.0 - eps, 1.13)])
+        _, gr = _vg(sf, [(1.0 + eps, 1.13)])
         assert np.max(np.abs(gl - gr)) < 1e-6
 
     def test_one_point_kernel_equals_einsum_oracle(self):
@@ -183,14 +190,14 @@ class TestSplineField:
         assert len(pts) >= 2000
         for q in pts:
             with np.errstate(all="ignore"):  # cubes out of range
-                got = sf.value_and_gradient(q[None, :])
+                (got,) = sf.value_and_gradient(q[None, :])
                 want = _einsum_oracle(sf, q)
                 value = sf.value(q[None, :])
-            assert got[0].shape == (1,) and got[1].shape == (1, 2)
+            assert value.shape == (1,)
             np.testing.assert_array_equal(_bits(value), _bits(got[0]), err_msg=str(q))
             # the kernel factors the sums that einsum adds term by term, so
             # the two agree to rounding, not bit for bit
-            got, want = np.append(*got), np.append(*want)
+            got, want = np.array(got), np.append(*want)
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=str(q))
             with np.errstate(invalid="ignore"):  # inf - inf
                 err = np.abs(got - want)
@@ -201,38 +208,50 @@ class TestSplineField:
         rng = np.random.default_rng(21)
         sf = SplineField(0.0, 0.25, rng.normal(size=(12, 12)))
         pts = rng.uniform(-0.5, 3.5, size=(30, 2))
-        v, g = sf.value_and_gradient(pts)
-        assert v.shape == (30,) and g.shape == (30, 2)
-        rows = [sf.value_and_gradient(q[None, :]) for q in pts]
-        assert np.array_equal(v, np.concatenate([r[0] for r in rows]))
-        assert np.array_equal(g, np.concatenate([r[1] for r in rows]))
-        assert np.array_equal(sf.value(pts), v)
-        empty_v, empty_g = sf.value_and_gradient(np.zeros((0, 2)))
-        assert empty_v.shape == (0,) and empty_g.shape == (0, 2)
+        rows = sf.value_and_gradient(pts)
+        assert len(rows) == 30
+        assert rows == [t for q in pts for t in sf.value_and_gradient(q[None, :])]
+        assert rows == sf.value_and_gradient([tuple(q) for q in pts.tolist()])
+        assert np.array_equal(sf.value(pts), [v for v, _, _ in rows])
+        assert sf.value_and_gradient(np.zeros((0, 2))) == []
+        assert sf.value(np.zeros((0, 2))).shape == (0,)
 
-    def test_one_point_fast_path_equals_the_loop(self):
+    def test_one_point_query_returns_python_floats(self):
+        sf = SplineField(0.0, 0.25, np.random.default_rng(23).normal(size=(12, 12)))
+        for query in (((1.3, 0.7),), np.array([[1.3, 0.7]])):
+            (triple,) = sf.value_and_gradient(query)
+            assert len(triple) == 3 and all(type(v) is float for v in triple)
+
+    def test_memoized_blocks_equal_a_fresh_field(self):
+        # a fresh field has an empty memo, so its one query reads the cell
+        # block straight from the coefficient array
         rng = np.random.default_rng(22)
         n, x0, h = 33, -2.0, 0.125
-        sf = SplineField(x0, h, rng.normal(size=(n, n)))
+        g = rng.normal(size=(n, n))
+        sf = SplineField(x0, h, g)
+        hi = x0 + (n - 1) * h
         pts = np.concatenate([
-            rng.uniform(x0, x0 + (n - 1) * h, size=(300, 2)),  # in the grid
+            rng.uniform(x0, hi, size=(300, 2)),  # in the grid
             rng.uniform(-30.0, 30.0, size=(300, 2)),  # mostly off the grid
+            [[x0 + 0.3 * h, x0 + 0.6 * h], [hi - 0.3 * h, hi - 0.6 * h],  # cells 0 and n-2
+             [x0 + 0.5 * h, hi - 0.5 * h], [hi, x0], [x0, hi]],
+            [[np.nan, 0.3], [0.3, np.nan], [np.inf, 0.3], [-np.inf, 0.3],
+             [0.3, np.inf], [0.3, -np.inf], [np.nan, np.inf]],
         ])
-        for q in pts:
-            want = sf._points(q[None, :])
-            for query in (q[None, :], (tuple(q.tolist()),)):
-                v, g = sf.value_and_gradient(query)
-                assert v.shape == (1,) and g.shape == (1, 2)
-                np.testing.assert_array_equal(_bits(v, g), _bits(want[:, 0], want[:, 1:]))
+        first = sf.value_and_gradient(pts)
+        again = sf.value_and_gradient(pts[::-1])[::-1]  # every block from the memo
+        fresh = [t for q in pts for t in SplineField(x0, h, g).value_and_gradient(q[None, :])]
+        assert {0, n - 2} <= {i for i, _ in sf._blocks} and len(sf._blocks) < len(pts)
+        np.testing.assert_array_equal(_bits(first), _bits(fresh))
+        np.testing.assert_array_equal(_bits(again), _bits(fresh))
 
     @pytest.mark.parametrize(
         "q", [(np.inf, 0.3), (-np.inf, 0.3), (0.3, np.inf), (0.3, -np.inf), (np.nan, 0.3)]
     )
     def test_non_finite_query_gives_nan(self, q):
         sf = SplineField(0.0, 0.25, np.random.default_rng(4).normal(size=(12, 12)))
-        v, g = sf.value_and_gradient(np.array([q]))
-        assert v.shape == (1,) and g.shape == (1, 2)
-        assert np.all(np.isnan(v)) and np.all(np.isnan(g))
+        (triple,) = sf.value_and_gradient(np.array([q]))
+        assert all(math.isnan(v) for v in triple)
         assert np.isnan(sf.value(np.array([q]))[0])
 
     def test_rejects_non_square(self):
