@@ -1,47 +1,8 @@
 """Command line front end: experiment configs, artifact files, subcommands.
 
-An experiment is described by a flat key-value config with sections::
-
-    # comment
-    [grid]
-    l = 3.6
-    n = 129
-    pml_width = 0.5
-
-    [speed]
-    kind = sinusoidal
-
-    [phantom]
-    gaussian.1 = 0.25 -0.15 0.15        # cx cy sigma [amp]
-    disc.1     = -0.3 0.2 0.15 0.05     # cx cy radius taper [amp]
-
-    [detector]
-    mode = large        # small needs center_radius and r, large needs r
-    r = 2.0
-    n_theta = 60
-    n_alpha = 256
-
-    [time]
-    t = 5.0             # record / cutoff plateau length
-    # t1 = 5.5          # optional taper end: record to t1, weight by a
-    #                   # smooth cutoff that is 1 on [0, t] and 0 past t1
-    # nt = 401          # optional; otherwise the lattice steps at 0.9 of
-    #                   # the CFL bound
-
-    [aperture]          # optional section
-    # arc = -1.5708 0.0
-    # window = 0.0 5.0
-
-    [recon]
-    method = cg         # or landweber
-    iters = 15
-    # step = 0.5        # Landweber only; otherwise one over the power-
-    #                   # iteration norm estimate
-
-    [run]
-    seed = 0
-    out_dir = out
-
+An experiment is a flat key-value config with sections; README.md gives
+its grammar (Quick start, Config grammar), and ``tests/test_readme.py``
+checks that README names every section and key of ``_KNOWN_KEYS``.
 Unknown sections or keys are rejected.  Every value feeds the corresponding
 module constructor, so module invariants are re-validated at load time.
 
@@ -92,7 +53,7 @@ from .detector import (
     SweepLatticeError,
     SweepSettings,
     forward_operator,
-    record_lattice,
+    measurement_map,
     require_rings_clear,
     residual_refinement_study,
 )
@@ -259,16 +220,16 @@ _KNOWN_KEYS = {
     "run": {"seed", "out_dir"},
     "noise": {"sigma_rel"},
     "visibility": {"threshold", "stride", "max_count"},
+    "speed": {f.name for f in fields(SpeedSpec)},
+    "sweep": {f.name for f in fields(SweepSettings)},
 }
 
 
 def _check_keys(sections: dict[str, dict[str, str]]) -> None:
-    known = {**_KNOWN_KEYS, "speed": {f.name for f in fields(SpeedSpec)},
-             "sweep": {f.name for f in fields(SweepSettings)}}
     for name, body in sections.items():
-        if name not in known:
+        if name not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{name}]")
-        allowed = known[name]
+        allowed = _KNOWN_KEYS[name]
         if allowed is None:
             continue
         for key in body:
@@ -489,7 +450,7 @@ def _sample(cfg: ExperimentConfig):
 
 
 def _detector_meta(cfg: ExperimentConfig, speed) -> dict:
-    nt, dt = record_lattice(speed, cfg.detector)
+    m = measurement_map(speed, cfg.detector)
     mode = cfg.detector.mode
     return {
         "mode": {"kind": "small" if isinstance(mode, SmallMode) else "large",
@@ -497,8 +458,8 @@ def _detector_meta(cfg: ExperimentConfig, speed) -> dict:
         "n_theta": cfg.detector.n_theta,
         "n_alpha": cfg.detector.n_alpha,
         "T": cfg.detector.T,
-        "nt": nt,
-        "dt": dt,
+        "nt": m.nt,
+        "dt": m.dt,
         "aperture": list(cfg.detector.aperture) if cfg.detector.aperture else None,
     }
 

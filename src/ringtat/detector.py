@@ -7,12 +7,16 @@ are supported: small detectors surrounding the imaging disc from outside
 the unit circle, r >= 2).  Either way every detector point keeps distance
 at least 1 from the origin.
 
-The forward map and the radius sweeps read the field at every level
-through ``wave.solve_forward``'s probe; the exact adjoint marches the
-solver's transposed steps.  Both damp the field in the grid's absorbing
-band (its ``pml_width``; none when that is 0), and sampling goes through
-the shared bicubic machinery so the adjoint identity holds to machine
-precision.
+One ``MeasurementMap`` per (speed, config) holds the map's pieces: the
+record lattice, the sampler, one WaveSolver, and the misfit weights and
+unit-disc mask the solvers read.  ``measurement_map`` builds it once, and
+every forward, adjoint, CG and power-iteration solve on it shares it; the
+radius sweeps build their own, uncached.  The forward map and the sweeps
+read the field at every level through ``wave.solve_forward``'s probe; the
+exact adjoint marches the solver's transposed steps.  Both damp the field
+in the grid's absorbing band (its ``pml_width``; none when that is 0), and
+sampling goes through the shared bicubic machinery so the adjoint
+identity holds to machine precision.
 
 The sweep data families satisfy cylinder wave equations in the sweep
 variable; the residual operations evaluate those equations with centered
@@ -37,6 +41,7 @@ from .field import (
     gaussian_phantom,
     make_grid,
     sample_speed,
+    transition,
     unit_exponent,
 )
 from .wave import WaveSolver, check_time_step, choose_time_steps, solve_forward
@@ -216,27 +221,59 @@ def _build_sampler(grid, centers_radius: float | np.ndarray, circle_radius: floa
     return BicubicSampler(-grid.L, grid.h, grid.n, rings.reshape(-1, n_alpha, 2))
 
 
-@functools.lru_cache(maxsize=1)
-def _detector_sampler(grid, config: DetectorConfig) -> BicubicSampler:
-    """The forward map's sampler, built once and shared by every
-    forward_operator/adjoint_operator call on the same (grid, config);
-    both are frozen, so equal values give the same (read-only) sampler.
-    The sweeps build their own, uncached."""
-    mode = config.mode
-    return _build_sampler(grid, mode.center_radius, mode.r, theta_grid(config), config.n_alpha)
+@dataclass(frozen=True, eq=False)
+class MeasurementMap:
+    """One measurement map's pieces: the record lattice (level k at k*dt,
+    the last at T), the sampler and the WaveSolver its solves run on; the
+    misfit weights and unit-disc mask, derived on first use (by recon)."""
+
+    config: DetectorConfig
+    nt: int
+    dt: float
+    sampler: BicubicSampler
+    solver: WaveSolver
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """(nt, 1), read-only: one on [0, plateau], a monotone C-infinity
+        descent to zero at T; all ones without a plateau."""
+        c = self.config
+        if c.plateau is None:
+            w = np.ones((self.nt, 1))
+        else:
+            w = transition((self.dt * np.arange(self.nt) - c.plateau) / (c.T - c.plateau))[:, None]
+        w.flags.writeable = False
+        return w
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """The grid nodes in the open unit disc, where estimates live; read-only."""
+        m = self.solver.grid.radius() < 1.0
+        m.flags.writeable = False
+        return m
 
 
-def record_lattice(speed: SpeedField, config: DetectorConfig) -> tuple[int, float]:
-    """(nt, dt) of the record: level k sits at k*dt, the last at T."""
+def _map(speed: SpeedField, config: DetectorConfig, sampler: BicubicSampler) -> MeasurementMap:
     if config.nt is None:
-        return choose_time_steps(speed, config.T)
-    nt = config.nt
-    dt = config.T / (nt - 1)
-    return nt, dt
+        nt, dt = choose_time_steps(speed, config.T)
+    else:
+        nt, dt = config.nt, config.T / (config.nt - 1)
+    return MeasurementMap(config, nt, dt, sampler, WaveSolver(speed, dt))
 
 
-def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
-                    dt: float) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def measurement_map(speed: SpeedField, config: DetectorConfig) -> MeasurementMap:
+    """The measurement map of (speed, config), built once and shared by
+    every forward, adjoint, CG and power-iteration solve on it.  Both keys
+    compare by value (a SpeedField by its grid and spec), so each command of
+    a run that samples the same speed reads the same map.  Its solver makes
+    those solves serial.  The sweeps build their own maps, uncached."""
+    mode = config.mode
+    return _map(speed, config, _build_sampler(speed.grid, mode.center_radius, mode.r,
+                                              theta_grid(config), config.n_alpha))
+
+
+def _record_forward(f, m: MeasurementMap) -> np.ndarray:
     """Row k of the record is the sampler read of the field at level k.
 
     The solve runs on the field scaled by 2**-e to a peak in [0.5, 1) and
@@ -245,32 +282,32 @@ def _record_forward(f, speed: SpeedField, sampler: BicubicSampler, nt: int,
     f = f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("initial field not finite")
+    sampler = m.sampler
     try:
-        out = np.empty((nt, sampler.n_rows))
+        out = np.empty((m.nt, sampler.n_rows))
     except (MemoryError, ValueError):  # past memory, or past numpy's index range
-        raise ValueError(f"a record of {nt} time levels x {sampler.n_rows} detectors "
+        raise ValueError(f"a record of {m.nt} time levels x {sampler.n_rows} detectors "
                          "is too large to allocate") from None
 
     def read(k, u):
         out[k] = sampler.apply(u)
 
     e = unit_exponent(f)
-    solve_forward(np.ldexp(f, -e), speed, nt, dt, probe=read)
+    solve_forward(np.ldexp(f, -e), m.solver, m.nt, probe=read)
     with np.errstate(over="ignore"):
         np.ldexp(out, e, out=out)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * dt:g})")
+        raise FloatingPointError(f"recorded data not finite from level {k} (t = {k * m.dt:g})")
     return out
 
 
 def forward_operator(f, speed: SpeedField, config: DetectorConfig) -> Sinogram:
     """The measurement map: one wave solve, every detector read at every level."""
-    sampler = _detector_sampler(speed.grid, config)
-    nt, dt = record_lattice(speed, config)
-    data = _record_forward(f, speed, sampler, nt, dt)
-    return Sinogram(data=data, dt=dt, thetas=theta_grid(config), config=config)
+    m = measurement_map(speed, config)
+    return Sinogram(data=_record_forward(f, m), dt=m.dt, thetas=theta_grid(config),
+                    config=config)
 
 
 def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
@@ -281,15 +318,15 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
     reverse order; with forward_operator it passes the adjoint identity at
     machine precision (plain Euclidean inner products on both sides).
     """
-    sampler = _detector_sampler(speed.grid, config)
-    nt, dt = record_lattice(speed, config)
+    m = measurement_map(speed, config)
+    sampler, solver = m.sampler, m.solver
     data = np.asarray(data, dtype=float)
-    if data.shape != (nt, sampler.n_rows):
-        raise ValueError(f"data shape {data.shape} does not match lattice {(nt, sampler.n_rows)}")
-    solver = WaveSolver(speed, dt)
+    if data.shape != (m.nt, sampler.n_rows):
+        raise ValueError(f"data shape {data.shape} does not match lattice {(m.nt, sampler.n_rows)}")
+    # the loop owns w.u_curr: the zero state's, then each fresh step_T result
     w = solver.zero_state()
-    for k in range(nt - 1, -1, -1):
-        w.u_curr = w.u_curr + sampler.apply_T(data[k])
+    for k in range(m.nt - 1, -1, -1):
+        w.u_curr += sampler.apply_T(data[k])
         if k > 0:
             w = solver.step_T(w)
     return solver.init_state_T(w)
@@ -298,10 +335,10 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
 def _record_sweep(f, speed: SpeedField, config: DetectorConfig, centers_radius, circle_radius,
                   radii: np.ndarray) -> RadiusSweep:
     thetas = theta_grid(config)
-    sampler = _build_sampler(speed.grid, centers_radius, circle_radius, thetas, config.n_alpha)
-    nt, dt = record_lattice(speed, config)
-    data = _record_forward(f, speed, sampler, nt, dt).reshape(nt, thetas.size, radii.size)
-    return RadiusSweep(data=data, dt=dt, thetas=thetas, radii=radii, config=config)
+    m = _map(speed, config, _build_sampler(speed.grid, centers_radius, circle_radius, thetas,
+                                           config.n_alpha))
+    data = _record_forward(f, m).reshape(m.nt, thetas.size, radii.size)
+    return RadiusSweep(data=data, dt=m.dt, thetas=thetas, radii=radii, config=config)
 
 
 def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -> RadiusSweep:

@@ -12,7 +12,7 @@ is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -196,8 +196,15 @@ class SpeedSpec:
 
 @dataclass(frozen=True)
 class SpeedField:
+    """A SpeedSpec sampled on a grid; only ``sample_speed`` builds one.
+
+    Fields compare and hash by (grid, spec): ``c`` is a function of the two,
+    so equal fields hold equal speeds, and a cache keyed on a field (the
+    detector's measurement map) serves every field sampled alike."""
+
     grid: Grid2D
-    c: np.ndarray  # (n, n), indexed [ix, iy]
+    spec: SpeedSpec
+    c: np.ndarray = field(compare=False, repr=False)  # (n, n), indexed [ix, iy]
 
     @property
     def max_c(self) -> float:
@@ -219,7 +226,7 @@ def sample_speed(spec: SpeedSpec, grid: Grid2D) -> SpeedField:
         c = 1.0 + _AMP * np.sin(_KX * X) * np.cos(_KY * Y) * _eta(X, Y)
     else:
         c = 1.0 + _AMP * _eta(X, Y) * np.exp(-(X * X + Y * Y) / (2.0 * _SIGMA * _SIGMA))
-    return SpeedField(grid=grid, c=c)
+    return SpeedField(grid=grid, spec=spec, c=c)
 
 
 # ---------------------------------------------------------------------------

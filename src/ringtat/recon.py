@@ -30,10 +30,9 @@ from .detector import (
     Sinogram,
     adjoint_operator,
     forward_operator,
-    record_lattice,
-    theta_grid,
+    measurement_map,
 )
-from .field import Phantom, SpeedField, transition, unit_exponent
+from .field import Phantom, SpeedField, unit_exponent
 
 __all__ = [
     "ReconResult",
@@ -60,24 +59,13 @@ class ReconResult:
     iterations: int
 
 
-def _misfit_weights(speed: SpeedField, config: DetectorConfig) -> np.ndarray:
-    """The (nt, 1) misfit weights on the record lattice t_i = i*dt: one on
-    [0, plateau], a monotone C-infinity descent on [plateau, T], zero at T;
-    all ones without a plateau."""
-    nt, dt = record_lattice(speed, config)
-    if config.plateau is None:
-        return np.ones((nt, 1))
-    t = dt * np.arange(nt)
-    return transition((t - config.plateau) / (config.T - config.plateau))[:, None]
-
-
 def _set_up(s, speed: SpeedField, config: DetectorConfig):
     """What both solvers start from: the data, checked against the record
     lattice and scaled by 2**-e to a peak in [0.5, 1); e; the misfit
-    weights; the unit-disc mask."""
+    weights; the unit-disc mask (the last two from the measurement map)."""
     data = s.data if isinstance(s, Sinogram) else np.asarray(s, dtype=float)
-    chi_w = _misfit_weights(speed, config)
-    expected = (chi_w.shape[0], theta_grid(config).size)
+    m = measurement_map(speed, config)
+    expected = (m.nt, m.sampler.n_rows)
     if data.shape != expected:
         raise ValueError(f"data shape {data.shape} does not match lattice {expected}")
     bad = np.argwhere(~np.isfinite(data))
@@ -85,7 +73,7 @@ def _set_up(s, speed: SpeedField, config: DetectorConfig):
         idx = tuple(int(i) for i in bad[0])
         raise FloatingPointError(f"non-finite data value {data[idx]} at index {idx}")
     e = unit_exponent(data)
-    return np.ldexp(data, -e), e, chi_w, speed.grid.radius() < 1.0
+    return np.ldexp(data, -e), e, m.weights, m.mask
 
 
 def _scaled_back(estimate: Phantom, history: list[float], step: float | None,
@@ -167,16 +155,14 @@ def operator_norm_estimate(speed: SpeedField, config: DetectorConfig) -> float:
     Returns once the Rayleigh quotient moves by less than ``_POWER_TOL``
     relative, or after ``_POWER_ITERS`` applications.
     """
-    grid = speed.grid
-    mask = grid.radius() < 1.0
-    chi_w = _misfit_weights(speed, config)
+    m = measurement_map(speed, config)
     rng = np.random.default_rng(_POWER_SEED)
-    x = rng.standard_normal((grid.n, grid.n))
-    x[~mask] = 0.0
+    x = rng.standard_normal(m.mask.shape)
+    x[~m.mask] = 0.0
     x /= math.sqrt(_inner(x, x))
     lam = 0.0
     for k in range(_POWER_ITERS):
-        y = _normal_apply(x, speed, config, chi_w, mask)
+        y = _normal_apply(x, speed, config, m.weights, m.mask)
         lam_new = _inner(x, y)
         norm_y = math.sqrt(_inner(y, y))
         if norm_y == 0.0:

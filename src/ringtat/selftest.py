@@ -23,7 +23,7 @@ from .detector import (
     SweepSettings,
     adjoint_operator,
     forward_operator,
-    record_lattice,
+    measurement_map,
     residual_refinement_study,
 )
 from .field import Covector, SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
@@ -49,7 +49,7 @@ def adjoint_identity(*mode_kinds: str) -> tuple[bool, str]:
         mode = SmallMode(R=2.0, r=0.8) if small else LargeMode(r=2.0)
         speed = sample_speed(SpeedSpec(), grid)
         config = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=64, T=0.8)
-        nt, _ = record_lattice(speed, config)
+        nt = measurement_map(speed, config).nt
         for seed in range(5):
             rng = np.random.default_rng(seed)
             f = rng.standard_normal((n, n))
@@ -122,15 +122,16 @@ def pml_reflection() -> tuple[bool, str]:
     f_c = gaussian_phantom(grid_c, sigma=0.1).f
     T = 2.4
     nt, dt = choose_time_steps(speed_c, T)
-    ref = solve_forward(f_c, speed_c, nt, dt)
-    absorbed = solve_forward(f_a, speed_a, nt, dt)
+    solver_a = WaveSolver(speed_a, dt)
+    ref = solve_forward(f_c, WaveSolver(speed_c, dt), nt)
+    absorbed = solve_forward(f_a, solver_a, nt)
     lo = (grid_c.n - grid_a.n) // 2
     sl = slice(lo, lo + grid_a.n)
     du = absorbed.u_curr - ref.u_curr[sl, sl]
     dp = absorbed.u_prev - ref.u_prev[sl, sl]
     w = transition((grid_a.radius() - 0.9) / 0.1)  # 1 inside B_0.9, 0 past B_1
     e_diff = energy(du * w, dp * w, dt, speed_a)
-    start = WaveSolver(speed_a, dt).init_state(f_a)
+    start = solver_a.init_state(f_a)
     e0 = energy(start.u_curr, start.u_prev, dt, speed_a)
     ratio = e_diff / e0
     return ratio <= 1e-3, f"reflected energy ratio={ratio:.3e} bound=1e-3"

@@ -15,7 +15,9 @@ into an exact discrete adjoint of the full measurement map.
 walk and the finiteness checks, and every forward reader (the measurement
 map, the radius sweeps) sees the field through its per-level probe.  Only
 the adjoint marches ``step_T`` itself, since it adds data into the state
-between steps.
+between steps.  Both take their WaveSolver from the caller: the detector's
+measurement map builds one per (speed, detector config) and every solve of
+a command runs on it; a radius sweep builds its own.
 
 WaveSolver folds the scheme's per-cell coefficients (damping, speed, dt,
 h and the semi-implicit denominator) once, so one step and its transpose
@@ -235,6 +237,10 @@ class WaveSolver:
     Folding reassociates the arithmetic of the unfolded update
     ``(coef_u u - coef_v u- + dt^2 c^2 (Lap u + ...)) / den``, so fields
     agree with it to rounding (about 2e-16 relative per step), not bitwise.
+
+    ``step`` and ``step_T`` work in scratch buffers the solver owns, so a
+    shared solver (the measurement map shares one across the solves of a
+    command) is serial: one solve at a time, never two threads at once.
     """
 
     def __init__(self, speed: SpeedField, dt: float):
@@ -400,9 +406,10 @@ def _check_finite(state: WaveState, k: int) -> None:
         )
 
 
-def solve_forward(f, speed: SpeedField, nt: int, dt: float, probe=None) -> WaveState:
-    """March the pressure field ``f`` from rest over the levels 0..nt-1 at
-    spacing dt, damped by the grid's absorbing band when it has one.
+def solve_forward(f, solver: WaveSolver, nt: int, probe=None) -> WaveState:
+    """March the pressure field ``f`` from rest over the levels 0..nt-1 of
+    ``solver`` (its speed and dt, damped by the grid's absorbing band when
+    it has one).
 
     This is the one forward time loop: the measurement map and the radius
     sweeps read the field through ``probe(k, u)``, called with the level
@@ -410,7 +417,6 @@ def solve_forward(f, speed: SpeedField, nt: int, dt: float, probe=None) -> WaveS
     non-finite field raises FloatingPointError, checked every
     ``_NAN_CHECK_EVERY`` levels and at the end.  Returns the final state.
     """
-    solver = WaveSolver(speed, dt)
     # an overflowing field is reported once, by _check_finite, instead of by
     # a numpy warning per operation
     with np.errstate(over="ignore", invalid="ignore"):

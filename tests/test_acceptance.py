@@ -46,7 +46,7 @@ from ringtat.selftest import (
     residual_convergence,
     residual_discrimination,
 )
-from ringtat.wave import choose_time_steps, solve_forward
+from ringtat.wave import WaveSolver, choose_time_steps, solve_forward
 
 from dense_matrix import assemble_forward_matrix
 
@@ -227,7 +227,7 @@ def test_criterion_08_wave_solver_physics():
     f = gaussian_phantom(grid, center=(0.1, -0.05), sigma=0.15).f
     T = 0.5
     nt, dt = choose_time_steps(speed, T)
-    state = solve_forward(f, speed, nt, dt)
+    state = solve_forward(f, WaveSolver(speed, dt), nt)
     u = state.u_curr
     outside = grid.radius() > 1.0 + T * float(speed.c.max()) + 3 * grid.h
     mass = float(np.sqrt(np.sum(u[outside] ** 2)) / np.sqrt(np.sum(u**2)))

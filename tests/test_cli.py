@@ -31,7 +31,7 @@ from ringtat.cli import (
     write_array,
     write_pgm,
 )
-from ringtat.detector import LargeMode, SmallMode, SweepSettings, record_lattice
+from ringtat.detector import LargeMode, SmallMode, SweepSettings, measurement_map
 from ringtat.field import sample_speed, transition
 from ringtat.wave import cfl_limit
 
@@ -608,7 +608,7 @@ class TestForwardCommand:
             nt, n_rows = 10**16, 4 * 3  # level 0: base_n_theta angles x 3 radii
         else:
             exp = load_experiment(cfg)
-            nt, _ = record_lattice(sample_speed(exp.speed_spec, exp.grid), exp.detector)
+            nt = measurement_map(sample_speed(exp.speed_spec, exp.grid), exp.detector).nt
             n_rows = 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")

@@ -20,12 +20,12 @@ from ringtat.detector import (
     cylinder_residual_large,
     cylinder_residual_small,
     forward_operator,
+    measurement_map,
     sweep_large_radius,
     sweep_small_radius,
     theta_grid,
 )
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from ringtat.recon import _misfit_weights
 from ringtat.wave import cfl_limit, choose_time_steps
 
 
@@ -418,7 +418,7 @@ class TestAdjoint:
         aperture = None if arc is None else (arc[0], arc[0] + arc[1])
         cfg = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=n_alpha, T=T, nt=nt,
                              aperture=aperture, plateau=None if plateau is None else plateau * T)
-        chi = _misfit_weights(speed, cfg)
+        chi = measurement_map(speed, cfg).weights
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((49, 49))
         g = rng.standard_normal((nt, n_theta))

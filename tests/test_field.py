@@ -119,6 +119,17 @@ class TestSpeed:
         sf = sample_speed(SpeedSpec(kind="sinusoidal"), g)
         assert 0.7 - 1e-12 <= sf.c.min() and sf.max_c <= 1.3 + 1e-12
 
+    def test_fields_compare_and_hash_by_grid_and_spec(self):
+        # the detector's measurement map caches on the field, so two commands
+        # that each sample the same spec on the same grid share one map
+        g = make_grid(L=2.0, n=33)
+        a, b = (sample_speed(SpeedSpec(kind="sinusoidal"), g) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert np.array_equal(a.c, b.c)
+        bump = sample_speed(SpeedSpec(kind="radial_bump"), g)
+        finer = sample_speed(SpeedSpec(kind="sinusoidal"), make_grid(L=2.0, n=65))
+        assert bump != a and finer != a and len({a, b, bump, finer}) == 3
+
     @pytest.mark.parametrize("kind", ["constant", "sinusoidal", "radial_bump"])
     @pytest.mark.parametrize("L, n", [(3.6, 16), (1.01, 129), (3.6, 129), (3.6, 1025)])
     def test_unit_outside_disc_and_bounded_on_every_grid(self, kind, L, n):

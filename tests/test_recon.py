@@ -12,11 +12,11 @@ from ringtat.detector import (
     SmallMode,
     adjoint_operator,
     forward_operator,
+    measurement_map,
 )
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
 from ringtat.recon import (
     ReconResult,
-    _misfit_weights,
     cg_normal,
     landweber,
     operator_norm_estimate,
@@ -35,7 +35,7 @@ def _weights(T, plateau, nt=None):
     speed = _speed(make_grid(L=3.4, n=32))
     cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=4, n_alpha=64, T=T, nt=nt,
                          plateau=plateau)
-    return _misfit_weights(speed, cfg)[:, 0]
+    return measurement_map(speed, cfg).weights[:, 0]
 
 
 class TestTimeCutoff:
@@ -372,7 +372,7 @@ class TestWorkCounts:
         import ringtat.detector as detector
 
         speed, cfg, sino = _tiny_problem()
-        detector._detector_sampler.cache_clear()
+        detector.measurement_map.cache_clear()
         counts = {"BicubicSampler": 0}
         _count_calls(monkeypatch, detector, "BicubicSampler", counts)
         same = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
@@ -384,3 +384,18 @@ class TestWorkCounts:
         other = DetectorConfig(mode=LargeMode(r=2.0), n_theta=9, n_alpha=64, T=2.0)
         forward_operator(np.zeros((32, 32)), speed, other)
         assert counts["BicubicSampler"] == 2
+
+    def test_one_wave_solver_per_speed_and_config(self, monkeypatch):
+        import ringtat.detector as detector
+
+        speed, cfg, sino = _tiny_problem()
+        detector.measurement_map.cache_clear()
+        counts = {"WaveSolver": 0}
+        _count_calls(monkeypatch, detector, "WaveSolver", counts)
+        # an equal field sampled anew, as each command of a run samples its own
+        again = _speed(speed.grid)
+        forward_operator(np.zeros((32, 32)), speed, cfg)
+        adjoint_operator(sino.data, again, cfg)
+        assert cg_normal(sino, speed, cfg, iters=3).iterations == 3
+        operator_norm_estimate(again, cfg)
+        assert counts["WaveSolver"] == 1

@@ -163,7 +163,7 @@ class TestStepping:
         f = gaussian_phantom(g, sigma=0.1).f
         T = 0.6
         nt, dt = _lattice(sp, T, 0.5)
-        s = solve_forward(f, sp, nt, dt)
+        s = solve_forward(f, WaveSolver(sp, dt), nt)
         rho = g.radius()
         outside = rho > 1.0 + T * sp.max_c + 3 * g.h
         assert np.sum(np.abs(s.u_curr[outside])) / np.sum(np.abs(s.u_curr)) < 1e-8
@@ -176,7 +176,7 @@ class TestStepping:
             sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
             f = gaussian_phantom(g, center=(0.1, -0.05), sigma=0.12).f
             nt, dt = _lattice(sp, T, 0.45)
-            sols[n] = solve_forward(f, sp, nt, dt).u_curr
+            sols[n] = solve_forward(f, WaveSolver(sp, dt), nt).u_curr
         # compare on the common coarse node set so the norms are comparable
         ref = sols[321]
         e41 = np.linalg.norm(sols[41] - ref[::8, ::8])
@@ -438,7 +438,7 @@ class TestSolveForward:
             levels.append(k)
             times.append((k * dt, np.abs(u).max()))
 
-        solve_forward(np.zeros((64, 64)), sp, nt, dt, probe=probe)
+        solve_forward(np.zeros((64, 64)), WaveSolver(sp, dt), nt, probe=probe)
         assert levels == list(range(nt))
         assert len(times) == nt
         assert times[0][0] == 0.0
@@ -452,7 +452,7 @@ class TestSolveForward:
         ij = (int(np.argmin(np.abs(g.axis - 1.0))), int(np.argmin(np.abs(g.axis))))
         rec = []
         nt, dt = choose_time_steps(sp, 1.5)
-        solve_forward(f, sp, nt, dt, probe=lambda k, u: rec.append((k * dt, u[ij])))
+        solve_forward(f, WaveSolver(sp, dt), nt, probe=lambda k, u: rec.append((k * dt, u[ij])))
         ts = np.array([t for t, _ in rec])
         vs = np.array([v for _, v in rec])
         t_peak = ts[np.argmax(np.abs(vs))]
@@ -462,9 +462,24 @@ class TestSolveForward:
     def test_deterministic(self):
         g, sp = _setup(n=64)
         f = gaussian_phantom(g, sigma=0.2).f
-        a = solve_forward(f, sp, *choose_time_steps(sp, 0.3)).u_curr
-        b = solve_forward(f, sp, *choose_time_steps(sp, 0.3)).u_curr
+        nt, dt = choose_time_steps(sp, 0.3)
+        a = solve_forward(f, WaveSolver(sp, dt), nt).u_curr
+        b = solve_forward(f, WaveSolver(sp, dt), nt).u_curr
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("pml_width", [0.0, 0.3])
+    def test_a_shared_solver_gives_the_fields_of_fresh_ones(self, pml_width):
+        # the measurement map runs every solve of a command on one solver,
+        # whose scratch buffers must not carry anything from one solve over
+        g = make_grid(L=1.5, n=64, pml_width=pml_width)
+        sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+        f = gaussian_phantom(g, sigma=0.2).f
+        nt, dt = choose_time_steps(sp, 0.3)
+        shared = WaveSolver(sp, dt)
+        solve_forward(2.0 * f, shared, nt)
+        a = solve_forward(f, shared, nt)
+        b = solve_forward(f, WaveSolver(sp, dt), nt)
+        assert all(np.array_equal(x, y) for x, y in zip(_fields(a), _fields(b)))
 
     def test_pml_absorbs_reflected_energy(self):
         g = make_grid(L=1.6, n=161, pml_width=0.5)
@@ -487,12 +502,14 @@ class TestSolveForward:
     def test_nan_guard(self):
         _, sp = _setup()
         with pytest.raises(FloatingPointError):
-            solve_forward(np.full((64, 64), np.nan), sp, *choose_time_steps(sp, 0.05))
+            nt, dt = choose_time_steps(sp, 0.05)
+            solve_forward(np.full((64, 64), np.nan), WaveSolver(sp, dt), nt)
 
     def test_overflow_raises_without_numpy_warnings(self):
         g, sp = _setup()
         f = 1e308 * gaussian_phantom(g, sigma=0.1).f
+        nt, dt = choose_time_steps(sp, 0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
-                solve_forward(f, sp, *choose_time_steps(sp, 0.05))
+                solve_forward(f, WaveSolver(sp, dt), nt)
