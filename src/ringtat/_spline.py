@@ -21,7 +21,9 @@ inside, and the error on smooth fields is fourth order.  No global solve is
 involved, and the whole map is fixed: the prefilter is folded into the
 weight matrix once, at build time, so apply and apply_T are one sparse
 product each with the same matrix and are exact matrix transposes of each
-other.  A C2 interpolant keeps the sampling error smooth in the geometry
+other.  That matrix is built one block of rings at a time, bitwise equal to
+a one-shot build, so the whole ring set's weights are never held unfolded.
+A C2 interpolant keeps the sampling error smooth in the geometry
 parameters (piecewise-linear interpolation has O(h) derivative kinks at
 every cell edge, which pollutes grid-refinement studies).
 
@@ -227,8 +229,9 @@ def _ring_weights(rings: np.ndarray, x0: float, h: float, n: int) -> scipy.spars
     block of B-spline weights on the coefficients.
 
     CSR straight from the points in ring order, 16 entries per point, then
-    duplicates summed in place: no COO or transpose copies, so the transient
-    memory is about W itself.
+    duplicates summed in place: no COO or transpose copies.  The sampler
+    calls this on one block of rings at a time, so these transient arrays
+    are about one block's 16 entries per point (``_BLOCK_ENTRIES``).
     """
     n_rows, m = rings.shape[:2]
     pts = rings.reshape(-1, 2)
@@ -247,6 +250,11 @@ def _ring_weights(rings: np.ndarray, x0: float, h: float, n: int) -> scipy.spars
     return w
 
 
+# unfolded weights per block of the sampler build (16 per point); a block
+# takes as many whole rings as fit, and at least one
+_BLOCK_ENTRIES = 2**16
+
+
 class BicubicSampler:
     """Fixed linear map m = W (Q x Q) u from a grid function to ring means
     of the cubic B-spline quasi-interpolant, with an exact transpose.
@@ -259,6 +267,11 @@ class BicubicSampler:
     once in the constructor, so apply is one product with it and apply_T one
     product with its transpose view (plain Euclidean inner products, no grid
     weights).
+
+    The constructor forms the product one block of rings at a time (each
+    block's ``_ring_weights`` times ``Q x Q``, indices sorted), releases the
+    prefilter and stacks the blocks.  Sparse sums, products and sorts work
+    row by row, so the stack equals the one-shot product bit for bit.
     """
 
     def __init__(self, x0: float, h: float, n: int, rings: np.ndarray):
@@ -270,13 +283,20 @@ class BicubicSampler:
         self.x0 = float(x0)
         self.h = float(h)
         self.n = int(n)
-        self.n_rows = rings.shape[0]
+        self.n_rows, m = rings.shape[:2]
 
-        # W is built in a helper so that its transient arrays are freed
-        # before the product; a sparse product has no duplicate entries
-        w = _ring_weights(rings, self.x0, self.h, self.n)
-        self._w = w @ _prefilter(self.n)
-        self._w.sort_indices()
+        q = _prefilter(self.n)
+        step = max(1, _BLOCK_ENTRIES // (16 * m))
+        blocks = []
+        # an empty ring set still makes one, empty, block to stack
+        for start in range(0, max(self.n_rows, 1), step):
+            # a sparse product has no duplicate entries
+            block = _ring_weights(rings[start : start + step], self.x0, self.h, self.n) @ q
+            block.sort_indices()
+            blocks.append(block)
+        # the stack holds the blocks twice; the prefilter is not needed then
+        del q
+        self._w = scipy.sparse.vstack(blocks, format="csr")
         # the CSC transpose view shares the CSR arrays; held so that apply_T
         # does not build and check a new view per call
         self._w_T = self._w.T

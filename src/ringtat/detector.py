@@ -47,8 +47,9 @@ from .field import (
 from .wave import WaveSolver, check_time_step, choose_time_steps, solve_forward
 
 _TWO_PI = 2.0 * math.pi
-# the sampler holds 16 entries per circle point behind int32 offsets, so the
-# n_theta * n_alpha points of a detector ring must stay below 2**31 / 16
+# the sampler's block build holds at least one ring's 16 entries per circle
+# point behind int32 offsets; capping all n_theta * n_alpha points of the
+# detector below 2**31 / 16 caps every ring's
 _MAX_POINTS = (2**31 - 1) // 16
 
 

@@ -124,17 +124,13 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _normal_apply(
-    x: np.ndarray,
-    speed: SpeedField,
-    config: DetectorConfig,
-    chi_w: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """One application of the (masked, weighted) normal operator."""
+def _normal_apply(x: np.ndarray, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
+    """One application of the (masked, weighted) normal operator; the misfit
+    weights and the unit-disc mask are the measurement map's."""
+    m = measurement_map(speed, config)
     sino = forward_operator(x, speed, config)
-    y = adjoint_operator(chi_w * sino.data, speed, config)
-    y[~mask] = 0.0
+    y = adjoint_operator(m.weights * sino.data, speed, config)
+    y[~m.mask] = 0.0
     return y
 
 
@@ -162,7 +158,7 @@ def operator_norm_estimate(speed: SpeedField, config: DetectorConfig) -> float:
     x /= math.sqrt(_inner(x, x))
     lam = 0.0
     for k in range(_POWER_ITERS):
-        y = _normal_apply(x, speed, config, m.weights, m.mask)
+        y = _normal_apply(x, speed, config)
         lam_new = _inner(x, y)
         norm_y = math.sqrt(_inner(y, y))
         if norm_y == 0.0:
@@ -270,7 +266,7 @@ def cg_normal(
     rs = _inner(r, r)
     done = 0
     for k in range(iters):
-        np_ = _normal_apply(p, speed, config, chi_w, mask)
+        np_ = _normal_apply(p, speed, config)
         curv = _require_finite(_inner(p, np_), "curvature", k + 1)
         if not curv > 1e-30 * _inner(p, p):
             raise RuntimeError("curvature vanished along the search direction")

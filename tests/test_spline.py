@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from one_shot_sampler import one_shot_matrix
+from ringtat import _spline
 from ringtat._spline import BicubicSampler, SplineField, spline_coeffs_1d
 
 
@@ -429,3 +432,62 @@ class TestBicubicSampler:
                 BicubicSampler(0.0, 0.1, 8, np.zeros(shape))
         with pytest.raises(ValueError, match="n >= 4"):
             BicubicSampler(0.0, 0.1, 3, np.zeros((1, 1, 2)))
+
+
+def _sweep_sampler_args():
+    """(x0, h, n, rings) of the radius sweep's 129^2 base level: rings of
+    256 points with centers on the unit circle at 40 angles and radii 2.0,
+    2.1 and 2.2 at each (theta-major), on a grid over [-3.9, 3.9]^2."""
+    thetas = 2.0 * np.pi * np.arange(40) / 40
+    alphas = 2.0 * np.pi * np.arange(256) / 256
+    radii = np.array([2.0, 2.1, 2.2])[:, None]
+    cx = np.cos(thetas)[:, None, None] + radii * np.cos(alphas)
+    cy = np.sin(thetas)[:, None, None] + radii * np.sin(alphas)
+    return -3.9, 7.8 / 128, 129, np.stack([cx, cy], axis=-1).reshape(-1, 256, 2)
+
+
+class TestBlockBuild:
+    """The sampler's block build against the one-shot build: the same CSR
+    arrays, bit for bit, and a transient peak near two copies of the matrix."""
+
+    @staticmethod
+    def _assert_same_matrix(got, want):
+        assert got.shape == want.shape
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("m", [64, 256])
+    @pytest.mark.parametrize("k, d", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_equals_the_one_shot_build(self, m, k, d):
+        # k B + d rings for B rings per block: 0, 1, B - 1, B, B + 1, 2B + 1
+        n_rows = k * max(1, _spline._BLOCK_ENTRIES // (16 * m)) + d
+        rng = np.random.default_rng(m + n_rows)
+        rings = rng.uniform(-1.0, 1.2, size=(n_rows, m, 2))
+        samp = BicubicSampler(-1.1, 0.1, 24, rings)
+        self._assert_same_matrix(samp._w, one_shot_matrix(-1.1, 0.1, 24, rings))
+        assert samp.n_rows == n_rows
+        assert samp.apply(rng.normal(size=(24, 24))).shape == (n_rows,)
+        assert samp.apply_T(np.zeros(n_rows)).shape == (24, 24)
+
+    def test_sweep_shaped_rings_equal_the_one_shot_build(self):
+        args = _sweep_sampler_args()
+        self._assert_same_matrix(BicubicSampler(*args)._w, one_shot_matrix(*args))
+
+    def test_transient_memory_is_about_two_matrices(self):
+        # The block build holds, at most, the blocks and their stack (two
+        # copies of the matrix) or, before stacking, the prefilter (9
+        # entries per node), the blocks so far and one block's transients.
+        # On these 120 sweep rings at 129^2 its traced peak is 2.2 times the
+        # matrix bytes; the one-shot build, holding all rings' unfolded
+        # weights beside the prefilter and the product, peaked at 4.4.
+        x0, h, n, rings = _sweep_sampler_args()
+        BicubicSampler(x0, h, n, rings[:1])  # loads scipy.sparse untraced
+        tracemalloc.start()
+        try:
+            w = BicubicSampler(x0, h, n, rings)._w
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
