@@ -60,7 +60,6 @@ from .detector import (
 from .field import (
     DiscComponent,
     GaussianComponent,
-    PhantomSpec,
     SpeedSpec,
     make_grid,
     make_phantom,
@@ -309,7 +308,7 @@ class ExperimentConfig:
 
     grid: object
     speed_spec: object
-    phantom_spec: object
+    phantom_spec: tuple  # of field.PhantomComponent
     detector: object
     window: tuple[float, float] | None
     method: str
@@ -355,7 +354,7 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
             kind = DiscComponent
         with _section("phantom", key):
             components.append(kind((vals[0], vals[1]), *vals[2:]))
-    phantom_spec = PhantomSpec(components)
+    phantom_spec = tuple(components)
 
     det = sections["detector"]
     mode_name = _require(det, "mode", str, "detector").lower()
@@ -487,7 +486,7 @@ def cmd_forward(args) -> int:
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
     speed, phantom = _sample(cfg)
-    sino = forward_operator(phantom.f, speed, cfg.detector)
+    sino = forward_operator(phantom, speed, cfg.detector)
     data = sino.data.copy()
     if cfg.noise_rel > 0.0:
         peak = float(np.abs(data).max())
@@ -566,8 +565,8 @@ def cmd_reconstruct(args) -> int:
         result = landweber(data, speed, cfg.detector, iters=cfg.iters, step=cfg.step)
     else:
         result = cg_normal(data, speed, cfg.detector, iters=cfg.iters)
-    est = result.estimate.f
-    err = relative_error(est, phantom.f)
+    est = result.estimate
+    err = relative_error(est, phantom)
 
     out.mkdir(parents=True, exist_ok=True)
     pgm_path = out / "estimate.pgm"
@@ -614,8 +613,8 @@ def cmd_visibility(args) -> int:
     out = _out_dir(cfg, args)
     speed, phantom = _sample(cfg)
     wf = []
-    if cfg.phantom_spec.components:
-        wf = phantom_edges(phantom, threshold=cfg.vis_threshold, stride=cfg.vis_stride,
+    if cfg.phantom_spec:
+        wf = phantom_edges(phantom, cfg.grid, threshold=cfg.vis_threshold, stride=cfg.vis_stride,
                            max_count=cfg.vis_max_count)
 
     header = ["index", "y0", "y1", "xi0", "xi1", "magnitude", "verdict", "escaped",
@@ -630,13 +629,13 @@ def cmd_visibility(args) -> int:
         return 0
 
     window = cfg.window or (0.0, cfg.detector.plateau or cfg.detector.T)
-    report = visibility(wf, speed, cfg.detector, time_window=window)
+    verdicts = visibility(wf, speed, cfg.detector, time_window=window)
 
     out.mkdir(parents=True, exist_ok=True)
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i, v in enumerate(report.verdicts):
+        for i, v in enumerate(verdicts):
             cv = v.covector
             row = [i, f"{cv.y[0]:.17g}", f"{cv.y[1]:.17g}", f"{cv.xi[0]:.17g}",
                    f"{cv.xi[1]:.17g}", f"{cv.magnitude:.17g}", v.verdict,
@@ -649,11 +648,11 @@ def cmd_visibility(args) -> int:
     # overlay: phantom as a dim backdrop, edge nodes marked by verdict; the
     # phantom is scaled to a unit peak, exactly, so its range is finite
     grid = cfg.grid
-    f = np.ldexp(phantom.f, -unit_exponent(phantom.f))
+    f = np.ldexp(phantom, -unit_exponent(phantom))
     span = float(f.max() - f.min())
     base = (f - float(f.min())) / span * 0.45 if span > 0 else np.zeros_like(f)
     marks = {"visible": 1.0, "masked": 0.78, "out_of_aperture": 0.6}
-    for v in report.verdicts:
+    for v in verdicts:
         ix = int(round((v.covector.y[0] + grid.L) / grid.h))
         iy = int(round((v.covector.y[1] + grid.L) / grid.h))
         lo_x, hi_x = max(ix - 1, 0), min(ix + 2, grid.n)
@@ -661,7 +660,8 @@ def cmd_visibility(args) -> int:
         base[lo_x:hi_x, lo_y:hi_y] = marks[v.verdict]
     write_pgm(out / "overlay.pgm", _image_to_rows(base), vmin=0.0, vmax=1.0)
 
-    counts = {k: report.count(k) for k in ("visible", "masked", "out_of_aperture")}
+    counts = {k: sum(v.verdict == k for v in verdicts)
+              for k in ("visible", "masked", "out_of_aperture")}
     print(f"wrote {csv_path}; " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 

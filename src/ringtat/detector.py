@@ -35,7 +35,6 @@ import numpy as np
 
 from ._spline import BicubicSampler
 from .field import (
-    Phantom,
     SpeedField,
     SpeedSpec,
     gaussian_phantom,
@@ -153,12 +152,10 @@ def theta_grid(config: DetectorConfig) -> np.ndarray:
 @dataclass
 class Sinogram:
     """Detector readings: data[i, j] = circle average at time i*dt, angle
-    thetas[j]."""
+    theta_grid(config)[j]."""
 
     data: np.ndarray
     dt: float
-    thetas: np.ndarray
-    config: DetectorConfig
 
 
 @dataclass
@@ -280,7 +277,7 @@ def _record_forward(f, m: MeasurementMap) -> np.ndarray:
     The solve runs on the field scaled by 2**-e to a peak in [0.5, 1) and
     the record is scaled back by 2**e: exact in binary floating point, and a
     field of subnormal amplitude neither loses bits nor slows the solve."""
-    f = f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
+    f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("initial field not finite")
     sampler = m.sampler
@@ -307,8 +304,7 @@ def _record_forward(f, m: MeasurementMap) -> np.ndarray:
 def forward_operator(f, speed: SpeedField, config: DetectorConfig) -> Sinogram:
     """The measurement map: one wave solve, every detector read at every level."""
     m = measurement_map(speed, config)
-    return Sinogram(data=_record_forward(f, m), dt=m.dt, thetas=theta_grid(config),
-                    config=config)
+    return Sinogram(data=_record_forward(f, m), dt=m.dt)
 
 
 def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig) -> np.ndarray:
@@ -529,7 +525,7 @@ def residual_refinement_study(
                                               pml_width, speed_spec):
         speed = sample_speed(speed_spec, grid)
         phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
-        sweep = record(phantom.f, speed, config, radii)
+        sweep = record(phantom, speed, config, radii)
         resid = residual(sweep)
         times = sweep.dt * np.arange(1, config.nt - 1)
         sel = (times >= _SWEEP_WINDOW[0]) & (times <= _SWEEP_WINDOW[1])

@@ -6,7 +6,8 @@ All physical objects live on a square cell-centered-free node grid over
 The detector geometry and the ray tracer depend on both.  The first holds by
 construction: every speed model is multiplied by a fixed cutoff that is
 exactly 0 for |x| >= 1.  The second is enforced when a phantom component
-is made.
+is made.  A phantom is a sequence of components; ``make_phantom`` samples
+it to the plain (n, n) array f, indexed [ix, iy], that every solver takes.
 """
 
 from __future__ import annotations
@@ -277,20 +278,6 @@ class DiscComponent:
 PhantomComponent = GaussianComponent | DiscComponent
 
 
-@dataclass(frozen=True)
-class PhantomSpec:
-    components: tuple[PhantomComponent, ...]
-
-    def __init__(self, components: Sequence[PhantomComponent]):
-        object.__setattr__(self, "components", tuple(components))
-
-
-@dataclass(frozen=True)
-class Phantom:
-    grid: Grid2D
-    f: np.ndarray  # (n, n), indexed [ix, iy]
-
-
 def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     cx, cy = comp.center
     rho = np.hypot(X - cx, Y - cy)
@@ -307,26 +294,27 @@ def _component_values(comp: PhantomComponent, X: np.ndarray, Y: np.ndarray) -> n
     raise TypeError(f"unknown phantom component {type(comp).__name__}")
 
 
-def make_phantom(spec: PhantomSpec, grid: Grid2D) -> Phantom:
-    """Sample a phantom: the sum of its components, each of which sits
-    strictly inside the unit disc by construction.  An empty spec yields the
-    zero phantom; a sum past the largest float is refused."""
+def make_phantom(components: Sequence[PhantomComponent], grid: Grid2D) -> np.ndarray:
+    """Sample a phantom on the grid: the (n, n) sum of its components, each
+    of which sits strictly inside the unit disc by construction.  No
+    components yield the zero phantom; a sum past the largest float is
+    refused."""
     X, Y = grid.mesh()
     f = np.zeros_like(X)
     with np.errstate(over="ignore"):  # reported below, in one error
-        for comp in spec.components:
+        for comp in components:
             f += _component_values(comp, X, Y)
     if not np.all(np.isfinite(f)):
         raise ValueError("the components sum past the largest float on the grid")
-    return Phantom(grid=grid, f=f)
+    return f
 
 
 def gaussian_phantom(
     grid: Grid2D,
     center: tuple[float, float] = (0.0, 0.0),
     sigma: float = 0.1,
-) -> Phantom:
-    return make_phantom(PhantomSpec([GaussianComponent(center=center, sigma=sigma)]), grid)
+) -> np.ndarray:
+    return make_phantom([GaussianComponent(center=center, sigma=sigma)], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +345,16 @@ class Covector:
         object.__setattr__(self, "xi", (self.xi[0] / nx, self.xi[1] / nx))
 
 
-def gradient_magnitude(p: Phantom) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gradient_magnitude(f: np.ndarray, grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central-difference gradient (gx, gy) and its magnitude, of the
-    phantom scaled by 2**-e to a peak in [0.5, 1): the scaling is exact, so
-    the directions and magnitude ratios that edge extraction reads do not
-    depend on the amplitude, and no difference overflows."""
-    h = p.grid.h
-    f = np.ldexp(p.f, -unit_exponent(p.f))
+    phantom f on the grid scaled by 2**-e to a peak in [0.5, 1): the scaling
+    is exact, so the directions and magnitude ratios that edge extraction
+    reads do not depend on the amplitude, and no difference overflows.  An
+    f that is not the grid's (n, n) is refused: its nodes are not the grid's."""
+    if np.shape(f) != (grid.n, grid.n):
+        raise ValueError(f"phantom shape {np.shape(f)} is not the grid's {(grid.n, grid.n)}")
+    h = grid.h
+    f = np.ldexp(f, -unit_exponent(f))
     gx = np.zeros_like(f)
     gy = np.zeros_like(f)
     gx[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * h)
@@ -372,12 +363,14 @@ def gradient_magnitude(p: Phantom) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def phantom_edges(
-    p: Phantom,
+    f: np.ndarray,
+    grid: Grid2D,
     threshold: float = 0.5,
     stride: int = 1,
     max_count: int | None = None,
 ) -> list[Covector]:
-    """Extract edge covectors: nodes where |grad f| >= threshold * max |grad f|.
+    """Extract edge covectors of the phantom f on the grid: nodes where
+    |grad f| >= threshold * max |grad f|.
 
     Each retained node contributes two covectors, one along +grad and one
     along -grad.  ``stride`` subsamples the node lattice; ``max_count`` caps
@@ -389,11 +382,11 @@ def phantom_edges(
         raise ValueError(f"stride must be at least 1, got {stride}")
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, got {max_count}")
-    gx, gy, mag = gradient_magnitude(p)
+    gx, gy, mag = gradient_magnitude(f, grid)
     peak = float(np.max(mag))
     if peak == 0.0:
         return []
-    ax = p.grid.axis
+    ax = grid.axis
     ii, jj = np.nonzero(mag >= threshold * peak)
     if stride > 1:
         keep = (ii % stride == 0) & (jj % stride == 0)

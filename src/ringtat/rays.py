@@ -280,14 +280,6 @@ class CovectorVerdict:
     escaped: bool = True
 
 
-@dataclass
-class VisibilityReport:
-    verdicts: list[CovectorVerdict]
-
-    def count(self, verdict: str) -> int:
-        return sum(1 for v in self.verdicts if v.verdict == verdict)
-
-
 def _in_arc(theta: float, arc: tuple[float, float] | None) -> bool:
     if arc is None:
         return True
@@ -300,8 +292,9 @@ def visibility(
     speed: SpeedField,
     config: DetectorConfig,
     time_window: tuple[float, float],
-) -> VisibilityReport:
-    """Classify wavefront samples against the measured aperture.
+) -> list[CovectorVerdict]:
+    """Classify wavefront samples against the measured aperture: one verdict
+    per sample, in the order of ``wf``.
 
     The aperture is ``config.aperture`` (the full circle when None) and the
     window is ``time_window`` = (t0, t1].  A covector is visible when
@@ -354,4 +347,4 @@ def visibility(
             if witness is None:
                 witness, partner = e, partner_here
         verdicts.append(CovectorVerdict(cv, verdict, witness=witness, partner_index=partner))
-    return VisibilityReport(verdicts=verdicts)
+    return verdicts

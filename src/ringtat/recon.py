@@ -25,45 +25,31 @@ import math
 
 import numpy as np
 
-from .detector import (
-    DetectorConfig,
-    Sinogram,
-    adjoint_operator,
-    forward_operator,
-    measurement_map,
-)
-from .field import Phantom, SpeedField, unit_exponent
-
-__all__ = [
-    "ReconResult",
-    "adjoint_operator",
-    "operator_norm_estimate",
-    "landweber",
-    "cg_normal",
-    "relative_error",
-]
+from .detector import DetectorConfig, adjoint_operator, forward_operator, measurement_map
+from .field import SpeedField, unit_exponent
 
 
 @dataclass
 class ReconResult:
     """Outcome of an iterative solve.
 
-    ``residual_history[k]`` is the weighted data-misfit norm of the k-th
-    iterate (index 0 is the zero initial guess).  ``step_size`` is the
+    ``estimate`` is the recovered (n, n) initial pressure on the speed's
+    grid.  ``residual_history[k]`` is the weighted data-misfit norm of the
+    k-th iterate (index 0 is the zero initial guess).  ``step_size`` is the
     Landweber step actually used, None for CG.
     """
 
-    estimate: Phantom
+    estimate: np.ndarray
     residual_history: np.ndarray
     step_size: float | None
     iterations: int
 
 
-def _set_up(s, speed: SpeedField, config: DetectorConfig):
+def _set_up(data, speed: SpeedField, config: DetectorConfig):
     """What both solvers start from: the data, checked against the record
     lattice and scaled by 2**-e to a peak in [0.5, 1); e; the misfit
     weights; the unit-disc mask (the last two from the measurement map)."""
-    data = s.data if isinstance(s, Sinogram) else np.asarray(s, dtype=float)
+    data = np.asarray(data, dtype=float)
     m = measurement_map(speed, config)
     expected = (m.nt, m.sampler.n_rows)
     if data.shape != expected:
@@ -76,14 +62,14 @@ def _set_up(s, speed: SpeedField, config: DetectorConfig):
     return np.ldexp(data, -e), e, m.weights, m.mask
 
 
-def _scaled_back(estimate: Phantom, history: list[float], step: float | None,
+def _scaled_back(estimate: np.ndarray, history: list[float], step: float | None,
                  iterations: int, e: int) -> ReconResult:
     """The result of a solve on data scaled by 2**-e, scaled by 2**e."""
-    top = max(float(np.max(np.abs(estimate.f))), max(history))
+    top = max(float(np.max(np.abs(estimate))), max(history))
     if not math.isfinite(top) or math.frexp(top)[1] + e > 1024:  # past the largest float
         raise FloatingPointError(f"the estimate overflows at this data scale (peak about 2**{e})")
     return ReconResult(
-        estimate=Phantom(grid=estimate.grid, f=np.ldexp(estimate.f, e)),
+        estimate=np.ldexp(estimate, e),
         residual_history=np.ldexp(np.array(history), e),
         step_size=step,
         iterations=iterations,
@@ -171,7 +157,7 @@ def operator_norm_estimate(speed: SpeedField, config: DetectorConfig) -> float:
 
 
 def landweber(
-    s,
+    data,
     speed: SpeedField,
     config: DetectorConfig,
     iters: int = 50,
@@ -179,7 +165,7 @@ def landweber(
 ) -> ReconResult:
     """Projected gradient descent on the weighted least-squares misfit.
 
-    f_{k+1} = f_k + step * adjoint(chi * (s - forward(f_k))), re-supported in
+    f_{k+1} = f_k + step * adjoint(chi * (data - forward(f_k))), re-supported in
     the unit disc after every update.  With the automatic step (one over the
     power-iteration norm estimate) the recorded history is non-increasing;
     three consecutive increases abort with a diagnostic since they mean the
@@ -192,12 +178,12 @@ def landweber(
     if step is not None and not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"landweber step must be finite and positive, got {step}")
     grid = speed.grid
-    data, e, chi_w, mask = _set_up(s, speed, config)
+    data, e, chi_w, mask = _set_up(data, speed, config)
 
     history = [_require_finite(_misfit(chi_w, data), "misfit", 0)]
     if history[0] == 0.0:
-        zero = Phantom(grid=grid, f=np.zeros((grid.n, grid.n)))
-        return ReconResult(zero, np.array(history), step if step is not None else 0.0, 0)
+        return ReconResult(np.zeros((grid.n, grid.n)), np.array(history),
+                           step if step is not None else 0.0, 0)
 
     if step is None:
         est = operator_norm_estimate(speed, config)
@@ -232,11 +218,11 @@ def landweber(
             rises = 0
         if history[-1] <= _TOL * history[0]:
             break
-    return _scaled_back(Phantom(grid=grid, f=f), history, step, done, e)
+    return _scaled_back(f, history, step, done, e)
 
 
 def cg_normal(
-    s,
+    data,
     speed: SpeedField,
     config: DetectorConfig,
     iters: int = 15,
@@ -250,13 +236,13 @@ def cg_normal(
     wave solve), misfit or curvature raise FloatingPointError.
     """
     grid = speed.grid
-    data, e, chi_w, mask = _set_up(s, speed, config)
+    data, e, chi_w, mask = _set_up(data, speed, config)
 
     c0 = _require_finite(float(np.sum(chi_w * data**2)), "misfit", 0)
     history = [float(np.sqrt(c0))]
     zero = np.zeros((grid.n, grid.n))
     if c0 == 0.0:
-        return ReconResult(Phantom(grid=grid, f=zero), np.array(history), None, 0)
+        return ReconResult(zero, np.array(history), None, 0)
 
     b = adjoint_operator(chi_w * data, speed, config)
     b[~mask] = 0.0
@@ -283,4 +269,4 @@ def cg_normal(
         rs_new = _inner(r, r)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return _scaled_back(Phantom(grid=grid, f=x), history, None, done, e)
+    return _scaled_back(x, history, None, done, e)

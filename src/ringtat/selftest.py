@@ -94,9 +94,9 @@ def energy_conservation(steps: int) -> tuple[bool, str]:
     """Relative drift of the discrete energy over ``steps`` undamped steps."""
     grid = make_grid(L=1.5, n=129)
     speed = sample_speed(SpeedSpec(kind="constant"), grid)
-    phantom = gaussian_phantom(grid, sigma=0.15)
+    f = gaussian_phantom(grid, sigma=0.15)
     solver = WaveSolver(speed, 0.5 * cfl_limit(speed))
-    state = solver.init_state(phantom.f)
+    state = solver.init_state(f)
     e0 = energy(state.u_curr, state.u_prev, state.dt, speed)
     worst = 0.0
     for _ in range(steps):
@@ -118,8 +118,8 @@ def pml_reflection() -> tuple[bool, str]:
     grid_c = make_grid(L=3.2, n=321)
     speed_a = sample_speed(SpeedSpec(kind="constant"), grid_a)
     speed_c = sample_speed(SpeedSpec(kind="constant"), grid_c)
-    f_a = gaussian_phantom(grid_a, sigma=0.1).f
-    f_c = gaussian_phantom(grid_c, sigma=0.1).f
+    f_a = gaussian_phantom(grid_a, sigma=0.1)
+    f_c = gaussian_phantom(grid_c, sigma=0.1)
     T = 2.4
     nt, dt = choose_time_steps(speed_c, T)
     solver_a = WaveSolver(speed_a, dt)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Grid2D, Phantom, SpeedField
+from .field import Grid2D, SpeedField
 
 _NAN_CHECK_EVERY = 100
 
@@ -318,9 +318,9 @@ class WaveSolver:
     # -- initial data embedding and its transpose --------------------------
 
     def init_state(self, f) -> WaveState:
-        """Leapfrog state for pressure ``f`` (an array or a Phantom) released
-        from rest."""
-        f = f.f if isinstance(f, Phantom) else np.asarray(f, dtype=float)
+        """Leapfrog state for the (n, n) pressure array ``f`` released from
+        rest."""
+        f = np.asarray(f, dtype=float)
         v = f + 0.5 * self.dt**2 * self.c2 * laplacian(f, self.h)
         return WaveState(f.copy(), v, np.zeros(self._m), np.zeros(self._m), 0.0, self.dt)
 

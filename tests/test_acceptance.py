@@ -24,7 +24,6 @@ from ringtat.detector import (
 from ringtat.field import (
     Covector,
     DiscComponent,
-    PhantomSpec,
     SpeedSpec,
     gaussian_phantom,
     make_grid,
@@ -91,16 +90,16 @@ def test_criterion_04_full_data_reconstruction():
     speed = sample_speed(SpeedSpec(), grid)
     phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
     config = DetectorConfig(mode=LargeMode(r=2.0), n_theta=60, n_alpha=256, T=5.0)
-    sino = forward_operator(phantom.f, speed, config)
-    truth = float(np.sqrt(np.sum(phantom.f**2)))
+    sino = forward_operator(phantom, speed, config)
+    truth = float(np.sqrt(np.sum(phantom**2)))
 
-    lw = landweber(sino, speed, config, iters=50)
-    lw_err = float(np.sqrt(np.sum((lw.estimate.f - phantom.f) ** 2))) / truth
+    lw = landweber(sino.data, speed, config, iters=50)
+    lw_err = float(np.sqrt(np.sum((lw.estimate - phantom) ** 2))) / truth
     hist = lw.residual_history
     monotone = bool(np.all(np.diff(hist) <= 1e-12 * max(hist[0], 1.0)))
 
-    cg = cg_normal(sino, speed, config, iters=15)
-    cg_err = float(np.sqrt(np.sum((cg.estimate.f - phantom.f) ** 2))) / truth
+    cg = cg_normal(sino.data, speed, config, iters=15)
+    cg_err = float(np.sqrt(np.sum((cg.estimate - phantom) ** 2))) / truth
     elapsed = time.monotonic() - t0
     ok = monotone and (lw_err <= 0.15 or cg_err <= 0.15) and elapsed <= 600.0
     _line(4, ok, f"129^2 full-data: rel l2 error {lw_err:.4f} after 50 gradient "
@@ -111,24 +110,22 @@ def test_criterion_04_full_data_reconstruction():
 def test_criterion_05_partial_aperture_edge_recovery():
     grid = make_grid(L=3.6, n=129, pml_width=0.5)
     speed = sample_speed(SpeedSpec(), grid)
-    phantom = make_phantom(
-        PhantomSpec([DiscComponent(center=(0.0, 0.0), radius=0.55, taper=0.15)]), grid
-    )
+    phantom = make_phantom([DiscComponent(center=(0.0, 0.0), radius=0.55, taper=0.15)], grid)
     config = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=45, n_alpha=256,
                             T=5.0, aperture=(-math.pi / 2, 0.0))
-    sino = forward_operator(phantom.f, speed, config)
-    est = cg_normal(sino, speed, config, iters=15).estimate.f
+    sino = forward_operator(phantom, speed, config)
+    est = cg_normal(sino.data, speed, config, iters=15).estimate
 
-    wf = phantom_edges(phantom, threshold=0.5, stride=2, max_count=48)
-    report = visibility(wf, speed, config, time_window=(0.0, 5.0))
+    wf = phantom_edges(phantom, grid, threshold=0.5, stride=2, max_count=48)
+    verdicts = visibility(wf, speed, config, time_window=(0.0, 5.0))
 
-    gx_t, gy_t = np.gradient(phantom.f, grid.h)
+    gx_t, gy_t = np.gradient(phantom, grid.h)
     gx_e, gy_e = np.gradient(est, grid.h)
     energy_t = gx_t**2 + gy_t**2
     energy_e = gx_e**2 + gy_e**2
     X, Y = grid.mesh()
     recovered: dict[str, list[float]] = {"visible": [], "invisible": []}
-    for v in report.verdicts:
+    for v in verdicts:
         y = v.covector.y
         window = (X - y[0]) ** 2 + (Y - y[1]) ** 2 <= 0.08**2
         denom = float(energy_t[window].sum())
@@ -224,7 +221,7 @@ def test_criterion_08_wave_solver_physics():
     # finite propagation speed: relative mass beyond B_{1 + T max c + 3h}
     grid = make_grid(L=2.0, n=257)
     speed = sample_speed(SpeedSpec(kind="constant"), grid)
-    f = gaussian_phantom(grid, center=(0.1, -0.05), sigma=0.15).f
+    f = gaussian_phantom(grid, center=(0.1, -0.05), sigma=0.15)
     T = 0.5
     nt, dt = choose_time_steps(speed, T)
     state = solve_forward(f, WaveSolver(speed, dt), nt)
@@ -255,14 +252,14 @@ def test_criterion_10_full_coverage_visibility():
     grid = make_grid(L=3.0, n=161)
     speed = sample_speed(SpeedSpec(), grid)
     phantom = gaussian_phantom(grid, center=(0.2, -0.1), sigma=0.15)
-    wf = phantom_edges(phantom, threshold=0.5, stride=4, max_count=24)
+    wf = phantom_edges(phantom, grid, threshold=0.5, stride=4, max_count=24)
     assert len(wf) >= 8
     counts = []
     ok = True
     for mode in (SmallMode(R=2.0, r=0.8), LargeMode(r=2.0)):
         config = DetectorConfig(mode=mode, T=5.0)
-        report = visibility(wf, speed, config, time_window=(0.0, 5.0))
-        escaped = [v for v in report.verdicts if v.escaped]
+        verdicts = visibility(wf, speed, config, time_window=(0.0, 5.0))
+        escaped = [v for v in verdicts if v.escaped]
         seen = sum(1 for v in escaped if v.verdict == "visible")
         ok = ok and len(escaped) > 0 and seen == len(escaped)
         counts.append(f"{type(mode).__name__}: {seen}/{len(escaped)} escaping edges visible")

@@ -9,11 +9,10 @@ from ringtat.field import (
     Covector,
     DiscComponent,
     GaussianComponent,
-    Phantom,
-    PhantomSpec,
     SpeedSpec,
     gaussian_phantom,
     make_grid,
+    gradient_magnitude,
     make_phantom,
     phantom_edges,
     _eta,
@@ -23,7 +22,7 @@ from ringtat.field import (
 
 
 def _disc(grid, center=(0.0, 0.0), radius=0.3, taper=0.1, amp=1.0):
-    return make_phantom(PhantomSpec([DiscComponent(center, radius, taper, amp)]), grid)
+    return make_phantom([DiscComponent(center, radius, taper, amp)], grid)
 
 
 class TestGrid:
@@ -145,24 +144,24 @@ class TestPhantom:
         p = gaussian_phantom(g, center=(0.0, 0.0), sigma=0.1)
         i0 = g.n // 2
         di = round(0.2 / g.h)
-        assert p.f[i0 + di, i0] == pytest.approx(0.13533528323661262, rel=1e-12)
+        assert p[i0 + di, i0] == pytest.approx(0.13533528323661262, rel=1e-12)
         di = round(0.35 / g.h)
-        assert p.f[i0 + di, i0] == pytest.approx(0.0010937455590914436, rel=1e-12)
+        assert p[i0 + di, i0] == pytest.approx(0.0010937455590914436, rel=1e-12)
 
     def test_gaussian_support_is_four_sigma(self):
         g = make_grid(L=2.0, n=161)
         p = gaussian_phantom(g, sigma=0.1)
         rho = g.radius()
-        assert np.all(p.f[rho >= 0.4] == 0.0)
-        assert np.any(p.f[rho <= 0.39] > 0.0)
+        assert np.all(p[rho >= 0.4] == 0.0)
+        assert np.any(p[rho <= 0.39] > 0.0)
 
     def test_disc_plateau(self):
         g = make_grid(L=2.0, n=201)
         p = _disc(g, center=(0.1, 0.0), radius=0.3, taper=0.1, amp=2.0)
         X, Y = g.mesh()
         rho = np.hypot(X - 0.1, Y)
-        assert np.all(p.f[rho <= 0.3] == 2.0)
-        assert np.all(p.f[rho >= 0.4] == 0.0)
+        assert np.all(p[rho <= 0.3] == 2.0)
+        assert np.all(p[rho >= 0.4] == 0.0)
 
     def test_support_violation_rejected(self):
         g = make_grid(L=2.0, n=101)
@@ -180,16 +179,16 @@ class TestPhantom:
 
     def test_multi_component_sum(self):
         g = make_grid(L=2.0, n=161)
-        spec = PhantomSpec(
+        p = make_phantom(
             [
                 GaussianComponent(center=(0.3, 0.0), sigma=0.08),
                 DiscComponent(center=(-0.3, 0.1), radius=0.2, taper=0.08, amp=0.5),
-            ]
+            ],
+            g,
         )
-        p = make_phantom(spec, g)
         p1 = gaussian_phantom(g, center=(0.3, 0.0), sigma=0.08)
         p2 = _disc(g, center=(-0.3, 0.1), radius=0.2, taper=0.08, amp=0.5)
-        assert np.allclose(p.f, p1.f + p2.f, atol=0)
+        assert np.allclose(p, p1 + p2, atol=0)
 
     @pytest.mark.parametrize("kind,args", [
         (GaussianComponent, ((0.0, math.nan), 0.1)),
@@ -224,13 +223,13 @@ class TestPhantom:
         # the scaled distances overflow to inf, whose limits are exact: the
         # center node is 1 and every other node 0
         g = make_grid(L=2.0, n=65)
-        f = make_phantom(PhantomSpec([component]), g).f
+        f = make_phantom([component], g)
         assert f[32, 32] == 1.0 and np.count_nonzero(f) == 1
 
     def test_empty_spec_is_zero_phantom(self):
         g = make_grid(L=2.0, n=64)
-        p = make_phantom(PhantomSpec([]), g)
-        assert np.all(p.f == 0.0)
+        p = make_phantom([], g)
+        assert p.shape == (64, 64) and np.all(p == 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -247,7 +246,7 @@ class TestPhantom:
             assert reach > 0.95 - 1e-9
             return
         rho = g.radius()
-        assert np.all(p.f[rho >= 1.0] == 0.0)
+        assert np.all(p[rho >= 1.0] == 0.0)
 
 
 class TestCovector:
@@ -280,7 +279,7 @@ class TestCovector:
     def test_edges_come_in_opposite_pairs(self):
         g = make_grid(L=1.5, n=161)
         p = _disc(g, center=(0.2, 0.1), radius=0.25, taper=0.1)
-        cvs = phantom_edges(p, threshold=0.9, max_count=20)
+        cvs = phantom_edges(p, g, threshold=0.9, max_count=20)
         assert cvs and len(cvs) % 2 == 0
         for a, b in zip(cvs[0::2], cvs[1::2]):
             assert a.y == b.y
@@ -290,7 +289,7 @@ class TestCovector:
     def test_edges_point_radially_for_disc(self):
         g = make_grid(L=1.5, n=201)
         p = _disc(g, center=(0.0, 0.0), radius=0.3, taper=0.1)
-        cvs = phantom_edges(p, threshold=0.95, max_count=16)
+        cvs = phantom_edges(p, g, threshold=0.95, max_count=16)
         for cv in cvs[0::2]:
             y = np.array(cv.y)
             radial = y / np.linalg.norm(y)
@@ -303,36 +302,47 @@ class TestCovector:
         ({"max_count": -1}, "max_count"),
     ])
     def test_edge_knobs_out_of_range_rejected(self, kwargs, key):
-        p = _disc(make_grid(L=1.5, n=64), radius=0.2, taper=0.1)
+        g = make_grid(L=1.5, n=64)
+        p = _disc(g, radius=0.2, taper=0.1)
         with pytest.raises(ValueError, match=key):
-            phantom_edges(p, **kwargs)
+            phantom_edges(p, g, **kwargs)
 
     def test_flat_phantom_has_no_edges(self):
         g = make_grid(L=1.5, n=64)
         p = _disc(g, radius=0.2, taper=0.1, amp=0.0)
-        assert phantom_edges(p) == []
+        assert phantom_edges(p, g) == []
 
     def test_sign_flip_gives_same_covector_set(self):
         g = make_grid(L=1.5, n=101)
         p = _disc(g, center=(0.15, -0.1), radius=0.25, taper=0.1)
-        neg = Phantom(grid=g, f=-p.f)
-        set_pos = {(c.y, c.xi) for c in phantom_edges(p, threshold=0.8)}
-        set_neg = {(c.y, c.xi) for c in phantom_edges(neg, threshold=0.8)}
+        set_pos = {(c.y, c.xi) for c in phantom_edges(p, g, threshold=0.8)}
+        set_neg = {(c.y, c.xi) for c in phantom_edges(-p, g, threshold=0.8)}
         assert set_pos == set_neg
 
     def test_two_discs_give_two_rim_clusters(self):
         g = make_grid(L=1.5, n=161)
-        spec = PhantomSpec(
+        p = make_phantom(
             [
                 DiscComponent(center=(-0.4, 0.0), radius=0.15, taper=0.08),
                 DiscComponent(center=(0.45, 0.1), radius=0.15, taper=0.08),
-            ]
+            ],
+            g,
         )
-        p = make_phantom(spec, g)
-        pts = np.array([c.y for c in phantom_edges(p, threshold=0.5)])
+        pts = np.array([c.y for c in phantom_edges(p, g, threshold=0.5)])
         d_left = np.hypot(pts[:, 0] + 0.4, pts[:, 1])
         d_right = np.hypot(pts[:, 0] - 0.45, pts[:, 1] - 0.1)
         near = np.minimum(d_left, d_right)
         # every edge point belongs to exactly one rim annulus
         assert np.all(near < 0.25)
         assert np.any(d_left < d_right) and np.any(d_right < d_left)
+
+    @pytest.mark.parametrize("m", [63, 65])
+    def test_array_off_the_grid_is_refused(self, m):
+        # unchecked, a smaller array gives edges at wrong positions and a
+        # larger one can index past the grid's axis
+        g = make_grid(L=1.5, n=64)
+        f = _disc(make_grid(L=1.5, n=m), radius=0.2, taper=0.1)
+        with pytest.raises(ValueError, match=rf"phantom shape \({m}, {m}\) is not the grid's"):
+            gradient_magnitude(f, g)
+        with pytest.raises(ValueError, match=rf"phantom shape \({m}, {m}\) is not the grid's"):
+            phantom_edges(f, g)

@@ -12,7 +12,6 @@ from ringtat.detector import DetectorConfig, LargeMode, SmallMode
 from ringtat.field import (
     Covector,
     DiscComponent,
-    PhantomSpec,
     SpeedSpec,
     gaussian_phantom,
     make_grid,
@@ -23,7 +22,6 @@ from ringtat.field import (
 from ringtat.rays import (
     CovectorVerdict,
     DetectionEvent,
-    VisibilityReport,
     canonical_image,
     detect_events,
     mirror_point,
@@ -43,9 +41,8 @@ def _small_arc():
     through the sinusoidal speed on 129^2."""
     grid = make_grid(L=3.6, n=129, pml_width=0.5)
     speed = sample_speed(SpeedSpec(kind="sinusoidal"), grid)
-    disc = make_phantom(PhantomSpec([DiscComponent(center=(0.0, 0.0), radius=0.55, taper=0.15)]),
-                        grid)
-    wf = phantom_edges(disc, threshold=0.5, stride=2, max_count=20)
+    disc = make_phantom([DiscComponent(center=(0.0, 0.0), radius=0.55, taper=0.15)], grid)
+    wf = phantom_edges(disc, grid, threshold=0.5, stride=2, max_count=20)
     cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), n_theta=45, n_alpha=256, T=5.0,
                          aperture=(-0.5 * math.pi, 0.0))
     return wf, speed, cfg
@@ -408,9 +405,9 @@ class TestVisibility:
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         rng = np.random.default_rng(5)
         wf = _random_covectors(12, rng, max_radius=0.85)
-        report = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
-        assert isinstance(report, VisibilityReport)
-        assert report.count("visible") == len(wf)
+        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        assert all(isinstance(v, CovectorVerdict) for v in verdicts)
+        assert [v.verdict for v in verdicts] == ["visible"] * len(wf)
 
     def test_symmetric_pair_masks_in_restricted_aperture(self):
         """Two collinear covectors whose wavefronts hit one detector circle at
@@ -422,11 +419,11 @@ class TestVisibility:
             Covector(y=(0.8, 0.0), xi=(1.0, 0.0)),
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
-        report = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-0.1, 0.1)),
-                            time_window=(1.5, 2.5))
-        assert [v.verdict for v in report.verdicts] == ["masked", "masked"]
-        assert report.verdicts[0].partner_index == 1
-        assert report.verdicts[1].partner_index == 0
+        verdicts = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-0.1, 0.1)),
+                              time_window=(1.5, 2.5))
+        assert [v.verdict for v in verdicts] == ["masked", "masked"]
+        assert verdicts[0].partner_index == 1
+        assert verdicts[1].partner_index == 0
 
     def test_same_pair_visible_with_full_data(self):
         # the other three events of each covector are unmasked, so the full
@@ -437,8 +434,8 @@ class TestVisibility:
             Covector(y=(0.8, 0.0), xi=(1.0, 0.0)),
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
-        report = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
-        assert [v.verdict for v in report.verdicts] == ["visible", "visible"]
+        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        assert [v.verdict for v in verdicts] == ["visible", "visible"]
 
     def test_out_of_aperture(self):
         speed = _speed(kind="constant")
@@ -448,17 +445,17 @@ class TestVisibility:
             Covector(y=(0.0, 0.0), xi=(u, u)),  # exits toward pi/4 and 5pi/4
             Covector(y=(0.0, 0.0), xi=(u, -u)),  # exits toward -pi/4, inside the arc
         ]
-        report = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-math.pi / 2, 0.0)),
-                            time_window=(0.0, 5.0))
-        assert report.verdicts[0].verdict == "out_of_aperture"
-        assert report.verdicts[1].verdict == "visible"
+        verdicts = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-math.pi / 2, 0.0)),
+                              time_window=(0.0, 5.0))
+        assert verdicts[0].verdict == "out_of_aperture"
+        assert verdicts[1].verdict == "visible"
 
     def test_non_escaping_reported_out_of_aperture(self):
         speed = _speed(kind="constant")
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         wf = [Covector(y=(0.0, 0.0), xi=(1.0, 0.0))]
-        report = visibility(wf, speed, cfg, time_window=(0.0, 0.1))
-        assert report.verdicts[0].verdict == "out_of_aperture"
+        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 0.1))
+        assert verdicts[0].verdict == "out_of_aperture"
 
     def test_magnitude_invariance(self):
         speed = _speed(kind="constant")
@@ -471,7 +468,7 @@ class TestVisibility:
         narrow = dataclasses.replace(cfg, aperture=(-0.1, 0.1))
         a = visibility(base, speed, narrow, time_window=(1.5, 2.5))
         b = visibility(scaled, speed, narrow, time_window=(1.5, 2.5))
-        assert [v.verdict for v in a.verdicts] == [v.verdict for v in b.verdicts]
+        assert [v.verdict for v in a] == [v.verdict for v in b]
 
     def test_empty_wavefront_rejected(self):
         speed = _speed(n=65)
@@ -483,11 +480,11 @@ class TestVisibility:
         grid = make_grid(L=3.0, n=161)
         speed = sample_speed(SpeedSpec(kind="constant"), grid)
         f = gaussian_phantom(grid, center=(0.2, -0.1), sigma=0.15)
-        wf = phantom_edges(f, threshold=0.5, stride=6, max_count=16)
+        wf = phantom_edges(f, grid, threshold=0.5, stride=6, max_count=16)
         assert len(wf) >= 4
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        report = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
-        assert report.count("visible") == len(wf)
+        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        assert [v.verdict for v in verdicts] == ["visible"] * len(wf)
 
 
 # The largest shift of a witness time from DEFAULT_RAY_STEP = 0.01 to a
@@ -504,11 +501,11 @@ class TestDefaultStep:
 
     @staticmethod
     def _at_both_steps(monkeypatch, wf, speed, cfg, window):
-        """The report at the default step, checked against a quarter step."""
+        """The verdicts at the default step, checked against a quarter step."""
         coarse = visibility(wf, speed, cfg, time_window=window)
         monkeypatch.setattr(rays, "DEFAULT_RAY_STEP", rays.DEFAULT_RAY_STEP / 4)
         fine = visibility(wf, speed, cfg, time_window=window)
-        pairs = list(zip(coarse.verdicts, fine.verdicts))
+        pairs = list(zip(coarse, fine))
         assert [(a.verdict, a.partner_index) for a, _ in pairs] == \
             [(b.verdict, b.partner_index) for _, b in pairs]
         shift = max(abs(a.witness.t_det - b.witness.t_det) for a, b in pairs if a.witness)
@@ -517,7 +514,7 @@ class TestDefaultStep:
 
     def _check_against_a_quarter_step(self, monkeypatch):
         coarse = self._at_both_steps(monkeypatch, *_small_arc(), (0.0, 5.0))
-        assert coarse.count("visible") == 16
+        assert [v.verdict for v in coarse].count("visible") == 16
 
     def test_default_step_keeps_the_verdicts_of_a_quarter_step(self, monkeypatch):
         self._check_against_a_quarter_step(monkeypatch)
@@ -533,7 +530,7 @@ class TestDefaultStep:
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0, aperture=(-0.1, 0.1))
         wf = [Covector(y=(0.8, 0.0), xi=(1.0, 0.0)), Covector(y=(-0.8, 0.0), xi=(1.0, 0.0))]
         coarse = self._at_both_steps(monkeypatch, wf, speed, cfg, (1.5, 2.5))
-        assert [(v.verdict, v.partner_index) for v in coarse.verdicts] == \
+        assert [(v.verdict, v.partner_index) for v in coarse] == \
             [("masked", 1), ("masked", 0)]
 
     def test_a_default_of_0_02_is_rejected(self, monkeypatch):
