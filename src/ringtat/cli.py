@@ -288,6 +288,14 @@ def _count(value: str) -> int:
     return x
 
 
+def _stride(value: str) -> int:
+    # edge extraction takes int64 node indices modulo the stride
+    x = _count(value)
+    if x >= 2**63:
+        raise ValueError(f"expected an integer below 2**63, got {value}")
+    return x
+
+
 def _angle_pair(value: str) -> tuple[float, float]:
     vals = _floats(value)
     if len(vals) != 2:
@@ -417,7 +425,7 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         out_dir=rn.get("out_dir", "."),
         noise_rel=_get(nz, "sigma_rel", float, 0.0, "noise"),
         vis_threshold=_get(vis, "threshold", _fraction, 0.5, "visibility"),
-        vis_stride=_get(vis, "stride", _count, 4, "visibility"),
+        vis_stride=_get(vis, "stride", _stride, 4, "visibility"),
         vis_max_count=_get(vis, "max_count", _count, 64, "visibility"),
         sweep=sweep,
     )

@@ -378,8 +378,8 @@ def phantom_edges(
     """
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie in (0, 1)")
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
+    if not 1 <= stride < 2**63:
+        raise ValueError(f"stride must be at least 1 and below 2**63, got {stride}")
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be at least 1, got {max_count}")
     gx, gy, mag = gradient_magnitude(f, grid)

@@ -17,7 +17,7 @@ separated in circle-averaged data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -242,6 +242,7 @@ def canonical_image(
     speed: SpeedField,
     config: DetectorConfig,
     t_max: float = 6.0,
+    paths: dict | None = None,
 ) -> list[DetectionEvent]:
     """All detector events of one covector, both time directions, traced
     with the default RK4 step ``DEFAULT_RAY_STEP``, read at each call.
@@ -252,10 +253,25 @@ def canonical_image(
     Four events for the small geometry (two branches per direction), two for
     the large one.  A shorter list means a non-escaping ray or a discarded
     degenerate crossing; callers compare against the expected count.
+
+    ``paths`` maps a trace's start (y, sigma * xi), as Python floats, to its
+    path until a partner reads it.  The start momentum is sigma * xi / c(y),
+    so (y, xi) in direction sigma and (y, -xi) in direction -sigma are
+    bitwise one ray: the second pops the first's path, relabelled with its
+    own covector and sigma for ``detect_events``.  Each trace makes
+    4 * rk4_steps + 1 speed queries.  ``visibility`` shares one dict per call
+    (one ``speed`` and ``t_max``).
     """
+    paths = {} if paths is None else paths
     events: list[DetectionEvent] = []
     for sigma in (1, -1):
-        path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max, h_ray=DEFAULT_RAY_STEP)
+        key = (float(cv.y[0]), float(cv.y[1]), sigma * float(cv.xi[0]), sigma * float(cv.xi[1]))
+        path = paths.pop(key, None)
+        if path is None:
+            path = paths[key] = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max,
+                                               h_ray=DEFAULT_RAY_STEP)
+        else:
+            path = replace(path, covector=cv, sigma=sigma)
         events.extend(detect_events(path, config))
     return events
 
@@ -304,14 +320,19 @@ def visibility(
     every in-aperture event is mirrored the covector is masked; with no
     in-aperture event at all, or a trapped ray, it is out of aperture.
     Verdicts do not depend on covector magnitudes.
+
+    An edge node's covectors (y, xi) and (y, -xi) share their two rays
+    (``canonical_image``), so each ray is traced once, with 4 * rk4_steps + 1
+    speed queries; nothing is kept from one call to the next.
     """
     if not wf:
         raise ValueError("need at least one wavefront sample")
     tol = 2.0 * speed.grid.h  # in position and in time (unit exterior speed)
 
     t_max = time_window[1] + 1.0
+    paths: dict = {}
     all_events: list[list[DetectionEvent]] = [
-        canonical_image(cv, speed, config, t_max=t_max) for cv in wf
+        canonical_image(cv, speed, config, t_max=t_max, paths=paths) for cv in wf
     ]
 
     verdicts: list[CovectorVerdict] = []

@@ -924,6 +924,23 @@ class TestVisibilityCommand:
         assert err.startswith(f"error: [visibility] {line.split()[0]}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["stride", "max_count"])
+    def test_edge_knob_past_int64_exits_cleanly(self, tmp_path, key):
+        # edge extraction takes int64 node indices modulo the stride, so a
+        # stride of 2**63 or more is refused at load; a max_count past the
+        # node count caps nothing
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CFG + f"\n[visibility]\n{key} = {10**23}\n")
+        out = tmp_path / "out"
+        proc = _run_cli("visibility", "--config", str(cfg), "--out", str(out))
+        if key == "stride":
+            err = _one_error_line(proc, 2)
+            assert err == f"error: [visibility] stride: expected an integer below 2**63, got {10**23}"
+            assert not out.exists()
+        else:
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            assert len((out / "visibility.csv").read_text().splitlines()) > 1
+
     @pytest.mark.parametrize("lines", [
         ("gaussian.1 = 0 0 0.2 {a}",),
         ("disc.1 = 0.3 0 0.2 0.1 {a}", "gaussian.1 = -0.45 0.15 0.1 -{a}"),

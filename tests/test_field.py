@@ -299,7 +299,7 @@ class TestCovector:
     @pytest.mark.parametrize("kwargs, key", [
         ({"threshold": 1.0}, "threshold"), ({"stride": 0}, "stride"),
         ({"stride": -2}, "stride"), ({"max_count": 0}, "max_count"),
-        ({"max_count": -1}, "max_count"),
+        ({"max_count": -1}, "max_count"), ({"stride": 2**63}, "stride"),
     ])
     def test_edge_knobs_out_of_range_rejected(self, kwargs, key):
         g = make_grid(L=1.5, n=64)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringtat.rays as rays
 from ringtat._spline import SplineField
@@ -110,6 +112,11 @@ def _bits(*values):
     return np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in values]).view(np.int64)
 
 
+@pytest.fixture(scope="module")
+def sinusoidal_161():
+    return _speed()
+
+
 class TestTrace:
     def _assert_matches_oracle(self, cv, speed, sigma, t_max):
         path = trace_geodesic(cv, speed, sigma=sigma, t_max=t_max)
@@ -194,6 +201,30 @@ class TestTrace:
         assert not path.escaped
         with pytest.raises(ValueError, match="unit disc"):
             path.exterior_point(1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rad=st.floats(0.0, 0.95),
+        ang=st.floats(0.0, 2.0 * math.pi),
+        xi=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(
+            lambda v: math.hypot(*v) > 1e-3),
+        sigma=st.sampled_from([1, -1]),
+    )
+    def test_opposite_covector_backward_is_the_same_ray(self, sinusoidal_161, rad, ang, xi,
+                                                        sigma):
+        """(y, xi) in direction sigma and (y, -xi) in direction -sigma start
+        from one momentum, sigma * xi / c(y), so they trace bitwise the same
+        ray: visibility traces it once for both covectors."""
+        y = (rad * math.cos(ang), rad * math.sin(ang))
+        a = trace_geodesic(Covector(y=y, xi=xi), sinusoidal_161, sigma=sigma, t_max=3.0)
+        b = trace_geodesic(Covector(y=y, xi=(-xi[0], -xi[1])), sinusoidal_161, sigma=-sigma,
+                           t_max=3.0)
+        assert a.escaped and b.escaped
+        np.testing.assert_array_equal(
+            np.concatenate([_bits(s.x, s.p, s.t) for s in a.states]),
+            np.concatenate([_bits(s.x, s.p, s.t) for s in b.states]))
+        np.testing.assert_array_equal(_bits(a.c_start, a.x_exit, a.t_exit, a.v_exit),
+                                      _bits(b.c_start, b.x_exit, b.t_exit, b.v_exit))
 
     def test_parameter_validation(self):
         speed = _speed(n=65)
@@ -313,8 +344,10 @@ class TestMirror:
 
 class TestSplineQueries:
     """The tracer asks the speed interpolant for one point per RK4 stage plus
-    one at the start, and visibility asks it nothing else: per-layer call
-    accounting rests on that closed form."""
+    one at the start, 4 * rk4_steps + 1 per trace, and visibility asks it
+    nothing else: per-layer call accounting rests on that closed form.
+    Within one visibility call an edge node's covectors (y, xi) and (y, -xi)
+    share their two rays, so each ray is traced, and queried, once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -360,13 +393,34 @@ class TestSplineQueries:
     def test_small_arc_visibility_makes_half_the_queries_of_the_old_step(self, calls):
         wf, speed, cfg = _small_arc()
         visibility(wf, speed, cfg, time_window=(0.0, 5.0))
-        n_rays = 2 * len(wf)
-        assert n_rays == 80
-        # At a step of 0.005 this call made 67,904 queries: 4 x 16,956 RK4
-        # stages plus one start per ray.  Twice the step takes each ray at
-        # most half its steps rounded up, so at most 2 x 16,956 + 3 x 80 =
-        # 34,152 queries remain; the default step makes 34,064.
-        assert len(calls) <= 2 * 16_956 + 3 * n_rays
+        assert len(wf) == 40
+        # At a step of 0.005, tracing both directions of every covector, this
+        # call made 67,904 queries: 4 x 16,956 RK4 stages plus one start for
+        # each of 80 traces.  Twice the step halves the stages (34,064
+        # queries), and tracing each of the 40 distinct rays once halves
+        # them again.
+        assert len(calls) == 17_032
+
+    def test_small_arc_visibility_traces_each_ray_once(self, calls, monkeypatch):
+        paths = []
+        trace = rays.trace_geodesic
+
+        def recording(*args, **kwargs):
+            paths.append(trace(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(rays, "trace_geodesic", recording)
+        wf, speed, cfg = _small_arc()
+        for _ in range(2):  # nothing is kept from one call to the next
+            paths.clear()
+            calls.clear()
+            visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+            assert len(paths) == 40
+            starts = {(*p.covector.y, p.sigma * p.covector.xi[0], p.sigma * p.covector.xi[1])
+                      for p in paths}
+            assert len(starts) == 40
+            assert sum(len(p.states) - 1 for p in paths) == 4_248
+            assert len(calls) == sum(4 * (len(p.states) - 1) + 1 for p in paths) == 17_032
 
 
 class TestSplineBuilds:
@@ -475,6 +529,51 @@ class TestVisibility:
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         with pytest.raises(ValueError):
             visibility([], speed, cfg, time_window=(0.0, cfg.T))
+
+    def test_shared_rays_give_the_verdicts_of_lone_traces(self, monkeypatch):
+        """Antipodal pairs in shuffled order, a duplicate and a pair of
+        unequal magnitudes: the verdicts, witnesses and partners equal those
+        of tracing every covector's two rays alone."""
+        speed = sample_speed(SpeedSpec(kind="sinusoidal"),
+                             make_grid(L=3.6, n=129, pml_width=0.5))
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0, aperture=(-0.1, 0.1))
+        a, b = (0.8, 0.0), (-0.8, 0.0)
+        wf = [
+            Covector(y=a, xi=(1.0, 0.0)),
+            Covector(y=b, xi=(-1.0, 0.0)),
+            Covector(y=(-0.5, 0.1), xi=(1.0, -0.05)),
+            Covector(y=a, xi=(1.0, 0.0)),
+            Covector(y=b, xi=(1.0, 0.0)),
+            Covector(y=(-0.5, 0.1), xi=(-1.0, 0.05), magnitude=3.5),
+            Covector(y=a, xi=(-1.0, 0.0)),
+        ]
+
+        def summary(verdicts):
+            return [(v.verdict, v.partner_index, v.escaped, None if v.witness is None else (
+                v.witness.sigma, v.witness.branch, v.witness.t_det, v.witness.theta,
+                v.witness.lam, v.witness.tau, *v.witness.omega, *v.witness.point))
+                for v in verdicts]
+
+        traced = []
+        trace = rays.trace_geodesic
+
+        def recording(*args, **kwargs):
+            traced.append(args[0])
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(rays, "trace_geodesic", recording)
+        shared = summary(visibility(wf, speed, cfg, time_window=(1.5, 2.5)))
+        n_shared = len(traced)
+        image = rays.canonical_image
+        monkeypatch.setattr(rays, "canonical_image",
+                            lambda cv, speed, config, t_max, paths: image(cv, speed, config, t_max))
+        alone = summary(visibility(wf, speed, cfg, time_window=(1.5, 2.5)))
+        assert shared == alone
+        assert [v[:2] for v in shared] == [("masked", 1), ("masked", 0), ("visible", None)] * 2 \
+            + [("masked", 1)]
+        # the duplicate reads its pair's paths, so the last covector traces
+        # its own two rays: 8 traces against 14
+        assert (n_shared, len(traced) - n_shared) == (8, 2 * len(wf))
 
     def test_phantom_edges_all_visible_full_aperture(self):
         grid = make_grid(L=3.0, n=161)
