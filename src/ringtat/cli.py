@@ -460,8 +460,7 @@ def _detector_meta(cfg: ExperimentConfig, speed) -> dict:
     m = measurement_map(speed, cfg.detector)
     mode = cfg.detector.mode
     return {
-        "mode": {"kind": "small" if isinstance(mode, SmallMode) else "large",
-                 "center_radius": mode.center_radius, "r": mode.r},
+        "mode": {"kind": mode.kind, "center_radius": mode.center_radius, "r": mode.r},
         "n_theta": cfg.detector.n_theta,
         "n_alpha": cfg.detector.n_alpha,
         "T": cfg.detector.T,
@@ -681,13 +680,11 @@ def cmd_visibility(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
-    mode = cfg.detector.mode
     try:  # the study checks its lattice before the first solve
         study = residual_refinement_study(
-            "small" if isinstance(mode, SmallMode) else "large",
+            cfg.detector.mode,
             cfg.sweep,
             n_alpha=cfg.detector.n_alpha,
-            small_r=mode.r,  # read by the small geometry only
             L=cfg.grid.L,
             pml_width=cfg.grid.pml_width,
             speed_spec=cfg.speed_spec,

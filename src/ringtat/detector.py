@@ -55,8 +55,10 @@ _MAX_POINTS = (2**31 - 1) // 16
 @dataclass(frozen=True)
 class SmallMode:
     """Detector circles of radius r with centers on the circle of radius R;
-    the imaging disc stays outside every detector disc (R - r >= 1)."""
+    the imaging disc stays outside every detector disc (R - r >= 1).  Its
+    sweeps vary R."""
 
+    kind = "small"
     R: float
     r: float
 
@@ -73,12 +75,16 @@ class SmallMode:
     def center_radius(self) -> float:
         return self.R
 
+    def swept(self, R: float) -> SmallMode:
+        return SmallMode(R=R, r=self.r)
+
 
 @dataclass(frozen=True)
 class LargeMode:
     """Detector circles of radius r >= 2 with centers on the unit circle;
-    the imaging disc lies inside every detector disc."""
+    the imaging disc lies inside every detector disc.  Its sweeps vary r."""
 
+    kind = "large"
     r: float
 
     def __post_init__(self):
@@ -88,6 +94,9 @@ class LargeMode:
     @property
     def center_radius(self) -> float:
         return 1.0
+
+    def swept(self, r: float) -> LargeMode:
+        return LargeMode(r=r)
 
 
 @dataclass(frozen=True)
@@ -162,9 +171,10 @@ class Sinogram:
 class RadiusSweep:
     """A family of sinograms over a swept radius.
 
-    data[i, j, k] is the reading at time i*dt, angle thetas[j], radius
-    radii[k]: the circle of detector centers in the small geometry, the
-    detector radius itself in the large one.
+    data[i, j, k] is the reading at time i*dt, angle thetas[j], on the
+    detector ``config.mode.swept(radii[k])``: radii[k] is the circle of
+    detector centers in the small geometry, the detector radius itself in
+    the large one.
     """
 
     data: np.ndarray
@@ -178,19 +188,16 @@ class RadiusSweep:
 # sampling machinery shared by the forward map, the adjoint and the sweeps
 
 
-def _rings(grid, centers_radius: float | np.ndarray, circle_radius: float | np.ndarray,
-           thetas: np.ndarray, n_alpha: int) -> np.ndarray:
-    """The (theta, radius, alpha, xy) points of the detector circles: n_alpha
-    equally spaced points on the circle of each radius at each angle.  Points
+def _rings(grid, modes, thetas: np.ndarray, n_alpha: int) -> np.ndarray:
+    """The (theta, mode, alpha, xy) points of the detector circles: n_alpha
+    equally spaced points on the circle of each mode at each angle.  Points
     that reach the grid's absorbing band are rejected.
 
-    centers_radius/circle_radius are scalars or per-radius arrays; a single
-    radius and the matching radius of a sweep give identical point
-    sequences (this is what makes sweep columns bit-exact against forward
-    runs).
+    A mode gives the same point sequence alone as among a sweep's modes
+    (this is what makes sweep columns bit-exact against forward runs).
     """
-    R, r = (a[:, None] for a in np.broadcast_arrays(np.atleast_1d(centers_radius),
-                                                     np.atleast_1d(circle_radius)))
+    R = np.array([m.center_radius for m in modes])[:, None]
+    r = np.array([m.r for m in modes])[:, None]
     alphas = _TWO_PI * np.arange(n_alpha) / n_alpha
     cos_t = np.array([math.cos(th) for th in thetas])[:, None, None]
     sin_t = np.array([math.sin(th) for th in thetas])[:, None, None]
@@ -208,14 +215,13 @@ def _rings(grid, centers_radius: float | np.ndarray, circle_radius: float | np.n
 def require_rings_clear(grid, config: DetectorConfig) -> None:
     """Reject a detector whose circle points reach the grid's absorbing band,
     as building the forward map's sampler does, without building it."""
-    _rings(grid, config.mode.center_radius, config.mode.r, theta_grid(config), config.n_alpha)
+    _rings(grid, (config.mode,), theta_grid(config), config.n_alpha)
 
 
-def _build_sampler(grid, centers_radius: float | np.ndarray, circle_radius: float | np.ndarray,
-                   thetas: np.ndarray, n_alpha: int) -> BicubicSampler:
-    """Sampler whose row (j * n_radii + i) is the mean over the ring of
-    circle i at angle j (see ``_rings``): theta-major rows."""
-    rings = _rings(grid, centers_radius, circle_radius, thetas, n_alpha)
+def _build_sampler(grid, modes, thetas: np.ndarray, n_alpha: int) -> BicubicSampler:
+    """Sampler whose row (j * len(modes) + i) is the mean over the ring of
+    mode i at angle j (see ``_rings``): theta-major rows."""
+    rings = _rings(grid, modes, thetas, n_alpha)
     return BicubicSampler(-grid.L, grid.h, grid.n, rings.reshape(-1, n_alpha, 2))
 
 
@@ -266,9 +272,8 @@ def measurement_map(speed: SpeedField, config: DetectorConfig) -> MeasurementMap
     compare by value (a SpeedField by its grid and spec), so each command of
     a run that samples the same speed reads the same map.  Its solver makes
     those solves serial.  The sweeps build their own maps, uncached."""
-    mode = config.mode
-    return _map(speed, config, _build_sampler(speed.grid, mode.center_radius, mode.r,
-                                              theta_grid(config), config.n_alpha))
+    return _map(speed, config, _build_sampler(speed.grid, (config.mode,), theta_grid(config),
+                                              config.n_alpha))
 
 
 def _record_forward(f, m: MeasurementMap) -> np.ndarray:
@@ -329,38 +334,29 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
     return solver.init_state_T(w)
 
 
-def _record_sweep(f, speed: SpeedField, config: DetectorConfig, centers_radius, circle_radius,
-                  radii: np.ndarray) -> RadiusSweep:
+def _record_sweep(f, speed: SpeedField, config: DetectorConfig, geometry: type,
+                  values) -> RadiusSweep:
+    """One wave solve serves every radius: the detectors are passive probes
+    of the same field.  Each swept mode must be a valid ``geometry``."""
+    if not isinstance(config.mode, geometry):
+        raise ValueError(f"a {geometry.kind}-detector sweep requires the {geometry.kind}-detector "
+                         f"mode, got {config.mode.kind}")
+    radii = np.asarray(sorted(values), dtype=float)
+    modes = [config.mode.swept(float(x)) for x in radii]
     thetas = theta_grid(config)
-    m = _map(speed, config, _build_sampler(speed.grid, centers_radius, circle_radius, thetas,
-                                           config.n_alpha))
+    m = _map(speed, config, _build_sampler(speed.grid, modes, thetas, config.n_alpha))
     data = _record_forward(f, m).reshape(m.nt, thetas.size, radii.size)
     return RadiusSweep(data=data, dt=m.dt, thetas=thetas, radii=radii, config=config)
 
 
 def sweep_small_radius(f, speed: SpeedField, config: DetectorConfig, R_values) -> RadiusSweep:
-    """Record the small-geometry family P(t, theta, R) over center radii.
-
-    One wave solve serves every R: the detectors are passive probes of the
-    same field.  Each R must satisfy the small-geometry invariant.
-    """
-    if not isinstance(config.mode, SmallMode):
-        raise ValueError("center-radius sweep requires the small-detector mode")
-    r = config.mode.r
-    Rs = np.asarray(sorted(R_values), dtype=float)
-    for R in Rs:
-        SmallMode(R=float(R), r=r)
-    return _record_sweep(f, speed, config, Rs, r, Rs)
+    """Record the small-geometry family P(t, theta, R) over center radii."""
+    return _record_sweep(f, speed, config, SmallMode, R_values)
 
 
 def sweep_large_radius(f, speed: SpeedField, config: DetectorConfig, r_values) -> RadiusSweep:
     """Record the large-geometry family P(t, theta, r) over detector radii."""
-    if not isinstance(config.mode, LargeMode):
-        raise ValueError("detector-radius sweep requires the large-detector mode")
-    rs = np.asarray(sorted(r_values), dtype=float)
-    for r in rs:
-        LargeMode(r=float(r))
-    return _record_sweep(f, speed, config, 1.0, rs, rs)
+    return _record_sweep(f, speed, config, LargeMode, r_values)
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +457,12 @@ class SweepLatticeError(ValueError):
     message names the field."""
 
 
-def _sweep_lattice(mode_kind: str, s: SweepSettings, n_alpha: int, small_r: float, L: float,
+def _sweep_lattice(mode: SmallMode | LargeMode, s: SweepSettings, n_alpha: int, L: float,
                    pml_width: float, speed_spec: SpeedSpec) -> list[tuple]:
     """The refinement study's levels as (grid, config, radii), checked
-    before any solve.  A lattice that cannot work raises SweepLatticeError
-    naming the ``SweepSettings`` field at fault."""
-    if mode_kind not in ("small", "large"):
-        raise ValueError("mode_kind must be 'small' or 'large'")
+    before any solve: the swept modes of ``mode`` at each level's radii.  A
+    lattice that cannot work raises SweepLatticeError naming the
+    ``SweepSettings`` field at fault."""
 
     def blame(key, make, *args, **kwargs):
         try:
@@ -481,8 +476,7 @@ def _sweep_lattice(mode_kind: str, s: SweepSettings, n_alpha: int, small_r: floa
         grid = blame("base_n", make_grid, L=L, n=(s.base_n - 1) * scale + 1, pml_width=pml_width)
         dr = _SWEEP_DELTA_R / scale
         radii = [s.base_radius - dr, s.base_radius, s.base_radius + dr]
-        modes = [blame("base_radius", SmallMode, R=R, r=small_r) if mode_kind == "small"
-                 else blame("base_radius", LargeMode, r=R) for R in radii]
+        modes = [blame("base_radius", mode.swept, x) for x in radii]
         config = blame("base_n_theta", DetectorConfig, mode=modes[1],
                        n_theta=s.base_n_theta * scale, n_alpha=n_alpha, T=_SWEEP_DURATION,
                        nt=(s.base_nt - 1) * scale + 1)
@@ -492,37 +486,38 @@ def _sweep_lattice(mode_kind: str, s: SweepSettings, n_alpha: int, small_r: floa
     # grid's speed can only peak higher (its nodes include level 0's), so a
     # time step within that margin of the bound still stops at its level.
     grid, config, radii = levels[0]
-    rings = (radii, small_r) if mode_kind == "small" else (1.0, radii)
-    blame("base_radius", _rings, grid, *rings, theta_grid(config), n_alpha)
+    blame("base_radius", _rings, grid, [mode.swept(x) for x in radii], theta_grid(config), n_alpha)
     blame("base_nt", check_time_step, sample_speed(speed_spec, grid),
           _SWEEP_DURATION / (config.nt - 1))
     return levels
 
 
 def residual_refinement_study(
-    mode_kind: str,
+    mode: SmallMode | LargeMode,
     settings: SweepSettings = SweepSettings(),
     n_alpha: int = 256,
-    small_r: float = 0.8,
     L: float = 3.9,
     pml_width: float = 0.5,
     speed_spec: SpeedSpec | None = None,
 ) -> dict:
     """RMS of the radius-sweep PDE residual under simultaneous refinement.
 
-    Level ``l`` doubles the space, time, angle and radius resolution of the
-    base lattice ``l`` times.  The residual of the matching second-order
+    The study sweeps ``mode``'s family about ``settings.base_radius``; the
+    mode's other radius (r of a small mode) stays fixed.  Level ``l``
+    doubles the space, time, angle and radius resolution of the base
+    lattice ``l`` times.  The residual of the matching second-order
     identity must shrink by about 4 per level.  A large-mode study also
     evaluates the small-geometry stencil on the same data (``rms_wrong``,
     ``ratios_wrong``), where it has no reason to decay.
     """
     if speed_spec is None:
         speed_spec = SpeedSpec()
-    record, residual = ((sweep_small_radius, cylinder_residual_small) if mode_kind == "small"
-                        else (sweep_large_radius, cylinder_residual_large))
+    large = isinstance(mode, LargeMode)
+    # looked up at each call, so a wrapped sweep function is the one called
+    record, residual = ((sweep_large_radius, cylinder_residual_large) if large
+                        else (sweep_small_radius, cylinder_residual_small))
     hs, rms, rms_wrong = [], [], []
-    for grid, config, radii in _sweep_lattice(mode_kind, settings, n_alpha, small_r, L,
-                                              pml_width, speed_spec):
+    for grid, config, radii in _sweep_lattice(mode, settings, n_alpha, L, pml_width, speed_spec):
         speed = sample_speed(speed_spec, grid)
         phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
         sweep = record(phantom, speed, config, radii)
@@ -531,11 +526,11 @@ def residual_refinement_study(
         sel = (times >= _SWEEP_WINDOW[0]) & (times <= _SWEEP_WINDOW[1])
         hs.append(grid.h)
         rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))
-        if mode_kind == "large":
+        if large:
             wrong = cylinder_residual_small(sweep)
             rms_wrong.append(float(np.sqrt(np.mean(wrong[sel] ** 2))))
     out = {"h": hs, "rms": rms, "ratios": [rms[i] / rms[i + 1] for i in range(len(rms) - 1)]}
-    if mode_kind == "large":
+    if large:
         out["rms_wrong"] = rms_wrong
         out["ratios_wrong"] = [rms_wrong[i] / rms_wrong[i + 1]
                                for i in range(len(rms_wrong) - 1)]

@@ -35,18 +35,22 @@ from .wave import WaveSolver, cfl_limit, choose_time_steps, energy, solve_forwar
 RATIO_RANGE = (3.2, 4.8)
 WRONG_STENCIL_BELOW = 3.2
 STUDY = SweepSettings(levels=3)
+# the adjoint checks' detectors, each with the half width L of its grid
+ADJOINT_SMALL = (SmallMode(R=2.0, r=0.8), 3.6)
+ADJOINT_LARGE = (LargeMode(r=2.0), 3.8)
+# the studies sweep STUDY.base_radius; a small mode's r stays fixed
+STUDY_SMALL = SmallMode(R=STUDY.base_radius, r=0.8)
+STUDY_LARGE = LargeMode(r=STUDY.base_radius)
 
 
-def adjoint_identity(*mode_kinds: str) -> tuple[bool, str]:
+def adjoint_identity(*geometries: tuple[SmallMode | LargeMode, float]) -> tuple[bool, str]:
     """Worst relative mismatch of <M f, g> and <f, M^T g> over five seeded
-    random pairs (f, g) on a 64^2 grid with 16 detectors, for each geometry
-    in ``mode_kinds``."""
+    random pairs (f, g) on a 64^2 grid with 16 detectors, for each (mode,
+    L) in ``geometries``."""
     n, n_theta = 64, 16
     worst = 0.0
-    for kind in mode_kinds:
-        small = kind == "small"
-        grid = make_grid(L=3.6 if small else 3.8, n=n, pml_width=0.7)
-        mode = SmallMode(R=2.0, r=0.8) if small else LargeMode(r=2.0)
+    for mode, L in geometries:
+        grid = make_grid(L=L, n=n, pml_width=0.7)
         speed = sample_speed(SpeedSpec(), grid)
         config = DetectorConfig(mode=mode, n_theta=n_theta, n_alpha=64, T=0.8)
         nt = measurement_map(speed, config).nt
@@ -158,23 +162,23 @@ class _Run:
 
     def __init__(self, level: str):
         self.full = level == "full"
-        self.study = functools.cache(lambda kind: residual_refinement_study(kind, STUDY))
+        self.study = functools.cache(lambda mode: residual_refinement_study(mode, STUDY))
 
 
 CHECKS = (
-    ("adjoint_small", "quick", lambda run: adjoint_identity("small")),
-    ("adjoint_large", "quick", lambda run: adjoint_identity("large")),
+    ("adjoint_small", "quick", lambda run: adjoint_identity(ADJOINT_SMALL)),
+    ("adjoint_large", "quick", lambda run: adjoint_identity(ADJOINT_LARGE)),
     ("ray_straight_line", "quick", lambda run: ray_straight_line()),
     ("ray_hamiltonian", "quick", lambda run: ray_hamiltonian()),
     ("energy_conservation", "quick",
      lambda run: energy_conservation(1000 if run.full else 300)),
     ("pml_reflection", "quick", lambda run: pml_reflection()),
     ("residual_convergence_small", "full",
-     lambda run: residual_convergence(run.study("small"))),
+     lambda run: residual_convergence(run.study(STUDY_SMALL))),
     ("residual_convergence_large", "full",
-     lambda run: residual_convergence(run.study("large"))),
+     lambda run: residual_convergence(run.study(STUDY_LARGE))),
     ("residual_discrimination", "full",
-     lambda run: residual_discrimination(run.study("large"))),
+     lambda run: residual_discrimination(run.study(STUDY_LARGE))),
 )
 
 

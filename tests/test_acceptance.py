@@ -34,8 +34,12 @@ from ringtat.field import (
 from ringtat.rays import detect_events, trace_geodesic, visibility
 from ringtat.recon import cg_normal, landweber
 from ringtat.selftest import (
+    ADJOINT_LARGE,
+    ADJOINT_SMALL,
     RATIO_RANGE,
     STUDY,
+    STUDY_LARGE,
+    STUDY_SMALL,
     WRONG_STENCIL_BELOW,
     adjoint_identity,
     energy_conservation,
@@ -57,7 +61,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_adjoint_identity():
     t0 = time.monotonic()
-    ok, detail = adjoint_identity("small", "large")
+    ok, detail = adjoint_identity(ADJOINT_SMALL, ADJOINT_LARGE)
     elapsed = time.monotonic() - t0
     _line(1, ok and elapsed <= 60.0,
           f"adjoint identity worst {detail} over 5 seeded pairs x 2 modes, 64^2 grid, "
@@ -65,7 +69,7 @@ def test_criterion_01_adjoint_identity():
 
 
 def test_criterion_02_center_radius_sweep_refinement():
-    study = residual_refinement_study("small", STUDY)
+    study = residual_refinement_study(STUDY_SMALL, STUDY)
     ratios = study["ratios"]
     ok = len(ratios) == 2 and residual_convergence(study)[0]
     lo, hi = RATIO_RANGE
@@ -74,7 +78,7 @@ def test_criterion_02_center_radius_sweep_refinement():
 
 
 def test_criterion_03_detector_radius_sweep_and_discrimination():
-    study = residual_refinement_study("large", STUDY)
+    study = residual_refinement_study(STUDY_LARGE, STUDY)
     ratios = study["ratios"]
     wrong = study["ratios_wrong"]
     ok = len(ratios) == 2 and residual_convergence(study)[0] and residual_discrimination(study)[0]

@@ -1176,6 +1176,27 @@ class TestSweepCommand:
         rms = [float(r.split(",")[2]) for r in rows[1:]]
         assert rms[1] < rms[0]  # matching stencil improves under refinement
 
+    def test_small_mode_study_sweeps_the_configured_detector(self, tmp_path):
+        # r = 0.7 is not the study's example r = 0.8, so a config radius the
+        # command dropped would show in the residuals
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("mode = large\nr = 2.1",
+                                         "mode = small\ncenter_radius = 2.1\nr = 0.7"))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "sweep.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["level", "h", "rms"]
+        loaded = load_experiment(cfg)
+
+        def study(mode):
+            return detector.residual_refinement_study(
+                mode, loaded.sweep, n_alpha=64, L=3.9, pml_width=0.5,
+                speed_spec=loaded.speed_spec)["rms"]
+
+        direct = study(SmallMode(R=2.1, r=0.7))
+        assert [float(row[2]) for row in rows[1:]] == direct
+        assert direct != study(SmallMode(R=2.1, r=0.8))
+
     @pytest.mark.parametrize("line, says", [
         ("base_n = 4", "base_n = 4: grid too coarse"),
         ("base_n_theta = 1", "base_n_theta must be at least 2"),
@@ -1251,16 +1272,17 @@ class TestSelftestCommand:
     def test_full_level_runs_each_study_once(self, monkeypatch, capsys):
         calls = []
 
-        def study(mode_kind, settings):
-            calls.append((mode_kind, settings))
+        def study(mode, settings):
+            calls.append((mode, settings))
             out = {"ratios": [4.0, 4.0]}
-            if mode_kind == "large":
+            if isinstance(mode, LargeMode):
                 out["ratios_wrong"] = [1.0, 1.0]
             return out
 
         monkeypatch.setattr(selftest, "residual_refinement_study", study)
         assert main(["selftest", "--level", "full"]) == 0
-        assert calls == [("small", SweepSettings(levels=3)), ("large", SweepSettings(levels=3))]
+        assert calls == [(SmallMode(R=2.1, r=0.8), SweepSettings(levels=3)),
+                         (LargeMode(r=2.1), SweepSettings(levels=3))]
         out = capsys.readouterr().out
         assert "PASS residual_discrimination" in out and "9/9 checks passed" in out
 

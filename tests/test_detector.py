@@ -163,7 +163,7 @@ class TestRingAverage:
         grid = make_grid(L=3.6, n=65, pml_width=0.3)
         X, _ = grid.mesh()
         Rs, thetas = np.array([2.0, 2.3]), np.array([0.0, 0.4, 2.1, 4.0])
-        sampler = _build_sampler(grid, Rs, 0.8, thetas, 64)
+        sampler = _build_sampler(grid, [SmallMode(R=R, r=0.8) for R in Rs], thetas, 64)
         got = sampler.apply(X).reshape(thetas.size, Rs.size)
         np.testing.assert_allclose(got, np.cos(thetas)[:, None] * Rs, rtol=0, atol=1e-12)
 
@@ -176,7 +176,7 @@ class TestRingAverage:
         monkeypatch.setattr(detector, "BicubicSampler", lambda *args: seen.append(args[3]))
         grid = make_grid(L=3.9, n=33, pml_width=0.5)
         Rs, rs, thetas = np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.1, 2.2]), 0.3 + np.arange(5)
-        _build_sampler(grid, 1.0, rs, thetas, 64)
+        _build_sampler(grid, [LargeMode(r=r) for r in rs], thetas, 64)
         alphas = 2.0 * math.pi * np.arange(64) / 64
         want = [np.stack([R * math.cos(th) + r * np.cos(alphas),
                           R * math.sin(th) + r * np.sin(alphas)], axis=-1)
@@ -467,16 +467,20 @@ class TestSweeps:
         with pytest.raises(ValueError, match="r >= 2"):
             sweep_large_radius(f, speed, cfg_l, [1.9, 2.0])
 
-    def test_sweep_column_matches_forward_bit_exactly(self):
+    @pytest.mark.parametrize("mode, sweep, L", [
+        (SmallMode(R=2.1, r=0.8), sweep_small_radius, 3.2),
+        (LargeMode(r=2.1), sweep_large_radius, 3.4),
+    ], ids=["small", "large"])
+    def test_sweep_column_matches_forward_bit_exactly(self, mode, sweep, L):
         """A sweep is the same wave solve probed on more circles; the column
         at the forward radius must reproduce the standalone sinogram bit for
         bit, not merely to rounding."""
-        grid = make_grid(L=3.2, n=97)
+        grid = make_grid(L=L, n=97)
         speed = _speed(grid)
         f = gaussian_phantom(grid, center=(0.2, -0.1), sigma=0.12)
-        cfg = DetectorConfig(mode=SmallMode(R=2.1, r=0.8), n_theta=6, n_alpha=64, T=0.8)
+        cfg = DetectorConfig(mode=mode, n_theta=6, n_alpha=64, T=0.8)
         sino = forward_operator(f, speed, cfg)
-        sw = sweep_small_radius(f, speed, cfg, [2.0, 2.1, 2.2])
+        sw = sweep(f, speed, cfg, [2.0, 2.1, 2.2])
         assert np.array_equal(sw.data[:, :, 1], sino.data)
 
 

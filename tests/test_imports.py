@@ -51,3 +51,44 @@ def test_unused_import_check_sees_a_stale_import():
               "def f(g: Grid2D) -> SpeedField:\n"
               "    return np.asarray(os.path.sep)\n")
     assert _unused_imports(source, "m.py") == ["m.py:4 Phantom"]
+
+
+# ROADMAP item 2 replaces this per-kind branch of the canonical relation
+# with one rule; until then it is the only one outside detector.py
+_MODE_BRANCHES_ALLOWED = {("rays.py", "detect_events")}
+
+
+def _mode_branches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of each ``isinstance`` call in
+    ``source`` that tests for ``SmallMode`` or ``LargeMode``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2):
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child.args[1])}
+                if names & {"SmallMode", "LargeMode"}:
+                    found.append((filename, func, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(source, filename=filename), None)
+    return found
+
+
+def test_only_detector_branches_on_the_detector_geometry():
+    # a mode carries its kind and its sweep, so no other module needs to ask
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "detector.py":
+            found += [hit for hit in _mode_branches(path.read_text(), path.name)
+                      if hit[:2] not in _MODE_BRANCHES_ALLOWED]
+    assert not found, found
+
+
+def test_mode_branch_check_sees_a_branch():
+    source = ("from . import detector\n"
+              "def meta(mode):\n"
+              "    return 'small' if isinstance(mode, (detector.SmallMode, int)) else 'large'\n")
+    assert _mode_branches(source, "m.py") == [("m.py", "meta", 3)]
