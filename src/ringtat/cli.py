@@ -392,9 +392,6 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     arc = _get(ap, "arc", _angle_pair, section="aperture")
     with _section("aperture"):
         detector = replace(detector, aperture=arc)
-    # fail fast: a ring in the absorbing band is rejected at load, not mid-run
-    with _section("detector"):
-        require_rings_clear(grid, detector)
 
     rc = sections.get("recon", {})
     method = _get(rc, "method", str, "cg", "recon").lower()
@@ -450,6 +447,10 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def _sample(cfg: ExperimentConfig):
+    # fail fast: a ring in the absorbing band is rejected before any solve
+    # (sweep checks only the rings it sweeps, in its lattice)
+    with _section("detector"):
+        require_rings_clear(cfg.grid, cfg.detector)
     speed = sample_speed(cfg.speed_spec, cfg.grid)
     with _section("phantom"):
         phantom = make_phantom(cfg.phantom_spec, cfg.grid)

@@ -5,8 +5,10 @@ element dx/c.  A traced ray leaves the unit disc, continues as an exact
 straight line (the speed is one outside), and produces detector readings
 exactly where it crosses a detector circle through that circle's center:
 such crossings are perpendicular, which is what makes them visible in the
-data.  The small geometry yields two crossings per time direction (near and
-far side of the center), the large geometry one outward crossing.
+data.  One rule serves both geometries and yields two crossings per time
+direction: the near and far side of the one center ahead in the small
+geometry, and the far side of each of the two centers the ray's line meets
+in the large geometry (the exit point and the center behind it).
 
 The visibility classifier follows the masked-singularity rule: an event is
 useless when another wavefront sample produces an event at the mirror point
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectorConfig, SmallMode
+from .detector import DetectorConfig
 from .field import Covector, SpeedField
 
 _TWO_PI = 2.0 * math.pi
@@ -71,13 +73,19 @@ class RayPath:
 
 @dataclass(frozen=True)
 class DetectionEvent:
-    """One perpendicular crossing of a detector circle.
+    """One perpendicular crossing of a detector circle with center z.
 
-    ``branch`` is 1 for the near-side crossing (before the center passage)
-    and 2 for the far side; large-mode events are all branch 1.  ``lam`` is
-    the fiber scale, positive on branch 1; ``tau`` is the time frequency,
-    negative for sigma = +1; ``omega`` is the angular frequency 2-vector,
-    zero for radial crossings.  ``point`` is the crossing location.
+    ``branch`` is 1 for the crossing r before the center passage, which
+    enters the detector disc (v.n = -1, v the ray's direction and n the
+    circle's outward normal at ``point``), and 2 for the one r after it,
+    which leaves the disc (v.n = +1); large-mode events are all branch 2.
+    ``lam`` is the fiber variable of the circle-mean phase
+    lam * (r^2 - |x - z|^2), read on the ray's exterior momentum
+    c(y)|xi| v: its x-gradient -2 lam r n equals that momentum, so
+    lam = -c(y)|xi| (v.n) / (2r), positive on branch 1 and negative on
+    branch 2.  ``tau`` is the time frequency -sigma c(y)|xi|, which carries
+    the time direction; ``omega`` is the angular frequency 2-vector, zero
+    for radial crossings.  ``point`` is the crossing location.
     """
 
     sigma: int
@@ -181,12 +189,17 @@ def detect_events(path: RayPath, config: DetectorConfig) -> list[DetectionEvent]
     """Perpendicular detector-circle crossings of an escaped ray.
 
     The exterior continuation is straight, so crossings are solved in closed
-    form.  Small geometry: the line meets the circle of detector centers at
-    one forward point R*theta_hat; the detector circle there is crossed at
-    distance r on either side of that passage.  Large geometry: the exit
-    point itself is the detector center and the single outward crossing lies
-    r past it.  Crossings failing the perpendicularity check or occurring at
-    non-positive times are discarded.
+    form, by one rule for both geometries.  A circle is crossed along a
+    radius where the line passes its center: at the two points z = q + s*v
+    (q the exit point, v the exit direction) where the line meets the circle
+    of centers |z| = ``mode.center_radius``.  The ray passes z at
+    t_z = t_exit + s and crosses its circle at t_z - r (branch 1) and
+    t_z + r (branch 2).  Crossings before the exit (where the ray is not yet
+    straight), at non-positive times or failing the perpendicularity check
+    are discarded.  Small geometry: the center behind the exit lies more
+    than R - 1 >= r back, so the two crossings of the one ahead remain.
+    Large geometry: the centers are q and w = q - 2(q.v)v, so the crossings
+    are t_exit + r and t_exit + r - 2q.v, both branch 2 (r >= 2 >= 2q.v).
     """
     if not path.escaped:
         return []
@@ -196,45 +209,30 @@ def detect_events(path: RayPath, config: DetectorConfig) -> list[DetectionEvent]
     tau = -path.sigma * scale
     q, v, t_q = path.x_exit, path.v_exit, path.t_exit
 
+    b = float(np.dot(q, v))
+    # a large-mode ring passes through q, so a grazing exit may round below 0
+    root = math.sqrt(max(b * b + mode.center_radius**2 - float(np.dot(q, q)), 0.0))
     events: list[DetectionEvent] = []
-    if isinstance(mode, SmallMode):
-        # forward crossing of the center ring |z| = R
-        b = float(np.dot(q, v))
-        disc = b * b + mode.R**2 - float(np.dot(q, q))
-        if disc < 0.0:
-            return []
-        s = -b + math.sqrt(disc)
+    for s in (-b + root, -b - root):
         center = q + s * v
         t_c = t_q + s
         theta = math.atan2(center[1], center[0]) % _TWO_PI
+        theta_hat = np.array([math.cos(theta), math.sin(theta)])
         for branch, t_det in ((1, t_c - mode.r), (2, t_c + mode.r)):
-            if t_det <= 0.0:
+            # a crossing at the exit itself (large r = 2 on a radial exit,
+            # small R - r = 1) may round to either side of it
+            if t_det <= 0.0 or t_det < t_q - 1e-9:
                 continue
             point = path.exterior_point(t_det)
             n_hat = (point - center) / mode.r
             if abs(float(np.dot(v, n_hat))) < 1.0 - 1e-6:
                 continue
-            events.append(_make_event(path.sigma, branch, t_det, theta, lam_mag, tau, scale, point))
-        return events
-
-    # large geometry: the exit point is on the ring of centers already
-    theta = math.atan2(q[1], q[0]) % _TWO_PI
-    t_det = t_q + mode.r
-    point = path.exterior_point(t_det)
-    n_hat = (point - q) / mode.r
-    if t_det > 0.0 and abs(float(np.dot(v, n_hat))) >= 1.0 - 1e-6:
-        events.append(_make_event(path.sigma, 1, t_det, theta, lam_mag, tau, scale, point))
+            events.append(DetectionEvent(
+                sigma=path.sigma, branch=branch, t_det=float(t_det), theta=float(theta),
+                lam=float(lam_mag if branch == 1 else -lam_mag), tau=float(tau),
+                omega=scale * (point - float(np.dot(point, theta_hat)) * theta_hat),
+                point=np.asarray(point, dtype=float)))
     return events
-
-
-def _make_event(sigma, branch, t_det, theta, lam_mag, tau, scale, point) -> DetectionEvent:
-    theta_hat = np.array([math.cos(theta), math.sin(theta)])
-    omega = scale * (point - float(np.dot(point, theta_hat)) * theta_hat)
-    lam = lam_mag if branch == 1 else -lam_mag
-    return DetectionEvent(
-        sigma=sigma, branch=branch, t_det=float(t_det), theta=float(theta),
-        lam=float(lam), tau=float(tau), omega=omega, point=np.asarray(point, dtype=float),
-    )
 
 
 def canonical_image(
@@ -250,9 +248,9 @@ def canonical_image(
     small-arc case move by at most 6.4e-5 in time and 1.8e-4 in angle, far
     inside the two grid steps within which visibility matches events.
 
-    Four events for the small geometry (two branches per direction), two for
-    the large one.  A shorter list means a non-escaping ray or a discarded
-    degenerate crossing; callers compare against the expected count.
+    Four events in both geometries, two per direction (``detect_events``).
+    A shorter list means a non-escaping ray or a discarded degenerate
+    crossing; callers compare against the expected count.
 
     ``paths`` maps a trace's start (y, sigma * xi), as Python floats, to its
     path until a partner reads it.  The start momentum is sigma * xi / c(y),

@@ -165,16 +165,17 @@ def test_criterion_06_canonical_relation_structure():
         small_events, large_events = [], []
         for sigma in (1, -1):
             path = trace_geodesic(cv, speed, sigma=sigma, t_max=3.0, h_ray=0.02)
-            evs = detect_events(path, cfg_small)
-            small_events += evs
-            large_events += detect_events(path, cfg_large)
-            for e in evs:
-                # the straight continuation must thread the detector center
-                t_center = e.t_det + (0.8 if e.branch == 1 else -0.8)
-                pt = path.exterior_point(t_center)
-                target = 2.0 * np.array([math.cos(e.theta), math.sin(e.theta)])
-                worst_passage = max(worst_passage, float(np.hypot(*(pt - target))))
-        if len(small_events) != 4 or len(large_events) != 2:
+            for cfg, events in ((cfg_small, small_events), (cfg_large, large_events)):
+                mode = cfg.mode
+                for e in detect_events(path, cfg):
+                    # the straight continuation must thread the detector
+                    # center, r after a branch-1 crossing and r before a branch-2
+                    t_center = e.t_det + (mode.r if e.branch == 1 else -mode.r)
+                    pt = path.exterior_point(t_center)
+                    target = mode.center_radius * np.array([math.cos(e.theta), math.sin(e.theta)])
+                    worst_passage = max(worst_passage, float(np.hypot(*(pt - target))))
+                    events.append(e)
+        if len(small_events) != 4 or len(large_events) != 4:
             bad_counts += 1
             continue
         for e in small_events:
@@ -182,7 +183,7 @@ def test_criterion_06_canonical_relation_structure():
         for e in large_events:
             worst_lam = max(worst_lam, abs(abs(e.lam) - 1.0 / (2 * 2.0)))
     ok = bad_counts == 0 and worst_passage <= 1e-6 and worst_lam <= 1e-6
-    _line(6, ok, f"100 generic covectors at unit speed: event counts 4/2 with "
+    _line(6, ok, f"100 generic covectors at unit speed: event counts 4/4 with "
                  f"{bad_counts} exceptions; center passage worst {worst_passage:.2e} "
                  f"(bound 1e-6); fiber value worst dev {worst_lam:.2e} (bound 1e-6)")
 

@@ -902,6 +902,41 @@ class TestVisibilityCommand:
         reference = PERFBENCH / "reference" / "visibility-small-arc.seed0.txt"
         assert verdicts == reference.read_text().split()
 
+    @pytest.mark.parametrize("kind", ["constant", "sinusoidal"])
+    def test_large_mode_short_window_sees_every_edge(self, tmp_path, capsys, kind):
+        # each edge's line, extended back, passes a second detector center
+        # less than 2 from the edge, and the ray crosses that detector's
+        # circle along a radius before t = 2
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"""
+[grid]
+l = 3.6
+n = 129
+
+[speed]
+kind = {kind}
+
+[phantom]
+disc.1 = 0.1 -0.05 0.5 0.15
+
+[detector]
+mode = large
+r = 2.0
+n_theta = 60
+n_alpha = 256
+
+[aperture]
+window = 0 2
+""")
+        out = tmp_path / "out"
+        assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("masked=0, out_of_aperture=0, visible=16\n")
+        with (out / "visibility.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 16
+        assert all(row["verdict"] == "visible" and 0.0 < float(row["witness_t"]) <= 2.0
+                   for row in rows)
+
     def test_full_aperture_report(self, workspace, tmp_path):
         rc = main(["visibility", "--config", str(workspace["cfg"]), "--out", str(tmp_path)])
         assert rc == 0
@@ -1196,6 +1231,23 @@ class TestSweepCommand:
         direct = study(SmallMode(R=2.1, r=0.7))
         assert [float(row[2]) for row in rows[1:]] == direct
         assert direct != study(SmallMode(R=2.1, r=0.8))
+
+    def test_detector_ring_in_the_band_does_not_stop_a_sweep(self, tmp_path, monkeypatch):
+        # [detector] center_radius 2.8 and r 0.7 reach 3.5, past the band's
+        # 3.4, but the study sweeps [sweep] base_radius 2.1 +- 0.1 (reach 2.9)
+        seen = []
+
+        def study(mode, settings, **kwargs):
+            seen.append(mode)
+            return {"h": [0.1, 0.05], "rms": [4.0, 1.0], "ratios": [4.0]}
+
+        monkeypatch.setattr("ringtat.cli.residual_refinement_study", study)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("mode = large\nr = 2.1",
+                                         "mode = small\ncenter_radius = 2.8\nr = 0.7"))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [SmallMode(R=2.8, r=0.7)]
+        assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[0] == "level,h,rms"
 
     @pytest.mark.parametrize("line, says", [
         ("base_n = 4", "base_n = 4: grid too coarse"),

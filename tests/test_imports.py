@@ -53,11 +53,6 @@ def test_unused_import_check_sees_a_stale_import():
     assert _unused_imports(source, "m.py") == ["m.py:4 Phantom"]
 
 
-# ROADMAP item 2 replaces this per-kind branch of the canonical relation
-# with one rule; until then it is the only one outside detector.py
-_MODE_BRANCHES_ALLOWED = {("rays.py", "detect_events")}
-
-
 def _mode_branches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
     """(file, enclosing function, line) of each ``isinstance`` call in
     ``source`` that tests for ``SmallMode`` or ``LargeMode``."""
@@ -82,8 +77,7 @@ def test_only_detector_branches_on_the_detector_geometry():
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name != "detector.py":
-            found += [hit for hit in _mode_branches(path.read_text(), path.name)
-                      if hit[:2] not in _MODE_BRANCHES_ALLOWED]
+            found += _mode_branches(path.read_text(), path.name)
     assert not found, found
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringtat.rays as rays
@@ -115,6 +115,11 @@ def _bits(*values):
 @pytest.fixture(scope="module")
 def sinusoidal_161():
     return _speed()
+
+
+@pytest.fixture(scope="module")
+def constant_161():
+    return _speed(kind="constant")
 
 
 class TestTrace:
@@ -269,15 +274,24 @@ class TestEvents:
             assert abs((a.theta - b.theta) % (2 * math.pi) - math.pi) <= 1e-9
 
     def test_large_geometry_example(self):
+        """Center covector pointing along x, r = 2: the line meets the unit
+        circle of centers at the exit (1, 0) and at (-1, 0).  The sigma = +1
+        ray crosses the first circle at (3, 0) at t = 3 and the second at
+        (1, 0) at t = 1; sigma = -1 mirrors it through the origin.  Both
+        crossings leave their detector disc: branch 2, fiber value -1/(2r)."""
         speed = _speed(kind="constant", L=3.2)
         cfg = DetectorConfig(mode=LargeMode(r=2.0), T=5.0)
         events = canonical_image(Covector(y=(0.0, 0.0), xi=(1.0, 0.0)), speed, cfg)
-        assert len(events) == 2
-        fwd = next(e for e in events if e.sigma == 1)
-        assert abs(fwd.t_det - 3.0) <= 1e-9
-        assert abs(fwd.theta) <= 1e-9
-        assert abs(fwd.lam - 0.25) <= 1e-9
-        assert np.allclose(fwd.point, [3.0, 0.0], atol=1e-9)
+        assert len(events) == 4
+        for sigma in (1, -1):
+            # (t_det, theta_hat, point) of each event, earliest first
+            got = sorted((e.t_det, math.cos(e.theta), math.sin(e.theta), *e.point)
+                         for e in events if e.sigma == sigma)
+            want = [(1.0, -sigma, 0.0, sigma, 0.0), (3.0, sigma, 0.0, 3.0 * sigma, 0.0)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        for e in events:
+            assert e.branch == 2 and abs(e.lam + 0.25) <= 1e-9
+            assert abs(e.tau + e.sigma) <= 1e-9 and float(np.hypot(*e.omega)) <= 1e-9
 
     def test_radial_crossing_has_zero_omega(self):
         speed = _speed(kind="constant")
@@ -312,7 +326,42 @@ class TestEvents:
         rng = np.random.default_rng(4)
         for cv in _random_covectors(5, rng, max_radius=0.8):
             assert len(canonical_image(cv, speed, cfg_s)) == 4
-            assert len(canonical_image(cv, speed, cfg_l)) == 2
+            assert len(canonical_image(cv, speed, cfg_l)) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rad=st.floats(0.0, 0.9),
+        ang=st.floats(0.0, 2.0 * math.pi),
+        d=st.floats(0.0, 2.0 * math.pi),
+        large=st.booleans(),
+        r=st.floats(0.0, 1.0),
+        gap=st.floats(1.0, 2.0),
+    )
+    # a crossing at the exit itself: large r = 2 and small R - r = 1 on a
+    # radial ray
+    @example(rad=0.0, ang=0.0, d=0.3, large=True, r=0.0, gap=1.0)
+    @example(rad=0.0, ang=0.0, d=0.3, large=False, r=0.0, gap=1.0)
+    def test_closed_form_at_unit_speed(self, constant_161, rad, ang, d, large, r, gap):
+        """At c = 1 a ray is the line y + t * sigma * xi_hat.  Each event lies
+        on its detector circle (center ``center_radius * theta_hat``) and on
+        that line, a distance t_det from y, and each time direction has two
+        events, in both geometries (small: r in [0.3, 1.3], R - r in [1, 2];
+        large: r in [2, 3])."""
+        mode = LargeMode(r=2.0 + r) if large else SmallMode(R=0.3 + r + gap, r=0.3 + r)
+        cfg = DetectorConfig(mode=mode, T=5.0)
+        y = np.array([rad * math.cos(ang), rad * math.sin(ang)])
+        xi_hat = np.array([math.cos(d), math.sin(d)])
+        events = canonical_image(Covector(y=tuple(y), xi=tuple(xi_hat)), constant_161, cfg)
+        for sigma in (1, -1):
+            assert sum(e.sigma == sigma for e in events) == 2
+        for e in events:
+            z = mode.center_radius * np.array([math.cos(e.theta), math.sin(e.theta)])
+            assert abs(float(np.hypot(*(e.point - z))) - mode.r) <= 1e-9
+            along = e.point - y
+            direction = e.sigma * xi_hat
+            assert abs(float(along[0] * direction[1] - along[1] * direction[0])) <= 1e-9
+            assert float(np.dot(along, direction)) > 0.0
+            assert abs(e.t_det - float(np.hypot(*along))) <= 1e-9
 
     def test_non_escaped_path_has_no_events(self):
         speed = _speed(n=65)
