@@ -521,14 +521,19 @@ def residual_refinement_study(
         speed = sample_speed(speed_spec, grid)
         phantom = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
         sweep = record(phantom, speed, config, radii)
-        resid = residual(sweep)
         times = sweep.dt * np.arange(1, config.nt - 1)
         sel = (times >= _SWEEP_WINDOW[0]) & (times <= _SWEEP_WINDOW[1])
         hs.append(grid.h)
-        rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))
-        if large:
-            wrong = cylinder_residual_small(sweep)
-            rms_wrong.append(float(np.sqrt(np.mean(wrong[sel] ** 2))))
+        # a field that blew up without overflowing is reported below, in one error
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = residual(sweep)
+            rms.append(float(np.sqrt(np.mean(resid[sel] ** 2))))
+            if large:
+                wrong = cylinder_residual_small(sweep)
+                rms_wrong.append(float(np.sqrt(np.mean(wrong[sel] ** 2))))
+        if not np.isfinite([rms[-1], *rms_wrong[-1:]]).all():
+            raise FloatingPointError(f"sweep residual not finite at level {len(hs) - 1}: "
+                                     "the field blew up")
     out = {"h": hs, "rms": rms, "ratios": [rms[i] / rms[i + 1] for i in range(len(rms) - 1)]}
     if large:
         out["rms_wrong"] = rms_wrong

@@ -33,24 +33,17 @@ _TWO_PI = 2.0 * math.pi
 DEFAULT_RAY_STEP = 0.01
 
 
-@dataclass(frozen=True)
-class RayState:
-    """A point on a traced ray: position, momentum covector, elapsed time.
-    The exact flow keeps c(x)|p| at one; at the default step the traced
-    value stays within 1e-6 of one on ``selftest.ray_hamiltonian``'s ray and
-    within about 2e-5 on random rays inside the disc, far below what the
-    visibility verdicts need."""
-
-    x: np.ndarray
-    p: np.ndarray
-    t: float
-
-
 @dataclass
 class RayPath:
     """Result of tracing one covector in one time direction.
 
-    ``states`` samples the interior leg.  If the ray escaped the unit disc,
+    ``states`` samples the interior leg: a C-order float64 array of shape
+    (steps + 1, 5), one row (x0, x1, p0, p1, t) of position, momentum
+    covector and elapsed time per RK4 step, the start included.  The exact
+    flow keeps c(x)|p| at one; at the default step the traced value stays
+    within 1e-6 of one on ``selftest.ray_hamiltonian``'s ray and within
+    about 2e-5 on random rays inside the disc, far below what the
+    visibility verdicts need.  If the ray escaped the unit disc,
     (``x_exit``, ``t_exit``, ``v_exit``) give the exit point, exit time and
     unit direction of the straight exterior continuation
     gamma(t) = x_exit + (t - t_exit) * v_exit.
@@ -59,7 +52,7 @@ class RayPath:
     covector: Covector
     sigma: int
     c_start: float
-    states: list[RayState]
+    states: np.ndarray
     escaped: bool
     x_exit: np.ndarray | None = None
     t_exit: float | None = None
@@ -126,7 +119,7 @@ def trace_geodesic(
     (2.3e-7 at 0.005, 2.3e-5 at 0.02).
 
     The state is four Python floats, because on 2-vectors numpy call
-    overhead is the whole cost of a stage.
+    overhead is the whole cost of a stage; ``states`` becomes an array once.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
@@ -145,7 +138,7 @@ def trace_geodesic(
     xi0, xi1 = map(float, start.xi)
     p0, p1 = sigma * xi0 / c0, sigma * xi1 / c0
     t = 0.0
-    states = [RayState(x=np.array((x0, x1)), p=np.array((p0, p1)), t=t)]
+    states = [(x0, x1, p0, p1, t)]
     half = 0.5 * h_ray
     sixth = h_ray / 6.0
     n_steps = int(math.ceil(t_max / h_ray))
@@ -163,7 +156,7 @@ def trace_geodesic(
         p0 = p0 + sixth * (ap0 + 2.0 * bp0 + 2.0 * cp0 + dp0)
         p1 = p1 + sixth * (ap1 + 2.0 * bp1 + 2.0 * cp1 + dp1)
         t_new = t + h_ray
-        states.append(RayState(x=np.array((y0, y1)), p=np.array((p0, p1)), t=t_new))
+        states.append((y0, y1, p0, p1, t_new))
         if y0 * y0 + y1 * y1 >= 1.0:
             # refine the unit-circle crossing on the segment from x to y;
             # the segment is straight to integrator accuracy
@@ -177,12 +170,12 @@ def trace_geodesic(
             if nrm > 0:
                 e0, e1 = e0 / nrm, e1 / nrm
             return RayPath(
-                covector=start, sigma=sigma, c_start=c0, states=states,
+                covector=start, sigma=sigma, c_start=c0, states=np.array(states),
                 escaped=True, x_exit=np.array((e0, e1)), t_exit=t + s * h_ray,
                 v_exit=np.array((p0, p1)) / math.hypot(p0, p1),
             )
         x0, x1, t = y0, y1, t_new
-    return RayPath(covector=start, sigma=sigma, c_start=c0, states=states, escaped=False)
+    return RayPath(covector=start, sigma=sigma, c_start=c0, states=np.array(states), escaped=False)
 
 
 def detect_events(path: RayPath, config: DetectorConfig) -> list[DetectionEvent]:
@@ -194,10 +187,11 @@ def detect_events(path: RayPath, config: DetectorConfig) -> list[DetectionEvent]
     (q the exit point, v the exit direction) where the line meets the circle
     of centers |z| = ``mode.center_radius``.  The ray passes z at
     t_z = t_exit + s and crosses its circle at t_z - r (branch 1) and
-    t_z + r (branch 2).  Crossings before the exit (where the ray is not yet
-    straight), at non-positive times or failing the perpendicularity check
-    are discarded.  Small geometry: the center behind the exit lies more
-    than R - 1 >= r back, so the two crossings of the one ahead remain.
+    t_z + r (branch 2), where point - z = -/+ r v, so each crossing is
+    perpendicular by construction.  Crossings before the exit (where the ray
+    is not yet straight) or at non-positive times are discarded.  Small
+    geometry: the center behind the exit lies more than R - 1 >= r back, so
+    the two crossings of the one ahead remain.
     Large geometry: the centers are q and w = q - 2(q.v)v, so the crossings
     are t_exit + r and t_exit + r - 2q.v, both branch 2 (r >= 2 >= 2q.v).
     """
@@ -224,9 +218,6 @@ def detect_events(path: RayPath, config: DetectorConfig) -> list[DetectionEvent]
             if t_det <= 0.0 or t_det < t_q - 1e-9:
                 continue
             point = path.exterior_point(t_det)
-            n_hat = (point - center) / mode.r
-            if abs(float(np.dot(v, n_hat))) < 1.0 - 1e-6:
-                continue
             events.append(DetectionEvent(
                 sigma=path.sigma, branch=branch, t_det=float(t_det), theta=float(theta),
                 lam=float(lam_mag if branch == 1 else -lam_mag), tau=float(tau),

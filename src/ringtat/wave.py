@@ -183,15 +183,14 @@ class WaveState:
 
     u_curr and u_prev are (n, n) fields; phi and psi are 1-D, one entry per
     absorbing-band cell (sigma_x + sigma_y > 0) in C order, since the split
-    field stays zero off the band.  Without a band they are empty.
+    field stays zero off the band.  Without a band they are empty.  The
+    time step is the solver's dt, and level k sits at time k * dt.
     """
 
     u_curr: np.ndarray
     u_prev: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    t: float
-    dt: float
 
 
 class WaveSolver:
@@ -313,7 +312,7 @@ class WaveSolver:
 
     def zero_state(self) -> WaveState:
         z = np.zeros_like(self.c2)
-        return WaveState(z, z.copy(), np.zeros(self._m), np.zeros(self._m), 0.0, self.dt)
+        return WaveState(z, z.copy(), np.zeros(self._m), np.zeros(self._m))
 
     # -- initial data embedding and its transpose --------------------------
 
@@ -322,7 +321,7 @@ class WaveSolver:
         rest."""
         f = np.asarray(f, dtype=float)
         v = f + 0.5 * self.dt**2 * self.c2 * laplacian(f, self.h)
-        return WaveState(f.copy(), v, np.zeros(self._m), np.zeros(self._m), 0.0, self.dt)
+        return WaveState(f.copy(), v, np.zeros(self._m), np.zeros(self._m))
 
     def init_state_T(self, s: WaveState) -> np.ndarray:
         return s.u_curr + s.u_prev + 0.5 * self.dt**2 * laplacian(self.c2 * s.u_prev, self.h)
@@ -330,13 +329,13 @@ class WaveSolver:
     # -- one time level and its transpose -----------------------------------
 
     def step(self, s: WaveState) -> WaveState:
-        n, dt, t = self.grid.n, self.dt, self._t
+        n, t = self.grid.n, self._t
         u, v = _flat(s.u_curr), _flat(s.u_prev)
         out = np.multiply(self._a0, u)
         out -= np.multiply(self._q, v, out=t)
         out += np.multiply(self._k1, _neighbour_sum(u, t, n), out=t)
         if not self._m:
-            return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi, s.t + dt, dt)
+            return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi)
         pb, ph, m = self._pad_band, self._pad_flux, self._m
         pb[0, :m], pb[1, :m] = s.phi, s.psi
         flux = _centred(pb.reshape(-1), self._flux_nb, self._w_flux)
@@ -350,17 +349,17 @@ class WaveSolver:
         d *= self._b
         new = np.multiply(self._a, pb[:, :m])
         new += d
-        return WaveState(out.reshape(n, n), s.u_curr, new[0], new[1], s.t + dt, dt)
+        return WaveState(out.reshape(n, n), s.u_curr, new[0], new[1])
 
     def step_T(self, s: WaveState) -> WaveState:
-        n, dt, t = self.grid.n, self.dt, self._t
+        n, t = self.grid.n, self._t
         U, V = _flat(s.u_curr), _flat(s.u_prev)
         a = np.multiply(self._a0, U)
         a += _neighbour_sum(np.multiply(self._k1, U, out=self._t2), t, n)
         a += V
         b = np.multiply(self._neg_q, U)
         if not self._m:
-            return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi, s.t - dt, dt)
+            return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi)
         pb, ph, m = self._pad_band, self._pad_flux, self._m
         np.multiply(self._b[0], s.phi, out=pb[0, :m])
         np.multiply(self._b[1], s.psi, out=pb[1, :m])
@@ -375,7 +374,7 @@ class WaveSolver:
         g -= d[0]
         q = np.multiply(self._a[1], s.psi)
         q -= d[1]
-        return WaveState(a.reshape(n, n), b.reshape(n, n), g, q, s.t - dt, dt)
+        return WaveState(a.reshape(n, n), b.reshape(n, n), g, q)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +398,11 @@ def energy(u_curr: np.ndarray, u_prev: np.ndarray, dt: float, speed: SpeedField)
     return 0.5 * h * h * (kin + pot)
 
 
-def _check_finite(state: WaveState, k: int) -> None:
+def _check_finite(state: WaveState, k: int, dt: float) -> None:
+    """Raise when level ``k`` (time k * dt) holds a non-finite value."""
     if not np.all(np.isfinite(state.u_curr)):
         raise FloatingPointError(
-            f"field blew up at step {k} (t = {state.t:g}); check the CFL bound"
+            f"field blew up at step {k} (t = {k * dt:g}); check the CFL bound"
         )
 
 
@@ -426,8 +426,8 @@ def solve_forward(f, solver: WaveSolver, nt: int, probe=None) -> WaveState:
         for k in range(1, nt):
             s = solver.step(s)
             if k % _NAN_CHECK_EVERY == 0:
-                _check_finite(s, k)
+                _check_finite(s, k, solver.dt)
             if probe is not None:
                 probe(k, s.u_curr)
-    _check_finite(s, nt - 1)
+    _check_finite(s, nt - 1, solver.dt)
     return s

@@ -25,14 +25,13 @@ def to_full(grid, s):
         f = np.zeros(grid.n * grid.n)
         f[cells] = x
         full.append(f.reshape(grid.n, grid.n))
-    return WaveState(s.u_curr, s.u_prev, *full, s.t, s.dt)
+    return WaveState(s.u_curr, s.u_prev, *full)
 
 
 def to_band(grid, s):
     """The state with phi and psi read on the band cells."""
     cells = band_cells(grid)
-    return WaveState(s.u_curr, s.u_prev, s.phi.reshape(-1)[cells], s.psi.reshape(-1)[cells],
-                     s.t, s.dt)
+    return WaveState(s.u_curr, s.u_prev, s.phi.reshape(-1)[cells], s.psi.reshape(-1)[cells])
 
 
 def _neighbour_sum(u, n):
@@ -69,7 +68,7 @@ class FullGridStep:
     def __init__(self, speed, dt):
         grid = speed.grid
         n, h = grid.n, grid.h
-        self.n, self.dt = n, dt
+        self.n = n
         sigma = pml_profile(grid)
         sx, sy = sigma[:, None], sigma[None, :]
 
@@ -100,7 +99,7 @@ class FullGridStep:
         psi_new = self.a_psi * psi
         psi_new += self.b_psi * _diff1(u, n)
         return WaveState(out.reshape(n, n), s.u_curr, phi_new.reshape(n, n),
-                         psi_new.reshape(n, n), s.t + self.dt, self.dt)
+                         psi_new.reshape(n, n))
 
     def step_T(self, s):
         n = self.n
@@ -116,4 +115,4 @@ class FullGridStep:
         q = self.a_psi * G
         q -= _diff1(ku, n)
         return WaveState(a.reshape(n, n), (-self.q * U).reshape(n, n), g.reshape(n, n),
-                         q.reshape(n, n), s.t - self.dt, self.dt)
+                         q.reshape(n, n))

@@ -207,13 +207,13 @@ def test_criterion_07_ray_integrator():
     for cv in cvs:
         p = trace_geodesic(cv, fine, t_max=0.4, h_ray=0.000625)
         assert not p.escaped
-        refs.append((p.states[-1].x, p.states[-1].p))
+        refs.append((p.states[-1, :2], p.states[-1, 2:4]))
 
     def mean_err(h):
         tot = 0.0
         for cv, (rx, rp) in zip(cvs, refs):
             s = trace_geodesic(cv, fine, t_max=0.4, h_ray=h).states[-1]
-            tot += math.hypot(*(s.x - rx)) + math.hypot(*(s.p - rp))
+            tot += math.hypot(*(s[:2] - rx)) + math.hypot(*(s[2:4] - rp))
         return tot / len(cvs)
 
     factor = mean_err(0.04) / mean_err(0.02)

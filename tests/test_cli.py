@@ -1249,6 +1249,19 @@ class TestSweepCommand:
         assert seen == [SmallMode(R=2.8, r=0.7)]
         assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[0] == "level,h,rms"
 
+    def test_blown_up_field_exits_3_in_one_line(self, tmp_path, capsys):
+        # a band far thinner than a cell damps so hard that the field grows
+        # to about 1e207 without overflowing, while its squared residual does
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_SWEEP_CFG.replace("pml_width = 0.5",
+                                              "pml_width = 1.884425739150716e-12"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: sweep residual not finite at level 0: the field blew up\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line, says", [
         ("base_n = 4", "base_n = 4: grid too coarse"),
         ("base_n_theta = 1", "base_n_theta must be at least 2"),

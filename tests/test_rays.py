@@ -128,9 +128,8 @@ class TestTrace:
         states, c0, (escaped, x_exit, t_exit, v_exit) = _vector_oracle(
             cv, speed.spline, sigma, t_max, rays.DEFAULT_RAY_STEP)
         assert path.escaped == escaped and len(path.states) == len(states)
-        got = np.concatenate([_bits(s.x, s.p, s.t) for s in path.states])
         want = np.concatenate([_bits(*s) for s in states])
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_bits(path.states), want)
         assert _bits(path.c_start) == _bits(c0)
         if escaped:
             np.testing.assert_array_equal(_bits(path.x_exit, path.t_exit, path.v_exit),
@@ -145,6 +144,28 @@ class TestTrace:
         for cv in _random_covectors(24, np.random.default_rng(30 + sigma)):
             assert self._assert_matches_oracle(cv, speed, sigma, t_max=3.0).escaped
 
+    @pytest.mark.parametrize("t_max, sigma, escaped", [(3.0, 1, True), (0.05, -1, False)])
+    def test_states_are_one_float_array(self, sinusoidal_161, t_max, sigma, escaped):
+        """One (steps + 1, 5) row array (x0, x1, p0, p1, t); row 0 is the
+        start (y, sigma * xi / c(y), 0) and only the last row of an escaping
+        ray lies outside the unit disc."""
+        y, xi = (0.3, -0.2), (0.6, 0.8)
+        path = trace_geodesic(Covector(y=y, xi=xi), sinusoidal_161, sigma=sigma, t_max=t_max)
+        assert path.escaped == escaped
+        states = path.states
+        assert isinstance(states, np.ndarray) and states.dtype == np.float64
+        assert states.flags.c_contiguous and states.ndim == 2 and states.shape[1] == 5
+        (c, _, _), = sinusoidal_161.spline.value_and_gradient((y,))
+        assert _bits(states[0]).tolist() == _bits(
+            y, sigma * xi[0] / c, sigma * xi[1] / c, 0.0).tolist()
+        outside = np.hypot(states[:, 0], states[:, 1]) >= 1.0
+        if escaped:
+            assert outside[-1] and not outside[:-1].any()
+            assert states[-2, 4] <= path.t_exit <= states[-1, 4]
+        else:
+            assert len(states) == math.ceil(t_max / rays.DEFAULT_RAY_STEP) + 1
+            assert not outside.any()
+
     def test_non_escaping_ray_bitwise_equals_vector_oracle(self):
         cv = Covector(y=(0.1, -0.05), xi=(0.6, 0.8))
         assert not self._assert_matches_oracle(cv, _speed(), 1, t_max=0.05).escaped
@@ -155,9 +176,9 @@ class TestTrace:
         speed = _speed(kind="constant")
         path = trace_geodesic(Covector(y=(0.0, 0.0), xi=(1.0, 0.0)), speed, t_max=4.0)
         assert path.escaped
-        for s in path.states:
-            assert abs(s.x[1]) <= 1e-8
-            assert abs(s.x[0] - s.t) <= 1e-8
+        for x0, x1, _, _, t in path.states:
+            assert abs(x1) <= 1e-8
+            assert abs(x0 - t) <= 1e-8
         end = path.exterior_point(4.0)
         assert abs(end[0] - 4.0) + abs(end[1]) <= 1e-8
 
@@ -165,10 +186,10 @@ class TestTrace:
         speed = _speed()
         path = trace_geodesic(Covector(y=(0.3, -0.2), xi=(0.6, 0.8)), speed, t_max=4.0)
         worst = 0.0
-        for s in path.states:
-            if math.hypot(*s.x) < 1.0:
-                c = float(speed.spline.value(s.x[None, :])[0])
-                worst = max(worst, abs(c * math.hypot(*s.p) - 1.0))
+        for x0, x1, p0, p1, _ in path.states:
+            if math.hypot(x0, x1) < 1.0:
+                c = float(speed.spline.value(((x0, x1),))[0])
+                worst = max(worst, abs(c * math.hypot(p0, p1) - 1.0))
         assert worst <= 1e-6
 
     def test_fourth_order_endpoint_convergence(self):
@@ -182,13 +203,13 @@ class TestTrace:
         for cv in cvs:
             p = trace_geodesic(cv, speed, t_max=0.4, h_ray=0.000625)
             assert not p.escaped
-            refs.append((p.states[-1].x, p.states[-1].p))
+            refs.append((p.states[-1, :2], p.states[-1, 2:4]))
 
         def mean_err(h):
             tot = 0.0
             for cv, (rx, rp) in zip(cvs, refs):
                 s = trace_geodesic(cv, speed, t_max=0.4, h_ray=h).states[-1]
-                tot += math.hypot(*(s.x - rx)) + math.hypot(*(s.p - rp))
+                tot += math.hypot(*(s[:2] - rx)) + math.hypot(*(s[2:4] - rp))
             return tot / len(cvs)
 
         coarse, fine = mean_err(0.04), mean_err(0.02)
@@ -225,9 +246,7 @@ class TestTrace:
         b = trace_geodesic(Covector(y=y, xi=(-xi[0], -xi[1])), sinusoidal_161, sigma=-sigma,
                            t_max=3.0)
         assert a.escaped and b.escaped
-        np.testing.assert_array_equal(
-            np.concatenate([_bits(s.x, s.p, s.t) for s in a.states]),
-            np.concatenate([_bits(s.x, s.p, s.t) for s in b.states]))
+        np.testing.assert_array_equal(_bits(a.states), _bits(b.states))
         np.testing.assert_array_equal(_bits(a.c_start, a.x_exit, a.t_exit, a.v_exit),
                                       _bits(b.c_start, b.x_exit, b.t_exit, b.v_exit))
 
@@ -362,6 +381,9 @@ class TestEvents:
             assert abs(float(along[0] * direction[1] - along[1] * direction[0])) <= 1e-9
             assert float(np.dot(along, direction)) > 0.0
             assert abs(e.t_det - float(np.hypot(*along))) <= 1e-9
+            # perpendicular: entering the detector disc on branch 1, leaving on 2
+            n_hat = (e.point - z) / mode.r
+            assert abs(float(np.dot(direction, n_hat)) - (-1.0 if e.branch == 1 else 1.0)) <= 1e-9
 
     def test_non_escaped_path_has_no_events(self):
         speed = _speed(n=65)

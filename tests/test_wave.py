@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -141,7 +142,6 @@ class TestStepping:
         L = lambda x: sp.c**2 * _lap_independent(x, g.h)
         u2 = f + 2 * dt**2 * L(f) + 0.5 * dt**4 * L(L(f))
         assert np.abs(s.u_curr - u2).max() < 1e-13
-        assert s.t == pytest.approx(2 * dt)
 
     def test_time_reversibility(self):
         g, sp = _setup(n=101)
@@ -151,7 +151,7 @@ class TestStepping:
         n_steps = 60
         for _ in range(n_steps):
             s = solver.step(s)
-        back = WaveState(s.u_prev, s.u_curr, s.phi, s.psi, s.t, s.dt)
+        back = WaveState(s.u_prev, s.u_curr, s.phi, s.psi)
         for _ in range(n_steps - 1):
             back = solver.step(back)
         ref = np.linalg.norm(f)
@@ -187,17 +187,19 @@ class TestStepping:
 class TestEnergy:
     def test_zero_state(self):
         _, sp = _setup()
-        s = WaveSolver(sp, 0.01).init_state(np.zeros((64, 64)))
-        assert energy(s.u_curr, s.u_prev, s.dt, sp) == 0.0
+        solver = WaveSolver(sp, 0.01)
+        s = solver.init_state(np.zeros((64, 64)))
+        assert energy(s.u_curr, s.u_prev, solver.dt, sp) == 0.0
 
     def test_initial_energy_is_gradient_energy(self):
         g, sp = _setup(n=101)
         f = gaussian_phantom(g, sigma=0.15)
-        s = WaveSolver(sp, 0.3 * cfl_limit(sp)).init_state(f)
+        solver = WaveSolver(sp, 0.3 * cfl_limit(sp))
+        s = solver.init_state(f)
         gx = np.diff(f, axis=0) / g.h
         gy = np.diff(f, axis=1) / g.h
         ref = 0.5 * g.h**2 * (np.sum(gx**2) + np.sum(gy**2))
-        assert energy(s.u_curr, s.u_prev, s.dt, sp) == pytest.approx(ref, rel=0.01)
+        assert energy(s.u_curr, s.u_prev, solver.dt, sp) == pytest.approx(ref, rel=0.01)
 
     def test_exact_conservation_without_damping(self):
         g, sp = _setup(n=101)
@@ -205,11 +207,11 @@ class TestEnergy:
         nt, dt = _lattice(sp, 1.2, 0.5)
         solver = WaveSolver(sp, dt)
         s = solver.step(solver.init_state(f))
-        e0 = energy(s.u_curr, s.u_prev, s.dt, sp)
+        e0 = energy(s.u_curr, s.u_prev, dt, sp)
         worst = 0.0
         for _ in range(nt - 2):
             s = solver.step(s)
-            worst = max(worst, abs(energy(s.u_curr, s.u_prev, s.dt, sp) - e0))
+            worst = max(worst, abs(energy(s.u_curr, s.u_prev, dt, sp) - e0))
         assert worst / e0 < 1e-12
 
 
@@ -229,7 +231,7 @@ def _step_oracle(sp, dt, sigma, s):
     body = c2 * laplacian(s.u_curr, h)
     if sigma is None:
         u_new = 2.0 * s.u_curr - s.u_prev + dt**2 * body
-        return WaveState(u_new, s.u_curr, s.phi, s.psi, s.t + dt, dt)
+        return WaveState(u_new, s.u_curr, s.phi, s.psi)
     sx, sy = sigma[:, None], sigma[None, :]
     den = 1.0 + 0.5 * dt * (sx + sy)
     coef_u = 2.0 - dt**2 * sx * sy
@@ -238,7 +240,7 @@ def _step_oracle(sp, dt, sigma, s):
     u_new = (coef_u * s.u_curr - coef_v * s.u_prev + dt**2 * body) / den
     phi_new = (1.0 - dt * sx) * s.phi + dt * (sy - sx) * _ddx_oracle(s.u_curr, h, 0)
     psi_new = (1.0 - dt * sy) * s.psi + dt * (sx - sy) * _ddx_oracle(s.u_curr, h, 1)
-    return WaveState(u_new, s.u_curr, phi_new, psi_new, s.t + dt, dt)
+    return WaveState(u_new, s.u_curr, phi_new, psi_new)
 
 
 def _step_T_oracle(sp, dt, sigma, s):
@@ -246,7 +248,7 @@ def _step_T_oracle(sp, dt, sigma, s):
     h, c2 = sp.grid.h, sp.c**2
     if sigma is None:
         a = 2.0 * s.u_curr + dt**2 * laplacian(c2 * s.u_curr, h) + s.u_prev
-        return WaveState(a, -s.u_curr, s.phi, s.psi, s.t - dt, dt)
+        return WaveState(a, -s.u_curr, s.phi, s.psi)
     sx, sy = sigma[:, None], sigma[None, :]
     den = 1.0 + 0.5 * dt * (sx + sy)
     coef_u = 2.0 - dt**2 * sx * sy
@@ -259,14 +261,14 @@ def _step_T_oracle(sp, dt, sigma, s):
     b = -coef_v * w
     g = -(dt**2) * _ddx_oracle(c2w, h, 0) + (1.0 - dt * sx) * s.phi
     q = -(dt**2) * _ddx_oracle(c2w, h, 1) + (1.0 - dt * sy) * s.psi
-    return WaveState(a, b, g, q, s.t - dt, dt)
+    return WaveState(a, b, g, q)
 
 
-def _random_state(rng, g, dt, t=0.0):
+def _random_state(rng, g):
     """Random fields, with the split field on the band cells only."""
     m = band_cells(g).size
     return WaveState(rng.normal(size=(g.n, g.n)), rng.normal(size=(g.n, g.n)),
-                     rng.normal(size=m), rng.normal(size=m), t, dt)
+                     rng.normal(size=m), rng.normal(size=m))
 
 
 def _kernel_case(n, band):
@@ -274,7 +276,7 @@ def _kernel_case(n, band):
     sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
     sigma = pml_profile(g) if band else None
     solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
-    s = _random_state(np.random.default_rng(0), g, solver.dt, 0.3)
+    s = _random_state(np.random.default_rng(0), g)
     return sp, sigma, solver, s
 
 
@@ -301,7 +303,6 @@ class TestFoldedKernel:
         want = to_band(sp.grid, oracle(sp, solver.dt, sigma, to_full(sp.grid, s)))
         for a, b in zip(_fields(got), _fields(want)):
             assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
-        assert got.t == want.t and got.dt == want.dt
 
     @pytest.mark.parametrize("band", [False, True])
     @pytest.mark.parametrize("which", ["step", "step_T"])
@@ -318,13 +319,13 @@ class TestFoldedKernel:
     def test_memory_layout_does_not_matter(self, which, band):
         _, _, solver, s = _kernel_case(49, band)
         ref = getattr(solver, which)(s)
-        fortran = WaveState(*(np.asfortranarray(x) for x in _fields(s)), s.t, s.dt)
+        fortran = WaveState(*(np.asfortranarray(x) for x in _fields(s)))
         big = [np.zeros((2 * x.shape[0],) + tuple(3 * d for d in x.shape[1:]))
                for x in _fields(s)]
         views = [b[::2, ::3] if b.ndim == 2 else b[::2] for b in big]
         for v, x in zip(views, _fields(s)):
             v[...] = x
-        strided = WaveState(*views, s.t, s.dt)
+        strided = WaveState(*views)
         for other in (fortran, strided):
             got = getattr(solver, which)(other)
             for a, b in zip(_fields(got), _fields(ref)):
@@ -339,10 +340,9 @@ class TestAdjointness:
         g = make_grid(L=1.6, n=32, pml_width=0.5)
         sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
         solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
-        dt = solver.dt
 
         def rand_state():
-            return _random_state(rng, g, dt)
+            return _random_state(rng, g)
 
         a, b = rand_state(), rand_state()
         lhs = _dot(solver.step(a), b)
@@ -357,7 +357,7 @@ class TestAdjointness:
         sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
         solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
         f = rng.normal(size=(32, 32))
-        t = _random_state(rng, g, solver.dt)
+        t = _random_state(rng, g)
         lhs = _dot(solver.init_state(f), t)
         rhs = np.sum(f * solver.init_state_T(t))
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-12
@@ -386,6 +386,10 @@ class TestBandLayout:
             if isinstance(value, np.ndarray) and name not in self._FULL_GRID:
                 assert n * n not in value.shape and value.shape != (n, n), name
 
+    def test_state_holds_only_the_advanced_fields(self):
+        # the level time is k * solver.dt, and dt is the solver's
+        assert [f.name for f in dataclasses.fields(WaveState)] == ["u_curr", "u_prev", "phi", "psi"]
+
     def test_band_free_state_is_empty(self):
         _, sp = _setup(n=32)
         s = WaveSolver(sp, 0.01).init_state(np.zeros((32, 32)))
@@ -401,7 +405,7 @@ class TestBandLayout:
         if start == "phantom":
             s = solver.init_state(gaussian_phantom(g, center=(0.3, -0.2), sigma=0.12))
         else:
-            s = _random_state(np.random.default_rng(n), g, dt)
+            s = _random_state(np.random.default_rng(n), g)
         r = to_full(g, s)
         for _ in range(nt - 1):
             s, r = solver.step(s), ref.step(r)
@@ -416,7 +420,7 @@ class TestBandLayout:
         nt, dt = choose_time_steps(sp, 3.0)
         solver, ref = WaveSolver(sp, dt), FullGridStep(sp, dt)
         rng = np.random.default_rng(n + 1)
-        s = solver.zero_state() if start == "zero" else _random_state(rng, g, dt)
+        s = solver.zero_state() if start == "zero" else _random_state(rng, g)
         r = to_full(g, s)
         for _ in range(nt - 1):
             # data enter the state between steps, as in the adjoint operator
@@ -491,7 +495,7 @@ class TestSolveForward:
         interior = np.maximum(np.abs(X), np.abs(Y)) < g.interior_half_width
 
         def interior_energy(st):
-            return energy(st.u_curr * interior, st.u_prev * interior, st.dt, sp)
+            return energy(st.u_curr * interior, st.u_prev * interior, dt, sp)
 
         s = solver.step(solver.init_state(f))
         e0 = interior_energy(s)
