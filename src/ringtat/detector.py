@@ -18,6 +18,15 @@ in the grid's absorbing band (its ``pml_width``; none when that is 0), and
 sampling goes through the shared bicubic machinery so the adjoint
 identity holds to machine precision.
 
+A solve's detector reads run on one helper thread beside its wave steps
+(``_Reads``): a forward read of level k needs only the field of level k,
+which the solver never writes again, and an adjoint back-projection
+``apply_T(data[k])`` needs no field at all.  At most two levels are in
+flight.  Each level still makes one read and one step with unchanged
+arithmetic, and the adjoint adds each back-projection into its state in
+the same order, so the results are the same bytes as a plain loop's.  A
+process that may use only one CPU makes each read inline instead.
+
 The sweep data families satisfy cylinder wave equations in the sweep
 variable; the residual operations evaluate those equations with centered
 differences and serve as the package's physics self-check: residuals must
@@ -27,8 +36,12 @@ shrink at second order under simultaneous lattice refinement, which
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +63,8 @@ _TWO_PI = 2.0 * math.pi
 # point behind int32 offsets; capping all n_theta * n_alpha points of the
 # detector below 2**31 / 16 caps every ring's
 _MAX_POINTS = (2**31 - 1) // 16
+# levels a solve's helper thread may hold while the caller steps
+_AHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -276,6 +291,103 @@ def measurement_map(speed: SpeedField, config: DetectorConfig) -> MeasurementMap
                                               config.n_alpha))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+class _Reads:
+    """One solve's detector reads, run in order on a helper thread beside
+    the caller's wave steps.
+
+    ``submit(fn, *args)`` queues the call ``fn(*args)`` under the caller's
+    context at that moment, numpy's error state included; ``take()`` waits
+    for the oldest call not yet taken and returns its value, or re-raises
+    its exception in the caller.  ``pending`` counts the calls submitted
+    and not yet taken, and the caller takes the oldest once it exceeds
+    ``ahead``: ``_AHEAD`` on the helper thread.  When the process may use
+    only one CPU, or no thread can be started, ``submit`` makes the call
+    inline and ``ahead`` is 0, so each read runs where a plain loop runs it.
+
+    Leaving the ``with`` block drops the calls not yet started and joins
+    the thread, so no thread outlives its solve.  A call that failed after
+    the caller itself raised is dropped, and the caller's exception stands.
+    """
+
+    def __init__(self):
+        self.pending = self.ahead = 0
+        self._todo, self._done = collections.deque(), collections.deque()
+        self._cv = threading.Condition()
+        self._thread = None
+        if _usable_cpus() > 1:
+            thread = threading.Thread(target=self._serve, name="ringtat-reads")
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: read inline
+                return
+            self._thread, self.ahead = thread, _AHEAD
+
+    def __enter__(self) -> _Reads:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            with self._cv:
+                self._todo.clear()
+                self._todo.append(None)  # the thread's signal to end
+                self._cv.notify_all()
+            self._thread.join()
+
+    def submit(self, fn, *args) -> None:
+        self.pending += 1
+        if self._thread is None:
+            self._done.append((fn(*args), None))
+            return
+        call = functools.partial(contextvars.copy_context().run, fn, *args)
+        with self._cv:
+            self._todo.append(call)
+            self._cv.notify_all()
+
+    def take(self):
+        with self._cv:
+            while not self._done:
+                self._cv.wait()
+            value, error = self._done.popleft()
+        self.pending -= 1
+        if error is not None:
+            raise error
+        return value
+
+    def map(self, fn, items):
+        """``fn(x)`` for each of ``items`` in order, each call submitted up
+        to ``ahead`` items before it is taken."""
+        for x in items:
+            self.submit(fn, x)
+            if self.pending > self.ahead:
+                yield self.take()
+        while self.pending:
+            yield self.take()
+
+    def _serve(self) -> None:
+        while True:
+            with self._cv:
+                while not self._todo:
+                    self._cv.wait()
+                call = self._todo.popleft()
+            if call is None:
+                return
+            try:
+                result = (call(), None)
+            except BaseException as exc:  # re-raised in the caller by take()
+                result = (None, exc)
+            with self._cv:
+                self._done.append(result)
+                self._cv.notify_all()
+
+
 def _record_forward(f, m: MeasurementMap) -> np.ndarray:
     """Row k of the record is the sampler read of the field at level k.
 
@@ -296,7 +408,16 @@ def _record_forward(f, m: MeasurementMap) -> np.ndarray:
         out[k] = sampler.apply(u)
 
     e = unit_exponent(f)
-    solve_forward(np.ldexp(f, -e), m.solver, m.nt, probe=read)
+    with _Reads() as reads:
+
+        def probe(k, u):
+            reads.submit(read, k, u)
+            if reads.pending > reads.ahead:
+                reads.take()
+
+        solve_forward(np.ldexp(f, -e), m.solver, m.nt, probe=probe)
+        while reads.pending:
+            reads.take()
     with np.errstate(over="ignore"):
         np.ldexp(out, e, out=out)
     bad = ~np.isfinite(out).all(axis=1)
@@ -327,10 +448,11 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
         raise ValueError(f"data shape {data.shape} does not match lattice {(m.nt, sampler.n_rows)}")
     # the loop owns w.u_curr: the zero state's, then each fresh step_T result
     w = solver.zero_state()
-    for k in range(m.nt - 1, -1, -1):
-        w.u_curr += sampler.apply_T(data[k])
-        if k > 0:
-            w = solver.step_T(w)
+    with _Reads() as reads:
+        for k, back in zip(range(m.nt - 1, -1, -1), reads.map(sampler.apply_T, data[::-1])):
+            w.u_curr += back
+            if k > 0:
+                w = solver.step_T(w)
     return solver.init_state_T(w)
 
 

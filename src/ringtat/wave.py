@@ -3,8 +3,11 @@
 Solves u_tt = c(x)^2 Lap u with u(0) = f, u_t(0) = 0 by an explicit
 second-order leapfrog scheme.  A split-field absorbing layer occupies the
 grid's band of width pml_width inside each domain edge (none when that
-width is 0); its damping enters semi-implicitly, so the scheme keeps the
-standard stability bound.
+width is 0); its damping enters semi-implicitly.  That does not keep the
+scheme's standard stability bound: a band too thin for the time step
+grows without bound.  At the default lattice (0.9 of the CFL bound) the
+band needs dt * sigma_max <= 1.4, about 6 cells at c = 1 (the measured
+table under item 1 of ROADMAP.md).
 
 Every map here (one time step, the initial-data embedding) is linear in
 the field and has a hand-written exact transpose, with plain Euclidean
@@ -398,12 +401,18 @@ def energy(u_curr: np.ndarray, u_prev: np.ndarray, dt: float, speed: SpeedField)
     return 0.5 * h * h * (kin + pot)
 
 
-def _check_finite(state: WaveState, k: int, dt: float) -> None:
-    """Raise when level ``k`` (time k * dt) holds a non-finite value."""
-    if not np.all(np.isfinite(state.u_curr)):
-        raise FloatingPointError(
-            f"field blew up at step {k} (t = {k * dt:g}); check the CFL bound"
-        )
+def _check_finite(state: WaveState, k: int, solver: WaveSolver) -> None:
+    """Raise when level ``k`` (time k * dt) holds a non-finite value, naming
+    both causes: the time step and a band too thin for it."""
+    if np.all(np.isfinite(state.u_curr)):
+        return
+    grid, dt = solver.grid, solver.dt
+    cause = "check the CFL bound"
+    if grid.pml_width > 0.0:
+        cause += (f" and the absorbing band ([grid] pml_width = {grid.pml_width:g}: "
+                  f"{grid.pml_width / grid.h:.3g} cells, "
+                  f"dt*sigma_max = {dt * default_sigma_max(grid.pml_width):.3g})")
+    raise FloatingPointError(f"field blew up at step {k} (t = {k * dt:g}); {cause}")
 
 
 def solve_forward(f, solver: WaveSolver, nt: int, probe=None) -> WaveState:
@@ -426,8 +435,8 @@ def solve_forward(f, solver: WaveSolver, nt: int, probe=None) -> WaveState:
         for k in range(1, nt):
             s = solver.step(s)
             if k % _NAN_CHECK_EVERY == 0:
-                _check_finite(s, k, solver.dt)
+                _check_finite(s, k, solver)
             if probe is not None:
                 probe(k, s.u_curr)
-    _check_finite(s, nt - 1, solver.dt)
+    _check_finite(s, nt - 1, solver)
     return s

@@ -107,6 +107,22 @@ def _run_cli(*argv, **env_vars):
     return _run_python("-m", "ringtat.cli", *argv, **env_vars)
 
 
+# ``python -c _CLI_ON_CPUS <cpus> <argv...>``: the CLI with the detector
+# reads inline (cpus 1: the process is held to one CPU where the platform
+# allows it) or on their helper thread (cpus 2)
+_CLI_ON_CPUS = """
+import os, sys
+from ringtat import cli, detector
+cpus = int(sys.argv[1])
+if cpus == 1 and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:
+    detector._usable_cpus = lambda: cpus
+assert detector._usable_cpus() == cpus
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 def _one_error_line(proc, code):
     """The process exited with ``code`` after one ``error:`` line; returns it."""
     assert proc.returncode == code, proc.stderr
@@ -500,7 +516,20 @@ class TestForwardCommand:
         clean = workspace["sino"].read_bytes()
         assert a != clean
 
+    def test_band_thinner_than_a_cell_blow_up_names_the_band(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CFG.replace("pml_width = 0.3", "pml_width = 1.884425739150716e-12")
+                       .replace("t = 1.0", "t = 8"))
+        proc = _run_cli("forward", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        err = _one_error_line(proc, 3)
+        assert err.startswith("error: field blew up at step 34 (t = 8); check the CFL bound")
+        assert "[grid] pml_width = 1.88443e-12: 4.43e-12 cells, dt*sigma_max = 1.73e+12" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bytes_independent_of_thread_count(self, tmp_path):
+        """One thread per pool with the process held to one CPU (detector
+        reads inline), against two per pool with the reads on their helper
+        thread."""
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CFG)
         outs = []
@@ -508,7 +537,8 @@ class TestForwardCommand:
             out = tmp_path / f"threads{threads}"
             pools = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
                                   threads)
-            proc = _run_cli("forward", "--config", str(cfg), "--out", str(out), **pools)
+            proc = _run_python("-c", _CLI_ON_CPUS, threads, "forward", "--config", str(cfg),
+                               "--out", str(out), **pools)
             assert proc.returncode == 0, proc.stderr
             outs.append((out / "sinogram.tat").read_bytes())
         assert outs[0] == outs[1]

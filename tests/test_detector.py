@@ -1,6 +1,12 @@
 """Tests for circle-averaged measurements, sweeps and residual oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,6 +488,197 @@ class TestSweeps:
         sino = forward_operator(f, speed, cfg)
         sw = sweep(f, speed, cfg, [2.0, 2.1, 2.2])
         assert np.array_equal(sw.data[:, :, 1], sino.data)
+
+
+def _read_threads(monkeypatch, cpus):
+    """Make the solves see ``cpus`` usable CPUs; returns the set of thread
+    names the sampler's reads run on."""
+    monkeypatch.setattr(detector, "_usable_cpus", lambda: cpus)
+    names = set()
+    apply, apply_T = BicubicSampler.apply, BicubicSampler.apply_T
+
+    def record(fn):
+        def read(self, x):
+            names.add(threading.current_thread().name)
+            return fn(self, x)
+        return read
+
+    monkeypatch.setattr(BicubicSampler, "apply", record(apply))
+    monkeypatch.setattr(BicubicSampler, "apply_T", record(apply_T))
+    return names
+
+
+class TestHelperThread:
+    """The detector reads run on one helper thread beside the wave steps,
+    or inline with one usable CPU; the two give the same bytes, and no
+    helper outlives its solve."""
+
+    @staticmethod
+    def _problem():
+        grid = make_grid(L=3.6, n=48, pml_width=0.4)
+        speed = _speed(grid)
+        cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
+        f = gaussian_phantom(grid, center=(0.1, 0.2), sigma=0.15)
+        return speed, cfg, f
+
+    @staticmethod
+    def _solves(speed, cfg, f):
+        data = forward_operator(f, speed, cfg).data
+        back = adjoint_operator(np.cos(np.arange(data.size)).reshape(data.shape), speed, cfg)
+        sweep = sweep_large_radius(f, speed, cfg, [2.0, 2.05, 2.1]).data
+        return data, back, sweep
+
+    def test_threaded_and_inline_reads_give_the_same_bytes(self, monkeypatch):
+        speed, cfg, f = self._problem()
+        before = threading.active_count()
+        names = _read_threads(monkeypatch, 2)
+        threaded = self._solves(speed, cfg, f)
+        assert names == {"ringtat-reads"}
+        names = _read_threads(monkeypatch, 1)
+        inline = self._solves(speed, cfg, f)
+        assert names == {threading.main_thread().name}
+        for a, b in zip(threaded, inline):
+            assert a.tobytes() == b.tobytes()
+        assert threading.active_count() == before
+
+    def test_fast_thread_switching_keeps_the_bytes(self, monkeypatch):
+        """Thread switches every microsecond interleave the reads with the
+        steps at every point; a lost or reordered read would change bytes."""
+        grid = make_grid(L=3.6, n=32, pml_width=0.3)
+        speed = _speed(grid)
+        cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=4, n_alpha=64, T=2.0)
+        f = gaussian_phantom(grid, center=(0.1, 0.2), sigma=0.15)
+        _read_threads(monkeypatch, 1)
+        want = self._solves(speed, cfg, f)
+        names = _read_threads(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = self._solves(speed, cfg, f)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+        assert names == {"ringtat-reads"}
+
+    def test_no_thread_to_be_had_reads_inline(self, monkeypatch):
+        speed, cfg, f = self._problem()
+        want = self._solves(speed, cfg, f)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        names = _read_threads(monkeypatch, 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        got = self._solves(speed, cfg, f)
+        assert names == {threading.main_thread().name}
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_read_surfaces_with_its_own_type(self, monkeypatch, cpus):
+        speed, cfg, f = self._problem()
+        measurement_map(speed, cfg)  # built before the read starts failing
+        before = threading.active_count()
+        _read_threads(monkeypatch, cpus)
+        apply, calls = BicubicSampler.apply, []
+
+        def failing(self, u):
+            calls.append(1)
+            if len(calls) == 7:
+                raise KeyError("read failed at level 6")
+            return apply(self, u)
+
+        monkeypatch.setattr(BicubicSampler, "apply", failing)
+        with pytest.raises(KeyError, match="read failed at level 6"):
+            forward_operator(f, speed, cfg)
+        assert threading.active_count() == before
+        assert len(calls) <= 7 + 2  # a helper runs at most two levels past the failure
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blow_up_with_reads_pending_raises_one_line(self, monkeypatch, cpus):
+        """A band far thinner than a cell blows the field up; the error is
+        the solve's own, whether or not reads are still in flight."""
+        grid = make_grid(L=3.4, n=17, pml_width=1.884425739150716e-12)
+        speed = _speed(grid)
+        cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=4, n_alpha=64, T=8.0)
+        f = gaussian_phantom(grid, center=(0.1, -0.1), sigma=0.2)
+        before = threading.active_count()
+        monkeypatch.setattr(detector, "_usable_cpus", lambda: cpus)
+        with pytest.raises(FloatingPointError) as err:
+            forward_operator(f, speed, cfg)
+        message = str(err.value)
+        assert message.startswith("field blew up at step 34 (t = 8); check the CFL bound")
+        assert "pml_width = 1.88443e-12" in message and "\n" not in message
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_reads_run_under_the_callers_error_state(self, monkeypatch, cpus):
+        speed, cfg, f = self._problem()
+        data = forward_operator(f, speed, cfg).data
+        _read_threads(monkeypatch, cpus)
+
+        def overflowing(fn):
+            def read(self, x):
+                np.multiply(np.float64(1e308), 10.0)  # warns unless overflow is handled
+                return fn(self, x)
+            return read
+
+        monkeypatch.setattr(BicubicSampler, "apply", overflowing(BicubicSampler.apply))
+        monkeypatch.setattr(BicubicSampler, "apply_T", overflowing(BicubicSampler.apply_T))
+        # the forward solve ignores overflow, and so do its reads
+        assert np.array_equal(forward_operator(f, speed, cfg).data, data)
+        with np.errstate(over="ignore"):
+            adjoint_operator(data, speed, cfg)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            adjoint_operator(data, speed, cfg)
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert detector._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert detector._usable_cpus() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert detector._usable_cpus() == 1
+
+
+_TRACED_SOLVES = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, completeness
+tracer = Tracer()
+tracer.install()
+from ringtat import detector, field
+grid = field.make_grid(L=3.4, n=32, pml_width=0.3)
+speed = field.sample_speed(field.SpeedSpec(kind="sinusoidal"), grid)
+cfg = detector.DetectorConfig(mode=detector.LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.0)
+f = field.gaussian_phantom(grid, center=(0.1, 0.2), sigma=0.15)
+data = detector.forward_operator(f, speed, cfg).data
+detector.adjoint_operator(data, speed, cfg)
+detector.sweep_large_radius(f, speed, cfg, [2.0, 2.02, 2.04])
+snap = tracer.snapshot()
+print(json.dumps({"mismatches": completeness(snap), "nt": len(data), "calls": snap["calls"]}))
+"""
+
+
+def test_benchmark_tracer_counts_match_their_closed_forms():
+    """The benchmark's tracer pins one ``apply``/``apply_T`` and one
+    ``step``/``step_T`` call per level; its rebinding never undoes itself,
+    so it runs in a fresh process."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", _TRACED_SOLVES, str(root / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["mismatches"] == []
+    nt, calls = out["nt"], out["calls"]
+    assert calls["_spline.BicubicSampler.apply"] == 2 * nt
+    assert calls["_spline.BicubicSampler.apply_T"] == nt
+    assert calls["wave.WaveSolver.step"] == 2 * (nt - 1)
+    assert calls["wave.WaveSolver.step_T"] == nt - 1
 
 
 def _synthetic_sweep(data, dt, radii, large=False, n_theta=None, aperture=None):

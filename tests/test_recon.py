@@ -331,17 +331,20 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("band", [False, True])
     def test_one_step_per_level(self, monkeypatch, band):
+        from ringtat._spline import BicubicSampler
         from ringtat.wave import WaveSolver
 
         speed, cfg, sino = _tiny_problem(0.3 if band else 0.0)
         nt = sino.data.shape[0]
-        counts = {"step": 0, "step_T": 0}
+        counts = {"step": 0, "step_T": 0, "apply": 0, "apply_T": 0}
         _count_calls(monkeypatch, WaveSolver, "step", counts)
         _count_calls(monkeypatch, WaveSolver, "step_T", counts)
+        _count_calls(monkeypatch, BicubicSampler, "apply", counts)
+        _count_calls(monkeypatch, BicubicSampler, "apply_T", counts)
         forward_operator(np.zeros((32, 32)), speed, cfg)
-        assert counts == {"step": nt - 1, "step_T": 0}
+        assert counts == {"step": nt - 1, "step_T": 0, "apply": nt, "apply_T": 0}
         adjoint_operator(sino.data, speed, cfg)
-        assert counts == {"step": nt - 1, "step_T": nt - 1}
+        assert counts == {"step": nt - 1, "step_T": nt - 1, "apply": nt, "apply_T": nt}
 
     @pytest.mark.parametrize("kind", ["small", "large"])
     def test_sweep_reads_every_level_once(self, monkeypatch, kind):
