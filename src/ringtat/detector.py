@@ -12,16 +12,17 @@ record lattice, the sampler, one WaveSolver, and the misfit weights and
 unit-disc mask the solvers read.  ``measurement_map`` builds it once, and
 every forward, adjoint, CG and power-iteration solve on it shares it; the
 radius sweeps build their own, uncached.  The forward map and the sweeps
-read the field at every level through ``wave.solve_forward``'s probe; the
-exact adjoint marches the solver's transposed steps.  Both damp the field
-in the grid's absorbing band (its ``pml_width``; none when that is 0), and
+read the field of every level that ``wave.march`` yields; the exact
+adjoint marches the solver's transposed steps.  Both damp the field in
+the grid's absorbing band (its ``pml_width``; none when that is 0), and
 sampling goes through the shared bicubic machinery so the adjoint
 identity holds to machine precision.
 
-A solve's detector reads run on one helper thread beside its wave steps
-(``_Reads``): a forward read of level k needs only the field of level k,
-which the solver never writes again, and an adjoint back-projection
-``apply_T(data[k])`` needs no field at all.  At most two levels are in
+Every solve reads its detectors through ``_read_ahead``, which runs the
+reads in order on one helper thread beside the wave steps: a forward read
+of level k needs only the field of level k, which the solver never writes
+again, and an adjoint back-projection ``apply_T(data[k])`` needs no field
+at all.  At most ``_AHEAD`` levels past the oldest unreceived read are in
 flight.  Each level still makes one read and one step with unchanged
 arithmetic, and the adjoint adds each back-projection into its state in
 the same order, so the results are the same bytes as a plain loop's.  A
@@ -36,11 +37,11 @@ shrink at second order under simultaneous lattice refinement, which
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import functools
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -56,14 +57,14 @@ from .field import (
     transition,
     unit_exponent,
 )
-from .wave import WaveSolver, check_time_step, choose_time_steps, solve_forward
+from .wave import WaveSolver, check_time_step, choose_time_steps, march
 
 _TWO_PI = 2.0 * math.pi
 # the sampler's block build holds at least one ring's 16 entries per circle
 # point behind int32 offsets; capping all n_theta * n_alpha points of the
 # detector below 2**31 / 16 caps every ring's
 _MAX_POINTS = (2**31 - 1) // 16
-# levels a solve's helper thread may hold while the caller steps
+# reads a solve's helper thread may run past the oldest one not yet received
 _AHEAD = 2
 
 
@@ -299,93 +300,55 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Reads:
-    """One solve's detector reads, run in order on a helper thread beside
-    the caller's wave steps.
+def _read_ahead(fn, items):
+    """Yield ``fn(x)`` for each of ``items``, in order.
 
-    ``submit(fn, *args)`` queues the call ``fn(*args)`` under the caller's
-    context at that moment, numpy's error state included; ``take()`` waits
-    for the oldest call not yet taken and returns its value, or re-raises
-    its exception in the caller.  ``pending`` counts the calls submitted
-    and not yet taken, and the caller takes the oldest once it exceeds
-    ``ahead``: ``_AHEAD`` on the helper thread.  When the process may use
-    only one CPU, or no thread can be started, ``submit`` makes the call
-    inline and ``ahead`` is 0, so each read runs where a plain loop runs it.
-
-    Leaving the ``with`` block drops the calls not yet started and joins
-    the thread, so no thread outlives its solve.  A call that failed after
-    the caller itself raised is dropped, and the caller's exception stands.
+    The calls run on one helper thread, each under the caller's context
+    (numpy's error state included) at the moment its item is pulled, and
+    at most ``_AHEAD`` items are pulled past the oldest value the caller
+    has not yet received.  A call's exception is re-raised in the caller.
+    When the process may use only one CPU, or no thread can be started,
+    each call runs inline as its value is asked for.  The thread is joined
+    when the generator ends or is closed, as it is when a caller's loop
+    over it finishes or raises; calls still queued then run first.
     """
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def __init__(self):
-        self.pending = self.ahead = 0
-        self._todo, self._done = collections.deque(), collections.deque()
-        self._cv = threading.Condition()
-        self._thread = None
-        if _usable_cpus() > 1:
-            thread = threading.Thread(target=self._serve, name="ringtat-reads")
+    def serve():
+        for call in iter(todo.get, None):
             try:
-                thread.start()
-            except RuntimeError:  # no thread to be had: read inline
-                return
-            self._thread, self.ahead = thread, _AHEAD
+                done.put((call(), None))
+            except BaseException as exc:  # re-raised in the caller
+                done.put((None, exc))
 
-    def __enter__(self) -> _Reads:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            with self._cv:
-                self._todo.clear()
-                self._todo.append(None)  # the thread's signal to end
-                self._cv.notify_all()
-            self._thread.join()
-
-    def submit(self, fn, *args) -> None:
-        self.pending += 1
-        if self._thread is None:
-            self._done.append((fn(*args), None))
-            return
-        call = functools.partial(contextvars.copy_context().run, fn, *args)
-        with self._cv:
-            self._todo.append(call)
-            self._cv.notify_all()
-
-    def take(self):
-        with self._cv:
-            while not self._done:
-                self._cv.wait()
-            value, error = self._done.popleft()
-        self.pending -= 1
-        if error is not None:
-            raise error
+    def take():
+        value, exc = done.get()
+        if exc is not None:
+            raise exc
         return value
 
-    def map(self, fn, items):
-        """``fn(x)`` for each of ``items`` in order, each call submitted up
-        to ``ahead`` items before it is taken."""
+    thread = threading.Thread(target=serve, name="ringtat-reads")
+    try:
+        if _usable_cpus() > 1:
+            thread.start()
+    except RuntimeError:  # no thread to be had: read inline
+        pass
+    if not thread.is_alive():
+        yield from map(fn, items)
+        return
+    pending = 0
+    try:
         for x in items:
-            self.submit(fn, x)
-            if self.pending > self.ahead:
-                yield self.take()
-        while self.pending:
-            yield self.take()
-
-    def _serve(self) -> None:
-        while True:
-            with self._cv:
-                while not self._todo:
-                    self._cv.wait()
-                call = self._todo.popleft()
-            if call is None:
-                return
-            try:
-                result = (call(), None)
-            except BaseException as exc:  # re-raised in the caller by take()
-                result = (None, exc)
-            with self._cv:
-                self._done.append(result)
-                self._cv.notify_all()
+            todo.put(functools.partial(contextvars.copy_context().run, fn, x))
+            pending += 1
+            if pending > _AHEAD:
+                pending -= 1
+                yield take()
+        for _ in range(pending):
+            yield take()
+    finally:
+        todo.put(None)
+        thread.join()
 
 
 def _record_forward(f, m: MeasurementMap) -> np.ndarray:
@@ -404,21 +367,14 @@ def _record_forward(f, m: MeasurementMap) -> np.ndarray:
         raise ValueError(f"a record of {m.nt} time levels x {sampler.n_rows} detectors "
                          "is too large to allocate") from None
 
-    def read(k, u):
-        out[k] = sampler.apply(u)
-
     e = unit_exponent(f)
-    with _Reads() as reads:
-
-        def probe(k, u):
-            reads.submit(read, k, u)
-            if reads.pending > reads.ahead:
-                reads.take()
-
-        solve_forward(np.ldexp(f, -e), m.solver, m.nt, probe=probe)
-        while reads.pending:
-            reads.take()
-    with np.errstate(over="ignore"):
+    # an overflowing field is reported once, by march's finite checks or
+    # below, instead of by a numpy warning per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        # pending reads hold only the fields they read, not whole states
+        fields = (s.u_curr for s in march(np.ldexp(f, -e), m.solver, m.nt))
+        for k, row in enumerate(_read_ahead(sampler.apply, fields)):
+            out[k] = row
         np.ldexp(out, e, out=out)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
@@ -448,11 +404,10 @@ def adjoint_operator(data: np.ndarray, speed: SpeedField, config: DetectorConfig
         raise ValueError(f"data shape {data.shape} does not match lattice {(m.nt, sampler.n_rows)}")
     # the loop owns w.u_curr: the zero state's, then each fresh step_T result
     w = solver.zero_state()
-    with _Reads() as reads:
-        for k, back in zip(range(m.nt - 1, -1, -1), reads.map(sampler.apply_T, data[::-1])):
-            w.u_curr += back
-            if k > 0:
-                w = solver.step_T(w)
+    for k, back in zip(range(m.nt - 1, -1, -1), _read_ahead(sampler.apply_T, data[::-1])):
+        w.u_curr += back
+        if k > 0:
+            w = solver.step_T(w)
     return solver.init_state_T(w)
 
 

@@ -14,13 +14,14 @@ the field and has a hand-written exact transpose, with plain Euclidean
 inner products (no h^2 or dt weights).  Downstream modules compose these
 into an exact discrete adjoint of the full measurement map.
 
-``solve_forward`` is the one forward time loop: it owns the level lattice
-walk and the finiteness checks, and every forward reader (the measurement
-map, the radius sweeps) sees the field through its per-level probe.  Only
-the adjoint marches ``step_T`` itself, since it adds data into the state
-between steps.  Both take their WaveSolver from the caller: the detector's
-measurement map builds one per (speed, detector config) and every solve of
-a command runs on it; a radius sweep builds its own.
+``march`` is the one forward time loop: it owns the level lattice walk
+and the finiteness checks, and yields the state of every level, so every
+forward reader (the measurement map, the radius sweeps, ``solve_forward``,
+the energy self-check) iterates over it.  Only the adjoint marches
+``step_T`` itself, since it adds data into the state between steps.  Both
+take their WaveSolver from the caller: the detector's measurement map
+builds one per (speed, detector config) and every solve of a command runs
+on it; a radius sweep builds its own.
 
 WaveSolver folds the scheme's per-cell coefficients (damping, speed, dt,
 h and the semi-implicit denominator) once, so one step and its transpose
@@ -415,28 +416,31 @@ def _check_finite(state: WaveState, k: int, solver: WaveSolver) -> None:
     raise FloatingPointError(f"field blew up at step {k} (t = {k * dt:g}); {cause}")
 
 
-def solve_forward(f, solver: WaveSolver, nt: int, probe=None) -> WaveState:
-    """March the pressure field ``f`` from rest over the levels 0..nt-1 of
-    ``solver`` (its speed and dt, damped by the grid's absorbing band when
-    it has one).
+def march(f, solver: WaveSolver, nt: int):
+    """Yield the states of levels 0..nt-1 of the pressure field ``f``
+    marched from rest on ``solver`` (its speed and dt, damped by the grid's
+    absorbing band when it has one), in order.
 
-    This is the one forward time loop: the measurement map and the radius
-    sweeps read the field through ``probe(k, u)``, called with the level
-    index and the field at every level in order, level 0 included.  A
-    non-finite field raises FloatingPointError, checked every
-    ``_NAN_CHECK_EVERY`` levels and at the end.  Returns the final state.
+    A non-finite field raises FloatingPointError, checked every
+    ``_NAN_CHECK_EVERY`` levels and before the last level is yielded.  The
+    steps run under the caller's numpy error state: a generator that held
+    one across its yields would leak it into the caller between them.
     """
-    # an overflowing field is reported once, by _check_finite, instead of by
-    # a numpy warning per operation
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = solver.init_state(f)
-        if probe is not None:
-            probe(0, s.u_curr)
-        for k in range(1, nt):
-            s = solver.step(s)
-            if k % _NAN_CHECK_EVERY == 0:
-                _check_finite(s, k, solver)
-            if probe is not None:
-                probe(k, s.u_curr)
+    s = solver.init_state(f)
+    for k in range(1, nt):
+        yield s
+        s = solver.step(s)
+        if k % _NAN_CHECK_EVERY == 0:
+            _check_finite(s, k, solver)
     _check_finite(s, nt - 1, solver)
+    yield s
+
+
+def solve_forward(f, solver: WaveSolver, nt: int) -> WaveState:
+    """The last state of ``march(f, solver, nt)``, level nt - 1."""
+    # an overflowing field is reported once, by march's finite checks,
+    # instead of by a numpy warning per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in march(f, solver, nt):
+            pass
     return s

@@ -32,7 +32,7 @@ from ringtat.detector import (
     theta_grid,
 )
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
-from ringtat.wave import cfl_limit, choose_time_steps
+from ringtat.wave import WaveSolver, cfl_limit, choose_time_steps
 
 
 def _speed(grid, kind="sinusoidal"):
@@ -333,7 +333,7 @@ class TestForwardOperator:
     def test_non_finite_field_is_refused_before_the_solve(self, monkeypatch):
         # its scale exponent would read 0, and the solve would stop at its
         # periodic check blaming the time step
-        monkeypatch.setattr(detector, "solve_forward", lambda *args, **kwargs: pytest.fail("solved"))
+        monkeypatch.setattr(detector, "march", lambda *args, **kwargs: pytest.fail("solved"))
         grid = make_grid(L=3.6, n=49, pml_width=0.5)
         f = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
         f[24, 24] = math.inf
@@ -593,6 +593,30 @@ class TestHelperThread:
             forward_operator(f, speed, cfg)
         assert threading.active_count() == before
         assert len(calls) <= 7 + 2  # a helper runs at most two levels past the failure
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_step_with_reads_pending_surfaces_with_its_own_type(self, monkeypatch,
+                                                                            cpus):
+        """The caller's own loop body raises while the helper still holds
+        reads: the adjoint's transposed step fails at its fourth level."""
+        speed, cfg, f = self._problem()
+        m = measurement_map(speed, cfg)
+        data = np.cos(np.arange(m.nt * m.sampler.n_rows)).reshape(m.nt, -1)
+        before = threading.active_count()
+        names = _read_threads(monkeypatch, cpus)
+        step_T, steps = WaveSolver.step_T, []
+
+        def failing(self, s):
+            steps.append(1)
+            if len(steps) == 4:
+                raise KeyError("step_T failed at level 4")
+            return step_T(self, s)
+
+        monkeypatch.setattr(WaveSolver, "step_T", failing)
+        with pytest.raises(KeyError, match="step_T failed at level 4"):
+            adjoint_operator(data, speed, cfg)
+        assert threading.active_count() == before
+        assert names == ({"ringtat-reads"} if cpus > 1 else {threading.main_thread().name})
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_blow_up_with_reads_pending_raises_one_line(self, monkeypatch, cpus):

@@ -1,6 +1,7 @@
 """Each module's private names stay inside it: no ``src`` module imports
 an underscore name from another.  Each module uses every name it imports,
-so a removal leaves no stale import behind."""
+so a removal leaves no stale import behind.  Only detector branches on the
+detector geometry, and only the two time loops step the wave solver."""
 
 import ast
 from pathlib import Path
@@ -53,23 +54,40 @@ def test_unused_import_check_sees_a_stale_import():
     assert _unused_imports(source, "m.py") == ["m.py:4 Phantom"]
 
 
-def _mode_branches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
-    """(file, enclosing function, line) of each ``isinstance`` call in
-    ``source`` that tests for ``SmallMode`` or ``LargeMode``."""
+def _calls(source: str, filename: str, match) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of each call in ``source`` that
+    ``match`` accepts."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "isinstance" and len(child.args) == 2):
-                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child.args[1])}
-                if names & {"SmallMode", "LargeMode"}:
-                    found.append((filename, func, child.lineno))
+            if isinstance(child, ast.Call) and match(child):
+                found.append((filename, func, child.lineno))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
     visit(ast.parse(source, filename=filename), None)
     return found
+
+
+def _mode_branches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of each ``isinstance`` call in
+    ``source`` that tests for ``SmallMode`` or ``LargeMode``."""
+
+    def match(call):
+        if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                and len(call.args) == 2):
+            return False
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(call.args[1])}
+        return bool(names & {"SmallMode", "LargeMode"})
+
+    return _calls(source, filename, match)
+
+
+def _method_calls(source: str, filename: str, method: str) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of each ``<expr>.<method>(...)`` call."""
+    return _calls(source, filename,
+                  lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == method)
 
 
 def test_only_detector_branches_on_the_detector_geometry():
@@ -86,3 +104,23 @@ def test_mode_branch_check_sees_a_branch():
               "def meta(mode):\n"
               "    return 'small' if isinstance(mode, (detector.SmallMode, int)) else 'large'\n")
     assert _mode_branches(source, "m.py") == [("m.py", "meta", 3)]
+
+
+def test_only_the_two_time_loops_step_the_solver():
+    # wave.march is the one forward loop; the adjoint adds data between its
+    # transposed steps, so it marches them itself
+    found = {"step": [], "step_T": []}
+    for path in sorted(SRC.glob("*.py")):
+        for method in found:
+            found[method] += [where[:2] for where in
+                              _method_calls(path.read_text(), path.name, method)]
+    assert found == {"step": [("wave.py", "march")], "step_T": [("detector.py", "adjoint_operator")]}
+
+
+def test_step_check_sees_a_step():
+    source = ("def settle(solver, s):\n"
+              "    for _ in range(3):\n"
+              "        s = solver.step(s)\n"
+              "    return solver.step_T(s)\n")
+    assert _method_calls(source, "m.py", "step") == [("m.py", "settle", 3)]
+    assert _method_calls(source, "m.py", "step_T") == [("m.py", "settle", 4)]

@@ -17,6 +17,7 @@ from ringtat.wave import (
     default_sigma_max,
     energy,
     laplacian,
+    march,
     pml_profile,
     solve_forward,
 )
@@ -433,16 +434,13 @@ class TestBandLayout:
 
 
 class TestSolveForward:
-    def test_probe_lattice_and_zero_field(self):
+    def test_march_lattice_and_zero_field(self):
         _, sp = _setup()
         nt, dt = choose_time_steps(sp, 0.5)
         levels, times = [], []
-
-        def probe(k, u):
+        for k, s in enumerate(march(np.zeros((64, 64)), WaveSolver(sp, dt), nt)):
             levels.append(k)
-            times.append((k * dt, np.abs(u).max()))
-
-        solve_forward(np.zeros((64, 64)), WaveSolver(sp, dt), nt, probe=probe)
+            times.append((k * dt, np.abs(s.u_curr).max()))
         assert levels == list(range(nt))
         assert len(times) == nt
         assert times[0][0] == 0.0
@@ -454,9 +452,8 @@ class TestSolveForward:
         sp = sample_speed(SpeedSpec(kind="constant"), g)
         f = gaussian_phantom(g, sigma=0.08)
         ij = (int(np.argmin(np.abs(g.axis - 1.0))), int(np.argmin(np.abs(g.axis))))
-        rec = []
         nt, dt = choose_time_steps(sp, 1.5)
-        solve_forward(f, WaveSolver(sp, dt), nt, probe=lambda k, u: rec.append((k * dt, u[ij])))
+        rec = [(k * dt, s.u_curr[ij]) for k, s in enumerate(march(f, WaveSolver(sp, dt), nt))]
         ts = np.array([t for t, _ in rec])
         vs = np.array([v for _, v in rec])
         t_peak = ts[np.argmax(np.abs(vs))]
