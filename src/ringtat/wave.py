@@ -24,13 +24,13 @@ builds one per (speed, detector config) and every solve of a command runs
 on it; a radius sweep builds its own.
 
 WaveSolver folds the scheme's per-cell coefficients (damping, speed, dt,
-h and the semi-implicit denominator) once, so one step and its transpose
-are a few contiguous multiply-adds and shifted sums over the flat field,
-with no per-step division, plus gathers over the band cells, the only
-cells where the split field lives.  The transpose reads the same folded
-arrays and index arrays, so it stays exact; the folding reassociates
-floating-point arithmetic, so fields equal the unfolded update to
-rounding, not bit for bit.
+h and the semi-implicit denominator) once, so one step is a few contiguous
+multiply-adds and shifted sums over the flat field, with no per-step
+division, plus two sparse products built once that couple the field to the
+split field on the band cells.  The transpose reads the same folded arrays
+and the same two matrices as their transposes, so it stays exact; the
+folding reassociates floating-point arithmetic, so fields equal the
+unfolded update to rounding, not bit for bit.
 
 State convention: u_curr is the field at the current level, u_prev one
 level back, phi/psi the split-field layer memory on the band cells.
@@ -40,6 +40,7 @@ u(-dt) = u(+dt).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,24 +82,22 @@ def _neighbour_sum(u: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _neighbours(cells: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(4, cells.size) positions of the (+n, +1, -n, -1) neighbours of the
-    flat ``cells`` among the True cells of the (n, n) ``mask`` in C order.
-    A neighbour off the grid or off the mask gets ``mask.sum()``, the
-    position of the zero pad at the end of a vector over the mask."""
-    n, k = mask.shape[0], np.count_nonzero(mask)
-    pos = np.full((n + 2, n + 2), k)
-    pos[1:-1, 1:-1][mask] = np.arange(k)
-    at = cells + 2 * (cells // n) + n + 3  # each cell's flat index in ``pos``
-    return pos.reshape(-1)[at + np.array([n + 2, 1, -n - 2, -1])[:, None]]
+def _accumulating(rows: int, cols: int, indptr, indices, data):
+    """The products y += A x and y += A^T x of the (rows, cols) CSR matrix
+    A = (data, indices, indptr), as two callables (x, y) that add into
+    ``y`` in place.
 
+    They are SciPy's kernels behind ``A @ x`` and ``A.T @ y``: a row of A
+    sums its entries by ascending column, starting from y's value, and the
+    transpose adds them to y by ascending row of A.  The public product
+    instead fills a zeroed result and needs a second pass to add it.  This
+    is the one place the package reaches a private name of numpy or SciPy
+    (tests/test_imports.py checks that).
+    """
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-def _centred(p: np.ndarray, nb: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(Dx, Dy) off the padded vector ``p`` at the cells of the neighbour
-    positions ``nb``: out[:2] = p[nb[:2]] - p[nb[2:]]."""
-    np.take(p, nb, out=out, mode="clip")
-    out[:2] -= out[2:]
-    return out[:2]
+    return (functools.partial(csr_matvec, rows, cols, indptr, indices, data),
+            functools.partial(csc_matvec, cols, rows, indptr, indices, data))
 
 
 def cfl_limit(speed: SpeedField) -> float:
@@ -224,19 +223,23 @@ class WaveSolver:
         u_curr = A0 U + N(K1 U) + V - Dx(B_phi F) - Dy(B_psi G),  u_prev = -Q U
         phi    = a_phi F - Dx(K2 U),    psi = a_psi G - Dy(K2 U)
 
-    The split field is zero off the band, so it lives on the band cells S
-    only (WaveState.phi/psi), and K2 on the flux cells H (S and its four
-    neighbours), the only cells Dx phi and Dy psi reach.  ``__init__``
-    lists both sets and, for each cell, the positions of its four
-    neighbours in the other set.  ``step`` and ``step_T`` both read Dx and
-    Dy through these index arrays (one gather off a copy of the other set's
-    vector with a zero pad, for a neighbour off the grid or the set) and
-    move u on and off H by its index array, as whole-row slices where H
-    holds whole grid rows.  Each cell's arithmetic is that of the full-grid
-    folded step, so fields equal it bit for bit.
+    The split field is zero off the band, so it lives on the band cells
+    only (WaveState.phi/psi, m entries each).  ``__init__`` folds its
+    coupling into two sparse matrices between the flat field and the
+    stacked P = (phi, psi): D (2m x n^2) gives (B_phi Dx u, B_psi Dy u)
+    and F (n^2 x 2m) gives K2 (Dx phi + Dy psi).  D is stored by rows and
+    F by columns, on one shared pattern: row i of D and column i of F hold
+    the two Dx (or Dy) neighbours on the grid of entry i's band cell, so
+    no product walks the n^2 cells.  ``step`` adds F P into u+ and D u
+    into a P; ``step_T`` adds D^T P into u_curr and F^T U into a P, off
+    the same arrays, through SciPy's kernels that accumulate into their
+    output (``_accumulating``).  Each output cell adds its terms in the
+    order of P: phi at the -n then +n neighbour, then psi at -1 then +1.
+    tests/full_grid_step.py is the same step on full-grid phi and psi with
+    its band terms added in that order, and fields equal it bit for bit.
 
     Without a band (pml_width = 0) den = 1, sx = sy = 0 and the phi/psi
-    terms drop out.
+    terms drop out, with no matrix built.
     Folding reassociates the arithmetic of the unfolded update
     ``(coef_u u - coef_v u- + dt^2 c^2 (Lap u + ...)) / den``, so fields
     agree with it to rounding (about 2e-16 relative per step), not bitwise.
@@ -279,40 +282,25 @@ class WaveSolver:
         self._m = m = cells.size
         if not m:
             return
-        reach = band | (_neighbour_sum(band.reshape(-1) * 1.0, self._t, n) > 0.0).reshape(n, n)
-        flux = np.flatnonzero(reach)
-        # H begins and ends with whole grid rows, which move by slices
-        head = int(np.argmin(flux == np.arange(flux.size)))
-        tail = int(np.argmin((flux == np.arange(flux.size) + n * n - flux.size)[::-1]))
-        self._rows = head, tail, flux[head : flux.size - tail]
-        # Dx phi and Dy psi at H read one padded (2, m + 1) buffer, psi second
-        self._flux_nb = _neighbours(flux, band)
-        self._flux_nb[1::2] += m + 1
-        self._band_nb = _neighbours(cells, reach)
-        self._k2 = k.reshape(-1)[flux] / (2.0 * h)
+        # one row of D (column of F) per entry of P: Dx reads the -n, +n
+        # neighbours, Dy the -1, +1 ones, and one off the grid has no entry
+        nb = np.pad(np.arange(n * n).reshape(n, n), 1, constant_values=-1)
+        nb = np.stack([nb[:-2, 1:-1], nb[2:, 1:-1], nb[1:-1, :-2], nb[1:-1, 2:]], axis=-1)[band]
+        cols = np.concatenate([nb[:, :2], nb[:, 2:]])
+        keep = cols >= 0
+        indptr = np.zeros(2 * m + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        pattern = 2 * m, n * n, indptr, cols[keep].astype(np.int32)
         sx, sy = sigma[cells // n], sigma[cells % n]
-        self._a = np.stack([1.0 - dt * sx, 1.0 - dt * sy])
-        self._b = np.stack([dt * (sy - sx) / (2.0 * h), dt * (sx - sy) / (2.0 * h)])
-        # padded vectors over S and H, whose pads stay 0, and scratch: u on H
-        # takes a row the flux differences leave free, and the band
-        # differences reuse the whole buffer once the flux has been added
-        self._pad_band, self._pad_flux = np.zeros((2, m + 1)), np.zeros(flux.size + 1)
-        self._w_flux = np.empty((4, flux.size))
-        self._on_flux = self._w_flux[2]
-        self._w_band = self._w_flux.reshape(-1)[: 4 * m].reshape(4, m)
-
-    def _take(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = the flat field ``x`` on H."""
-        head, tail, mid = self._rows
-        out[:head], out[out.size - tail :] = x[:head], x[x.size - tail :]
-        np.take(x, mid, out=out[head : out.size - tail], mode="clip")
-        return out
-
-    def _put(self, x: np.ndarray, v: np.ndarray) -> None:
-        """x = v on H."""
-        head, tail, mid = self._rows
-        x[:head], x[x.size - tail :] = v[:head], v[v.size - tail :]
-        x[mid] = v[head : v.size - tail]
+        b = np.concatenate([dt * (sy - sx) / (2.0 * h), dt * (sx - sy) / (2.0 * h)])
+        self._memory, self._memory_T = _accumulating(*pattern, (b[:, None] * [-1.0, 1.0])[keep])
+        # the flux K2 (phi[+n] - phi[-n]) at a cell reads its +n neighbour's
+        # phi with its own K2, so the column of band cell c holds +K2[c - n]
+        # in row c - n and -K2[c + n] in row c + n (and psi alike at -+1)
+        k2 = flat(k / (2.0 * h))
+        self._flux_T, self._flux = _accumulating(*pattern, (k2[cols] * [1.0, -1.0])[keep])
+        self._a = np.concatenate([1.0 - dt * sx, 1.0 - dt * sy])
+        self._p = np.empty(2 * m)  # the stacked split field of a step's input
 
     def zero_state(self) -> WaveState:
         z = np.zeros_like(self.c2)
@@ -340,20 +328,12 @@ class WaveSolver:
         out += np.multiply(self._k1, _neighbour_sum(u, t, n), out=t)
         if not self._m:
             return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi)
-        pb, ph, m = self._pad_band, self._pad_flux, self._m
-        pb[0, :m], pb[1, :m] = s.phi, s.psi
-        flux = _centred(pb.reshape(-1), self._flux_nb, self._w_flux)
-        flux[0] += flux[1]
-        flux[0] *= self._k2
-        o = self._take(out, self._on_flux)
-        o += flux[0]
-        self._put(out, o)
-        self._take(u, ph[:-1])
-        d = _centred(ph, self._band_nb, self._w_band)
-        d *= self._b
-        new = np.multiply(self._a, pb[:, :m])
-        new += d
-        return WaveState(out.reshape(n, n), s.u_curr, new[0], new[1])
+        p, m = self._p, self._m
+        p[:m], p[m:] = s.phi, s.psi
+        self._flux(p, out)
+        new = np.multiply(self._a, p)
+        self._memory(u, new)
+        return WaveState(out.reshape(n, n), s.u_curr, new[:m], new[m:])
 
     def step_T(self, s: WaveState) -> WaveState:
         n, t = self.grid.n, self._t
@@ -364,21 +344,12 @@ class WaveSolver:
         b = np.multiply(self._neg_q, U)
         if not self._m:
             return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi)
-        pb, ph, m = self._pad_band, self._pad_flux, self._m
-        np.multiply(self._b[0], s.phi, out=pb[0, :m])
-        np.multiply(self._b[1], s.psi, out=pb[1, :m])
-        flux = _centred(pb.reshape(-1), self._flux_nb, self._w_flux)
-        o = self._take(a, self._on_flux)
-        o -= flux[0]
-        o -= flux[1]
-        self._put(a, o)
-        np.multiply(self._k2, self._take(U, self._on_flux), out=ph[:-1])
-        d = _centred(ph, self._band_nb, self._w_band)
-        g = np.multiply(self._a[0], s.phi)
-        g -= d[0]
-        q = np.multiply(self._a[1], s.psi)
-        q -= d[1]
-        return WaveState(a.reshape(n, n), b.reshape(n, n), g, q)
+        p, m = self._p, self._m
+        p[:m], p[m:] = s.phi, s.psi
+        self._memory_T(p, a)
+        new = np.multiply(self._a, p)
+        self._flux_T(U, new)
+        return WaveState(a.reshape(n, n), b.reshape(n, n), new[:m], new[m:])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@
 reference for ``WaveSolver``, which keeps that field on the band cells only.
 
 Each cell's arithmetic here is the solver's, so states mapped between the
-two layouts with ``to_full``/``to_band`` must agree bit for bit.
+two layouts with ``to_full``/``to_band`` must agree bit for bit.  The
+solver applies its band terms as sparse products, so the band terms here are
+added one at a time in the order those kernels add them, which is the order
+of the terms' source: phi at the -n then the +n neighbour, then psi at -1
+then +1 when the product reads (phi, psi), and the -n then +n (or -1 then
++1) neighbour when it reads u.  A term missing from the solver's matrices
+(a neighbour off the grid or off the band) adds an exact zero here.
 """
 
 import numpy as np
@@ -45,20 +51,16 @@ def _neighbour_sum(u, n):
     return out
 
 
-def _diff0(u, n):
-    out = np.empty_like(u)
-    out[n:-n] = u[2 * n:] - u[: -2 * n]
-    out[:n] = u[n : 2 * n]
-    out[-n:] = -u[-2 * n : -n]
-    return out
-
-
-def _diff1(u, n):
-    out = np.empty_like(u)
-    out[1:-1] = u[2:] - u[:-2]
-    o, v = out.reshape(n, n), u.reshape(n, n)
-    o[:, 0] = v[:, 1]
-    o[:, -1] = -v[:, -2]
+def _at(u, d, n):
+    """u at each cell's neighbour d places on in flat C order (d is -n, n,
+    -1 or 1), zero off the grid."""
+    out = np.zeros_like(u)
+    if d > 0:
+        out[:-d] = u[d:]
+    else:
+        out[-d:] = u[:d]
+    if abs(d) == 1:
+        out.reshape(n, n)[:, -1 if d > 0 else 0] = 0.0
     return out
 
 
@@ -91,13 +93,14 @@ class FullGridStep:
         out = self.a0 * u
         out -= self.q * v
         out += self.k1 * _neighbour_sum(u, n)
-        flux = _diff0(phi, n)
-        flux += _diff1(psi, n)
-        out += self.k2 * flux
+        # the -n and -1 neighbours enter with the negated weight
+        for x, d in ((phi, -n), (phi, n), (psi, -1), (psi, 1)):
+            out += np.copysign(self.k2, d) * _at(x, d, n)
         phi_new = self.a_phi * phi
-        phi_new += self.b_phi * _diff0(u, n)
         psi_new = self.a_psi * psi
-        psi_new += self.b_psi * _diff1(u, n)
+        for new, b, d in ((phi_new, self.b_phi, -n), (phi_new, self.b_phi, n),
+                          (psi_new, self.b_psi, -1), (psi_new, self.b_psi, 1)):
+            new += np.copysign(1.0, d) * b * _at(u, d, n)
         return WaveState(out.reshape(n, n), s.u_curr, phi_new.reshape(n, n),
                          psi_new.reshape(n, n))
 
@@ -107,12 +110,15 @@ class FullGridStep:
         a = self.a0 * U
         a += _neighbour_sum(self.k1 * U, n)
         a += V
-        a -= _diff0(self.b_phi * F, n)
-        a -= _diff1(self.b_psi * G, n)
+        # transposed sums: the cell at -d reaches this one through its +d
+        # entry (+weight), the cell at +d through its -d entry (-weight)
+        bf, bg = self.b_phi * F, self.b_psi * G
+        for x, d in ((bf, -n), (bf, n), (bg, -1), (bg, 1)):
+            a -= np.copysign(1.0, d) * _at(x, d, n)
         ku = self.k2 * U
         g = self.a_phi * F
-        g -= _diff0(ku, n)
         q = self.a_psi * G
-        q -= _diff1(ku, n)
+        for new, d in ((g, -n), (g, n), (q, -1), (q, 1)):
+            new -= np.copysign(1.0, d) * _at(ku, d, n)
         return WaveState(a.reshape(n, n), (-self.q * U).reshape(n, n), g.reshape(n, n),
                          q.reshape(n, n))

@@ -1,7 +1,8 @@
 """Each module's private names stay inside it: no ``src`` module imports
 an underscore name from another.  Each module uses every name it imports,
 so a removal leaves no stale import behind.  Only detector branches on the
-detector geometry, and only the two time loops step the wave solver."""
+detector geometry, only the two time loops step the wave solver, and only
+one wave.py helper reaches a private name of numpy or SciPy."""
 
 import ast
 from pathlib import Path
@@ -54,20 +55,25 @@ def test_unused_import_check_sees_a_stale_import():
     assert _unused_imports(source, "m.py") == ["m.py:4 Phantom"]
 
 
-def _calls(source: str, filename: str, match) -> list[tuple[str, str | None, int]]:
-    """(file, enclosing function, line) of each call in ``source`` that
+def _nodes(source: str, filename: str, match) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of each node in ``source`` that
     ``match`` accepts."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and match(child):
+            if match(child):
                 found.append((filename, func, child.lineno))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
     visit(ast.parse(source, filename=filename), None)
     return found
+
+
+def _calls(source: str, filename: str, match) -> list[tuple[str, str | None, int]]:
+    """``_nodes`` of the calls that ``match`` accepts."""
+    return _nodes(source, filename, lambda node: isinstance(node, ast.Call) and match(node))
 
 
 def _mode_branches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
@@ -124,3 +130,64 @@ def test_step_check_sees_a_step():
               "    return solver.step_T(s)\n")
     assert _method_calls(source, "m.py", "step") == [("m.py", "settle", 3)]
     assert _method_calls(source, "m.py", "step_T") == [("m.py", "settle", 4)]
+
+
+_LIBRARIES = {"numpy", "scipy"}
+
+
+def _is_private(name: str) -> bool:
+    """A single-underscore name (dunders such as ``__version__`` are public)."""
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reaches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing function, line) of each import of, or attribute
+    read reaching, a private name of numpy or SciPy."""
+    tree = ast.parse(source, filename=filename)
+    # the names an import binds to numpy or SciPy, or to anything in them
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names
+                      if a.name.split(".")[0] in _LIBRARIES}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in _LIBRARIES:
+            bound |= {a.asname or a.name for a in node.names}
+
+    def match(node):
+        if isinstance(node, ast.Import):
+            return any(n.split(".")[0] in _LIBRARIES and any(map(_is_private, n.split(".")))
+                       for n in (a.name for a in node.names))
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            return parts[0] in _LIBRARIES and any(map(_is_private, parts + [a.name for a in node.names]))
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            return isinstance(root, ast.Name) and root.id in bound
+        return False
+
+    return _nodes(source, filename, match)
+
+
+def test_only_one_helper_reaches_a_private_library_name():
+    # wave._accumulating binds SciPy's in-place sparse kernels, and
+    # test_wave.py's TestBandProducts pins them to the public products
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [where[:2] for where in _private_reaches(path.read_text(), path.name)]
+    assert found == [("wave.py", "_accumulating")]
+
+
+def test_private_reach_check_sees_a_reach():
+    source = ("import numpy as np\n"
+              "import scipy.linalg._flapack\n"
+              "from scipy import sparse\n"
+              "from numpy import _core\n"
+              "def kernels(self):\n"
+              "    from scipy.sparse._sparsetools import csr_matvec\n"
+              "    v = np.__version__, np.add, self._x, sparse.csr_matrix\n"
+              "    return np._core.multiarray, sparse._sputils, scipy.linalg.blas\n")
+    assert _private_reaches(source, "m.py") == [
+        ("m.py", None, 2), ("m.py", None, 4), ("m.py", "kernels", 6),
+        ("m.py", "kernels", 8), ("m.py", "kernels", 8)]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -431,6 +432,34 @@ class TestBandLayout:
             s, r = solver.step_T(s), ref.step_T(r)
             assert all(np.array_equal(a, b) for a, b in zip(_fields(s), _fields(to_band(g, r))))
         assert np.array_equal(solver.init_state_T(s), solver.init_state_T(to_band(g, r)))
+
+
+class TestBandProducts:
+    """The band's two matrices are applied by SciPy's private sparse kernels
+    (``wave._accumulating``); they must keep summing as the public products
+    do, so a SciPy that renames or changes them fails here, not mid-solve."""
+
+    def test_kernels_equal_the_public_products(self):
+        g = make_grid(L=1.6, n=49, pml_width=0.5)
+        sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+        solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
+        m, rng = band_cells(g).size, np.random.default_rng(3)
+        # D and F^T, one row per band entry of (phi, psi), on one pattern
+        pairs = (solver._memory, solver._memory_T), (solver._flux_T, solver._flux)
+        assert all(a is b for a, b in zip(pairs[0][0].args[:4], pairs[1][0].args[:4]))
+        for product, product_T in pairs:
+            rows, cols, *arrays = product.args
+            assert (rows, cols) == (2 * m, 49 * 49)
+            # the transpose reads the same arrays: no transposed copy is stored
+            assert all(a is b for a, b in zip(arrays, product_T.args[2:]))
+            a = scipy.sparse.csr_matrix(tuple(arrays[::-1]), shape=(rows, cols))
+            assert a.nnz > 0 and a.has_sorted_indices
+            x, y = rng.normal(size=cols), rng.normal(size=rows)
+            got, got_T = np.zeros(rows), np.zeros(cols)
+            product(x, got)
+            product_T(y, got_T)
+            assert np.array_equal(got, a @ x)
+            assert np.array_equal(got_T, a.T @ y)
 
 
 class TestSolveForward:
