@@ -620,29 +620,21 @@ def cmd_visibility(args) -> int:
     cfg = load_experiment(args.config)
     out = _out_dir(cfg, args)
     speed, phantom = _sample(cfg)
-    wf = []
-    if cfg.phantom_spec:
-        wf = phantom_edges(phantom, cfg.grid, threshold=cfg.vis_threshold, stride=cfg.vis_stride,
-                           max_count=cfg.vis_max_count)
-
-    header = ["index", "y0", "y1", "xi0", "xi1", "magnitude", "verdict", "escaped",
-              "partner_index", "witness_theta", "witness_t"]
-    csv_path = out / "visibility.csv"
+    wf = phantom_edges(phantom, cfg.grid, threshold=cfg.vis_threshold, stride=cfg.vis_stride,
+                       max_count=cfg.vis_max_count)
     if not wf:
         print("warning: phantom has no edges above threshold; empty report",
               file=sys.stderr)
-        out.mkdir(parents=True, exist_ok=True)
-        with csv_path.open("w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-        return 0
 
     window = cfg.window or (0.0, cfg.detector.plateau or cfg.detector.T)
     verdicts = visibility(wf, speed, cfg.detector, time_window=window)
 
     out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / "visibility.csv"
     with csv_path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(["index", "y0", "y1", "xi0", "xi1", "magnitude", "verdict", "escaped",
+                    "partner_index", "witness_theta", "witness_t"])
         for i, v in enumerate(verdicts):
             cv = v.covector
             row = [i, f"{cv.y[0]:.17g}", f"{cv.y[1]:.17g}", f"{cv.xi[0]:.17g}",

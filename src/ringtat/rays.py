@@ -314,8 +314,6 @@ def visibility(
     (``canonical_image``), so each ray is traced once, with 4 * rk4_steps + 1
     speed queries; nothing is kept from one call to the next.
     """
-    if not wf:
-        raise ValueError("need at least one wavefront sample")
     tol = 2.0 * speed.grid.h  # in position and in time (unit exterior speed)
 
     t_max = time_window[1] + 1.0

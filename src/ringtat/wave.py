@@ -2,8 +2,8 @@
 
 Solves u_tt = c(x)^2 Lap u with u(0) = f, u_t(0) = 0 by an explicit
 second-order leapfrog scheme.  A split-field absorbing layer occupies the
-grid's band of width pml_width inside each domain edge (none when that
-width is 0); its damping enters semi-implicitly.  That does not keep the
+grid's band of width pml_width inside each domain edge (the empty band when
+that width is 0); its damping enters semi-implicitly.  That does not keep the
 scheme's standard stability bound: a band too thin for the time step
 grows without bound.  At the default lattice (0.9 of the CFL bound) the
 band needs dt * sigma_max <= 1.4, about 6 cells at c = 1 (the measured
@@ -33,7 +33,7 @@ folding reassociates floating-point arithmetic, so fields equal the
 unfolded update to rounding, not bit for bit.
 
 State convention: u_curr is the field at the current level, u_prev one
-level back, phi/psi the split-field layer memory on the band cells.
+level back, p the split-field layer memory (phi, psi) on the band cells.
 Since u_t(0) = 0 makes the solution even in time, the initial state uses
 u(-dt) = u(+dt).
 """
@@ -184,23 +184,23 @@ def pml_profile(grid: Grid2D) -> np.ndarray:
 class WaveState:
     """One leapfrog level pair and the split-field memory.
 
-    u_curr and u_prev are (n, n) fields; phi and psi are 1-D, one entry per
-    absorbing-band cell (sigma_x + sigma_y > 0) in C order, since the split
-    field stays zero off the band.  Without a band they are empty.  The
-    time step is the solver's dt, and level k sits at time k * dt.
+    u_curr and u_prev are (n, n) fields; p is the split field stacked as
+    (phi, psi), 1-D with one phi and one psi entry per absorbing-band cell
+    (sigma_x + sigma_y > 0) in C order, since the split field stays zero
+    off the band.  Without a band it is empty.  The time step is the
+    solver's dt, and level k sits at time k * dt.
     """
 
     u_curr: np.ndarray
     u_prev: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
+    p: np.ndarray
 
 
 class WaveSolver:
     """Leapfrog stepper bound to one speed field and dt.
 
     The damping is the grid's: ``pml_profile(grid)`` on both axes when
-    ``grid.pml_width > 0``, none otherwise.
+    ``grid.pml_width > 0``, zero otherwise.
 
     ``step`` advances a WaveState one level; ``step_T`` applies the exact
     matrix transpose of that map.  States are treated as immutable: returned
@@ -224,9 +224,9 @@ class WaveSolver:
         phi    = a_phi F - Dx(K2 U),    psi = a_psi G - Dy(K2 U)
 
     The split field is zero off the band, so it lives on the band cells
-    only (WaveState.phi/psi, m entries each).  ``__init__`` folds its
-    coupling into two sparse matrices between the flat field and the
-    stacked P = (phi, psi): D (2m x n^2) gives (B_phi Dx u, B_psi Dy u)
+    only, stacked as P = (phi, psi) (WaveState.p, 2m entries for m band
+    cells).  ``__init__`` folds its coupling into two sparse matrices
+    between the flat field and P: D (2m x n^2) gives (B_phi Dx u, B_psi Dy u)
     and F (n^2 x 2m) gives K2 (Dx phi + Dy psi).  D is stored by rows and
     F by columns, on one shared pattern: row i of D and column i of F hold
     the two Dx (or Dy) neighbours on the grid of entry i's band cell, so
@@ -238,8 +238,9 @@ class WaveSolver:
     tests/full_grid_step.py is the same step on full-grid phi and psi with
     its band terms added in that order, and fields equal it bit for bit.
 
-    Without a band (pml_width = 0) den = 1, sx = sy = 0 and the phi/psi
-    terms drop out, with no matrix built.
+    A grid without a band (pml_width = 0) is the empty band: sx = sy = 0,
+    so den = 1, m = 0 and D and F have no entries.
+
     Folding reassociates the arithmetic of the unfolded update
     ``(coef_u u - coef_v u- + dt^2 c^2 (Lap u + ...)) / den``, so fields
     agree with it to rounding (about 2e-16 relative per step), not bitwise.
@@ -257,31 +258,21 @@ class WaveSolver:
         self.h = grid.h
         self.c2 = speed.c**2
         n, h = grid.n, grid.h
-
-        def flat(a):
-            return np.ascontiguousarray(np.broadcast_to(a, (n, n))).reshape(-1)
-
-        band = np.zeros((n, n), dtype=bool)
-        if grid.pml_width > 0.0:
-            sigma = pml_profile(grid)
-            sx, sy = sigma[:, None], sigma[None, :]
-            band = (sx + sy) > 0.0
-            den = 1.0 + 0.5 * dt * (sx + sy)
-            coef_u = 2.0 - dt**2 * sx * sy
-            q = flat((1.0 - 0.5 * dt * (sx + sy)) / den)
-        else:
-            den, coef_u, q = 1.0, 2.0, 1.0
+        sigma = pml_profile(grid) if grid.pml_width > 0.0 else np.zeros(n)
+        sx, sy = sigma[:, None], sigma[None, :]
+        band = (sx + sy) > 0.0
+        den = 1.0 + 0.5 * dt * (sx + sy)
+        coef_u = 2.0 - dt**2 * sx * sy
+        q = ((1.0 - 0.5 * dt * (sx + sy)) / den).ravel()
         k = dt**2 * self.c2 / den
         k1 = k / (h * h)
-        self._k1 = flat(k1)
-        self._a0 = flat(coef_u / den - 4.0 * k1)
+        self._k1 = k1.ravel()
+        self._a0 = (coef_u / den - 4.0 * k1).ravel()
         self._q, self._neg_q = q, -q
         self._t = np.empty(n * n)
         self._t2 = np.empty(n * n)
         cells = np.flatnonzero(band)
-        self._m = m = cells.size
-        if not m:
-            return
+        m = cells.size
         # one row of D (column of F) per entry of P: Dx reads the -n, +n
         # neighbours, Dy the -1, +1 ones, and one off the grid has no entry
         nb = np.pad(np.arange(n * n).reshape(n, n), 1, constant_values=-1)
@@ -297,14 +288,13 @@ class WaveSolver:
         # the flux K2 (phi[+n] - phi[-n]) at a cell reads its +n neighbour's
         # phi with its own K2, so the column of band cell c holds +K2[c - n]
         # in row c - n and -K2[c + n] in row c + n (and psi alike at -+1)
-        k2 = flat(k / (2.0 * h))
+        k2 = (k / (2.0 * h)).ravel()
         self._flux_T, self._flux = _accumulating(*pattern, (k2[cols] * [1.0, -1.0])[keep])
         self._a = np.concatenate([1.0 - dt * sx, 1.0 - dt * sy])
-        self._p = np.empty(2 * m)  # the stacked split field of a step's input
 
     def zero_state(self) -> WaveState:
         z = np.zeros_like(self.c2)
-        return WaveState(z, z.copy(), np.zeros(self._m), np.zeros(self._m))
+        return WaveState(z, z.copy(), np.zeros_like(self._a))
 
     # -- initial data embedding and its transpose --------------------------
 
@@ -313,7 +303,7 @@ class WaveSolver:
         rest."""
         f = np.asarray(f, dtype=float)
         v = f + 0.5 * self.dt**2 * self.c2 * laplacian(f, self.h)
-        return WaveState(f.copy(), v, np.zeros(self._m), np.zeros(self._m))
+        return WaveState(f.copy(), v, np.zeros_like(self._a))
 
     def init_state_T(self, s: WaveState) -> np.ndarray:
         return s.u_curr + s.u_prev + 0.5 * self.dt**2 * laplacian(self.c2 * s.u_prev, self.h)
@@ -326,14 +316,10 @@ class WaveSolver:
         out = np.multiply(self._a0, u)
         out -= np.multiply(self._q, v, out=t)
         out += np.multiply(self._k1, _neighbour_sum(u, t, n), out=t)
-        if not self._m:
-            return WaveState(out.reshape(n, n), s.u_curr, s.phi, s.psi)
-        p, m = self._p, self._m
-        p[:m], p[m:] = s.phi, s.psi
-        self._flux(p, out)
-        new = np.multiply(self._a, p)
+        self._flux(s.p, out)
+        new = np.multiply(self._a, s.p)
         self._memory(u, new)
-        return WaveState(out.reshape(n, n), s.u_curr, new[:m], new[m:])
+        return WaveState(out.reshape(n, n), s.u_curr, new)
 
     def step_T(self, s: WaveState) -> WaveState:
         n, t = self.grid.n, self._t
@@ -342,14 +328,10 @@ class WaveSolver:
         a += _neighbour_sum(np.multiply(self._k1, U, out=self._t2), t, n)
         a += V
         b = np.multiply(self._neg_q, U)
-        if not self._m:
-            return WaveState(a.reshape(n, n), b.reshape(n, n), s.phi, s.psi)
-        p, m = self._p, self._m
-        p[:m], p[m:] = s.phi, s.psi
-        self._memory_T(p, a)
-        new = np.multiply(self._a, p)
+        self._memory_T(s.p, a)
+        new = np.multiply(self._a, s.p)
         self._flux_T(U, new)
-        return WaveState(a.reshape(n, n), b.reshape(n, n), new[:m], new[m:])
+        return WaveState(a.reshape(n, n), b.reshape(n, n), new)
 
 
 # ---------------------------------------------------------------------------

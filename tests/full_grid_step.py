@@ -2,7 +2,8 @@
 reference for ``WaveSolver``, which keeps that field on the band cells only.
 
 Each cell's arithmetic here is the solver's, so states mapped between the
-two layouts with ``to_full``/``to_band`` must agree bit for bit.  The
+two layouts with ``to_full``/``to_band`` must agree bit for bit.  A
+full-grid state's p is the (2, n, n) stack of phi and psi.  The
 solver applies its band terms as sparse products, so the band terms here are
 added one at a time in the order those kernels add them, which is the order
 of the terms' source: phi at the -n then the +n neighbour, then psi at -1
@@ -26,18 +27,15 @@ def band_cells(grid):
 
 def to_full(grid, s):
     """The state with phi and psi scattered onto the grid (zero off the band)."""
-    cells, full = band_cells(grid), []
-    for x in (s.phi, s.psi):
-        f = np.zeros(grid.n * grid.n)
-        f[cells] = x
-        full.append(f.reshape(grid.n, grid.n))
-    return WaveState(s.u_curr, s.u_prev, *full)
+    cells = band_cells(grid)
+    full = np.zeros((2, grid.n * grid.n))
+    full[:, cells] = s.p.reshape(2, -1)
+    return WaveState(s.u_curr, s.u_prev, full.reshape(2, grid.n, grid.n))
 
 
 def to_band(grid, s):
-    """The state with phi and psi read on the band cells."""
-    cells = band_cells(grid)
-    return WaveState(s.u_curr, s.u_prev, s.phi.reshape(-1)[cells], s.psi.reshape(-1)[cells])
+    """The state with phi and psi read on the band cells and stacked."""
+    return WaveState(s.u_curr, s.u_prev, s.p.reshape(2, -1)[:, band_cells(grid)].reshape(-1))
 
 
 def _neighbour_sum(u, n):
@@ -65,7 +63,8 @@ def _at(u, d, n):
 
 
 class FullGridStep:
-    """``step``/``step_T`` of the banded solver on (n, n) phi and psi."""
+    """``step``/``step_T`` of the banded solver on (n, n) phi and psi,
+    stacked as a state's (2, n, n) p."""
 
     def __init__(self, speed, dt):
         grid = speed.grid
@@ -89,7 +88,7 @@ class FullGridStep:
 
     def step(self, s):
         n = self.n
-        u, v, phi, psi = (x.reshape(-1) for x in (s.u_curr, s.u_prev, s.phi, s.psi))
+        u, v, phi, psi = (x.reshape(-1) for x in (s.u_curr, s.u_prev, *s.p))
         out = self.a0 * u
         out -= self.q * v
         out += self.k1 * _neighbour_sum(u, n)
@@ -101,12 +100,12 @@ class FullGridStep:
         for new, b, d in ((phi_new, self.b_phi, -n), (phi_new, self.b_phi, n),
                           (psi_new, self.b_psi, -1), (psi_new, self.b_psi, 1)):
             new += np.copysign(1.0, d) * b * _at(u, d, n)
-        return WaveState(out.reshape(n, n), s.u_curr, phi_new.reshape(n, n),
-                         psi_new.reshape(n, n))
+        return WaveState(out.reshape(n, n), s.u_curr,
+                         np.stack([phi_new, psi_new]).reshape(2, n, n))
 
     def step_T(self, s):
         n = self.n
-        U, V, F, G = (x.reshape(-1) for x in (s.u_curr, s.u_prev, s.phi, s.psi))
+        U, V, F, G = (x.reshape(-1) for x in (s.u_curr, s.u_prev, *s.p))
         a = self.a0 * U
         a += _neighbour_sum(self.k1 * U, n)
         a += V
@@ -120,5 +119,5 @@ class FullGridStep:
         q = self.a_psi * G
         for new, d in ((g, -n), (g, n), (q, -1), (q, 1)):
             new -= np.copysign(1.0, d) * _at(ku, d, n)
-        return WaveState(a.reshape(n, n), (-self.q * U).reshape(n, n), g.reshape(n, n),
-                         q.reshape(n, n))
+        return WaveState(a.reshape(n, n), (-self.q * U).reshape(n, n),
+                         np.stack([g, q]).reshape(2, n, n))

@@ -1034,9 +1034,12 @@ window = 0 2
         cfg.write_text(BASE_CFG.replace("gaussian.1 = 0.2 -0.1 0.18", ""))
         rc = main(["visibility", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
-        assert "no edges" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "no edges" in captured.err
+        assert "masked=0, out_of_aperture=0, visible=0" in captured.out
         rows = (tmp_path / "visibility.csv").read_text().strip().splitlines()
         assert len(rows) == 1
+        assert (tmp_path / "overlay.pgm").is_file()
 
 
 TINY_CFG = """

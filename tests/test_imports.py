@@ -1,13 +1,15 @@
 """Each module's private names stay inside it: no ``src`` module imports
 an underscore name from another.  Each module uses every name it imports,
 so a removal leaves no stale import behind.  Only detector branches on the
-detector geometry, only the two time loops step the wave solver, and only
-one wave.py helper reaches a private name of numpy or SciPy."""
+detector geometry, only the two time loops step the wave solver, the wave
+step and its transpose do not branch, and only one wave.py helper reaches a
+private name of numpy or SciPy."""
 
 import ast
 from pathlib import Path
 
 import ringtat
+from ringtat.wave import WaveSolver
 
 SRC = Path(ringtat.__file__).resolve().parent
 
@@ -130,6 +132,31 @@ def test_step_check_sees_a_step():
               "    return solver.step_T(s)\n")
     assert _method_calls(source, "m.py", "step") == [("m.py", "settle", 3)]
     assert _method_calls(source, "m.py", "step_T") == [("m.py", "settle", 4)]
+
+
+def _branches(source: str, filename: str) -> list[tuple[str, str | None, int]]:
+    """``_nodes`` of the ``if`` statements and conditional expressions."""
+    return _nodes(source, filename, lambda node: isinstance(node, (ast.If, ast.IfExp)))
+
+
+def test_the_wave_step_and_its_transpose_do_not_branch():
+    # a grid without a band is the empty band, so one path steps every grid
+    methods = {"step", "step_T"}
+    assert methods <= set(vars(WaveSolver))
+    found = [where for where in _branches((SRC / "wave.py").read_text(), "wave.py")
+             if where[1] in methods]
+    assert not found, found
+
+
+def test_branch_check_sees_a_branch():
+    source = ("class Stepper:\n"
+              "    def step(self, s):\n"
+              "        if not s.size:\n"
+              "            return s\n"
+              "        return s + 1\n"
+              "    def step_T(self, s):\n"
+              "        return s if s.size else -s\n")
+    assert _branches(source, "m.py") == [("m.py", "step", 3), ("m.py", "step_T", 7)]
 
 
 _LIBRARIES = {"numpy", "scipy"}

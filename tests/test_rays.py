@@ -595,11 +595,10 @@ class TestVisibility:
         b = visibility(scaled, speed, narrow, time_window=(1.5, 2.5))
         assert [v.verdict for v in a] == [v.verdict for v in b]
 
-    def test_empty_wavefront_rejected(self):
+    def test_empty_wavefront_gives_no_verdicts(self):
         speed = _speed(n=65)
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        with pytest.raises(ValueError):
-            visibility([], speed, cfg, time_window=(0.0, cfg.T))
+        assert visibility([], speed, cfg, time_window=(0.0, cfg.T)) == []
 
     def test_shared_rays_give_the_verdicts_of_lone_traces(self, monkeypatch):
         """Antipodal pairs in shuffled order, a duplicate and a pair of

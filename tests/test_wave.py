@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from full_grid_step import FullGridStep, band_cells, to_band, to_full
+from ringtat import wave
 from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed
 from ringtat.wave import (
     WaveSolver,
@@ -153,7 +154,7 @@ class TestStepping:
         n_steps = 60
         for _ in range(n_steps):
             s = solver.step(s)
-        back = WaveState(s.u_prev, s.u_curr, s.phi, s.psi)
+        back = WaveState(s.u_prev, s.u_curr, s.p)
         for _ in range(n_steps - 1):
             back = solver.step(back)
         ref = np.linalg.norm(f)
@@ -233,16 +234,17 @@ def _step_oracle(sp, dt, sigma, s):
     body = c2 * laplacian(s.u_curr, h)
     if sigma is None:
         u_new = 2.0 * s.u_curr - s.u_prev + dt**2 * body
-        return WaveState(u_new, s.u_curr, s.phi, s.psi)
+        return WaveState(u_new, s.u_curr, s.p)
     sx, sy = sigma[:, None], sigma[None, :]
+    phi, psi = s.p
     den = 1.0 + 0.5 * dt * (sx + sy)
     coef_u = 2.0 - dt**2 * sx * sy
     coef_v = 1.0 - 0.5 * dt * (sx + sy)
-    body = body + c2 * (_ddx_oracle(s.phi, h, 0) + _ddx_oracle(s.psi, h, 1))
+    body = body + c2 * (_ddx_oracle(phi, h, 0) + _ddx_oracle(psi, h, 1))
     u_new = (coef_u * s.u_curr - coef_v * s.u_prev + dt**2 * body) / den
-    phi_new = (1.0 - dt * sx) * s.phi + dt * (sy - sx) * _ddx_oracle(s.u_curr, h, 0)
-    psi_new = (1.0 - dt * sy) * s.psi + dt * (sx - sy) * _ddx_oracle(s.u_curr, h, 1)
-    return WaveState(u_new, s.u_curr, phi_new, psi_new)
+    phi_new = (1.0 - dt * sx) * phi + dt * (sy - sx) * _ddx_oracle(s.u_curr, h, 0)
+    psi_new = (1.0 - dt * sy) * psi + dt * (sx - sy) * _ddx_oracle(s.u_curr, h, 1)
+    return WaveState(u_new, s.u_curr, np.stack([phi_new, psi_new]))
 
 
 def _step_T_oracle(sp, dt, sigma, s):
@@ -250,27 +252,28 @@ def _step_T_oracle(sp, dt, sigma, s):
     h, c2 = sp.grid.h, sp.c**2
     if sigma is None:
         a = 2.0 * s.u_curr + dt**2 * laplacian(c2 * s.u_curr, h) + s.u_prev
-        return WaveState(a, -s.u_curr, s.phi, s.psi)
+        return WaveState(a, -s.u_curr, s.p)
     sx, sy = sigma[:, None], sigma[None, :]
+    phi, psi = s.p
     den = 1.0 + 0.5 * dt * (sx + sy)
     coef_u = 2.0 - dt**2 * sx * sy
     coef_v = 1.0 - 0.5 * dt * (sx + sy)
     w = s.u_curr / den
     c2w = c2 * w
     a = coef_u * w + dt**2 * laplacian(c2w, h) + s.u_prev
-    a = a - dt * _ddx_oracle((sy - sx) * s.phi, h, 0)
-    a = a - dt * _ddx_oracle((sx - sy) * s.psi, h, 1)
+    a = a - dt * _ddx_oracle((sy - sx) * phi, h, 0)
+    a = a - dt * _ddx_oracle((sx - sy) * psi, h, 1)
     b = -coef_v * w
-    g = -(dt**2) * _ddx_oracle(c2w, h, 0) + (1.0 - dt * sx) * s.phi
-    q = -(dt**2) * _ddx_oracle(c2w, h, 1) + (1.0 - dt * sy) * s.psi
-    return WaveState(a, b, g, q)
+    g = -(dt**2) * _ddx_oracle(c2w, h, 0) + (1.0 - dt * sx) * phi
+    q = -(dt**2) * _ddx_oracle(c2w, h, 1) + (1.0 - dt * sy) * psi
+    return WaveState(a, b, np.stack([g, q]))
 
 
 def _random_state(rng, g):
     """Random fields, with the split field on the band cells only."""
     m = band_cells(g).size
     return WaveState(rng.normal(size=(g.n, g.n)), rng.normal(size=(g.n, g.n)),
-                     rng.normal(size=m), rng.normal(size=m))
+                     rng.normal(size=2 * m))
 
 
 def _kernel_case(n, band):
@@ -283,11 +286,11 @@ def _kernel_case(n, band):
 
 
 def _fields(s):
-    return (s.u_curr, s.u_prev, s.phi, s.psi)
+    return (s.u_curr, s.u_prev, s.p)
 
 
 def _dot(a, b):
-    """Euclidean inner product of two states over all four fields."""
+    """Euclidean inner product of two states over all three fields."""
     return float(sum(np.sum(x * y) for x, y in zip(_fields(a), _fields(b))))
 
 
@@ -383,19 +386,38 @@ class TestBandLayout:
         solver = WaveSolver(sp, 0.5 * cfl_limit(sp))
         s = solver.init_state(gaussian_phantom(g, sigma=0.15))
         for state in (s, solver.zero_state(), solver.step(s), solver.step_T(s)):
-            assert state.phi.shape == state.psi.shape == (m,)
+            assert state.p.shape == (2 * m,)
         for name, value in vars(solver).items():
             if isinstance(value, np.ndarray) and name not in self._FULL_GRID:
                 assert n * n not in value.shape and value.shape != (n, n), name
 
     def test_state_holds_only_the_advanced_fields(self):
         # the level time is k * solver.dt, and dt is the solver's
-        assert [f.name for f in dataclasses.fields(WaveState)] == ["u_curr", "u_prev", "phi", "psi"]
+        assert [f.name for f in dataclasses.fields(WaveState)] == ["u_curr", "u_prev", "p"]
 
     def test_band_free_state_is_empty(self):
         _, sp = _setup(n=32)
         s = WaveSolver(sp, 0.01).init_state(np.zeros((32, 32)))
-        assert s.phi.shape == s.psi.shape == (0,)
+        assert s.p.shape == (0,)
+
+    @pytest.mark.parametrize("n", [32, 49])
+    def test_band_free_grid_steps_as_the_zero_damping_band(self, n, monkeypatch):
+        # a band whose damping is zero (selftest's zero-damping fault) has no
+        # band cells, so it steps as a grid built without one, bit for bit
+        monkeypatch.setattr(wave, "pml_profile", lambda grid: np.zeros(grid.n))
+        solvers = []
+        for pml_width in (0.0, 0.5):
+            g = make_grid(L=1.6, n=n, pml_width=pml_width)
+            sp = sample_speed(SpeedSpec(kind="sinusoidal"), g)
+            solvers.append(WaveSolver(sp, 0.5 * cfl_limit(sp)))
+        rng = np.random.default_rng(n)
+        start = WaveState(rng.normal(size=(n, n)), rng.normal(size=(n, n)), np.zeros(0))
+        for which in ("step", "step_T"):
+            states = [start, start]
+            for _ in range(50):
+                states = [getattr(solver, which)(s) for solver, s in zip(solvers, states)]
+                assert all(np.array_equal(a, b) for a, b in zip(*map(_fields, states)))
+            assert states[0].p.shape == states[1].p.shape == (0,)
 
     @pytest.mark.parametrize("start", ["phantom", "random"])
     @pytest.mark.parametrize("n", [32, 49])
@@ -412,7 +434,8 @@ class TestBandLayout:
         for _ in range(nt - 1):
             s, r = solver.step(s), ref.step(r)
             assert all(np.array_equal(a, b) for a, b in zip(_fields(s), _fields(to_band(g, r))))
-        assert np.abs(s.phi).max() > 0.0 and np.abs(s.psi).max() > 0.0
+        phi, psi = s.p.reshape(2, -1)
+        assert np.abs(phi).max() > 0.0 and np.abs(psi).max() > 0.0
 
     @pytest.mark.parametrize("start", ["zero", "random"])
     @pytest.mark.parametrize("n", [32, 49])
