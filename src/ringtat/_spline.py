@@ -21,8 +21,8 @@ inside, and the error on smooth fields is fourth order.  No global solve is
 involved, and the whole map is fixed: the prefilter is folded into the
 weight matrix once, at build time, so apply and apply_T are one sparse
 product each with the same matrix and are exact matrix transposes of each
-other.  That matrix is built one block of rings at a time, bitwise equal to
-a one-shot build, so the whole ring set's weights are never held unfolded.
+other.  A point's folded weights are the outer product of one 6-node vector
+per axis, and the matrix is built from those one block of rings at a time.
 A C2 interpolant keeps the sampling error smooth in the geometry
 parameters (piecewise-linear interpolation has O(h) derivative kinks at
 every cell edge, which pollutes grid-refinement studies).
@@ -169,42 +169,25 @@ class SplineField:
         return [self._point(float(x), float(y)) for x, y in pts]
 
 
-def _prefilter(n: int) -> scipy.sparse.csr_matrix:
-    """Q x Q, the quasi-interpolant prefilter along both axes, as one
-    (n^2, n^2) CSR matrix on C-order flat indices.
-
-    Along one axis c[i] = (-u[i-1] + 8 u[i] - u[i+1]) / 6 inside and c = u in
-    the end rows (the same stencil after extrapolating u[-1] = 2u[0] - u[1]).
-    Built directly, 9 entries per row, because scipy's kron goes through COO
-    arrays that would set the build's peak memory; end rows pad their three
-    slots with zero weights on clipped, repeated columns.
-    """
-    cols = np.clip(np.arange(n, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32),
-                   0, n - 1)
-    vals = np.tile(np.array([-1.0, 8.0, -1.0]) / 6.0, (n, 1))
-    vals[[0, -1]] = 0.0, 1.0, 0.0
-    data = (vals[:, None, :, None] * vals[None, :, None, :]).ravel()
-    indices = (cols[:, None, :, None] * n + cols[None, :, None, :]).ravel()
-    indptr = np.arange(0, 9 * n * n + 1, 9, dtype=np.int32)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
-
-
 # Ghost folding on the edge cells, as maps from the weights on c[i-1 .. i+2]
-# (rows) to weights on a block shifted one index inward (columns): at i = 0
+# (columns) to weights on a block shifted one index inward (rows): at i = 0
 # the weight on c[-1] = 2c[0] - c[1] moves onto c[0] and c[1], and _FOLD_HI
 # mirrors it for c[n] = 2c[n-1] - c[n-2] at i = n-2
-_FOLD_LO = np.array([[2.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                     [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+_FOLD_LO = np.array([[2.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
 _FOLD_HI = _FOLD_LO[::-1, ::-1]
 
 
 def _axis_weights(q: np.ndarray, x0: float, h: float, n: int):
-    """First coefficient index (k,) and weights (k, 4) on coefficients
-    start .. start+3 for positions q along one axis.
+    """First coefficient index s and weights on nodes s-1 .. s+4 (a new first
+    axis of 6) for each position in the array q along one axis.
 
     The cell index is clamped to [0, n-2] (points outside the grid use the
     edge cell's cubic), and the ghost coefficients are folded into the edge
-    cells.  Needs n >= 4.
+    cells.  The weights on coefficients s .. s+3 then go through the
+    transposed prefilter: c[i] = (-u[i-1] + 8 u[i] - u[i+1]) / 6 spreads its
+    weight over three nodes, and c[0] = u[0] (at s = 0) and c[n-1] = u[n-1]
+    (at s = n-4) over one, so nodes -1 and n weigh zero.  Needs n >= 4.
     """
     t = (q - x0) / h
     i = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
@@ -216,43 +199,56 @@ def _axis_weights(q: np.ndarray, x0: float, h: float, n: int):
         3.0 * s * s * s - 6.0 * s * s + 4.0,
         3.0 * r * r * r - 6.0 * r * r + 4.0,
         s * s * s,
-    ], axis=-1) / 6.0
+    ]) / 6.0
     lo = i == 0
     hi = i == n - 2
-    w[lo] = w[lo] @ _FOLD_LO
-    w[hi] = w[hi] @ _FOLD_HI
-    return np.clip(i - 1, 0, n - 4).astype(np.int32), w
+    w[:, lo] = _FOLD_LO @ w[:, lo]
+    w[:, hi] = _FOLD_HI @ w[:, hi]
+    start = np.clip(i - 1, 0, n - 4).astype(np.int32)
+    mid, side = w * (8.0 / 6.0), w * (-1.0 / 6.0)
+    for end, a in ((start == 0, 0), (start == n - 4, 3)):
+        mid[a, end] = w[a, end]
+        side[a, end] = 0.0
+    out = np.zeros((6,) + start.shape)
+    out[1:5] = mid
+    out[:4] += side
+    out[2:] += side
+    return start, out
 
 
-def _ring_weights(rings: np.ndarray, x0: float, h: float, n: int) -> scipy.sparse.csr_matrix:
-    """W: row i is the mean, over ring i's m points, of each point's 4x4
-    block of B-spline weights on the coefficients.
+def _block_matrix(rings: np.ndarray, x0: float, h: float, n: int) -> scipy.sparse.csr_matrix:
+    """W (Q x Q) of a set of rings, as CSR with sorted indices.
 
-    CSR straight from the points in ring order, 16 entries per point, then
-    duplicates summed in place: no COO or transpose copies.  The sampler
-    calls this on one block of rings at a time, so these transient arrays
-    are about one block's 16 entries per point (``_BLOCK_ENTRIES``).
+    A point's weights are the outer product of its two axes' node weights,
+    so the ring means are one product FX^T FY: FX^T (n_rows n, k) holds
+    point p's x weights over m in column p, rows (ring, ix), and FY (k, n)
+    its y weights in row p.  The product sums with an accumulator n wide;
+    after one sort, its row (ring, ix) and column iy are the ring's column
+    ix n + iy, in order.  A product row reads its own ring's points only,
+    so any split into blocks gives the same arrays.  Taps off the grid, at
+    zero weight, are clipped onto the edge node.
     """
     n_rows, m = rings.shape[:2]
-    pts = rings.reshape(-1, 2)
-    jx, wx = _axis_weights(pts[:, 0], x0, h, n)
-    jy, wy = _axis_weights(pts[:, 1], x0, h, n)
-    wx *= 1.0 / m
-    offsets = np.arange(4, dtype=np.int32)
-    ix = (jx[:, None] + offsets) * n
-    cols = ix[:, :, None] + (jy[:, None] + offsets)[:, None, :]
-    indptr = np.arange(0, 16 * m * n_rows + 1, 16 * m, dtype=np.int32)
-    w = scipy.sparse.csr_matrix(
-        ((wx[:, :, None] * wy[:, None, :]).ravel(), cols.ravel(), indptr),
-        shape=(n_rows, n * n),
-    )
-    w.sum_duplicates()
-    return w
+    k = n_rows * m
+    start, w = _axis_weights(rings.reshape(k, 2).T, x0, h, n)
+    w[:, 0] *= 1.0 / m
+    nodes = np.clip(start[:, :, None] + np.arange(-1, 5, dtype=np.int32), 0, n - 1)
+    nodes[0] += np.repeat(np.arange(n_rows, dtype=np.int32) * n, m)[:, None]
+    ptr = np.arange(0, 6 * k + 1, 6, dtype=np.int32)
+    # a point's 6 weights lie k apart in w: .T.ravel() gathers them in order
+    fx_t = scipy.sparse.csc_matrix((w[:, 0].T.ravel(), nodes[0].ravel(), ptr),
+                                   shape=(n_rows * n, k))
+    fy = scipy.sparse.csr_matrix((w[:, 1].T.ravel(), nodes[1].ravel(), ptr), shape=(k, n))
+    prod = fx_t.tocsr() @ fy
+    prod.sort_indices()
+    prod.indices += np.repeat(np.arange(n_rows * n, dtype=np.int32) % n * n, np.diff(prod.indptr))
+    return scipy.sparse.csr_matrix((prod.data, prod.indices, prod.indptr[::n].copy()),
+                                   shape=(n_rows, n * n))
 
 
-# unfolded weights per block of the sampler build (16 per point); a block
-# takes as many whole rings as fit, and at least one
-_BLOCK_ENTRIES = 2**16
+# circle points per block of the sampler build; a block takes as many whole
+# rings as fit, and at least one
+_BLOCK_POINTS = 2**12
 
 
 class BicubicSampler:
@@ -261,17 +257,15 @@ class BicubicSampler:
 
     ``rings`` is an (n_rows, m, 2) array of points, and row i of the output
     is the mean of the quasi-interpolant over ring i's m points.  ``Q`` is
-    the prefilter along one axis (``_prefilter`` builds ``Q x Q``) and ``W``
-    holds the ring means of each point's 4x4 block of B-spline weights.  The
-    sampler stores only the product ``W (Q x Q)``, one CSR matrix formed
-    once in the constructor, so apply is one product with it and apply_T one
-    product with its transpose view (plain Euclidean inner products, no grid
-    weights).
+    the prefilter along one axis and ``W`` holds the ring means of each
+    point's 4x4 block of B-spline weights.  The sampler stores only the
+    product ``W (Q x Q)``, one CSR matrix formed once in the constructor, so
+    apply is one product with it and apply_T one product with its transpose
+    view (plain Euclidean inner products, no grid weights).
 
-    The constructor forms the product one block of rings at a time (each
-    block's ``_ring_weights`` times ``Q x Q``, indices sorted), releases the
-    prefilter and stacks the blocks.  Sparse sums, products and sorts work
-    row by row, so the stack equals the one-shot product bit for bit.
+    The constructor forms the product one block of rings at a time
+    (``_block_matrix``, which never forms Q x Q or the unfolded W) and
+    stacks the blocks; the stack equals the one-shot build bit for bit.
     """
 
     def __init__(self, x0: float, h: float, n: int, rings: np.ndarray):
@@ -285,17 +279,11 @@ class BicubicSampler:
         self.n = int(n)
         self.n_rows, m = rings.shape[:2]
 
-        q = _prefilter(self.n)
-        step = max(1, _BLOCK_ENTRIES // (16 * m))
-        blocks = []
+        step = max(1, _BLOCK_POINTS // m)
         # an empty ring set still makes one, empty, block to stack
-        for start in range(0, max(self.n_rows, 1), step):
-            # a sparse product has no duplicate entries
-            block = _ring_weights(rings[start : start + step], self.x0, self.h, self.n) @ q
-            block.sort_indices()
-            blocks.append(block)
-        # the stack holds the blocks twice; the prefilter is not needed then
-        del q
+        blocks = [_block_matrix(rings[start : start + step], self.x0, self.h, self.n)
+                  for start in range(0, max(self.n_rows, 1), step)]
+        # the stack holds the blocks twice
         self._w = scipy.sparse.vstack(blocks, format="csr")
         # the CSC transpose view shares the CSR arrays; held so that apply_T
         # does not build and check a new view per call

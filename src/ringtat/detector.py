@@ -60,9 +60,11 @@ from .field import (
 from .wave import WaveSolver, check_time_step, choose_time_steps, march
 
 _TWO_PI = 2.0 * math.pi
-# the sampler's block build holds at least one ring's 16 entries per circle
-# point behind int32 offsets; capping all n_theta * n_alpha points of the
-# detector below 2**31 / 16 caps every ring's
+# a block of the sampler build holds at least one ring, and its int32
+# offsets 6 entries per circle point (scipy widens the product's own
+# indices), so 2**31 / 6 points would fit; the cap stays at 2**31 / 16
+# points over all n_theta * n_alpha, the most ever accepted, and caps every
+# ring's
 _MAX_POINTS = (2**31 - 1) // 16
 # reads a solve's helper thread may run past the oldest one not yet received
 _AHEAD = 2
@@ -142,7 +144,7 @@ class DetectorConfig:
             raise ValueError("n_theta must be positive")
         if self.n_theta * self.n_alpha > _MAX_POINTS:
             raise ValueError(f"n_theta x n_alpha = {self.n_theta} x {self.n_alpha} circle points "
-                             f"exceed {_MAX_POINTS}, the most the sampler's int32 indices allow")
+                             f"exceed {_MAX_POINTS}, the most accepted")
         if not 0 < self.T < math.inf:
             raise ValueError(f"record length T = {self.T} must be finite and positive")
         if self.nt is not None and self.nt < 2:

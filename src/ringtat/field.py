@@ -64,9 +64,10 @@ def _require_width(**values) -> None:
 # the unit disc, where phantoms and speed variations live, must span at
 # least this many cells across
 _MIN_DISC_CELLS = 4
-# the sampler's (n^2, n^2) prefilter holds 9 entries per row behind int32
-# offsets, so 9 n^2 must stay below 2**31
-_MAX_N = math.isqrt((2**31 - 1) // 9)
+# int32 indices allow n up to 23170 (the wave solver's band pattern holds up
+# to 4 n^2 entries, the sampler's columns n^2); the cap stays at 15446, the
+# most ever accepted, where one field already takes 1.9 GB
+_MAX_N = 15446
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class Grid2D:
         if self.n < 16:
             raise ValueError(f"grid too coarse: n={self.n} < 16")
         if self.n > _MAX_N:
-            raise ValueError(f"grid too fine: n={self.n} > {_MAX_N}, the most the sampler's "
-                             "int32 indices allow")
+            raise ValueError(f"grid too fine: n={self.n} > {_MAX_N}, the largest grid accepted")
         # comparisons with NaN are false, so NaN fails both checks
         if not (1.0 < self.L < np.inf):
             raise ValueError(

@@ -310,6 +310,11 @@ def visibility(
     in-aperture event at all, or a trapped ray, it is out of aperture.
     Verdicts do not depend on covector magnitudes.
 
+    The in-aperture events are scanned by time, so a visible covector's
+    witness is its earliest unmasked event: the record length from which
+    that edge is visible.  A masked covector's witness and partner are
+    those of its earliest event.
+
     An edge node's covectors (y, xi) and (y, -xi) share their two rays
     (``canonical_image``), so each ray is traced once, with 4 * rk4_steps + 1
     speed queries; nothing is kept from one call to the next.
@@ -329,7 +334,10 @@ def visibility(
         if not events:
             verdicts.append(CovectorVerdict(cv, "out_of_aperture", escaped=False))
             continue
-        in_ap = [e for e in events if t0 < e.t_det <= t1 and _in_arc(e.theta, config.aperture)]
+        # stable: events at one time keep their list order
+        in_ap = sorted((e for e in events
+                        if t0 < e.t_det <= t1 and _in_arc(e.theta, config.aperture)),
+                       key=lambda e: e.t_det)
         if not in_ap:
             verdicts.append(CovectorVerdict(cv, "out_of_aperture"))
             continue

@@ -936,9 +936,15 @@ class TestVisibilityCommand:
     def test_large_mode_short_window_sees_every_edge(self, tmp_path, capsys, kind):
         # each edge's line, extended back, passes a second detector center
         # less than 2 from the edge, and the ray crosses that detector's
-        # circle along a radius before t = 2
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"""
+        # circle along a radius before t = 2.  The witness is the earliest
+        # unmasked event, so the largest witness time is the record the
+        # disc needs: 0.556 at constant speed and 0.912 at the sinusoidal
+        # one, in either window, so a record to t = 1 sees every edge.
+        # Taking the first event in list order instead reads 1.71 and 1.96
+        # in the window to t = 2.
+        for window in ("0 2", "0 1"):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"""
 [grid]
 l = 3.6
 n = 129
@@ -956,16 +962,16 @@ n_theta = 60
 n_alpha = 256
 
 [aperture]
-window = 0 2
+window = {window}
 """)
-        out = tmp_path / "out"
-        assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 0
-        assert capsys.readouterr().out.endswith("masked=0, out_of_aperture=0, visible=16\n")
-        with (out / "visibility.csv").open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 16
-        assert all(row["verdict"] == "visible" and 0.0 < float(row["witness_t"]) <= 2.0
-                   for row in rows)
+            out = tmp_path / window.replace(" ", "-")
+            assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 0
+            assert capsys.readouterr().out.endswith("masked=0, out_of_aperture=0, visible=16\n")
+            with (out / "visibility.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 16
+            assert all(row["verdict"] == "visible" and 0.0 < float(row["witness_t"]) <= 1.0
+                       for row in rows)
 
     def test_full_aperture_report(self, workspace, tmp_path):
         rc = main(["visibility", "--config", str(workspace["cfg"]), "--out", str(tmp_path)])

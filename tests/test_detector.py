@@ -441,6 +441,46 @@ class TestAdjoint:
             adjoint_operator(np.zeros((3, 6)), speed, cfg)
 
 
+# Rotating the phantom by np.rot90 (f(x, y) -> f(y, -x), a quarter turn
+# counter-clockwise on the [ix, iy] grid) turns its data by a quarter of the
+# detector circle: the columns shift by +n_theta / 4.  The grid, the band,
+# the rings and both speeds below are invariant under the turn, so the two
+# sides differ only by rounding: on 129^2 with 60 detectors the largest
+# difference is 4.8e-15 of the data's peak for the forward map and, for the
+# adjoint on random data at seeds 0-4, 3.8e-14 of the image's peak.  The
+# bounds allow about twice that.  A shift of -n_theta / 4, which a reflected
+# angle convention or swapped ring coordinates (column iy n + ix) give,
+# misses by more than 1.0 of the peak in every case.
+ROTATION_DATA = 1e-14
+ROTATION_IMAGE = 1e-13
+
+
+class TestRotationSymmetry:
+    """The forward map and its adjoint commute with a quarter turn: the
+    turned phantom's data are the data shifted by +n_theta / 4, and the
+    adjoint of shifted data is the turned adjoint."""
+
+    @pytest.mark.parametrize("mode", [SmallMode(R=2.0, r=0.8), LargeMode(r=2.0)],
+                             ids=["small", "large"])
+    @pytest.mark.parametrize("kind", ["constant", "radial_bump"])
+    def test_quarter_turn_shifts_the_data_columns(self, kind, mode):
+        grid = make_grid(L=3.6, n=129, pml_width=0.5)
+        speed = _speed(grid, kind)
+        cfg = DetectorConfig(mode=mode, n_theta=60, n_alpha=256, T=5.0)
+        f = gaussian_phantom(grid, center=(0.25, -0.15), sigma=0.15)
+        data = forward_operator(f, speed, cfg).data
+        turned = forward_operator(np.rot90(f), speed, cfg).data
+        peak = np.max(np.abs(data))
+        assert np.max(np.abs(turned - np.roll(data, 15, axis=1))) <= ROTATION_DATA * peak
+        assert np.max(np.abs(turned - np.roll(data, -15, axis=1))) > 0.5 * peak
+
+        d = np.random.default_rng(0).normal(size=data.shape)
+        image = adjoint_operator(d, speed, cfg)
+        shifted = adjoint_operator(np.roll(d, 15, axis=1), speed, cfg)
+        err = np.max(np.abs(shifted - np.rot90(image)))
+        assert err <= ROTATION_IMAGE * np.max(np.abs(image))
+
+
 class TestSweeps:
     def test_zero_family(self):
         grid = make_grid(L=3.2, n=65)

@@ -645,6 +645,48 @@ class TestVisibility:
         # its own two rays: 8 traces against 14
         assert (n_shared, len(traced) - n_shared) == (8, 2 * len(wf))
 
+    @staticmethod
+    def _unmasked_in_aperture(i, all_events, cfg, window, tol):
+        """Covector i's events inside the window and the arc whose mirror
+        point no other covector reaches at the same time: the masking rule,
+        written out event by event."""
+        t0, t1 = window
+        out = []
+        for e in all_events[i]:
+            if not (t0 < e.t_det <= t1 and rays._in_arc(e.theta, cfg.aperture)):
+                continue
+            mirror = mirror_point(e.point, e.theta, cfg)
+            if not any(abs(o.t_det - e.t_det) <= tol and math.hypot(*(o.point - mirror)) <= tol
+                       for j, others in enumerate(all_events) if j != i for o in others):
+                out.append(e)
+        return out
+
+    @pytest.mark.parametrize("case", ["full", "small_arc"])
+    def test_witness_is_the_earliest_unmasked_event(self, case):
+        """A visible covector's witness is its unmasked in-aperture event of
+        least time.  In the full-aperture case the covector at (-0.5, 0)
+        lists its events at 1.7 and 3.3 (sigma = +1) before 0.7 and 2.3
+        (sigma = -1), so neither list order nor reversed time order gives
+        the earliest."""
+        if case == "full":
+            speed = _speed(kind="constant")
+            cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
+            wf = _random_covectors(10, np.random.default_rng(8)) + [
+                Covector(y=(-0.5, 0.0), xi=(1.0, 0.0))]
+        else:
+            wf, speed, cfg = _small_arc()
+        window = (0.0, cfg.T)
+        verdicts = visibility(wf, speed, cfg, time_window=window)
+        all_events = [canonical_image(cv, speed, cfg, t_max=window[1] + 1.0) for cv in wf]
+        tol = 2.0 * speed.grid.h
+        visible = [i for i, v in enumerate(verdicts) if v.verdict == "visible"]
+        assert len(visible) >= (11 if case == "full" else 16)
+        for i in visible:
+            unmasked = self._unmasked_in_aperture(i, all_events, cfg, window, tol)
+            assert verdicts[i].witness.t_det == min(e.t_det for e in unmasked)
+        if case == "full":
+            assert verdicts[-1].witness.t_det == pytest.approx(0.7)
+
     def test_phantom_edges_all_visible_full_aperture(self):
         grid = make_grid(L=3.0, n=161)
         speed = sample_speed(SpeedSpec(kind="constant"), grid)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from one_shot_sampler import one_shot_matrix
+from one_shot_sampler import unfolded_matrix
 from ringtat import _spline
 from ringtat._spline import BicubicSampler, SplineField, spline_coeffs_1d
 
@@ -328,22 +328,6 @@ class TestBicubicSampler:
         err = np.max(np.abs(samp.apply_T(m).ravel() - dense.T @ m))
         assert err <= 1e-15 * np.max(np.abs(dense.T) @ np.abs(m))
 
-    def test_no_prefilter_per_call(self, monkeypatch):
-        import ringtat._spline as spline
-
-        rng = np.random.default_rng(4)
-        samp = self._random_sampler(rng)
-        u = rng.normal(size=(24, 24))
-        m = rng.normal(size=17)
-        want = samp.apply(u), samp.apply_T(m)
-
-        def refuse(*args):
-            raise AssertionError("the prefilter ran after construction")
-
-        monkeypatch.setattr(spline, "_prefilter", refuse)
-        np.testing.assert_array_equal(samp.apply(u), want[0])
-        np.testing.assert_array_equal(samp.apply_T(m), want[1])
-
     def test_no_transpose_per_call(self, monkeypatch):
         from scipy.sparse import csr_matrix
 
@@ -434,21 +418,53 @@ class TestBicubicSampler:
             BicubicSampler(0.0, 0.1, 3, np.zeros((1, 1, 2)))
 
 
+def _ring_set(n_theta, center_radius, radii, m=256):
+    """Rings of m points with centers on the circle of ``center_radius`` at
+    n_theta angles and each of ``radii`` at each (theta-major)."""
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    alphas = 2.0 * np.pi * np.arange(m) / m
+    r = np.asarray(radii, dtype=float)[:, None]
+    cx = center_radius * np.cos(thetas)[:, None, None] + r * np.cos(alphas)
+    cy = center_radius * np.sin(thetas)[:, None, None] + r * np.sin(alphas)
+    return np.stack([cx, cy], axis=-1).reshape(-1, m, 2)
+
+
 def _sweep_sampler_args():
     """(x0, h, n, rings) of the radius sweep's 129^2 base level: rings of
     256 points with centers on the unit circle at 40 angles and radii 2.0,
     2.1 and 2.2 at each (theta-major), on a grid over [-3.9, 3.9]^2."""
-    thetas = 2.0 * np.pi * np.arange(40) / 40
-    alphas = 2.0 * np.pi * np.arange(256) / 256
-    radii = np.array([2.0, 2.1, 2.2])[:, None]
-    cx = np.cos(thetas)[:, None, None] + radii * np.cos(alphas)
-    cy = np.sin(thetas)[:, None, None] + radii * np.sin(alphas)
-    return -3.9, 7.8 / 128, 129, np.stack([cx, cy], axis=-1).reshape(-1, 256, 2)
+    return -3.9, 7.8 / 128, 129, _ring_set(40, 1.0, [2.0, 2.1, 2.2])
+
+
+def _sampler_cases():
+    """(x0, h, n, rings) of the detector layouts the program samples: the
+    recon and small-mode maps at 129^2 (60 rings), both levels of the large
+    radius sweep (129^2 and 257^2), and random rings over the edge and
+    corner cells of every grid from n = 4 to 33."""
+    yield -3.6, 7.2 / 128, 129, _ring_set(60, 2.0, [2.0])
+    yield -3.6, 7.2 / 128, 129, _ring_set(60, 2.0, [0.8])
+    yield _sweep_sampler_args()
+    yield -3.9, 7.8 / 256, 257, _ring_set(80, 1.0, [2.0, 2.1, 2.2])
+    rng = np.random.default_rng(0)
+    for n in range(4, 34):
+        yield 0.0, 1.0 / (n - 1), n, rng.uniform(-0.3, 1.3, size=(7, 13, 2))
+
+
+# The folded build sums each point's outer product of per-axis node weights;
+# the unfolded oracle sums 4x4 coefficient weights and then multiplies by
+# Q x Q.  Both round every entry, in a different order, so their values
+# agree to rounding: over ``_sampler_cases`` the largest difference is
+# 8.2e-16 max|W| (the small-mode map; 3.7 units of 2**-53), and the bound
+# allows 9 units, a margin of 2.4.  A wrong tap weight, or one tap shifted
+# by a node, moves entries by at least 1/36 of a point's weight over m.
+UNFOLDED_VALUES = 9 * 2.0**-53
 
 
 class TestBlockBuild:
-    """The sampler's block build against the one-shot build: the same CSR
-    arrays, bit for bit, and a transient peak near two copies of the matrix."""
+    """The sampler's block build against ``_block_matrix`` on all rings at
+    once: the same CSR arrays, bit for bit, and a transient peak near two
+    copies of the matrix; against the unfolded build the same pattern and
+    values to rounding."""
 
     @staticmethod
     def _assert_same_matrix(got, want):
@@ -462,25 +478,70 @@ class TestBlockBuild:
     @pytest.mark.parametrize("k, d", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
     def test_equals_the_one_shot_build(self, m, k, d):
         # k B + d rings for B rings per block: 0, 1, B - 1, B, B + 1, 2B + 1
-        n_rows = k * max(1, _spline._BLOCK_ENTRIES // (16 * m)) + d
+        n_rows = k * max(1, _spline._BLOCK_POINTS // m) + d
         rng = np.random.default_rng(m + n_rows)
         rings = rng.uniform(-1.0, 1.2, size=(n_rows, m, 2))
         samp = BicubicSampler(-1.1, 0.1, 24, rings)
-        self._assert_same_matrix(samp._w, one_shot_matrix(-1.1, 0.1, 24, rings))
+        self._assert_same_matrix(samp._w, _spline._block_matrix(rings, -1.1, 0.1, 24))
         assert samp.n_rows == n_rows
         assert samp.apply(rng.normal(size=(24, 24))).shape == (n_rows,)
         assert samp.apply_T(np.zeros(n_rows)).shape == (24, 24)
 
     def test_sweep_shaped_rings_equal_the_one_shot_build(self):
-        args = _sweep_sampler_args()
-        self._assert_same_matrix(BicubicSampler(*args)._w, one_shot_matrix(*args))
+        x0, h, n, rings = _sweep_sampler_args()
+        self._assert_same_matrix(BicubicSampler(x0, h, n, rings)._w,
+                                 _spline._block_matrix(rings, x0, h, n))
+
+    def test_pattern_and_values_of_the_unfolded_build(self):
+        for args in _sampler_cases():
+            got, want = BicubicSampler(*args)._w, unfolded_matrix(*args)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            scale = np.max(np.abs(want.data))
+            assert np.max(np.abs(got.data - want.data)) <= UNFOLDED_VALUES * scale, args[2]
+
+    def test_one_product_and_one_sort_per_block(self, monkeypatch):
+        """The build's sparse work, counted: per block one product, of
+        operands with n or fewer rows per ring and no n^2 rows, and one
+        index sort; no duplicate summing anywhere; none of it per call."""
+        from scipy.sparse import _compressed
+
+        calls = {"product": [], "sort": 0, "sum_duplicates": 0}
+        product, sort = _compressed._cs_matrix._matmul_sparse, _compressed._cs_matrix.sort_indices
+
+        def counted_product(a, b):
+            calls["product"].append((a.shape, b.shape))
+            return product(a, b)
+
+        def counted_sort(a):
+            calls["sort"] += 1
+            return sort(a)
+
+        def refuse(a):
+            calls["sum_duplicates"] += 1
+
+        monkeypatch.setattr(_compressed._cs_matrix, "_matmul_sparse", counted_product)
+        monkeypatch.setattr(_compressed._cs_matrix, "sort_indices", counted_sort)
+        monkeypatch.setattr(_compressed._cs_matrix, "sum_duplicates", refuse)
+        n, m = 24, 64
+        step = _spline._BLOCK_POINTS // m
+        rng = np.random.default_rng(3)
+        samp = BicubicSampler(-1.1, 0.1, n, rng.uniform(-1.0, 1.2, size=(2 * step + 1, m, 2)))
+        sizes = [step, step, 1]
+        assert calls["product"] == [((b * n, b * m), (b * m, n)) for b in sizes]
+        assert calls["sort"] == len(sizes)
+        assert calls["sum_duplicates"] == 0
+        samp.apply(rng.normal(size=(n, n)))
+        samp.apply_T(rng.normal(size=samp.n_rows))
+        assert (len(calls["product"]), calls["sort"], calls["sum_duplicates"]) == (3, 3, 0)
 
     def test_transient_memory_is_about_two_matrices(self):
         # The block build holds, at most, the blocks and their stack (two
-        # copies of the matrix) or, before stacking, the prefilter (9
-        # entries per node), the blocks so far and one block's transients.
-        # On these 120 sweep rings at 129^2 its traced peak is 2.2 times the
-        # matrix bytes; the one-shot build, holding all rings' unfolded
+        # copies of the matrix) or, before stacking, the blocks so far and
+        # one block's operands, product and column offsets.  On these 120
+        # sweep rings at 129^2 its traced peak is 2.0 times the matrix
+        # bytes; the unfolded one-shot build, holding all rings' unfolded
         # weights beside the prefilter and the product, peaked at 4.4.
         x0, h, n, rings = _sweep_sampler_args()
         BicubicSampler(x0, h, n, rings[:1])  # loads scipy.sparse untraced
