@@ -213,8 +213,8 @@ _KNOWN_KEYS = {
     "grid": {"l", "n", "pml_width"},
     "phantom": None,  # gaussian.* / disc.*, checked separately
     "detector": {"mode", "center_radius", "r", "n_theta", "n_alpha"},  # center_radius: small
-    "time": {"t", "t1", "nt"},
-    "aperture": {"arc", "window"},
+    "time": {"t", "t0", "t1", "nt"},
+    "aperture": {"arc"},
     "recon": {"method", "iters", "step"},
     "run": {"seed", "out_dir"},
     "noise": {"sigma_rel"},
@@ -303,13 +303,6 @@ def _angle_pair(value: str) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
-def _time_pair(value: str) -> tuple[float, float]:
-    vals = _floats(value)
-    if len(vals) != 2 or not -math.inf < vals[0] < vals[1] < math.inf:
-        raise ValueError(f"expected an increasing pair of finite times, got {value}")
-    return vals[0], vals[1]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a subcommand needs, with module invariants already enforced."""
@@ -318,7 +311,6 @@ class ExperimentConfig:
     speed_spec: object
     phantom_spec: tuple  # of field.PhantomComponent
     detector: object
-    window: tuple[float, float] | None
     method: str
     iters: int
     step: float | None
@@ -380,14 +372,15 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         detector = DetectorConfig(mode=mode, **sampling)
 
     # with t1 the record runs to t1 and is weighted by a cutoff with plateau
-    # t; without it the record runs to t, unweighted
+    # t; without it the record runs to t, unweighted; t0 opens the window
     tm = sections.get("time", {})
     t = _get(tm, "t", float, 5.0, "time")
     t1 = _get(tm, "t1", float, None, "time")
     nt = _get(tm, "nt", int, None, "time")
+    t0 = _get(tm, "t0", float, 0.0, "time")
     with _section("time"):
         detector = replace(detector, T=t if t1 is None else t1, nt=nt,
-                           plateau=None if t1 is None else t)
+                           plateau=None if t1 is None else t, t0=t0)
     ap = sections.get("aperture", {})
     arc = _get(ap, "arc", _angle_pair, section="aperture")
     with _section("aperture"):
@@ -414,7 +407,6 @@ def build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         speed_spec=speed_spec,
         phantom_spec=phantom_spec,
         detector=detector,
-        window=_get(ap, "window", _time_pair, section="aperture"),
         method=method,
         iters=_get(rc, "iters", int, 15, "recon"),
         step=_get(rc, "step", _positive, None, "recon"),
@@ -625,9 +617,7 @@ def cmd_visibility(args) -> int:
     if not wf:
         print("warning: phantom has no edges above threshold; empty report",
               file=sys.stderr)
-
-    window = cfg.window or (0.0, cfg.detector.plateau or cfg.detector.T)
-    verdicts = visibility(wf, speed, cfg.detector, time_window=window)
+    verdicts = visibility(wf, speed, cfg.detector)
 
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "visibility.csv"

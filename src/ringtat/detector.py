@@ -60,11 +60,11 @@ from .field import (
 from .wave import WaveSolver, check_time_step, choose_time_steps, march
 
 _TWO_PI = 2.0 * math.pi
-# a block of the sampler build holds at least one ring, and its int32
-# offsets 6 entries per circle point (scipy widens the product's own
-# indices), so 2**31 / 6 points would fit; the cap stays at 2**31 / 16
-# points over all n_theta * n_alpha, the most ever accepted, and caps every
-# ring's
+# the most circle points n_theta * n_alpha a detector may have.  A block of
+# the sampler build holds at least one ring with 6 int32 offsets per point
+# (scipy widens the product's own indices), so 2**31 / 6 would fit; the cap
+# stays at 2**31 / 16, the bound of the earlier 16-entry build, so no config
+# refused before loads now and each ring's offsets keep 2.7x headroom
 _MAX_POINTS = (2**31 - 1) // 16
 # reads a solve's helper thread may run past the oldest one not yet received
 _AHEAD = 2
@@ -121,12 +121,12 @@ class LargeMode:
 class DetectorConfig:
     """Acquisition description: geometry, angular sampling, record window.
 
-    ``aperture`` restricts the detector centers to the open arc (a, b);
-    None means the full circle.  ``nt`` is the number of time samples on
-    [0, T]; None lets the forward operator pick it from the CFL bound.
-    ``plateau`` weights the record in the reconstruction misfit: the weight
-    is one on [0, plateau] and falls smoothly to zero at T.  None weights
-    every level by one.
+    The measurement set is the open arc (a, b) of detector centers in
+    ``aperture`` (None: the full circle) times ``window`` = [t0, plateau or
+    T].  ``nt`` is the number of time samples on [0, T]; None lets the
+    forward operator pick it from the CFL bound.  The reconstruction misfit
+    weight is zero before t0 and one up to ``plateau``, from where it falls
+    smoothly to zero at T; None keeps it at one up to T.
     """
 
     mode: SmallMode | LargeMode
@@ -136,6 +136,7 @@ class DetectorConfig:
     nt: int | None = None
     aperture: tuple[float, float] | None = None
     plateau: float | None = None
+    t0: float = 0.0
 
     def __post_init__(self):
         if self.n_alpha < 64:
@@ -156,6 +157,13 @@ class DetectorConfig:
         if self.plateau is not None and not 0 < self.plateau < self.T:
             raise ValueError(f"cutoff plateau {self.plateau:g} must lie in (0, T) = "
                              f"(0, {self.T:g}): t1 must exceed t, and t must be positive")
+        if not 0.0 <= self.t0 < self.window[1]:
+            raise ValueError(f"t0 = {self.t0:g} must lie in [0, {self.window[1]:g})")
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """The record window [t0, t1] that visibility and the misfit read."""
+        return self.t0, self.plateau or self.T
 
     @property
     def full_circle(self) -> bool:
@@ -257,13 +265,12 @@ class MeasurementMap:
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        """(nt, 1), read-only: one on [0, plateau], a monotone C-infinity
-        descent to zero at T; all ones without a plateau."""
-        c = self.config
-        if c.plateau is None:
-            w = np.ones((self.nt, 1))
-        else:
-            w = transition((self.dt * np.arange(self.nt) - c.plateau) / (c.T - c.plateau))[:, None]
+        """(nt, 1), read-only: zero before t0, one up to the plateau and a
+        monotone C-infinity descent to zero at T (no descent without one)."""
+        c, t = self.config, self.dt * np.arange(self.nt)
+        w = np.ones((self.nt, 1)) if c.plateau is None else transition(
+            (t - c.plateau) / (c.T - c.plateau))[:, None]
+        w[t < c.t0] = 0.0
         w.flags.writeable = False
         return w
 

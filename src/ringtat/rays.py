@@ -296,19 +296,18 @@ def visibility(
     wf: list[Covector],
     speed: SpeedField,
     config: DetectorConfig,
-    time_window: tuple[float, float],
 ) -> list[CovectorVerdict]:
     """Classify wavefront samples against the measured aperture: one verdict
     per sample, in the order of ``wf``.
 
     The aperture is ``config.aperture`` (the full circle when None) and the
-    window is ``time_window`` = (t0, t1].  A covector is visible when
-    one of its events lands inside the window and the arc and no other
-    wavefront sample produces an event at the mirror point of the same
-    circle at the same time, both matched to within two grid steps.  If
-    every in-aperture event is mirrored the covector is masked; with no
-    in-aperture event at all, or a trapped ray, it is out of aperture.
-    Verdicts do not depend on covector magnitudes.
+    window is ``config.window`` = [t0, t1], the set the misfit weighs.  A
+    covector is visible when one of its events lands inside the window and
+    the arc and no other wavefront sample produces an event at the mirror
+    point of the same circle at the same time, both matched to within two
+    grid steps.  If every in-aperture event is mirrored the covector is
+    masked; with no in-aperture event at all, or a trapped ray, it is out
+    of aperture.  Verdicts do not depend on covector magnitudes.
 
     The in-aperture events are scanned by time, so a visible covector's
     witness is its earliest unmasked event: the record length from which
@@ -320,15 +319,13 @@ def visibility(
     speed queries; nothing is kept from one call to the next.
     """
     tol = 2.0 * speed.grid.h  # in position and in time (unit exterior speed)
-
-    t_max = time_window[1] + 1.0
+    t0, t1 = config.window
     paths: dict = {}
     all_events: list[list[DetectionEvent]] = [
-        canonical_image(cv, speed, config, t_max=t_max, paths=paths) for cv in wf
+        canonical_image(cv, speed, config, t_max=t1 + 1.0, paths=paths) for cv in wf
     ]
 
     verdicts: list[CovectorVerdict] = []
-    t0, t1 = time_window
     for i, cv in enumerate(wf):
         events = all_events[i]
         if not events:
@@ -336,7 +333,7 @@ def visibility(
             continue
         # stable: events at one time keep their list order
         in_ap = sorted((e for e in events
-                        if t0 < e.t_det <= t1 and _in_arc(e.theta, config.aperture)),
+                        if t0 <= e.t_det <= t1 and _in_arc(e.theta, config.aperture)),
                        key=lambda e: e.t_det)
         if not in_ap:
             verdicts.append(CovectorVerdict(cv, "out_of_aperture"))

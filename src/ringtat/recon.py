@@ -1,12 +1,13 @@
 """Iterative image recovery from circle-averaged measurements.
 
-The data misfit is a plain sum-of-squares over the record lattice, weighted
-by a smooth time cutoff when the detector config has a ``plateau``: one on
-[0, plateau], falling to zero at the record end T.  Two minimizers are
-provided for the weighted normal equations: Landweber (projected gradient
-descent with a step chosen from a power-iteration norm estimate) and
-conjugate gradients.  Both keep every iterate supported in the open unit
-disc, where phantoms live by construction.
+The data misfit is a sum-of-squares over the record lattice weighted by the
+measurement map's ``weights``: zero before the window opens at t0, then one
+up to the ``plateau`` (T without one), from where they fall smoothly to zero
+at T.  Two minimizers are provided for the weighted normal equations:
+Landweber (projected gradient descent with a step chosen from a
+power-iteration norm estimate) and conjugate gradients.  Both keep every
+iterate supported in the open unit disc, where phantoms live by
+construction.
 
 The adjoint used throughout is the exact discrete transpose of the forward
 map, so convergence statements about the discrete system hold verbatim.
@@ -47,9 +48,9 @@ class ReconResult:
 
 def _set_up(data, speed: SpeedField, config: DetectorConfig):
     """What both solvers start from: the data, checked against the record
-    lattice and scaled by 2**-e to a peak in [0.5, 1); e; the misfit
-    weights; the unit-disc mask (the last two from the measurement map)."""
-    data = np.asarray(data, dtype=float)
+    lattice, zero on the rows of zero weight and scaled by 2**-e to a peak
+    in [0.5, 1); e; the misfit weights; the unit-disc mask (both the map's)."""
+    data = np.array(data, dtype=float)
     m = measurement_map(speed, config)
     expected = (m.nt, m.sampler.n_rows)
     if data.shape != expected:
@@ -58,6 +59,7 @@ def _set_up(data, speed: SpeedField, config: DetectorConfig):
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         raise FloatingPointError(f"non-finite data value {data[idx]} at index {idx}")
+    data[m.weights[:, 0] == 0.0] = 0.0
     e = unit_exponent(data)
     return np.ldexp(data, -e), e, m.weights, m.mask
 

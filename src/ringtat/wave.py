@@ -253,7 +253,7 @@ class WaveSolver:
     def __init__(self, speed: SpeedField, dt: float):
         check_time_step(speed, dt)
         grid = speed.grid
-        self.grid = grid
+        self.grid, self.speed = grid, speed
         self.dt = float(dt)
         self.h = grid.h
         self.c2 = speed.c**2
@@ -355,10 +355,14 @@ def energy(u_curr: np.ndarray, u_prev: np.ndarray, dt: float, speed: SpeedField)
     return 0.5 * h * h * (kin + pot)
 
 
-def _check_finite(state: WaveState, k: int, solver: WaveSolver) -> None:
-    """Raise when level ``k`` (time k * dt) holds a non-finite value, naming
-    both causes: the time step and a band too thin for it."""
-    if np.all(np.isfinite(state.u_curr)):
+def _check_level(state: WaveState, k: int, solver: WaveSolver, e1: float) -> None:
+    """Raise when level ``k`` (time k * dt) holds a non-finite value or more
+    than twice ``e1``, the energy of level 1, naming both causes: the time
+    step and a band too thin for it.  Stable runs stay far below that: a
+    band-free run keeps its energy to about 1e-15 relative, and stable
+    banded runs measured at most 1.0 times their level-1 energy."""
+    if np.all(np.isfinite(state.u_curr)) and energy(
+            state.u_curr, state.u_prev, solver.dt, solver.speed) <= 2.0 * e1:
         return
     grid, dt = solver.grid, solver.dt
     cause = "check the CFL bound"
@@ -374,18 +378,22 @@ def march(f, solver: WaveSolver, nt: int):
     marched from rest on ``solver`` (its speed and dt, damped by the grid's
     absorbing band when it has one), in order.
 
-    A non-finite field raises FloatingPointError, checked every
-    ``_NAN_CHECK_EVERY`` levels and before the last level is yielded.  The
-    steps run under the caller's numpy error state: a generator that held
-    one across its yields would leak it into the caller between them.
+    A non-finite field, or one whose energy has grown past twice that of
+    level 1, raises FloatingPointError, checked every ``_NAN_CHECK_EVERY``
+    levels and before the last level is yielded.  The steps run under the
+    caller's numpy error state: a generator that held one across its yields
+    would leak it into the caller between them.
     """
     s = solver.init_state(f)
+    e1 = math.inf  # until level 1
     for k in range(1, nt):
         yield s
         s = solver.step(s)
+        if k == 1:
+            e1 = energy(s.u_curr, s.u_prev, solver.dt, solver.speed)
         if k % _NAN_CHECK_EVERY == 0:
-            _check_finite(s, k, solver)
-    _check_finite(s, nt - 1, solver)
+            _check_level(s, k, solver, e1)
+    _check_level(s, nt - 1, solver, e1)
     yield s
 
 

@@ -121,7 +121,7 @@ def test_criterion_05_partial_aperture_edge_recovery():
     est = cg_normal(sino.data, speed, config, iters=15).estimate
 
     wf = phantom_edges(phantom, grid, threshold=0.5, stride=2, max_count=48)
-    verdicts = visibility(wf, speed, config, time_window=(0.0, 5.0))
+    verdicts = visibility(wf, speed, config)
 
     gx_t, gy_t = np.gradient(phantom, grid.h)
     gx_e, gy_e = np.gradient(est, grid.h)
@@ -263,7 +263,7 @@ def test_criterion_10_full_coverage_visibility():
     ok = True
     for mode in (SmallMode(R=2.0, r=0.8), LargeMode(r=2.0)):
         config = DetectorConfig(mode=mode, T=5.0)
-        verdicts = visibility(wf, speed, config, time_window=(0.0, 5.0))
+        verdicts = visibility(wf, speed, config)
         escaped = [v for v in verdicts if v.escaped]
         seen = sum(1 for v in escaped if v.verdict == "visible")
         ok = ok and len(escaped) > 0 and seen == len(escaped)

@@ -320,11 +320,12 @@ class TestBuildExperiment:
             "detector.center_radius": "2.0",
             "detector.r": "0.8",
             "aperture.arc": "-1.5708 0.0",
-            "aperture.window": "0.0 3.0",
+            "time.t0": "1.5",
         }))
         assert isinstance(cfg.detector.mode, SmallMode)
         assert cfg.detector.aperture == (-1.5708, 0.0)
-        assert cfg.window == (0.0, 3.0)
+        assert cfg.detector.window == (1.5, 4.0)
+        assert not hasattr(cfg, "window")
 
     def test_cutoff_extends_record(self):
         cfg = build_experiment(_cfg_dict(**{"time.t1": "4.5"}))
@@ -396,7 +397,7 @@ class TestBuildExperiment:
         ({"speed.kind": "bogus"}, r"^\[speed\] unknown speed kind 'bogus'"),
         ({"phantom.gaussian.1": "0.2 x 0.18"}, r"^\[phantom\] gaussian\.1: could not convert"),
         ({"aperture.arc": "a 0"}, r"^\[aperture\] arc: could not convert"),
-        ({"aperture.window": "0 nan"}, r"^\[aperture\] window: expected an increasing"),
+        ({"time.t0": "nan"}, r"^\[time\] t0 = nan must lie in \[0, 4\)$"),
         ({"sweep.base_nt": "abc"}, r"^\[sweep\] base_nt: invalid literal"),
         ({"visibility.threshold": "2"}, r"^\[visibility\] threshold: expected a number in \(0, 1\)"),
         ({"visibility.threshold": "0"}, r"^\[visibility\] threshold: expected a number in \(0, 1\)"),
@@ -406,8 +407,8 @@ class TestBuildExperiment:
          r"^\[visibility\] max_count: expected an integer of at least 1"),
         ({"visibility.max_count": "0"},
          r"^\[visibility\] max_count: expected an integer of at least 1"),
-        ({"aperture.window": "0 inf"}, r"^\[aperture\] window: .* finite times"),
-        ({"aperture.window": "-inf 5"}, r"^\[aperture\] window: .* finite times"),
+        ({"time.t0": "inf"}, r"^\[time\] t0 = inf must lie in \[0, 4\)$"),
+        ({"time.t0": "-1"}, r"^\[time\] t0 = -1 must lie in \[0, 4\)$"),
         ({"noise.sigma_rel": "inf"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
         ({"noise.sigma_rel": "nan"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
         ({"noise.sigma_rel": "-0.1"}, r"^\[noise\] sigma_rel: expected a finite number >= 0"),
@@ -417,6 +418,11 @@ class TestBuildExperiment:
         ({"grid.n": "abc"}, r"^\[grid\] n: invalid literal"),
         ({"phantom.gaussian.1": "0.5 0 -0.3"}, r"^\[phantom\] gaussian\.1: sigma = -0\.3"),
         ({"phantom.disc.1": "0 0 -5 0.1"}, r"^\[phantom\] disc\.1: disc radius = -5"),
+        ({"time.t0": "4"}, r"^\[time\] t0 = 4 must lie in \[0, 4\)$"),
+        ({"time.t0": "-inf"}, r"^\[time\] t0 = -inf must lie in \[0, 4\)$"),
+        # with t1 the window ends at the plateau t, not at the record's end
+        ({"time.t0": "4", "time.t1": "4.5"}, r"^\[time\] t0 = 4 must lie in \[0, 4\)$"),
+        ({"aperture.window": "0 3"}, r"^unknown key 'window' in \[aperture\]$"),
     ])
     def test_bad_values_name_their_key(self, edit, message):
         with pytest.raises(ConfigError, match=message):
@@ -447,7 +453,7 @@ class TestBuildExperiment:
         "grid.l", "grid.n", "grid.pml_width", "speed.kind",
         "phantom.gaussian.1", "phantom.disc.2", "detector.mode", "detector.r",
         "detector.center_radius", "detector.n_theta", "detector.n_alpha", "time.t",
-        "time.t1", "time.nt", "aperture.arc", "aperture.window", "recon.method",
+        "time.t1", "time.nt", "aperture.arc", "time.t0", "recon.method",
         "recon.iters", "noise.sigma_rel", "sweep.levels", "sweep.base_nt", "sweep.base_n",
     ]))
     def test_fuzz_values_raise_only_value_errors(self, data, key):
@@ -515,6 +521,22 @@ class TestForwardCommand:
         assert a != (c_dir / "sinogram.tat").read_bytes()
         clean = workspace["sino"].read_bytes()
         assert a != clean
+
+    def test_growing_band_exits_3_before_the_field_overflows(self, tmp_path, capsys):
+        # pml_width = 0.5 on 65^2 at constant speed is a band of 4.4 cells
+        # at dt*sigma_max = 1.97, past the stable bound.  Without the energy
+        # check this run exits 0 with a record peak near 2,000 (the true
+        # peak is about 0.025): the field first overflows after t = 20.  At
+        # level 200 its energy is about 6e8 times that of level 1.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CFG.replace("kind = sinusoidal", "kind = constant")
+                       .replace("t = 4.0", "t = 20"))
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: field blew up at step 200 (t = 14.2857); check the CFL bound and "
+                       "the absorbing band ([grid] pml_width = 0.5: 4.44 cells, "
+                       "dt*sigma_max = 1.97)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_band_thinner_than_a_cell_blow_up_names_the_band(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -675,7 +697,7 @@ class TestForwardCommand:
         ("forward", ("[run]", "[noise]\nsigma_rel = inf\n[run]"), "[noise] sigma_rel:"),
         ("forward", ("[run]", "[noise]\nsigma_rel = nan\n[run]"), "[noise] sigma_rel:"),
         ("forward", ("seed = 3", "seed = -1\n[noise]\nsigma_rel = 0.1"), "[run] seed:"),
-        ("visibility", ("[run]", "[aperture]\nwindow = 0 inf\n[run]"), "[aperture] window:"),
+        ("visibility", ("t = 4.0", "t = 4.0\nt0 = inf"), "[time] t0 = inf"),
     ])
     def test_bad_width_noise_seed_or_window_exits_2_naming_it(self, tmp_path, capsys, command,
                                                               edit, names):
@@ -734,6 +756,35 @@ class TestReconstructCommand:
         rows = (tmp_path / "residual_history.csv").read_text().strip().splitlines()
         assert rows[0] == "iteration,residual"
         assert len(rows) == 2 + 3  # header + initial point + 3 iterations
+
+    def test_window_start_ignores_the_data_before_it(self, tmp_path):
+        """``[time] t0`` opens the window: a sinogram changed only before it
+        gives the same estimate bytes, and its sidecar still matches, as
+        t0 is no part of the record lattice."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CFG.replace("t = 1.0", "t = 1.0\nt0 = 0.5"))
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        data, meta = read_array(tmp_path / "a" / "sinogram.tat")
+        before = meta["detector"]["dt"] * np.arange(data.shape[0]) < 0.5
+        assert 0 < before.sum() < data.shape[0] and "t0" not in meta["detector"]
+        data[before] = np.random.default_rng(1).standard_normal(data[before].shape) * 1e300
+        (tmp_path / "b").mkdir()
+        write_array(tmp_path / "b" / "sinogram.tat", data, meta)
+        for run in ("a", "b"):
+            assert main(["reconstruct", "--config", str(cfg), "--data",
+                         str(tmp_path / run / "sinogram.tat"), "--out",
+                         str(tmp_path / run / "recon")]) == 0
+        assert ((tmp_path / "a" / "recon" / "estimate.tat").read_bytes()
+                == (tmp_path / "b" / "recon" / "estimate.tat").read_bytes())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "1", "1.5"])
+    def test_bad_window_start_exits_2_naming_it(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CFG.replace("t = 1.0", f"t = 1.0\nt0 = {value}"))
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [time] t0 = {float(value):g} must lie in [0, 1)\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["cg", "landweber"])
     def test_time_cutoff_weights_the_misfit(self, tmp_path, method):
@@ -942,7 +993,7 @@ class TestVisibilityCommand:
         # one, in either window, so a record to t = 1 sees every edge.
         # Taking the first event in list order instead reads 1.71 and 1.96
         # in the window to t = 2.
-        for window in ("0 2", "0 1"):
+        for t in ("2", "1"):
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(f"""
 [grid]
@@ -961,10 +1012,10 @@ r = 2.0
 n_theta = 60
 n_alpha = 256
 
-[aperture]
-window = {window}
+[time]
+t = {t}
 """)
-            out = tmp_path / window.replace(" ", "-")
+            out = tmp_path / f"t{t}"
             assert main(["visibility", "--config", str(cfg), "--out", str(out)]) == 0
             assert capsys.readouterr().out.endswith("masked=0, out_of_aperture=0, visible=16\n")
             with (out / "visibility.csv").open(newline="") as fh:
@@ -1093,7 +1144,7 @@ _FUZZ_KEYS = (
     "grid.l", "grid.n", "grid.pml_width", "speed.kind",
     "phantom.gaussian.1", "phantom.disc.1", "detector.mode", "detector.r",
     "detector.center_radius", "detector.n_theta", "time.t", "time.nt", "aperture.arc",
-    "aperture.window", "noise.sigma_rel", "run.seed",
+    "time.t0", "noise.sigma_rel", "run.seed",
 )
 _FUZZ_SWEEP_KEYS = (
     "grid.l", "grid.pml_width", "speed.kind", "detector.mode", "detector.r",
@@ -1119,10 +1170,6 @@ _FUZZ_SIZES = {
     "sweep.levels": _small_or_rejected(st.integers(-3, 2).map(str)),
     "sweep.base_n": _small_or_rejected(st.integers(-3, 33).map(str)),
     "sweep.base_n_theta": _small_or_rejected(st.integers(-3, 16).map(str)),
-    # a window end bounds the trace length, so it stays small when finite
-    "aperture.window": st.lists(st.one_of(st.sampled_from(["inf", "-inf", "nan"]),
-                                          st.floats(-4.0, 40.0).map(repr)),
-                                min_size=2, max_size=2).map(" ".join),
     "phantom.disc.1": st.lists(_FUZZ_NUMBERS, min_size=4, max_size=5).map(" ".join),
     "speed.kind": st.sampled_from(["constant", "sinusoidal", "radial_bump"]),
 }
@@ -1290,7 +1337,8 @@ class TestSweepCommand:
 
     def test_blown_up_field_exits_3_in_one_line(self, tmp_path, capsys):
         # a band far thinner than a cell damps so hard that the field grows
-        # to about 1e207 without overflowing, while its squared residual does
+        # to about 1e207 without overflowing; its energy overflows, so the
+        # last level's check stops the solve and names the band
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(TINY_SWEEP_CFG.replace("pml_width = 0.5",
                                               "pml_width = 1.884425739150716e-12"))
@@ -1298,7 +1346,8 @@ class TestSweepCommand:
             warnings.simplefilter("error")
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert err == "error: sweep residual not finite at level 0: the field blew up\n"
+        assert err.startswith("error: field blew up at step 32 (t = 3); check the CFL bound")
+        assert "[grid] pml_width = 1.88443e-12" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, says", [

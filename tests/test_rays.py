@@ -456,14 +456,14 @@ class TestSplineQueries:
         monkeypatch.setattr(rays, "trace_geodesic", recording)
         wf = _random_covectors(3, np.random.default_rng(8))
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0, aperture=(0.0, 0.5 * math.pi))
-        visibility(wf, _speed(), cfg, time_window=(0.0, 5.0))
+        visibility(wf, _speed(), cfg)
         assert len(paths) == 2 * len(wf)
         assert len(calls) == sum(4 * (len(p.states) - 1) + 1 for p in paths)
         assert set(calls) == {(1, 2)}
 
     def test_small_arc_visibility_makes_half_the_queries_of_the_old_step(self, calls):
         wf, speed, cfg = _small_arc()
-        visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        visibility(wf, speed, cfg)
         assert len(wf) == 40
         # At a step of 0.005, tracing both directions of every covector, this
         # call made 67,904 queries: 4 x 16,956 RK4 stages plus one start for
@@ -485,7 +485,7 @@ class TestSplineQueries:
         for _ in range(2):  # nothing is kept from one call to the next
             paths.clear()
             calls.clear()
-            visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+            visibility(wf, speed, cfg)
             assert len(paths) == 40
             starts = {(*p.covector.y, p.sigma * p.covector.xi[0], p.sigma * p.covector.xi[1])
                       for p in paths}
@@ -513,7 +513,7 @@ class TestSplineBuilds:
     def test_visibility_builds_one_spline(self, builds):
         wf = _random_covectors(4, np.random.default_rng(9))
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        visibility(wf, _speed(), cfg, time_window=(0.0, cfg.T))
+        visibility(wf, _speed(), cfg)
         assert len(builds) == 1
 
     def test_traces_share_the_field_spline(self, builds):
@@ -530,7 +530,7 @@ class TestVisibility:
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         rng = np.random.default_rng(5)
         wf = _random_covectors(12, rng, max_radius=0.85)
-        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        verdicts = visibility(wf, speed, cfg)
         assert all(isinstance(v, CovectorVerdict) for v in verdicts)
         assert [v.verdict for v in verdicts] == ["visible"] * len(wf)
 
@@ -544,8 +544,8 @@ class TestVisibility:
             Covector(y=(0.8, 0.0), xi=(1.0, 0.0)),
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
-        verdicts = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-0.1, 0.1)),
-                              time_window=(1.5, 2.5))
+        verdicts = visibility(wf, speed,
+                              dataclasses.replace(cfg, aperture=(-0.1, 0.1), t0=1.5, T=2.5))
         assert [v.verdict for v in verdicts] == ["masked", "masked"]
         assert verdicts[0].partner_index == 1
         assert verdicts[1].partner_index == 0
@@ -559,7 +559,7 @@ class TestVisibility:
             Covector(y=(0.8, 0.0), xi=(1.0, 0.0)),
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
-        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        verdicts = visibility(wf, speed, cfg)
         assert [v.verdict for v in verdicts] == ["visible", "visible"]
 
     def test_out_of_aperture(self):
@@ -570,8 +570,7 @@ class TestVisibility:
             Covector(y=(0.0, 0.0), xi=(u, u)),  # exits toward pi/4 and 5pi/4
             Covector(y=(0.0, 0.0), xi=(u, -u)),  # exits toward -pi/4, inside the arc
         ]
-        verdicts = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-math.pi / 2, 0.0)),
-                              time_window=(0.0, 5.0))
+        verdicts = visibility(wf, speed, dataclasses.replace(cfg, aperture=(-math.pi / 2, 0.0)))
         assert verdicts[0].verdict == "out_of_aperture"
         assert verdicts[1].verdict == "visible"
 
@@ -579,7 +578,7 @@ class TestVisibility:
         speed = _speed(kind="constant")
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
         wf = [Covector(y=(0.0, 0.0), xi=(1.0, 0.0))]
-        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 0.1))
+        verdicts = visibility(wf, speed, dataclasses.replace(cfg, T=0.1))
         assert verdicts[0].verdict == "out_of_aperture"
 
     def test_magnitude_invariance(self):
@@ -590,15 +589,15 @@ class TestVisibility:
             Covector(y=(-0.8, 0.0), xi=(1.0, 0.0)),
         ]
         scaled = [Covector(y=c.y, xi=c.xi, magnitude=7.5) for c in base]
-        narrow = dataclasses.replace(cfg, aperture=(-0.1, 0.1))
-        a = visibility(base, speed, narrow, time_window=(1.5, 2.5))
-        b = visibility(scaled, speed, narrow, time_window=(1.5, 2.5))
+        narrow = dataclasses.replace(cfg, aperture=(-0.1, 0.1), t0=1.5, T=2.5)
+        a = visibility(base, speed, narrow)
+        b = visibility(scaled, speed, narrow)
         assert [v.verdict for v in a] == [v.verdict for v in b]
 
     def test_empty_wavefront_gives_no_verdicts(self):
         speed = _speed(n=65)
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        assert visibility([], speed, cfg, time_window=(0.0, cfg.T)) == []
+        assert visibility([], speed, cfg) == []
 
     def test_shared_rays_give_the_verdicts_of_lone_traces(self, monkeypatch):
         """Antipodal pairs in shuffled order, a duplicate and a pair of
@@ -606,7 +605,7 @@ class TestVisibility:
         of tracing every covector's two rays alone."""
         speed = sample_speed(SpeedSpec(kind="sinusoidal"),
                              make_grid(L=3.6, n=129, pml_width=0.5))
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0, aperture=(-0.1, 0.1))
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=2.5, aperture=(-0.1, 0.1), t0=1.5)
         a, b = (0.8, 0.0), (-0.8, 0.0)
         wf = [
             Covector(y=a, xi=(1.0, 0.0)),
@@ -632,12 +631,12 @@ class TestVisibility:
             return trace(*args, **kwargs)
 
         monkeypatch.setattr(rays, "trace_geodesic", recording)
-        shared = summary(visibility(wf, speed, cfg, time_window=(1.5, 2.5)))
+        shared = summary(visibility(wf, speed, cfg))
         n_shared = len(traced)
         image = rays.canonical_image
         monkeypatch.setattr(rays, "canonical_image",
                             lambda cv, speed, config, t_max, paths: image(cv, speed, config, t_max))
-        alone = summary(visibility(wf, speed, cfg, time_window=(1.5, 2.5)))
+        alone = summary(visibility(wf, speed, cfg))
         assert shared == alone
         assert [v[:2] for v in shared] == [("masked", 1), ("masked", 0), ("visible", None)] * 2 \
             + [("masked", 1)]
@@ -646,14 +645,14 @@ class TestVisibility:
         assert (n_shared, len(traced) - n_shared) == (8, 2 * len(wf))
 
     @staticmethod
-    def _unmasked_in_aperture(i, all_events, cfg, window, tol):
+    def _unmasked_in_aperture(i, all_events, cfg, tol):
         """Covector i's events inside the window and the arc whose mirror
         point no other covector reaches at the same time: the masking rule,
         written out event by event."""
-        t0, t1 = window
+        t0, t1 = cfg.window
         out = []
         for e in all_events[i]:
-            if not (t0 < e.t_det <= t1 and rays._in_arc(e.theta, cfg.aperture)):
+            if not (t0 <= e.t_det <= t1 and rays._in_arc(e.theta, cfg.aperture)):
                 continue
             mirror = mirror_point(e.point, e.theta, cfg)
             if not any(abs(o.t_det - e.t_det) <= tol and math.hypot(*(o.point - mirror)) <= tol
@@ -675,14 +674,13 @@ class TestVisibility:
                 Covector(y=(-0.5, 0.0), xi=(1.0, 0.0))]
         else:
             wf, speed, cfg = _small_arc()
-        window = (0.0, cfg.T)
-        verdicts = visibility(wf, speed, cfg, time_window=window)
-        all_events = [canonical_image(cv, speed, cfg, t_max=window[1] + 1.0) for cv in wf]
+        verdicts = visibility(wf, speed, cfg)
+        all_events = [canonical_image(cv, speed, cfg, t_max=cfg.T + 1.0) for cv in wf]
         tol = 2.0 * speed.grid.h
         visible = [i for i, v in enumerate(verdicts) if v.verdict == "visible"]
         assert len(visible) >= (11 if case == "full" else 16)
         for i in visible:
-            unmasked = self._unmasked_in_aperture(i, all_events, cfg, window, tol)
+            unmasked = self._unmasked_in_aperture(i, all_events, cfg, tol)
             assert verdicts[i].witness.t_det == min(e.t_det for e in unmasked)
         if case == "full":
             assert verdicts[-1].witness.t_det == pytest.approx(0.7)
@@ -694,7 +692,7 @@ class TestVisibility:
         wf = phantom_edges(f, grid, threshold=0.5, stride=6, max_count=16)
         assert len(wf) >= 4
         cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0)
-        verdicts = visibility(wf, speed, cfg, time_window=(0.0, 5.0))
+        verdicts = visibility(wf, speed, cfg)
         assert [v.verdict for v in verdicts] == ["visible"] * len(wf)
 
 
@@ -711,11 +709,11 @@ class TestDefaultStep:
     ``WITNESS_SHIFT``) witness times of a step four times finer."""
 
     @staticmethod
-    def _at_both_steps(monkeypatch, wf, speed, cfg, window):
+    def _at_both_steps(monkeypatch, wf, speed, cfg):
         """The verdicts at the default step, checked against a quarter step."""
-        coarse = visibility(wf, speed, cfg, time_window=window)
+        coarse = visibility(wf, speed, cfg)
         monkeypatch.setattr(rays, "DEFAULT_RAY_STEP", rays.DEFAULT_RAY_STEP / 4)
-        fine = visibility(wf, speed, cfg, time_window=window)
+        fine = visibility(wf, speed, cfg)
         pairs = list(zip(coarse, fine))
         assert [(a.verdict, a.partner_index) for a, _ in pairs] == \
             [(b.verdict, b.partner_index) for _, b in pairs]
@@ -724,7 +722,7 @@ class TestDefaultStep:
         return coarse
 
     def _check_against_a_quarter_step(self, monkeypatch):
-        coarse = self._at_both_steps(monkeypatch, *_small_arc(), (0.0, 5.0))
+        coarse = self._at_both_steps(monkeypatch, *_small_arc())
         assert [v.verdict for v in coarse].count("visible") == 16
 
     def test_default_step_keeps_the_verdicts_of_a_quarter_step(self, monkeypatch):
@@ -738,9 +736,9 @@ class TestDefaultStep:
         # gap of 0.076 exceeds the two-grid-step tolerance 2h = 0.075
         speed = sample_speed(SpeedSpec(kind="sinusoidal"),
                              make_grid(L=3.6, n=129, pml_width=0.5))
-        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=5.0, aperture=(-0.1, 0.1))
+        cfg = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=2.5, aperture=(-0.1, 0.1), t0=1.5)
         wf = [Covector(y=(0.8, 0.0), xi=(1.0, 0.0)), Covector(y=(-0.8, 0.0), xi=(1.0, 0.0))]
-        coarse = self._at_both_steps(monkeypatch, wf, speed, cfg, (1.5, 2.5))
+        coarse = self._at_both_steps(monkeypatch, wf, speed, cfg)
         assert [(v.verdict, v.partner_index) for v in coarse] == \
             [("masked", 1), ("masked", 0)]
 

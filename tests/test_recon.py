@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringtat.detector import (
     DetectorConfig,
@@ -14,7 +16,15 @@ from ringtat.detector import (
     forward_operator,
     measurement_map,
 )
-from ringtat.field import SpeedSpec, gaussian_phantom, make_grid, sample_speed, transition
+from ringtat.field import (
+    Covector,
+    SpeedSpec,
+    gaussian_phantom,
+    make_grid,
+    sample_speed,
+    transition,
+)
+from ringtat.rays import canonical_image, visibility
 from ringtat.recon import (
     ReconResult,
     cg_normal,
@@ -396,3 +406,84 @@ class TestWorkCounts:
         assert cg_normal(sino.data, speed, cfg, iters=3).iterations == 3
         operator_norm_estimate(again, cfg)
         assert counts["WaveSolver"] == 1
+
+
+def _windowed_problem():
+    """A record [0, 2.5] on 32^2 at dt = 0.0625 whose window opens at
+    t0 = 1.5, exactly the time of level 24, and its noiseless data."""
+    grid = make_grid(L=3.4, n=32, pml_width=0.3)
+    speed = _speed(grid)
+    cfg = DetectorConfig(mode=LargeMode(r=2.0), n_theta=8, n_alpha=64, T=2.5, nt=41, t0=1.5)
+    truth = gaussian_phantom(grid, center=(0.1, 0.2), sigma=0.15)
+    return speed, cfg, forward_operator(truth, speed, cfg).data
+
+
+def _solve(method, data, speed, cfg):
+    if method == "cg":
+        return cg_normal(data, speed, cfg, iters=3)
+    return landweber(data, speed, cfg, iters=3)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestWindow:
+    """The window [t0, t1] of ``DetectorConfig`` is one set: the misfit
+    weighs the levels in it, and visibility counts the events in it, both
+    ends included."""
+
+    @pytest.mark.parametrize("method", ["cg", "landweber"])
+    @settings(max_examples=12, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 7), _FINITE),
+                         min_size=1, max_size=6),
+           offset=st.one_of(st.just(0.0), _FINITE))
+    def test_data_before_the_window_leave_every_solve_unchanged(self, method, rows, offset):
+        speed, cfg, data = _windowed_problem()
+        base = _solve(method, data, speed, cfg)
+        changed = data.copy()
+        changed[:24] += offset
+        for k, j, value in rows:
+            changed[k, j] = value
+        assert np.isfinite(changed).all()
+        other = _solve(method, changed, speed, cfg)
+        assert other.estimate.tobytes() == base.estimate.tobytes()
+        assert other.residual_history.tobytes() == base.residual_history.tobytes()
+        assert other.step_size == base.step_size
+
+    def test_norm_estimate_reads_the_window(self):
+        # Landweber's automatic step is one over the norm estimate, which
+        # weighs only the levels from t0 on
+        speed, cfg, data = _windowed_problem()
+        lam = operator_norm_estimate(speed, cfg)
+        assert landweber(data, speed, cfg, iters=1).step_size == 1.0 / lam
+        assert 0.0 < lam < operator_norm_estimate(speed, dataclasses.replace(cfg, t0=0.0))
+
+    def test_weights_and_visibility_share_the_window_ends(self):
+        speed, cfg, _ = _windowed_problem()
+        t = 0.0625 * np.arange(41)
+        assert (t[24], t[-1]) == (1.5, 2.5)
+        # the levels at t0 and at T both weigh one, the one before t0 zero
+        w = measurement_map(speed, cfg).weights[:, 0]
+        assert np.array_equal(w, (t >= 1.5).astype(float))
+        with_plateau = measurement_map(speed, dataclasses.replace(cfg, T=3.0, nt=49,
+                                                                  plateau=2.5)).weights[:, 0]
+        assert np.array_equal(with_plateau[:41], w)
+
+        # c = 1: a ray from the origin along +x meets the small detector
+        # centred at (2, 0) at about t = 1.2, the only event in the arc
+        # before t = 2
+        speed = _speed(make_grid(L=3.6, n=65, pml_width=0.5), kind="constant")
+        cv = Covector(y=(0.0, 0.0), xi=(1.0, 0.0))
+        arc = DetectorConfig(mode=SmallMode(R=2.0, r=0.8), T=2.0, aperture=(-0.1, 0.1))
+        hit = min(e.t_det for e in canonical_image(cv, speed, arc) if abs(e.theta) < 0.1)
+        assert hit == pytest.approx(1.2, abs=1e-9)
+
+        def verdict(t0, t1):
+            v, = visibility([cv], speed, dataclasses.replace(arc, t0=t0, T=t1))
+            assert v.witness is None or v.witness.t_det == hit
+            return v.verdict
+
+        assert verdict(hit, 2.0) == "visible"
+        assert verdict(math.nextafter(hit, 2.0), 2.0) == "out_of_aperture"
+        assert verdict(0.0, hit) == "visible"
+        assert verdict(0.0, math.nextafter(hit, 0.0)) == "out_of_aperture"

@@ -552,6 +552,37 @@ class TestSolveForward:
             s = solver.step(s)
         assert interior_energy(s) / e0 < 1e-3
 
+    def test_energy_guard_stops_a_growing_band_while_the_field_is_finite(self):
+        # a band of 4.4 cells at dt*sigma_max = 1.97 grows from about t = 11
+        # and overflows only after t = 20; the check at level 200 (t = 14.3)
+        # finds about 6e8 times the energy of level 1
+        g = make_grid(L=3.6, n=65, pml_width=0.5)
+        sp = sample_speed(SpeedSpec(kind="constant"), g)
+        f = gaussian_phantom(g, center=(0.2, -0.1), sigma=0.18)
+        nt, dt = choose_time_steps(sp, 20.0)
+        finite = []
+        with pytest.raises(FloatingPointError, match=r"^field blew up at step 200 \(t = 14\.2857\); "
+                                                     r".*pml_width = 0\.5: 4\.44 cells"):
+            for s in march(f, WaveSolver(sp, dt), nt):
+                finite.append(bool(np.isfinite(s.u_curr).all()))
+        assert finite == [True] * 200
+
+    @pytest.mark.parametrize("kind", ["constant", "sinusoidal"])
+    def test_energy_guard_passes_a_long_band_free_run(self, kind):
+        # without a band the scheme conserves the energy the guard reads to
+        # rounding, far below its factor of 2 over level 1
+        g, sp = _setup(n=65, kind=kind)
+        f = gaussian_phantom(g, sigma=0.2)
+        nt, dt = choose_time_steps(sp, 12.0)
+        assert nt > 300
+        ratios = []
+        for k, s in enumerate(march(f, WaveSolver(sp, dt), nt)):
+            if k == 1:
+                e1 = energy(s.u_curr, s.u_prev, dt, sp)
+            elif k > 1:
+                ratios.append(energy(s.u_curr, s.u_prev, dt, sp) / e1)
+        assert len(ratios) == nt - 2 and max(abs(r - 1.0) for r in ratios) < 1e-12
+
     def test_nan_guard(self):
         _, sp = _setup()
         with pytest.raises(FloatingPointError):
